@@ -144,6 +144,14 @@ def _delta_from_parts(r: np.ndarray, rc: np.ndarray, s_op: np.ndarray) -> float:
     return _gap_from_singulars(lam)
 
 
+def _stack_gaps(r: np.ndarray, rc: np.ndarray, s_ops: np.ndarray) -> np.ndarray:
+    """Gaps of an operator stack in one SVD call, as ``_delta_from_parts`` per
+    matrix; that scalar form stays because it is faster for one matrix."""
+    lam = np.linalg.svd(r @ s_ops @ rc, compute_uv=False)
+    gap = 2.0 * lam[:, 0] - np.sum(lam, axis=1)
+    return np.where(gap > 0.0, gap, 0.0)
+
+
 def concurrence_pure(psi: PureState, split: Bipartition | None = None) -> float:
     """Concurrence sqrt(2 (1 - Tr rho_A^2)) of a pure state across a split.
 

@@ -31,7 +31,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import __version__
-from .errors import ThresholdNotDetectedError
+from .errors import ParameterRangeError, ThresholdNotDetectedError
 from .bounds_bipartite import (
     BoundReport,
     observation1_bound,
@@ -174,12 +174,11 @@ def _ppt_summary(rho: DensityMatrix) -> dict:
 
 
 def _make_config(blob: str | None) -> OptimizerConfig:
-    base = {}
-    env = os.environ.get("CONCBOUND_SEED")
-    if env is not None:
-        base["seed"] = int(env)
     user = json.loads(blob) if blob else {}
-    return OptimizerConfig(**{**base, **user})
+    env = os.environ.get("CONCBOUND_SEED")
+    if env is not None and isinstance(user, dict):
+        user = {"seed": int(env), **user}
+    return OptimizerConfig.from_dict(user)
 
 
 def _auto_gen_source(descriptor: dict) -> str:
@@ -289,6 +288,8 @@ def cmd_scan(args, argv) -> int:
     name, params, family = _scan_family(args.family)
     lo_txt, _, hi_txt = args.p_range.partition(":")
     p_lo, p_hi = float(lo_txt), float(hi_txt)
+    if args.points < 1:
+        raise ParameterRangeError(f"--points must be at least 1, got {args.points}")
     cfg = _make_config(args.optimizer)
     detector = _scan_detector(name, args.mode, args.k, cfg)
     grid = np.linspace(p_lo, p_hi, args.points)

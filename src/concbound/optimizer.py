@@ -6,37 +6,37 @@ decaying step is enough to polish coefficients; every evaluation is a
 valid lower bound, which makes the search safe to stop anywhere. All
 randomness is derived from one user-visible seed, and the same
 configuration always reproduces the same report, byte for byte.
+
+Every (subset, restart) trajectory of a call runs in lockstep as one
+row of a coordinate array, and each probe is one SVD call over all
+rows. A row accepts a probe only if its own gap strictly improves and
+never reads another row, and its arithmetic is the same per element
+and per matrix as a one-trajectory loop's, so each row makes exactly
+that loop's decisions, bit for bit, however the rows are blocked.
 """
 from __future__ import annotations
 
 import json
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from itertools import combinations
 
 import numpy as np
 
-from .errors import DimensionMismatchError, ParameterRangeError, ThresholdNotDetectedError
-from .bounds_bipartite import (
-    BoundReport,
-    _delta_from_parts,
-    _sqrt_parts,
-    _check_state,
-    observation1_bound,
-)
-from .bounds_multipartite import (
-    _check_tripartite,
-    _resolve_triple,
-    observation2_bound,
-    observation3_bound,
-)
+from .errors import DimensionMismatchError, ParameterRangeError, SubsetSizeError, ThresholdNotDetectedError
+from .bounds_bipartite import BoundReport, _check_state, _sqrt_parts, _stack_gaps, observation1_bound
+from .bounds_multipartite import _check_tripartite, _resolve_triple, observation2_bound, observation3_bound
 from .generators import GeneratorSet, bipartite_generators, tripartite_generators
 from .states import DensityMatrix
 
 DEFAULT_SEED = 1905
 
 _STRATEGIES = ("exhaustive", "top_singletons")
+
+# Most trajectories searched together: each probe holds a few arrays per
+# row, so this caps the search's memory whatever the pool size.
+_BLOCK_ROWS = 512
 
 
 @dataclass(frozen=True)
@@ -50,7 +50,10 @@ class OptimizerConfig:
     ``step_final``. ``subset_strategy`` picks the subset pool for
     aggregated bounds: "exhaustive" enumerates all size-k subsets,
     "top_singletons" only combines the ``top_count`` generators with
-    the largest single-operator gaps.
+    the largest single-operator gaps. On PPT states every such gap is
+    zero up to round-off (a generator acts on a two-qubit subspace,
+    where PPT means separable), so "top_singletons" then picks its pool
+    by rounding noise and can miss every detecting subset.
     """
 
     restarts: int = 32
@@ -62,33 +65,33 @@ class OptimizerConfig:
     top_count: int = 4
 
     def __post_init__(self):
-        if int(self.restarts) < 1 or int(self.iterations) < 1:
+        ints = (self.restarts, self.iterations, self.seed, self.top_count)
+        if any(type(v) is not int for v in ints):
+            raise ParameterRangeError(f"restarts, iterations, seed, top_count must be ints, got {ints}")
+        steps = (self.step_initial, self.step_final)
+        if any(type(v) not in (int, float) or not math.isfinite(v) for v in steps):
+            raise ParameterRangeError(f"step_initial, step_final must be finite numbers, got {steps}")
+        if self.restarts < 1 or self.iterations < 1:
             raise ParameterRangeError("restarts and iterations must be at least 1")
-        if not 0 <= int(self.seed) < 2**64:
+        if not 0 <= self.seed < 2**64:
             raise ParameterRangeError("seed must fit in 64 bits")
-        if not 0.0 < float(self.step_final) <= float(self.step_initial):
+        if not 0.0 < self.step_final <= self.step_initial:
             raise ParameterRangeError("need 0 < step_final <= step_initial")
         if self.subset_strategy not in _STRATEGIES:
             raise ParameterRangeError(f"unknown subset strategy {self.subset_strategy!r}")
-        if int(self.top_count) < 1:
+        if self.top_count < 1:
             raise ParameterRangeError("top_count must be at least 1")
 
     def to_dict(self) -> dict:
-        return {
-            "restarts": self.restarts,
-            "iterations": self.iterations,
-            "seed": self.seed,
-            "step_initial": self.step_initial,
-            "step_final": self.step_final,
-            "subset_strategy": self.subset_strategy,
-            "top_count": self.top_count,
-        }
+        return asdict(self)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True)
 
     @classmethod
     def from_dict(cls, data: dict) -> "OptimizerConfig":
+        if not isinstance(data, dict) or set(data) - {f.name for f in fields(cls)}:
+            raise ParameterRangeError(f"optimizer config must be an object of known fields, got {data!r}")
         return cls(**data)
 
     @classmethod
@@ -111,85 +114,85 @@ class ScanResult:
     evaluations: int
 
     def to_dict(self) -> dict:
-        return {
-            "threshold": self.threshold,
-            "bracket_width": self.bracket_width,
-            "evaluations": self.evaluations,
-        }
+        return asdict(self)
 
 
-def _delta_of(r, rc, ops, radii, phases) -> float:
-    coeffs = radii * np.exp(1j * phases)
-    s_op = np.tensordot(coeffs, ops, axes=1)
-    return _delta_from_parts(r, rc, s_op)
+def _row_gaps(r, rc, ops, x) -> np.ndarray:
+    """Gaps of coefficient rows x = (radii, phases), row i over ops[i] (m, n*n)."""
+    m = ops.shape[1]
+    coeffs = x[:, :m] * np.exp(1j * x[:, m:])
+    return _stack_gaps(r, rc, (coeffs[:, None, :] @ ops).reshape(len(x), *r.shape))
+
+
+def _descend(r, rc, flat, idx, x, cfg: OptimizerConfig) -> np.ndarray:
+    """Coordinate descent on rows x over operators flat[idx]: updates x in
+    place, returns its gaps. As in a one-row loop, a radius probe skips
+    the rows whose clipped radius does not move."""
+    m = idx.shape[1]
+    val = _row_gaps(r, rc, flat[idx], x)
+
+    def probe(col, cand, rows):
+        if rows.size:
+            trial = x[rows]
+            trial[:, col] = cand[rows]
+            new = _row_gaps(r, rc, flat[idx[rows]], trial)
+            win = new > val[rows]
+            x[rows[win], col] = cand[rows[win]]
+            val[rows[win]] = new[win]
+
+    decay = (cfg.step_final / cfg.step_initial) ** (1.0 / max(cfg.iterations - 1, 1))
+    step = cfg.step_initial
+    for _ in range(cfg.iterations):
+        for s in range(m):
+            for dr in (step, -step):
+                cand = np.clip(x[:, s] + dr, 0.0, 1.0)
+                probe(s, cand, np.flatnonzero(cand != x[:, s]))
+            for dt in (2.0 * np.pi * step, -2.0 * np.pi * step):
+                probe(m + s, (x[:, m + s] + dt) % (2.0 * np.pi), np.arange(len(x)))
+        step *= decay
+    return val
+
+
+def _search(r, rc, ops, subsets, salts, cfg: OptimizerConfig):
+    """Multi-restart coordinate descent over moduli and phases for every
+    subset (equal-length index tuples into ``ops``) at once. Restart 0
+    starts at all ones, restart j at a draw seeded by (j,) + salt.
+    Returns coefficients (a row per subset, max modulus 1), their gaps,
+    and per subset the nondecreasing best gap after each restart."""
+    idx = np.asarray(subsets, dtype=np.intp)
+    n_sub, m = idx.shape
+    flat = np.asarray(ops, dtype=complex).reshape(len(ops), -1)
+    x = np.zeros((n_sub, cfg.restarts, 2 * m))
+    x[:, 0, :m] = 1.0
+    for p, salt in enumerate(salts):
+        for restart in range(1, cfg.restarts):
+            rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(restart,) + tuple(salt)))
+            x[p, restart] = np.concatenate([rng.random(m), 2.0 * np.pi * rng.random(m)])
+    x = x.reshape(-1, 2 * m)
+    rows = np.repeat(idx, cfg.restarts, axis=0)
+    val = np.concatenate([
+        _descend(r, rc, flat, rows[lo : lo + _BLOCK_ROWS], x[lo : lo + _BLOCK_ROWS], cfg)
+        for lo in range(0, len(x), _BLOCK_ROWS)
+    ]).reshape(n_sub, cfg.restarts)
+    # argmax keeps the first of equal gaps, like a strict '>' over restarts.
+    best = x.reshape(n_sub, cfg.restarts, 2 * m)[np.arange(n_sub), np.argmax(val, axis=1)]
+    top = best[:, :m].max(axis=1)
+    # Degenerate optimum; the all-ones vector is as good (delta 0).
+    best[top <= 0.0] = np.repeat([1.0, 0.0], m)
+    # Scaling u by 1/max|u| scales delta the same way and never shrinks
+    # it, so the returned vector always touches the modulus cap.
+    best[:, :m] /= np.where(top <= 0.0, 1.0, top)[:, None]
+    deltas = np.concatenate([
+        _row_gaps(r, rc, flat[idx[lo : lo + _BLOCK_ROWS]], best[lo : lo + _BLOCK_ROWS])
+        for lo in range(0, n_sub, _BLOCK_ROWS)
+    ])
+    return best[:, :m] * np.exp(1j * best[:, m:]), deltas, np.maximum.accumulate(val, axis=1)
 
 
 def _optimize_coefficients(r, rc, ops, cfg: OptimizerConfig, salt: tuple[int, ...]):
-    """Multi-restart coordinate descent over moduli and phases.
-
-    Returns (coefficients, delta, per-restart best trace). The trace is
-    nondecreasing by construction; restart 0 always starts from the
-    all-ones vector so the search can only improve on it.
-    """
-    m = len(ops)
-    decay = (cfg.step_final / cfg.step_initial) ** (
-        1.0 / (cfg.iterations - 1) if cfg.iterations > 1 else 1.0
-    )
-    best_r = np.ones(m)
-    best_t = np.zeros(m)
-    best_val = -1.0
-    trace = []
-    for restart in range(cfg.restarts):
-        if restart == 0:
-            radii = np.ones(m)
-            phases = np.zeros(m)
-        else:
-            rng = np.random.default_rng(
-                np.random.SeedSequence(cfg.seed, spawn_key=(restart,) + salt)
-            )
-            radii = rng.random(m)
-            phases = 2.0 * np.pi * rng.random(m)
-        val = _delta_of(r, rc, ops, radii, phases)
-        step = cfg.step_initial
-        for _ in range(cfg.iterations):
-            for s in range(m):
-                for dr in (step, -step):
-                    cand = float(np.clip(radii[s] + dr, 0.0, 1.0))
-                    if cand == radii[s]:
-                        continue
-                    old = radii[s]
-                    radii[s] = cand
-                    new_val = _delta_of(r, rc, ops, radii, phases)
-                    if new_val > val:
-                        val = new_val
-                    else:
-                        radii[s] = old
-                for dt in (2.0 * np.pi * step, -2.0 * np.pi * step):
-                    old = phases[s]
-                    phases[s] = (old + dt) % (2.0 * np.pi)
-                    new_val = _delta_of(r, rc, ops, radii, phases)
-                    if new_val > val:
-                        val = new_val
-                    else:
-                        phases[s] = old
-            step *= decay
-        if val > best_val:
-            best_val = val
-            best_r = radii.copy()
-            best_t = phases.copy()
-        trace.append(best_val)
-    top = float(np.max(best_r))
-    if top <= 0.0:
-        # Degenerate optimum; the all-ones vector is as good (delta 0).
-        best_r = np.ones(m)
-        best_t = np.zeros(m)
-        top = 1.0
-    # Scaling u by 1/max|u| scales delta the same way and never shrinks
-    # it, so the returned vector always touches the modulus cap.
-    radii = best_r / top
-    coeffs = radii * np.exp(1j * best_t)
-    final = _delta_of(r, rc, ops, radii, best_t)
-    return coeffs, final, trace
+    """One-subset search over the stack ``ops``: (coefficients, delta, per-restart best trace)."""
+    coeffs, deltas, traces = _search(r, rc, ops, [tuple(range(len(ops)))], [salt], cfg)
+    return coeffs[0], float(deltas[0]), traces[0].tolist()
 
 
 def optimize_u(rho: DensityMatrix, gens: GeneratorSet, t_vec, cfg: OptimizerConfig):
@@ -200,19 +203,23 @@ def optimize_u(rho: DensityMatrix, gens: GeneratorSet, t_vec, cfg: OptimizerConf
     """
     rho = _check_state(rho)
     t = tuple(int(x) for x in t_vec)
-    ops = np.stack([gens.operators[i] for i in t])
-    r, rc = _sqrt_parts(rho)
-    coeffs, delta, _ = _optimize_coefficients(r, rc, ops, cfg, tuple(t))
-    return coeffs, delta
+    coeffs, deltas, _ = _search(*_sqrt_parts(rho), gens.operators, [t], [t], cfg)
+    return coeffs[0], float(deltas[0])
 
 
-def _subset_pool(singleton_gaps, k: int, cfg: OptimizerConfig):
-    n = len(singleton_gaps)
+def _subset_pools(r, rc, families, k: int, cfg: OptimizerConfig) -> list[list[tuple[int, ...]]]:
+    """Size-k subset pools, one per family of singleton operators. Only
+    "top_singletons" needs singleton gaps: one SVD call for all families."""
+    sizes = [len(f) for f in families]
+    if not 1 <= k <= min(sizes):
+        raise SubsetSizeError(f"k = {k} outside 1..{min(sizes)}")
     if cfg.subset_strategy == "exhaustive":
-        return list(combinations(range(n), k))
-    order = sorted(range(n), key=lambda i: -singleton_gaps[i])
-    pool = sorted(order[: max(cfg.top_count, k)])
-    return list(combinations(pool, k))
+        return [list(combinations(range(n), k)) for n in sizes]
+    pools = []
+    for g in np.split(_stack_gaps(r, rc, np.concatenate(families)), np.cumsum(sizes)[:-1]):
+        order = sorted(range(len(g)), key=lambda i: -g[i])
+        pools.append(list(combinations(sorted(order[: max(cfg.top_count, k)]), k)))
+    return pools
 
 
 def optimize_bound_bipartite(
@@ -233,15 +240,9 @@ def optimize_bound_bipartite(
         gens = bipartite_generators(*rho.dims)
     start = time.perf_counter()
     r, rc = _sqrt_parts(rho)
-    singles = [
-        _delta_from_parts(r, rc, gens.operators[i]) for i in range(gens.count)
-    ]
-    assignments = {}
-    for t in _subset_pool(singles, int(k), cfg):
-        ops = np.stack([gens.operators[i] for i in t])
-        coeffs, _, _ = _optimize_coefficients(r, rc, ops, cfg, tuple(t))
-        assignments[t] = coeffs
-    rep = observation1_bound(rho, k, assignments, gens)
+    (pool,) = _subset_pools(r, rc, [gens.operators], int(k), cfg)
+    coeffs, _, _ = _search(r, rc, gens.operators, pool, pool, cfg)
+    rep = observation1_bound(rho, k, dict(zip(pool, coeffs)), gens)
     return replace(rep, wall_time=time.perf_counter() - start, config=cfg.to_dict())
 
 
@@ -262,35 +263,25 @@ def optimize_bound_multipartite(
     k = int(k)
     if mode in ("obs2", "obs2-ghz", "obs2-w"):
         source = "canonical" if mode == "obs2" else mode.split("-", 1)[1]
-        triple = _resolve_triple(rho, source)
-        j1, j2, j3 = triple.operators
-        singles = [
-            _delta_from_parts(r, rc, j1[i] + j2[i] + j3[i])
-            for i in range(triple.count)
-        ]
-        assignments = {}
-        for t in _subset_pool(singles, k, cfg):
-            # One stacked search over (u, v, w): coefficients for the
-            # three splits concatenate into a single 3k vector.
-            ops = np.stack(
-                [j1[i] for i in t] + [j2[i] for i in t] + [j3[i] for i in t]
-            )
-            coeffs, _, _ = _optimize_coefficients(r, rc, ops, cfg, tuple(t))
-            assignments[t] = (coeffs[:k], coeffs[k : 2 * k], coeffs[2 * k :])
+        j1, j2, j3 = (np.asarray(f) for f in _resolve_triple(rho, source).operators)
+        n = len(j1)
+        (pool,) = _subset_pools(r, rc, [j1 + j2 + j3], k, cfg)
+        # One stacked search over (u, v, w): coefficients for the three
+        # splits concatenate into a single 3k vector.
+        subsets = [t + tuple(n + i for i in t) + tuple(2 * n + i for i in t) for t in pool]
+        coeffs, _, _ = _search(r, rc, np.concatenate([j1, j2, j3]), subsets, pool, cfg)
+        assignments = {t: (c[:k], c[k : 2 * k], c[2 * k :]) for t, c in zip(pool, coeffs)}
         rep = observation2_bound(rho, k, assignments, source)
     elif mode == "obs3":
-        per_split = {}
-        for s in range(3):
-            gens = tripartite_generators(d, s)
-            singles = [
-                _delta_from_parts(r, rc, gens.operators[i]) for i in range(gens.count)
-            ]
-            split_assignments = {}
-            for t in _subset_pool(singles, k, cfg):
-                ops = np.stack([gens.operators[i] for i in t])
-                coeffs, _, _ = _optimize_coefficients(r, rc, ops, cfg, (s,) + tuple(t))
-                split_assignments[t] = coeffs
-            per_split[s] = split_assignments
+        # All three splits in one search, seeds salted by (split,) + subset.
+        families = [np.asarray(tripartite_generators(d, s).operators) for s in range(3)]
+        n = len(families[0])
+        salts = [(s,) + t for s, pool in enumerate(_subset_pools(r, rc, families, k, cfg)) for t in pool]
+        subsets = [tuple(salt[0] * n + i for i in salt[1:]) for salt in salts]
+        coeffs, _, _ = _search(r, rc, np.concatenate(families), subsets, salts, cfg)
+        per_split = {s: {} for s in range(3)}
+        for salt, c in zip(salts, coeffs):
+            per_split[salt[0]][salt[1:]] = c
         rep = observation3_bound(rho, k, per_split)
     else:
         raise ParameterRangeError(f"unknown mode {mode!r}")

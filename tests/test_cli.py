@@ -152,6 +152,13 @@ class TestBoundCommand:
         code = main(["bound", "--state", "family:ghz-noise,p=1.0", "--mode", "obs1", "--optimizer", FAST_OPT])
         assert code == 2
 
+    @pytest.mark.parametrize("blob", ['{"foo": 1}', "[1]", '{"restarts": 1.5}'])
+    def test_bad_optimizer_json_exits_two(self, blob, capsys):
+        code = main(["bound", "--state", "family:horodecki,a=0.5", "--mode", "obs1", "--optimizer", blob])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "error:" in err and "Traceback" not in err
+
 
 class TestScanCommand:
     def test_w_scan_csv_and_threshold(self, tmp_path, capsys):
@@ -274,6 +281,27 @@ class TestScanCommand:
         lines = out_csv.read_text().strip().splitlines()
         threshold = float(lines[-1].split("threshold=")[1].split()[0])
         assert abs(threshold - 0.2095893) < 1e-3
+
+    def test_zero_points_exits_two_without_csv(self, tmp_path, capsys):
+        out_csv = tmp_path / "empty.csv"
+        code = main(
+            [
+                "scan",
+                "--family",
+                "ghz-noise",
+                "--mode",
+                "obs2",
+                "--p-range",
+                "0.05:1.0",
+                "--points",
+                "0",
+                "--out",
+                str(out_csv),
+            ]
+        )
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
+        assert not out_csv.exists()
 
     def test_obs2_scan_rejects_bipartite_family(self, tmp_path, capsys):
         code = main(

@@ -4,10 +4,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from concbound.errors import ParameterRangeError, ThresholdNotDetectedError
-from concbound.bounds_bipartite import _sqrt_parts, delta_k
+from concbound import optimizer
+from concbound.errors import ParameterRangeError, SubsetSizeError, ThresholdNotDetectedError
+from concbound.bounds_bipartite import _delta_from_parts, _sqrt_parts, delta_k
 from concbound.bounds_multipartite import observation2_bound
-from concbound.generators import bipartite_generators
+from concbound.generators import bipartite_generators, tripartite_generators
 from concbound.optimizer import (
     OptimizerConfig,
     ScanResult,
@@ -65,11 +66,30 @@ class TestConfig:
             {"top_count": 0},
             {"seed": -1},
             {"seed": 2**64},
+            {"restarts": 1.5},
+            {"restarts": True},
+            {"iterations": True},
+            {"iterations": 7.0},
+            {"seed": 3.0},
+            {"seed": "5"},
+            {"top_count": 2.5},
+            {"step_initial": float("nan")},
+            {"step_initial": float("inf"), "step_final": 1.0},
+            {"step_final": "0.01"},
+            {"step_final": True},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ParameterRangeError):
             OptimizerConfig(**kwargs)
+
+    @pytest.mark.parametrize("data", [{"foo": 1}, {"restarts": 2, "iters": 5}, [1], "restarts", None])
+    def test_from_dict_rejects_unknown_fields_and_non_objects(self, data):
+        with pytest.raises(ParameterRangeError):
+            OptimizerConfig.from_dict(data)
+
+    def test_integral_steps_are_accepted(self):
+        assert OptimizerConfig(step_initial=1, step_final=1).step_initial == 1
 
     def test_json_roundtrip(self):
         cfg = OptimizerConfig(restarts=5, iterations=10, seed=99, subset_strategy="top_singletons")
@@ -109,6 +129,130 @@ class TestOptimizeU:
         assert all(b >= a for a, b in zip(trace, trace[1:]))
         all_ones = delta_k(rho, gens, (1, 5), [1.0, 1.0])
         assert delta >= all_ones - 1e-12
+
+
+def _reference_descent(r, rc, ops, cfg, salt):
+    """One subset, one restart at a time: the coordinate descent the
+    lockstep engine replaces, kept verbatim as its oracle."""
+
+    def delta_of(radii, phases):
+        coeffs = radii * np.exp(1j * phases)
+        return _delta_from_parts(r, rc, np.tensordot(coeffs, ops, axes=1))
+
+    m = len(ops)
+    decay = (cfg.step_final / cfg.step_initial) ** (
+        1.0 / (cfg.iterations - 1) if cfg.iterations > 1 else 1.0
+    )
+    best_r = np.ones(m)
+    best_t = np.zeros(m)
+    best_val = -1.0
+    trace = []
+    for restart in range(cfg.restarts):
+        if restart == 0:
+            radii = np.ones(m)
+            phases = np.zeros(m)
+        else:
+            rng = np.random.default_rng(
+                np.random.SeedSequence(cfg.seed, spawn_key=(restart,) + salt)
+            )
+            radii = rng.random(m)
+            phases = 2.0 * np.pi * rng.random(m)
+        val = delta_of(radii, phases)
+        step = cfg.step_initial
+        for _ in range(cfg.iterations):
+            for s in range(m):
+                for dr in (step, -step):
+                    cand = float(np.clip(radii[s] + dr, 0.0, 1.0))
+                    if cand == radii[s]:
+                        continue
+                    old = radii[s]
+                    radii[s] = cand
+                    new_val = delta_of(radii, phases)
+                    if new_val > val:
+                        val = new_val
+                    else:
+                        radii[s] = old
+                for dt in (2.0 * np.pi * step, -2.0 * np.pi * step):
+                    old = phases[s]
+                    phases[s] = (old + dt) % (2.0 * np.pi)
+                    new_val = delta_of(radii, phases)
+                    if new_val > val:
+                        val = new_val
+                    else:
+                        phases[s] = old
+            step *= decay
+        if val > best_val:
+            best_val = val
+            best_r = radii.copy()
+            best_t = phases.copy()
+        trace.append(best_val)
+    top = float(np.max(best_r))
+    if top <= 0.0:
+        best_r = np.ones(m)
+        best_t = np.zeros(m)
+        top = 1.0
+    radii = best_r / top
+    return radii * np.exp(1j * best_t), delta_of(radii, best_t), trace
+
+
+def _assert_bitwise_equal(got, want):
+    assert got[0].tobytes() == want[0].tobytes()
+    assert np.float64(got[1]).tobytes() == np.float64(want[1]).tobytes()
+    assert np.array(got[2]).tobytes() == np.array(want[2]).tobytes()
+
+
+class TestLockstepEngine:
+    GENS = bipartite_generators(3, 3)
+
+    def _parts(self, subset, rho):
+        r, rc = _sqrt_parts(rho)
+        return r, rc, np.stack([self.GENS.operators[i] for i in subset])
+
+    @pytest.mark.parametrize("subset", [(4,), (4, 8), (1, 5, 7)])
+    @pytest.mark.parametrize("restarts", [1, 3])
+    @pytest.mark.parametrize("iterations", [1, 7])
+    def test_matches_sequential_descent(self, subset, restarts, iterations):
+        r, rc, ops = self._parts(subset, white_noise_mix(horodecki_state(0.3), 0.9))
+        cfg = OptimizerConfig(restarts=restarts, iterations=iterations)
+        want = _reference_descent(r, rc, ops, cfg, subset)
+        _assert_bitwise_equal(_optimize_coefficients(r, rc, ops, cfg, subset), want)
+
+    def test_matches_where_radii_clip_at_zero_and_one(self):
+        r, rc, ops = self._parts((0, 4), horodecki_state(0.2))
+        cfg = OptimizerConfig(restarts=3, iterations=7, step_initial=0.9, step_final=0.05)
+        want = _reference_descent(r, rc, ops, cfg, (0, 4))
+        got = _optimize_coefficients(r, rc, ops, cfg, (0, 4))
+        _assert_bitwise_equal(got, want)
+        assert sorted(np.abs(got[0])) == [0.0, 1.0]
+
+    def test_multipartite_stack_matches_sequential_descent(self):
+        rho = white_noise_mix(w_state().density(), 0.5)
+        r, rc = _sqrt_parts(rho)
+        ops = np.stack([tripartite_generators(2, s).operators[2] for s in range(3)])
+        cfg = OptimizerConfig(restarts=3, iterations=7)
+        want = _reference_descent(r, rc, ops, cfg, (2,))
+        _assert_bitwise_equal(_optimize_coefficients(r, rc, ops, cfg, (2,)), want)
+
+    def test_reports_do_not_depend_on_block_size(self, monkeypatch):
+        cfg = OptimizerConfig(restarts=3, iterations=8)
+        rho3 = white_noise_mix(w_state().density(), 0.9)
+
+        def reports():
+            return (
+                optimize_bound_bipartite(horodecki_state(0.2), 2, cfg).to_json(include_timing=False),
+                optimize_bound_multipartite(rho3, 1, cfg, "obs3").to_json(include_timing=False),
+                optimize_bound_multipartite(rho3, 2, cfg, "obs2").to_json(include_timing=False),
+            )
+
+        whole = reports()
+        monkeypatch.setattr(optimizer, "_BLOCK_ROWS", 5)
+        assert reports() == whole
+
+    def test_subset_size_outside_range(self):
+        with pytest.raises(SubsetSizeError):
+            optimize_bound_bipartite(horodecki_state(0.2), 0, FAST)
+        with pytest.raises(SubsetSizeError):
+            optimize_bound_multipartite(ghz_state().density(), 2, FAST, "obs2-ghz")
 
 
 class TestOptimizedBipartiteBound:
