@@ -32,7 +32,7 @@ from .errors import (
 )
 from .generators import Bipartition, GeneratorSet, bipartite_generators
 from .numerics import as_symmetric, psd_sqrt
-from .states import Decomposition, DensityMatrix, PureState, partial_trace, partial_transpose
+from .states import _PSD_TOL, Decomposition, DensityMatrix, PureState, partial_trace, partial_transpose
 
 _COEFF_TOL = 1e-12
 
@@ -131,7 +131,8 @@ def _check_coefficients(u) -> np.ndarray:
 
 
 def _sqrt_parts(rho: DensityMatrix) -> tuple[np.ndarray, np.ndarray]:
-    r = psd_sqrt(rho.matrix)
+    # Clamp at the constructor's tolerance: every state it accepts has a root.
+    r = psd_sqrt(rho.matrix, _PSD_TOL)
     return r, r.conj()
 
 

@@ -17,6 +17,10 @@ class NotSymmetricError(ValueError):
     """Matrix deviates from its plain transpose beyond tolerance."""
 
 
+class NonFiniteError(ValueError):
+    """Input holds a NaN or infinite entry."""
+
+
 class DimensionTooSmallError(ValueError):
     """Subsystem dimension too small to carry any generator."""
 

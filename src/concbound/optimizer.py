@@ -25,7 +25,15 @@ from itertools import combinations
 import numpy as np
 
 from .errors import DimensionMismatchError, ParameterRangeError, SubsetSizeError, ThresholdNotDetectedError
-from .bounds_bipartite import BoundReport, _check_state, _sqrt_parts, _stack_gaps, observation1_bound
+from .bounds_bipartite import (
+    BoundReport,
+    _check_dims_match,
+    _check_state,
+    _check_subset,
+    _sqrt_parts,
+    _stack_gaps,
+    observation1_bound,
+)
 from .bounds_multipartite import _check_tripartite, _resolve_triple, observation2_bound, observation3_bound
 from .generators import GeneratorSet, bipartite_generators, tripartite_generators
 from .states import DensityMatrix
@@ -47,7 +55,11 @@ class OptimizerConfig:
     deterministic all-ones vector, the rest are seeded random draws.
     Each restart runs ``iterations`` sweeps of coordinate descent with
     the step decaying geometrically from ``step_initial`` to
-    ``step_final``. ``subset_strategy`` picks the subset pool for
+    ``step_final``. One-coefficient subsets (k=1 in obs1 and obs3, or
+    ``optimize_u`` on one index) are not searched: the unit coefficient
+    is optimal, so ``restarts``, ``iterations``, ``seed`` and the steps
+    do not change those bounds, though the report's ``config`` still
+    records them. ``subset_strategy`` picks the subset pool for
     aggregated bounds: "exhaustive" enumerates all size-k subsets,
     "top_singletons" only combines the ``top_count`` generators with
     the largest single-operator gaps. On PPT states every such gap is
@@ -158,10 +170,20 @@ def _search(r, rc, ops, subsets, salts, cfg: OptimizerConfig):
     subset (equal-length index tuples into ``ops``) at once. Restart 0
     starts at all ones, restart j at a draw seeded by (j,) + salt.
     Returns coefficients (a row per subset, max modulus 1), their gaps,
-    and per subset the nondecreasing best gap after each restart."""
+    and per subset the nondecreasing best gap after each restart.
+
+    One-operator subsets skip the search: sqrt(rho)·(uJ)·conj(sqrt(rho))
+    is u times the bare sandwich, so its gap is |u|·Delta(J) and u = 1
+    is optimal; every restart would end at that gap."""
     idx = np.asarray(subsets, dtype=np.intp)
     n_sub, m = idx.shape
-    flat = np.asarray(ops, dtype=complex).reshape(len(ops), -1)
+    ops = np.asarray(ops, dtype=complex)
+    if m == 1:
+        deltas = np.concatenate([
+            _stack_gaps(r, rc, ops[idx[lo : lo + _BLOCK_ROWS, 0]]) for lo in range(0, n_sub, _BLOCK_ROWS)
+        ])
+        return np.ones((n_sub, 1), dtype=complex), deltas, np.repeat(deltas[:, None], cfg.restarts, axis=1)
+    flat = ops.reshape(len(ops), -1)
     x = np.zeros((n_sub, cfg.restarts, 2 * m))
     x[:, 0, :m] = 1.0
     for p, salt in enumerate(salts):
@@ -202,7 +224,8 @@ def optimize_u(rho: DensityMatrix, gens: GeneratorSet, t_vec, cfg: OptimizerConf
     than the best sampled starting point and has max modulus 1.
     """
     rho = _check_state(rho)
-    t = tuple(int(x) for x in t_vec)
+    _check_dims_match(rho, gens)
+    t = _check_subset(t_vec, gens.count)
     coeffs, deltas, _ = _search(*_sqrt_parts(rho), gens.operators, [t], [t], cfg)
     return coeffs[0], float(deltas[0])
 

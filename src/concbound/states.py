@@ -19,6 +19,7 @@ import numpy as np
 
 from .errors import (
     DecompositionSizeError,
+    NonFiniteError,
     NotHermitianError,
     NotNormalizedError,
     NotPositiveSemidefiniteError,
@@ -47,8 +48,8 @@ class PureState:
     Parameters
     ----------
     amplitudes : array_like
-        Flat coefficient vector of length prod(dims), unit norm within
-        1e-10.
+        Flat coefficient vector of length prod(dims), finite, unit norm
+        within 1e-10.
     dims : sequence of int
         Subsystem dimensions.
     """
@@ -61,6 +62,8 @@ class PureState:
                 f"vector length {vec.size} does not match dims {self.dims}"
             )
         norm = float(np.linalg.norm(vec))
+        if not math.isfinite(norm):
+            raise NonFiniteError(f"amplitude norm {norm!r}: NaN, infinite or overflowing entries")
         if abs(norm - 1.0) > _NORM_TOL:
             raise NotNormalizedError(f"norm {norm!r} deviates from 1 beyond 1e-10")
         self.amplitudes = vec
@@ -81,9 +84,9 @@ class DensityMatrix:
     Parameters
     ----------
     matrix : array_like
-        Square matrix of size prod(dims); Hermitian within 1e-10, unit
-        trace within 1e-10, eigenvalues above -1e-9. Violations raise
-        instead of being repaired.
+        Square matrix of size prod(dims); finite, Hermitian within
+        1e-10, unit trace within 1e-10, eigenvalues above -1e-9.
+        Violations raise instead of being repaired.
     dims : sequence of int
         Subsystem dimensions.
     """
@@ -96,6 +99,9 @@ class DensityMatrix:
                 f"matrix size {mat.shape[0]} does not match dims {self.dims}"
             )
         herm_dev = float(np.max(np.abs(mat - mat.conj().T)))
+        # Any NaN or infinite entry makes this deviation non-finite.
+        if not math.isfinite(herm_dev):
+            raise NonFiniteError(f"max |rho - rho^dag| = {herm_dev!r}: NaN, infinite or overflowing entries")
         if herm_dev > _HERM_TOL:
             raise NotHermitianError(f"max |rho - rho^dag| = {herm_dev:.3e}")
         mat = 0.5 * (mat + mat.conj().T)

@@ -9,6 +9,7 @@ from concbound.errors import (
     DimensionMismatchError,
     LengthMismatchError,
     NotNormalizedError,
+    NotPositiveSemidefiniteError,
     NotSymmetricError,
     SubsetSizeError,
 )
@@ -27,6 +28,7 @@ from concbound.bounds_bipartite import (
     wootters_concurrence,
 )
 from concbound.generators import Bipartition, bipartite_generators
+from concbound.optimizer import OptimizerConfig, optimize_bound_bipartite
 from concbound.states import (
     DensityMatrix,
     bell_state,
@@ -326,3 +328,18 @@ class TestPptMinEigenvalue:
         rho = horodecki_state(a)
         for part in ({0}, {1}):
             assert ppt_min_eigenvalue(rho, part) > -1e-12
+
+
+class TestPsdTolerance:
+    """Every state the constructor accepts has a square root for the bounds."""
+
+    def test_accepted_negative_eigenvalue_is_clamped(self):
+        rho = DensityMatrix(np.diag([0.5 + 5e-10, 0.5, 0.0, -5e-10]), (2, 2))
+        assert wootters_concurrence(rho) == 0.0
+        assert observation1_bound(rho, 1, {(0,): [1.0]}).bound_on_c_squared == 0.0
+        rep = optimize_bound_bipartite(rho, 1, OptimizerConfig(restarts=1, iterations=1))
+        assert rep.bound_on_c_squared == 0.0
+
+    def test_constructor_still_rejects_beyond_tolerance(self):
+        with pytest.raises(NotPositiveSemidefiniteError):
+            DensityMatrix(np.diag([0.5 + 2e-9, 0.5, 0.0, -2e-9]), (2, 2))

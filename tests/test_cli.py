@@ -152,6 +152,14 @@ class TestBoundCommand:
         code = main(["bound", "--state", "family:ghz-noise,p=1.0", "--mode", "obs1", "--optimizer", FAST_OPT])
         assert code == 2
 
+    def test_non_finite_state_file_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "nan.json"
+        path.write_text('{"dims": [2, 2], "re": [NaN, 0, 0, 0], "im": [0, 0, 0, 0]}')
+        code = main(["bound", "--state", str(path), "--mode", "wootters"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "error:" in err and "NaN" in err and "Traceback" not in err
+
     @pytest.mark.parametrize("blob", ['{"foo": 1}', "[1]", '{"restarts": 1.5}'])
     def test_bad_optimizer_json_exits_two(self, blob, capsys):
         code = main(["bound", "--state", "family:horodecki,a=0.5", "--mode", "obs1", "--optimizer", blob])

@@ -1,13 +1,15 @@
 """Optimizer, subset strategy, and threshold-scan checks."""
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from concbound import optimizer
-from concbound.errors import ParameterRangeError, SubsetSizeError, ThresholdNotDetectedError
-from concbound.bounds_bipartite import _delta_from_parts, _sqrt_parts, delta_k
-from concbound.bounds_multipartite import observation2_bound
+from concbound.errors import DimensionMismatchError, ParameterRangeError, SubsetSizeError, ThresholdNotDetectedError
+from concbound.bounds_bipartite import _delta_from_parts, _sqrt_parts, _stack_gaps, delta_k, observation1_bound
+from concbound.bounds_multipartite import observation2_bound, observation3_bound
 from concbound.generators import bipartite_generators, tripartite_generators
 from concbound.optimizer import (
     OptimizerConfig,
@@ -23,6 +25,7 @@ from concbound.states import (
     ghz_state,
     horodecki_state,
     maximally_mixed,
+    random_density,
     w_state,
     white_noise_mix,
 )
@@ -129,6 +132,15 @@ class TestOptimizeU:
         assert all(b >= a for a, b in zip(trace, trace[1:]))
         all_ones = delta_k(rho, gens, (1, 5), [1.0, 1.0])
         assert delta >= all_ones - 1e-12
+
+    @pytest.mark.parametrize("subset", [(99,), (), (4, 4), (8, 4), (-1,)])
+    def test_rejects_invalid_subsets(self, subset):
+        with pytest.raises(SubsetSizeError):
+            optimize_u(horodecki_state(0.3), bipartite_generators(3, 3), subset, FAST)
+
+    def test_rejects_generators_of_other_dims(self):
+        with pytest.raises(DimensionMismatchError):
+            optimize_u(bell_state().density(), bipartite_generators(3, 3), (0,), FAST)
 
 
 def _reference_descent(r, rc, ops, cfg, salt):
@@ -253,6 +265,65 @@ class TestLockstepEngine:
             optimize_bound_bipartite(horodecki_state(0.2), 0, FAST)
         with pytest.raises(SubsetSizeError):
             optimize_bound_multipartite(ghz_state().density(), 2, FAST, "obs2-ghz")
+
+
+class TestSingletonClosedForm:
+    """One-operator subsets are answered by the unit coefficient: the gap
+    of u*J is |u| times the gap of J, so there is nothing to search."""
+
+    CFG = OptimizerConfig(restarts=3, iterations=25)
+
+    @staticmethod
+    def _nonzero_cases():
+        bell = white_noise_mix(bell_state().density(), 0.9)
+        w = white_noise_mix(w_state().density(), 0.9)
+        yield bell, bipartite_generators(2, 2).operators, (0,)
+        for s in range(3):
+            yield w, tripartite_generators(2, s).operators, (0, 1)
+        yield random_density((3, 3), 3, 11), bipartite_generators(3, 3).operators, range(9)
+
+    def test_unit_coefficient_and_stack_gap(self, monkeypatch):
+        monkeypatch.setattr(optimizer, "_BLOCK_ROWS", 4)
+        ops = np.asarray(bipartite_generators(3, 3).operators)
+        r, rc = _sqrt_parts(random_density((3, 3), 3, 11))
+        subsets = [(i,) for i in range(9)]
+        coeffs, deltas, traces = optimizer._search(r, rc, ops, subsets, subsets, self.CFG)
+        assert coeffs.tobytes() == np.ones((9, 1), dtype=complex).tobytes()
+        assert deltas.tobytes() == _stack_gaps(r, rc, ops).tobytes()
+        assert traces.tobytes() == np.repeat(deltas[:, None], self.CFG.restarts, axis=1).tobytes()
+
+    def test_matches_search_oracle_within_round_off(self):
+        for rho, ops, indices in self._nonzero_cases():
+            r, rc = _sqrt_parts(rho)
+            for i in indices:
+                op = np.stack([ops[i]])
+                want = _reference_descent(r, rc, op, self.CFG, (i,))[1]
+                u, got, _ = _optimize_coefficients(r, rc, op, self.CFG, (i,))
+                assert want > 1e-3
+                assert u.tobytes() == np.ones(1, dtype=complex).tobytes()
+                assert want - 1e-14 <= got <= want
+
+    def test_optimize_u_on_one_index(self):
+        gens = bipartite_generators(3, 3)
+        rho = random_density((3, 3), 3, 11)
+        u, delta = optimize_u(rho, gens, (4,), self.CFG)
+        assert u.tolist() == [1 + 0j]
+        assert delta == delta_k(rho, gens, (4,), [1.0])
+
+    @pytest.mark.parametrize("rho", [white_noise_mix(horodecki_state(0.5), 0.95), random_density((3, 3), 3, 11)])
+    def test_obs1_report_is_the_all_ones_report(self, rho):
+        rep = optimize_bound_bipartite(rho, 1, self.CFG)
+        ones = observation1_bound(rho, 1, {(i,): [1.0] for i in range(9)})
+        assert rep.config == self.CFG.to_dict()
+        assert replace(rep, config=None).to_json(include_timing=False) == ones.to_json(include_timing=False)
+
+    @pytest.mark.parametrize("p", [0.2, 0.9])
+    def test_obs3_report_is_the_all_ones_report(self, p):
+        rho = white_noise_mix(w_state().density(), p)
+        rep = optimize_bound_multipartite(rho, 1, self.CFG, "obs3")
+        ones = observation3_bound(rho, 1, {s: {(i,): [1.0] for i in range(6)} for s in range(3)})
+        assert rep.config == self.CFG.to_dict()
+        assert replace(rep, config=None).to_json(include_timing=False) == ones.to_json(include_timing=False)
 
 
 class TestOptimizedBipartiteBound:

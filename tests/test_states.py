@@ -6,6 +6,7 @@ import pytest
 
 from concbound.errors import (
     DecompositionSizeError,
+    NonFiniteError,
     NotHermitianError,
     NotNormalizedError,
     NotPositiveSemidefiniteError,
@@ -59,6 +60,19 @@ class TestContainers:
     def test_density_rejects_negative_eigenvalue(self):
         with pytest.raises(NotPositiveSemidefiniteError):
             DensityMatrix(np.diag([1.5, -0.5]), (2,))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
+    def test_pure_rejects_non_finite_amplitudes(self, bad):
+        with pytest.raises(NonFiniteError):
+            PureState([bad, 0.0, 0.0, 0.0], (2, 2))
+
+    @pytest.mark.parametrize("entry", [(0, 0), (1, 2), (3, 3)])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_density_rejects_non_finite_entries(self, entry, bad):
+        m = np.eye(4, dtype=complex) / 4.0
+        m[entry] = bad
+        with pytest.raises(NonFiniteError):
+            DensityMatrix(m, (2, 2))
 
     def test_density_rejects_dim_mismatch(self):
         with pytest.raises(ParameterRangeError):
