@@ -12,6 +12,11 @@ below. The spectrum is evaluated as the singular values of
 A = sqrt(rho) S conj(sqrt(rho)), which is the numerically stable form
 of the same quantity; the eigenvalue route through rho S rho* S^dag is
 kept alongside as a cross-check.
+
+Every gap comes from one engine, ``_gaps`` (coefficient rows over an
+operator stack, evaluated by stacked SVDs), and every aggregate, the
+tripartite and optimized ones included, from one report builder,
+``_report``: a prefactor times the sum of squared row gaps.
 """
 from __future__ import annotations
 
@@ -27,6 +32,7 @@ from .errors import (
     CoefficientBoundError,
     DimensionMismatchError,
     LengthMismatchError,
+    NonFiniteError,
     NotNormalizedError,
     SubsetSizeError,
 )
@@ -35,6 +41,15 @@ from .numerics import as_symmetric, psd_sqrt
 from .states import _PSD_TOL, Decomposition, DensityMatrix, PureState, partial_trace, partial_transpose
 
 _COEFF_TOL = 1e-12
+
+# Most gap matrices per SVD call: caps the engine's memory whatever the
+# number of rows.
+_BLOCK_ROWS = 512
+
+# Aggregate family -> (w, coefficient names): the bound is
+# N / (w k^2 binom(N, k)) times the sum of squared subset gaps, and each
+# coefficient row splits evenly into the named vectors.
+_AGGREGATES = {"obs1": (1, ("u",)), "obs2": (6, ("u", "v", "w")), "obs3": (2, ("u",))}
 
 
 @dataclass(frozen=True)
@@ -122,12 +137,47 @@ def _check_subset(t_vec, n: int) -> tuple[int, ...]:
     return t
 
 
-def _check_coefficients(u) -> np.ndarray:
+def _check_coefficients(u, size: int, cap: float = 1.0 + _COEFF_TOL) -> np.ndarray:
     u = np.asarray(u, dtype=complex).reshape(-1)
     worst = float(np.max(np.abs(u))) if u.size else 0.0
-    if worst > 1.0 + _COEFF_TOL:
+    # The largest modulus is NaN or infinite exactly when an entry is.
+    if not math.isfinite(worst):
+        raise NonFiniteError("coefficients must be finite")
+    if worst > cap:
         raise CoefficientBoundError(f"coefficient modulus {worst!r} exceeds 1")
+    if u.size != size:
+        raise LengthMismatchError(f"{size} indices versus {u.size} coefficients")
     return u
+
+
+def _check_assignments(assignments, k: int, n: int, coefficients=_check_coefficients):
+    """Validated (subsets, coefficient rows) of a subset -> coefficients
+    mapping, in sorted key order; ``coefficients(value, k)`` checks one value."""
+    subsets, rows = [], []
+    for t_vec in sorted(assignments):
+        t = _check_subset(t_vec, n)
+        if len(t) != k:
+            raise SubsetSizeError(f"subset {t} does not have size k = {k}")
+        subsets.append(t)
+        rows.append(coefficients(assignments[t_vec], k))
+    return subsets, rows
+
+
+def _check_k(k, n: int) -> int:
+    k = int(k)
+    if not 1 <= k <= n:
+        raise SubsetSizeError(f"k = {k} outside 1..{n}")
+    return k
+
+
+def _check_operator(rho, s_op) -> tuple[DensityMatrix, np.ndarray]:
+    rho = _check_state(rho)
+    s_op = as_symmetric(s_op)
+    if s_op.shape[0] != rho.dim:
+        raise DimensionMismatchError(
+            f"operator size {s_op.shape[0]} versus state size {rho.dim}"
+        )
+    return rho, s_op
 
 
 def _sqrt_parts(rho: DensityMatrix) -> tuple[np.ndarray, np.ndarray]:
@@ -136,21 +186,56 @@ def _sqrt_parts(rho: DensityMatrix) -> tuple[np.ndarray, np.ndarray]:
     return r, r.conj()
 
 
-def _gap_from_singulars(lam: np.ndarray) -> float:
+def _delta_from_parts(r: np.ndarray, rc: np.ndarray, s_op: np.ndarray) -> float:
+    """Gap of one operator by its own SVD: the single-matrix reference
+    that the stacked engine is tested against."""
+    lam = np.linalg.svd(r @ s_op @ rc, compute_uv=False)
     return max(0.0, 2.0 * float(lam[0]) - float(np.sum(lam)))
 
 
-def _delta_from_parts(r: np.ndarray, rc: np.ndarray, s_op: np.ndarray) -> float:
-    lam = np.linalg.svd(r @ s_op @ rc, compute_uv=False)
-    return _gap_from_singulars(lam)
-
-
 def _stack_gaps(r: np.ndarray, rc: np.ndarray, s_ops: np.ndarray) -> np.ndarray:
-    """Gaps of an operator stack in one SVD call, as ``_delta_from_parts`` per
-    matrix; that scalar form stays because it is faster for one matrix."""
+    """Gaps of an operator stack in one SVD call, each what
+    ``_delta_from_parts`` gives on its matrix alone (the tests compare
+    the two bit for bit)."""
     lam = np.linalg.svd(r @ s_ops @ rc, compute_uv=False)
     gap = 2.0 * lam[:, 0] - np.sum(lam, axis=1)
     return np.where(gap > 0.0, gap, 0.0)
+
+
+def _gaps(r: np.ndarray, rc: np.ndarray, ops, rows, coeffs) -> np.ndarray:
+    """The gap engine: gap of sum_s coeffs[i, s] * ops[rows[i, s]] for each
+    row i of equal-length index tuples into the operator stack ``ops``."""
+    flat = np.asarray(ops).reshape(len(ops), -1)
+    rows = np.asarray(rows, dtype=np.intp)
+    coeffs = np.asarray(coeffs, dtype=complex)
+    if len(rows) > _BLOCK_ROWS:
+        blocks = range(0, len(rows), _BLOCK_ROWS)
+        return np.concatenate([_gaps(r, rc, flat, rows[lo : lo + _BLOCK_ROWS], coeffs[lo : lo + _BLOCK_ROWS]) for lo in blocks])
+    if not len(rows):
+        return np.zeros(0)
+    return _stack_gaps(r, rc, (coeffs[:, None, :] @ flat[rows]).reshape(-1, *r.shape))
+
+
+def _report(mode: str, k: int, n: int, subsets, coeffs, gaps, start: float, splits=None, config=None) -> BoundReport:
+    """Aggregate of entries (subsets[i], coeffs[i], gaps[i], splits[i]); the
+    mode's family ("obs2-w" is "obs2") fixes prefactor and coefficient names."""
+    weight, names = _AGGREGATES[mode.split("-")[0]]
+    labels = [None] * len(subsets) if splits is None else splits
+    entries = tuple([
+        SubsetEntry(t, {name: tuple(c[j * k : j * k + k]) for j, name in enumerate(names)}, d, split)
+        for t, c, d, split in zip(subsets, coeffs, gaps.tolist(), labels)
+    ])
+    prefactor = n / (weight * k * k * math.comb(n, k))
+    return BoundReport(
+        bound_on_c_squared=prefactor * math.fsum(e.delta * e.delta for e in entries),
+        per_subset=entries,
+        k=k,
+        n_generators=n,
+        prefactor=prefactor,
+        mode=mode,
+        wall_time=time.perf_counter() - start,
+        config=config,
+    )
 
 
 def concurrence_pure(psi: PureState, split: Bipartition | None = None) -> float:
@@ -175,10 +260,7 @@ def concurrence_pure_sumrule(psi: PureState, gens: GeneratorSet) -> float:
     Evaluates sqrt( sum_t |<psi| J_t |psi*>|^2 ), which agrees with
     ``concurrence_pure`` across the generators' bipartition.
     """
-    if tuple(psi.dims) != tuple(gens.dims):
-        raise DimensionMismatchError(
-            f"state dims {psi.dims} versus generator dims {gens.dims}"
-        )
+    _check_dims_match(psi, gens)
     conj = psi.amplitudes.conj()
     total = 0.0
     for op in gens.operators:
@@ -202,12 +284,7 @@ def lambda_spectrum(rho: DensityMatrix, s_op: np.ndarray) -> np.ndarray:
         Singular values of sqrt(rho) S conj(sqrt(rho)) in descending
         order; as many values as the total dimension.
     """
-    rho = _check_state(rho)
-    s_op = as_symmetric(s_op)
-    if s_op.shape[0] != rho.dim:
-        raise DimensionMismatchError(
-            f"operator size {s_op.shape[0]} versus state size {rho.dim}"
-        )
+    rho, s_op = _check_operator(rho, s_op)
     r, rc = _sqrt_parts(rho)
     return np.linalg.svd(r @ s_op @ rc, compute_uv=False)
 
@@ -219,12 +296,7 @@ def lambda_spectrum_product_route(rho: DensityMatrix, s_op: np.ndarray) -> np.nd
     accurate near zero than ``lambda_spectrum``; retained as an
     independent cross-check of the spectral route.
     """
-    rho = _check_state(rho)
-    s_op = as_symmetric(s_op)
-    if s_op.shape[0] != rho.dim:
-        raise DimensionMismatchError(
-            f"operator size {s_op.shape[0]} versus state size {rho.dim}"
-        )
+    rho, s_op = _check_operator(rho, s_op)
     x = rho.matrix @ s_op @ rho.matrix.conj() @ s_op.conj().T
     ev = np.linalg.eigvals(x)
     lam = np.sqrt(np.clip(ev.real, 0.0, None))
@@ -251,12 +323,19 @@ def delta_k(rho: DensityMatrix, gens: GeneratorSet, t_vec, u) -> float:
     rho = _check_state(rho)
     _check_dims_match(rho, gens)
     t = _check_subset(t_vec, gens.count)
-    u = _check_coefficients(u)
-    if len(t) != u.size:
-        raise LengthMismatchError(f"{len(t)} indices versus {u.size} coefficients")
-    s_op = sum(c * gens.operators[i] for c, i in zip(u, t))
-    r, rc = _sqrt_parts(rho)
-    return _delta_from_parts(r, rc, s_op)
+    u = _check_coefficients(u, len(t))
+    return float(_gaps(*_sqrt_parts(rho), gens.operators, [t], [u])[0])
+
+
+def _resolve_gens(rho: DensityMatrix, gens: GeneratorSet | None) -> GeneratorSet:
+    if gens is None:
+        if len(rho.dims) != 2:
+            raise DimensionMismatchError(
+                f"default generators need bipartite dims, got {rho.dims}"
+            )
+        gens = bipartite_generators(*rho.dims)
+    _check_dims_match(rho, gens)
+    return gens
 
 
 def observation1_bound(rho: DensityMatrix, k: int, assignments, gens: GeneratorSet | None = None) -> BoundReport:
@@ -282,41 +361,12 @@ def observation1_bound(rho: DensityMatrix, k: int, assignments, gens: GeneratorS
     BoundReport
     """
     rho = _check_state(rho)
-    if gens is None:
-        if len(rho.dims) != 2:
-            raise DimensionMismatchError(
-                f"default generators need bipartite dims, got {rho.dims}"
-            )
-        gens = bipartite_generators(*rho.dims)
-    _check_dims_match(rho, gens)
-    n = gens.count
-    k = int(k)
-    if not 1 <= k <= n:
-        raise SubsetSizeError(f"k = {k} outside 1..{n}")
+    gens = _resolve_gens(rho, gens)
+    k = _check_k(k, gens.count)
     start = time.perf_counter()
-    r, rc = _sqrt_parts(rho)
-    entries = []
-    for t_vec in sorted(assignments):
-        t = _check_subset(t_vec, n)
-        if len(t) != k:
-            raise SubsetSizeError(f"subset {t} does not have size k = {k}")
-        u = _check_coefficients(assignments[t_vec])
-        if u.size != k:
-            raise LengthMismatchError(f"{k} indices versus {u.size} coefficients")
-        s_op = sum(c * gens.operators[i] for c, i in zip(u, t))
-        delta = _delta_from_parts(r, rc, s_op)
-        entries.append(SubsetEntry(t, {"u": tuple(u)}, delta))
-    prefactor = n / (k * k * math.comb(n, k))
-    bound = prefactor * math.fsum(e.delta * e.delta for e in entries)
-    return BoundReport(
-        bound_on_c_squared=bound,
-        per_subset=tuple(entries),
-        k=k,
-        n_generators=n,
-        prefactor=prefactor,
-        mode="obs1",
-        wall_time=time.perf_counter() - start,
-    )
+    subsets, coeffs = _check_assignments(assignments, k, gens.count)
+    gaps = _gaps(*_sqrt_parts(rho), gens.operators, subsets, coeffs)
+    return _report("obs1", k, gens.count, subsets, coeffs, gaps, start)
 
 
 def wootters_concurrence(rho: DensityMatrix) -> float:
@@ -324,9 +374,9 @@ def wootters_concurrence(rho: DensityMatrix) -> float:
     rho = _check_state(rho)
     if tuple(rho.dims) != (2, 2):
         raise DimensionMismatchError(f"two-qubit state required, got dims {rho.dims}")
-    gens = bipartite_generators(2, 2)
-    lam = lambda_spectrum(rho, gens.operators[0])
-    return _gap_from_singulars(lam)
+    # The gap of the bare generator: there is no coefficient to combine.
+    op = bipartite_generators(2, 2).operators[0]
+    return float(_stack_gaps(*_sqrt_parts(rho), op[None])[0])
 
 
 def delta_total_bound(rho: DensityMatrix, gens: GeneratorSet, u_full) -> float:
@@ -337,15 +387,12 @@ def delta_total_bound(rho: DensityMatrix, gens: GeneratorSet, u_full) -> float:
     """
     rho = _check_state(rho)
     _check_dims_match(rho, gens)
-    u = np.asarray(u_full, dtype=complex).reshape(-1)
-    if u.size != gens.count:
-        raise LengthMismatchError(f"{gens.count} generators versus {u.size} coefficients")
+    # The norm check below is the cap on the moduli here.
+    u = _check_coefficients(u_full, gens.count, cap=math.inf)
     nrm = float(np.linalg.norm(u))
     if abs(nrm - 1.0) > 1e-10:
         raise NotNormalizedError(f"coefficient norm {nrm!r} deviates from 1")
-    s_op = sum(c * op for c, op in zip(u, gens.operators))
-    r, rc = _sqrt_parts(rho)
-    return _delta_from_parts(r, rc, s_op)
+    return float(_gaps(*_sqrt_parts(rho), gens.operators, [range(gens.count)], [u])[0])
 
 
 def decomposition_average(dec: Decomposition, s_op: np.ndarray) -> float:
@@ -355,11 +402,7 @@ def decomposition_average(dec: Decomposition, s_op: np.ndarray) -> float:
     spectral gap of the same S, which is what makes the gap a certified
     infimum; the function exists to test exactly that.
     """
-    s_op = as_symmetric(s_op)
-    if s_op.shape[0] != dec.state.dim:
-        raise DimensionMismatchError(
-            f"operator size {s_op.shape[0]} versus state size {dec.state.dim}"
-        )
+    _, s_op = _check_operator(dec.state, s_op)
     total = 0.0
     for p, psi in zip(dec.weights, dec.members):
         conj = psi.amplitudes.conj()

@@ -10,6 +10,10 @@ a joint one built from gap evaluations of summed cross-split operators
 (sensitive to coherence between splits) and a split-wise one that
 aggregates the three bipartite bounds. The joint form strictly
 dominates on the noisy W family, which is the reason both exist.
+
+Both run on the bipartite gap engine over the stacked families
+[J1; J2; J3]: the joint bound evaluates subset t with (u, v, w) as the
+row t, N+t, 2N+t, the split-wise bound subset t of split s as s*N+t.
 """
 from __future__ import annotations
 
@@ -18,22 +22,19 @@ import time
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatchError,
-    LengthMismatchError,
-    SubsetSizeError,
-)
+from .errors import DimensionMismatchError, InvalidSplitError, LengthMismatchError
 from .bounds_bipartite import (
     BoundReport,
-    SubsetEntry,
+    _check_assignments,
     _check_coefficients,
+    _check_k,
     _check_state,
     _check_subset,
-    _delta_from_parts,
+    _gaps,
+    _report,
     _sqrt_parts,
-    observation1_bound,
 )
-from .generators import GeneratorTriple, canonical_triple, example_operators, tripartite_generators
+from .generators import GeneratorTriple, canonical_triple, example_operators
 from .states import DensityMatrix, PureState, partial_trace
 
 _SPLIT_LABELS = ("1|23", "2|13", "3|12")
@@ -73,23 +74,23 @@ def _resolve_triple(rho: DensityMatrix, gen_source) -> GeneratorTriple:
     raise ValueError(f"unknown generator source {gen_source!r}")
 
 
-def _triple_coefficients(x, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _triple_coefficients(x, k: int) -> np.ndarray:
+    """A validated (u, v, w) triple as one row u ++ v ++ w for ``_cross_rows``."""
     if len(x) != 3:
         raise LengthMismatchError("expected coefficient triple (u, v, w)")
-    u, v, w = (_check_coefficients(c) for c in x)
-    if not (u.size == v.size == w.size == k):
-        raise LengthMismatchError(
-            f"coefficient lengths {(u.size, v.size, w.size)} versus subset size {k}"
-        )
-    return u, v, w
+    return np.concatenate([_check_coefficients(c, k) for c in x])
 
 
-def _summed_operator(triple: GeneratorTriple, t: tuple[int, ...], u, v, w) -> np.ndarray:
-    j1, j2, j3 = triple.operators
-    s_op = np.zeros_like(j1[0], dtype=complex)
-    for s, idx in enumerate(t):
-        s_op = s_op + u[s] * j1[idx] + v[s] * j2[idx] + w[s] * j3[idx]
-    return s_op
+def _cross_rows(subsets, n: int) -> list[tuple[int, ...]]:
+    """Rows t, N+t, 2N+t of each subset t into the stack [J1; J2; J3]."""
+    return [t + tuple(n + i for i in t) + tuple(2 * n + i for i in t) for t in subsets]
+
+
+def _split_entries(pairs, n: int):
+    """Rows s*N+t into the three stacked split families, entry subsets and
+    split labels of (split, subset) pairs."""
+    rows = [tuple(s * n + i for i in t) for s, t in pairs]
+    return rows, [t for _, t in pairs], [_SPLIT_LABELS[s] for s, _ in pairs]
 
 
 def delta_tot_k(rho: DensityMatrix, triple: GeneratorTriple, t_vec, x) -> float:
@@ -119,9 +120,9 @@ def delta_tot_k(rho: DensityMatrix, triple: GeneratorTriple, t_vec, x) -> float:
             f"operator size {triple.operators[0][0].shape[0]} versus state size {rho.dim}"
         )
     t = _check_subset(t_vec, triple.count)
-    u, v, w = _triple_coefficients(x, len(t))
-    r, rc = _sqrt_parts(rho)
-    return _delta_from_parts(r, rc, _summed_operator(triple, t, u, v, w))
+    row = _triple_coefficients(x, len(t))
+    ops = np.concatenate(triple.operators)
+    return float(_gaps(*_sqrt_parts(rho), ops, _cross_rows([t], triple.count), [row])[0])
 
 
 def observation2_bound(rho: DensityMatrix, k: int, assignments, gen_source="canonical") -> BoundReport:
@@ -150,33 +151,12 @@ def observation2_bound(rho: DensityMatrix, k: int, assignments, gen_source="cano
     _check_tripartite(rho)
     triple = _resolve_triple(rho, gen_source)
     n = triple.count
-    k = int(k)
-    if not 1 <= k <= n:
-        raise SubsetSizeError(f"k = {k} outside 1..{n}")
+    k = _check_k(k, n)
     start = time.perf_counter()
-    r, rc = _sqrt_parts(rho)
-    entries = []
-    for t_vec in sorted(assignments):
-        t = _check_subset(t_vec, n)
-        if len(t) != k:
-            raise SubsetSizeError(f"subset {t} does not have size k = {k}")
-        u, v, w = _triple_coefficients(assignments[t_vec], k)
-        delta = _delta_from_parts(r, rc, _summed_operator(triple, t, u, v, w))
-        entries.append(
-            SubsetEntry(t, {"u": tuple(u), "v": tuple(v), "w": tuple(w)}, delta)
-        )
-    prefactor = n / (6.0 * k * k * math.comb(n, k))
-    bound = prefactor * math.fsum(e.delta * e.delta for e in entries)
-    source = triple.source if isinstance(gen_source, GeneratorTriple) else str(gen_source).lower()
-    return BoundReport(
-        bound_on_c_squared=bound,
-        per_subset=tuple(entries),
-        k=k,
-        n_generators=n,
-        prefactor=prefactor,
-        mode="obs2" if source == "canonical" else f"obs2-{source}",
-        wall_time=time.perf_counter() - start,
-    )
+    subsets, coeffs = _check_assignments(assignments, k, n, _triple_coefficients)
+    gaps = _gaps(*_sqrt_parts(rho), np.concatenate(triple.operators), _cross_rows(subsets, n), coeffs)
+    mode = "obs2" if triple.source == "canonical" else f"obs2-{triple.source}"
+    return _report(mode, k, n, subsets, coeffs, gaps, start)
 
 
 def observation3_bound(rho: DensityMatrix, k: int, assignments) -> BoundReport:
@@ -193,32 +173,26 @@ def observation3_bound(rho: DensityMatrix, k: int, assignments) -> BoundReport:
         Subset size, 1..N with N the per-split family size.
     assignments : mapping
         Split index (0, 1, 2) -> subset-to-coefficients mapping as in
-        the bipartite aggregate; missing splits contribute zero.
+        the bipartite aggregate; missing splits contribute zero, and any
+        other key raises InvalidSplitError.
 
     Returns
     -------
     BoundReport
     """
     rho = _check_state(rho)
-    d = _check_tripartite(rho)
+    triple = canonical_triple(_check_tripartite(rho))
+    n = triple.count
+    k = _check_k(k, n)
+    unknown = [s for s in assignments if s not in (0, 1, 2)]
+    if unknown:
+        raise InvalidSplitError(f"split keys {unknown!r} outside 0, 1, 2")
     start = time.perf_counter()
-    entries = []
-    n = None
-    prefactor = None
+    pairs, coeffs = [], []
     for s in range(3):
-        gens = tripartite_generators(d, s)
-        n = gens.count
-        sub = observation1_bound(rho, k, assignments.get(s, {}), gens)
-        prefactor = 0.5 * sub.prefactor
-        for e in sub.per_subset:
-            entries.append(SubsetEntry(e.subset, e.coefficients, e.delta, _SPLIT_LABELS[s]))
-    bound = prefactor * math.fsum(e.delta * e.delta for e in entries)
-    return BoundReport(
-        bound_on_c_squared=bound,
-        per_subset=tuple(entries),
-        k=int(k),
-        n_generators=n,
-        prefactor=prefactor,
-        mode="obs3",
-        wall_time=time.perf_counter() - start,
-    )
+        subsets, rows = _check_assignments(assignments.get(s, {}), k, n)
+        pairs += [(s, t) for t in subsets]
+        coeffs += rows
+    rows, subsets, splits = _split_entries(pairs, n)
+    gaps = _gaps(*_sqrt_parts(rho), np.concatenate(triple.operators), rows, coeffs)
+    return _report("obs3", k, n, subsets, coeffs, gaps, start, splits)

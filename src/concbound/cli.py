@@ -43,6 +43,7 @@ from .generators import Bipartition
 from .optimizer import (
     DEFAULT_SEED,
     OptimizerConfig,
+    _check_scan_tolerances,
     optimize_bound_bipartite,
     optimize_bound_multipartite,
     threshold_scan,
@@ -61,7 +62,6 @@ from .states import (
 )
 
 _BOUND_MODES = ("obs1", "obs2", "obs3", "wootters", "ppt")
-_SCAN_FAMILIES = ("ghz-noise", "w-noise", "bell-noise", "horodecki")
 
 
 def _fmt(x: float) -> str:
@@ -129,31 +129,39 @@ def _mixed_dims(params: dict) -> tuple[int, ...]:
     raise ValueError("maximally-mixed needs dims=AxB or a square total d=N")
 
 
-def _family_state(name: str, params: dict) -> DensityMatrix:
-    p = float(params.get("p", 1.0))
-    if name == "ghz-noise":
-        return white_noise_mix(ghz_state().density(), p)
-    if name == "w-noise":
-        return white_noise_mix(w_state().density(), p)
-    if name == "bell-noise":
-        return white_noise_mix(bell_state().density(), p)
-    if name == "horodecki":
-        if "a" not in params:
-            raise ValueError("horodecki needs a=<value>")
-        return white_noise_mix(horodecki_state(float(params["a"])), p)
-    if name == "maximally-mixed":
-        return maximally_mixed(_mixed_dims(params))
-    raise ValueError(f"unknown family {name!r}")
+def _horodecki_base(params: dict) -> DensityMatrix:
+    if "a" not in params:
+        raise ValueError("horodecki needs a=<value>")
+    return horodecki_state(float(params["a"]))
+
+
+# Noise family -> (base state from the descriptor parameters, obs2
+# generator source); a family's state at p is white_noise_mix(base, p).
+_FAMILIES = {
+    "ghz-noise": (lambda params: ghz_state().density(), "ghz"),
+    "w-noise": (lambda params: w_state().density(), "w"),
+    "bell-noise": (lambda params: bell_state().density(), "canonical"),
+    "horodecki": (_horodecki_base, "canonical"),
+}
+
+
+def _noise_family(name: str, params: dict):
+    """p -> state along the named noise family."""
+    if name not in _FAMILIES:
+        raise ValueError(f"unknown family {name!r}")
+    base = _FAMILIES[name][0](params)
+    return lambda p: white_noise_mix(base, p)
 
 
 def parse_state(text: str) -> tuple[DensityMatrix, dict]:
     """Resolve a --state argument to a density matrix and a descriptor."""
     if text.startswith("family:"):
-        body = text[len("family:") :]
-        name, _, rest = body.partition(",")
-        params = _parse_params(rest)
-        rho = _family_state(name.strip(), params)
-        return rho, {"source": "family", "family": name.strip(), "params": params}
+        name, _, rest = text[len("family:") :].partition(",")
+        name, params = name.strip(), _parse_params(rest)
+        p = float(params.get("p", 1.0))
+        # maximally-mixed is a bound-only family: it has no noise parameter.
+        rho = maximally_mixed(_mixed_dims(params)) if name == "maximally-mixed" else _noise_family(name, params)(p)
+        return rho, {"source": "family", "family": name, "params": params}
     obj = load_state(text)
     if isinstance(obj, PureState):
         obj = obj.density()
@@ -181,15 +189,6 @@ def _make_config(blob: str | None) -> OptimizerConfig:
     return OptimizerConfig.from_dict(user)
 
 
-def _auto_gen_source(descriptor: dict) -> str:
-    fam = descriptor.get("family", "")
-    if fam == "ghz-noise":
-        return "ghz"
-    if fam == "w-noise":
-        return "w"
-    return "canonical"
-
-
 def _example_report(rho: DensityMatrix, source: str) -> BoundReport:
     ones = ([1.0], [1.0], [1.0])
     return observation2_bound(rho, 1, {(0,): ones}, source)
@@ -199,29 +198,24 @@ def cmd_bound(args, argv) -> int:
     rho, descriptor = parse_state(args.state)
     cfg = _make_config(args.optimizer)
     ppt = _ppt_summary(rho)
+    rep = None
     if args.mode == "obs1":
         rep = optimize_bound_bipartite(rho, args.k, cfg)
-        report = rep.to_dict()
     elif args.mode == "obs2":
         source = args.gen_source
         if source == "auto":
-            source = _auto_gen_source(descriptor)
+            source = _FAMILIES.get(descriptor.get("family"), (None, "canonical"))[1]
         if source in ("ghz", "w"):
             # Example families have a known optimum at u = v = w = 1;
             # the evaluation is deterministic and closed-form exact.
             rep = _example_report(rho, source)
         else:
             rep = optimize_bound_multipartite(rho, args.k, cfg, "obs2")
-        report = rep.to_dict()
     elif args.mode == "obs3":
         rep = optimize_bound_multipartite(rho, args.k, cfg, "obs3")
-        report = rep.to_dict()
     elif args.mode == "wootters":
         rep = replace(observation1_bound(rho, 1, {(0,): [1.0]}), mode="wootters")
-        report = rep.to_dict()
-    else:  # ppt
-        rep = None
-        report = {"mode": "ppt"}
+    report = rep.to_dict() if rep is not None else {"mode": "ppt"}
     report["ppt"] = ppt
     if rep is not None:
         bound = rep.bound_on_c_squared
@@ -248,30 +242,11 @@ def cmd_bound(args, argv) -> int:
     return 0
 
 
-def _scan_family(text: str):
-    name, _, rest = text.partition(":")
-    name = name.strip()
-    params = _parse_params(rest)
-    if name not in _SCAN_FAMILIES:
-        raise ValueError(f"unknown scan family {name!r}")
-    if name == "ghz-noise":
-        base = ghz_state().density()
-    elif name == "w-noise":
-        base = w_state().density()
-    elif name == "bell-noise":
-        base = bell_state().density()
-    else:
-        base = horodecki_state(float(params["a"])) if "a" in params else None
-        if base is None:
-            raise ValueError("horodecki needs :a=<value>")
-    return name, params, (lambda p: white_noise_mix(base, p))
-
-
 def _scan_detector(name: str, mode: str, k: int, cfg: OptimizerConfig):
     if mode == "obs2":
-        if name not in ("ghz-noise", "w-noise"):
+        source = _FAMILIES[name][1]
+        if source == "canonical":
             raise ValueError(f"obs2 scan needs a tripartite family, not {name!r}")
-        source = "ghz" if name == "ghz-noise" else "w"
         return lambda rho: _example_report(rho, source).bound_on_c_squared
     if mode == "obs1":
         return lambda rho: optimize_bound_bipartite(rho, k, cfg).bound_on_c_squared
@@ -285,11 +260,14 @@ def _scan_detector(name: str, mode: str, k: int, cfg: OptimizerConfig):
 
 
 def cmd_scan(args, argv) -> int:
-    name, params, family = _scan_family(args.family)
+    name, _, rest = args.family.partition(":")
+    name, params = name.strip(), _parse_params(rest)
+    family = _noise_family(name, params)
     lo_txt, _, hi_txt = args.p_range.partition(":")
     p_lo, p_hi = float(lo_txt), float(hi_txt)
     if args.points < 1:
         raise ParameterRangeError(f"--points must be at least 1, got {args.points}")
+    _check_scan_tolerances(args.tol, args.tol_detect)
     cfg = _make_config(args.optimizer)
     detector = _scan_detector(name, args.mode, args.k, cfg)
     grid = np.linspace(p_lo, p_hi, args.points)

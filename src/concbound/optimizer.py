@@ -19,32 +19,32 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields
 from itertools import combinations
 
 import numpy as np
 
-from .errors import DimensionMismatchError, ParameterRangeError, SubsetSizeError, ThresholdNotDetectedError
+from .errors import ParameterRangeError, ThresholdNotDetectedError
 from .bounds_bipartite import (
+    _BLOCK_ROWS,
     BoundReport,
     _check_dims_match,
+    _check_k,
     _check_state,
     _check_subset,
+    _gaps,
+    _report,
+    _resolve_gens,
     _sqrt_parts,
     _stack_gaps,
-    observation1_bound,
 )
-from .bounds_multipartite import _check_tripartite, _resolve_triple, observation2_bound, observation3_bound
-from .generators import GeneratorSet, bipartite_generators, tripartite_generators
+from .bounds_multipartite import _cross_rows, _resolve_triple, _split_entries
+from .generators import GeneratorSet
 from .states import DensityMatrix
 
 DEFAULT_SEED = 1905
 
 _STRATEGIES = ("exhaustive", "top_singletons")
-
-# Most trajectories searched together: each probe holds a few arrays per
-# row, so this caps the search's memory whatever the pool size.
-_BLOCK_ROWS = 512
 
 
 @dataclass(frozen=True)
@@ -129,25 +129,22 @@ class ScanResult:
         return asdict(self)
 
 
-def _row_gaps(r, rc, ops, x) -> np.ndarray:
-    """Gaps of coefficient rows x = (radii, phases), row i over ops[i] (m, n*n)."""
-    m = ops.shape[1]
-    coeffs = x[:, :m] * np.exp(1j * x[:, m:])
-    return _stack_gaps(r, rc, (coeffs[:, None, :] @ ops).reshape(len(x), *r.shape))
-
-
-def _descend(r, rc, flat, idx, x, cfg: OptimizerConfig) -> np.ndarray:
-    """Coordinate descent on rows x over operators flat[idx]: updates x in
-    place, returns its gaps. As in a one-row loop, a radius probe skips
-    the rows whose clipped radius does not move."""
+def _descend(r, rc, ops, idx, x, cfg: OptimizerConfig) -> np.ndarray:
+    """Coordinate descent on rows x = (radii, phases) over operators
+    ops[idx]: updates x in place, returns its gaps. As in a one-row loop,
+    a radius probe skips the rows whose clipped radius does not move."""
     m = idx.shape[1]
-    val = _row_gaps(r, rc, flat[idx], x)
+
+    def gaps(rows, xs):
+        return _gaps(r, rc, ops, idx[rows], xs[:, :m] * np.exp(1j * xs[:, m:]))
+
+    val = gaps(slice(None), x)
 
     def probe(col, cand, rows):
         if rows.size:
             trial = x[rows]
             trial[:, col] = cand[rows]
-            new = _row_gaps(r, rc, flat[idx[rows]], trial)
+            new = gaps(rows, trial)
             win = new > val[rows]
             x[rows[win], col] = cand[rows[win]]
             val[rows[win]] = new[win]
@@ -170,7 +167,8 @@ def _search(r, rc, ops, subsets, salts, cfg: OptimizerConfig):
     subset (equal-length index tuples into ``ops``) at once. Restart 0
     starts at all ones, restart j at a draw seeded by (j,) + salt.
     Returns coefficients (a row per subset, max modulus 1), their gaps,
-    and per subset the nondecreasing best gap after each restart.
+    and per subset the nondecreasing best gap after each restart. The
+    trajectories run in blocks of at most ``_BLOCK_ROWS`` rows.
 
     One-operator subsets skip the search: sqrt(rho)·(uJ)·conj(sqrt(rho))
     is u times the bare sandwich, so its gap is |u|·Delta(J) and u = 1
@@ -179,11 +177,9 @@ def _search(r, rc, ops, subsets, salts, cfg: OptimizerConfig):
     n_sub, m = idx.shape
     ops = np.asarray(ops, dtype=complex)
     if m == 1:
-        deltas = np.concatenate([
-            _stack_gaps(r, rc, ops[idx[lo : lo + _BLOCK_ROWS, 0]]) for lo in range(0, n_sub, _BLOCK_ROWS)
-        ])
-        return np.ones((n_sub, 1), dtype=complex), deltas, np.repeat(deltas[:, None], cfg.restarts, axis=1)
-    flat = ops.reshape(len(ops), -1)
+        coeffs = np.ones((n_sub, 1), dtype=complex)
+        deltas = _gaps(r, rc, ops, idx, coeffs)
+        return coeffs, deltas, np.repeat(deltas[:, None], cfg.restarts, axis=1)
     x = np.zeros((n_sub, cfg.restarts, 2 * m))
     x[:, 0, :m] = 1.0
     for p, salt in enumerate(salts):
@@ -193,7 +189,7 @@ def _search(r, rc, ops, subsets, salts, cfg: OptimizerConfig):
     x = x.reshape(-1, 2 * m)
     rows = np.repeat(idx, cfg.restarts, axis=0)
     val = np.concatenate([
-        _descend(r, rc, flat, rows[lo : lo + _BLOCK_ROWS], x[lo : lo + _BLOCK_ROWS], cfg)
+        _descend(r, rc, ops, rows[lo : lo + _BLOCK_ROWS], x[lo : lo + _BLOCK_ROWS], cfg)
         for lo in range(0, len(x), _BLOCK_ROWS)
     ]).reshape(n_sub, cfg.restarts)
     # argmax keeps the first of equal gaps, like a strict '>' over restarts.
@@ -204,11 +200,8 @@ def _search(r, rc, ops, subsets, salts, cfg: OptimizerConfig):
     # Scaling u by 1/max|u| scales delta the same way and never shrinks
     # it, so the returned vector always touches the modulus cap.
     best[:, :m] /= np.where(top <= 0.0, 1.0, top)[:, None]
-    deltas = np.concatenate([
-        _row_gaps(r, rc, flat[idx[lo : lo + _BLOCK_ROWS]], best[lo : lo + _BLOCK_ROWS])
-        for lo in range(0, n_sub, _BLOCK_ROWS)
-    ])
-    return best[:, :m] * np.exp(1j * best[:, m:]), deltas, np.maximum.accumulate(val, axis=1)
+    coeffs = best[:, :m] * np.exp(1j * best[:, m:])
+    return coeffs, _gaps(r, rc, ops, idx, coeffs), np.maximum.accumulate(val, axis=1)
 
 
 def _optimize_coefficients(r, rc, ops, cfg: OptimizerConfig, salt: tuple[int, ...]):
@@ -234,8 +227,7 @@ def _subset_pools(r, rc, families, k: int, cfg: OptimizerConfig) -> list[list[tu
     """Size-k subset pools, one per family of singleton operators. Only
     "top_singletons" needs singleton gaps: one SVD call for all families."""
     sizes = [len(f) for f in families]
-    if not 1 <= k <= min(sizes):
-        raise SubsetSizeError(f"k = {k} outside 1..{min(sizes)}")
+    _check_k(k, min(sizes))
     if cfg.subset_strategy == "exhaustive":
         return [list(combinations(range(n), k)) for n in sizes]
     pools = []
@@ -255,18 +247,13 @@ def optimize_bound_bipartite(
     configuration and reproduces byte-identically for equal inputs.
     """
     rho = _check_state(rho)
-    if gens is None:
-        if len(rho.dims) != 2:
-            raise DimensionMismatchError(
-                f"default generators need bipartite dims, got {rho.dims}"
-            )
-        gens = bipartite_generators(*rho.dims)
+    gens = _resolve_gens(rho, gens)
     start = time.perf_counter()
     r, rc = _sqrt_parts(rho)
-    (pool,) = _subset_pools(r, rc, [gens.operators], int(k), cfg)
-    coeffs, _, _ = _search(r, rc, gens.operators, pool, pool, cfg)
-    rep = observation1_bound(rho, k, dict(zip(pool, coeffs)), gens)
-    return replace(rep, wall_time=time.perf_counter() - start, config=cfg.to_dict())
+    k = int(k)
+    (pool,) = _subset_pools(r, rc, [gens.operators], k, cfg)
+    coeffs, gaps, _ = _search(r, rc, gens.operators, pool, pool, cfg)
+    return _report("obs1", k, gens.count, pool, coeffs, gaps, start, config=cfg.to_dict())
 
 
 def optimize_bound_multipartite(
@@ -279,36 +266,35 @@ def optimize_bound_multipartite(
     one-operator example families, "obs3" for the split-wise bound.
     """
     rho = _check_state(rho)
-    d = _check_tripartite(rho)
     mode = str(mode).lower()
+    if mode not in ("obs2", "obs2-ghz", "obs2-w", "obs3"):
+        raise ParameterRangeError(f"unknown mode {mode!r}")
     start = time.perf_counter()
+    # obs2 and obs3 both search the canonical families; obs2-ghz and
+    # obs2-w the example operators.
+    triple = _resolve_triple(rho, mode.partition("-")[2] or "canonical")
     r, rc = _sqrt_parts(rho)
     k = int(k)
-    if mode in ("obs2", "obs2-ghz", "obs2-w"):
-        source = "canonical" if mode == "obs2" else mode.split("-", 1)[1]
-        j1, j2, j3 = (np.asarray(f) for f in _resolve_triple(rho, source).operators)
-        n = len(j1)
-        (pool,) = _subset_pools(r, rc, [j1 + j2 + j3], k, cfg)
+    families = [np.asarray(f) for f in triple.operators]
+    if mode == "obs3":
+        # All three splits in one search, seeds salted by (split,) + subset.
+        pairs = [(s, t) for s, pool in enumerate(_subset_pools(r, rc, families, k, cfg)) for t in pool]
+        rows, subsets, splits = _split_entries(pairs, triple.count)
+        salts = [(s,) + t for s, t in pairs]
+    else:
         # One stacked search over (u, v, w): coefficients for the three
         # splits concatenate into a single 3k vector.
-        subsets = [t + tuple(n + i for i in t) + tuple(2 * n + i for i in t) for t in pool]
-        coeffs, _, _ = _search(r, rc, np.concatenate([j1, j2, j3]), subsets, pool, cfg)
-        assignments = {t: (c[:k], c[k : 2 * k], c[2 * k :]) for t, c in zip(pool, coeffs)}
-        rep = observation2_bound(rho, k, assignments, source)
-    elif mode == "obs3":
-        # All three splits in one search, seeds salted by (split,) + subset.
-        families = [np.asarray(tripartite_generators(d, s).operators) for s in range(3)]
-        n = len(families[0])
-        salts = [(s,) + t for s, pool in enumerate(_subset_pools(r, rc, families, k, cfg)) for t in pool]
-        subsets = [tuple(salt[0] * n + i for i in salt[1:]) for salt in salts]
-        coeffs, _, _ = _search(r, rc, np.concatenate(families), subsets, salts, cfg)
-        per_split = {s: {} for s in range(3)}
-        for salt, c in zip(salts, coeffs):
-            per_split[salt[0]][salt[1:]] = c
-        rep = observation3_bound(rho, k, per_split)
-    else:
-        raise ParameterRangeError(f"unknown mode {mode!r}")
-    return replace(rep, wall_time=time.perf_counter() - start, config=cfg.to_dict())
+        (subsets,) = _subset_pools(r, rc, [sum(families)], k, cfg)
+        rows, salts, splits = _cross_rows(subsets, triple.count), subsets, None
+    coeffs, gaps, _ = _search(r, rc, np.concatenate(families), rows, salts, cfg)
+    return _report(mode, k, triple.count, subsets, coeffs, gaps, start, splits, cfg.to_dict())
+
+
+def _check_scan_tolerances(tol_p, tol_detect) -> None:
+    # Bisection stops only once the bracket is at most tol_p, which a
+    # bracket of adjacent floats never is for tol_p <= 0.
+    if not (math.isfinite(tol_p) and tol_p > 0.0 and math.isfinite(tol_detect)):
+        raise ParameterRangeError(f"need finite tol_p > 0 and finite tol_detect, got {tol_p}, {tol_detect}")
 
 
 def threshold_scan(
@@ -333,7 +319,9 @@ def threshold_scan(
         already fires at ``p_lo`` the threshold is reported there with
         a zero bracket.
     tol_p : float
-        Target bracket size on the parameter.
+        Target bracket size on the parameter, finite and positive.
+    tol_detect : float
+        Finite detection tolerance.
 
     Returns
     -------
@@ -344,9 +332,12 @@ def threshold_scan(
 
     Raises
     ------
+    ParameterRangeError
+        If the interval or a tolerance is out of range.
     ThresholdNotDetectedError
         If the detector stays quiet at ``p_hi``.
     """
+    _check_scan_tolerances(tol_p, tol_detect)
     p_lo, p_hi = float(p_lo), float(p_hi)
     if not p_lo < p_hi:
         raise ParameterRangeError(f"need p_lo < p_hi, got {p_lo} >= {p_hi}")

@@ -8,6 +8,7 @@ from concbound.errors import (
     CoefficientBoundError,
     DimensionMismatchError,
     LengthMismatchError,
+    NonFiniteError,
     NotNormalizedError,
     NotPositiveSemidefiniteError,
     NotSymmetricError,
@@ -343,3 +344,18 @@ class TestPsdTolerance:
     def test_constructor_still_rejects_beyond_tolerance(self):
         with pytest.raises(NotPositiveSemidefiniteError):
             DensityMatrix(np.diag([0.5 + 2e-9, 0.5, 0.0, -2e-9]), (2, 2))
+
+
+class TestNonFiniteCoefficients:
+    # NaN passes every modulus and norm comparison, so without a finiteness
+    # check it reached the SVD and surfaced as an untyped LinAlgError.
+    @pytest.mark.parametrize("bad", [float("nan"), complex(0.0, float("nan")), float("inf")])
+    def test_typed_error(self, bad):
+        rho = random_density((3, 3), 3, seed=7)
+        gens = bipartite_generators(3, 3)
+        with pytest.raises(NonFiniteError):
+            delta_k(rho, gens, (0,), [bad])
+        with pytest.raises(NonFiniteError):
+            observation1_bound(rho, 1, {(0,): [bad]})
+        with pytest.raises(NonFiniteError):
+            delta_total_bound(rho, gens, [bad] * 9)

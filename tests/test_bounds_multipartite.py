@@ -8,7 +8,9 @@ import pytest
 
 from concbound.errors import (
     DimensionMismatchError,
+    InvalidSplitError,
     LengthMismatchError,
+    NonFiniteError,
     SubsetSizeError,
 )
 from concbound.bounds_bipartite import all_subsets, concurrence_pure
@@ -234,3 +236,24 @@ class TestObservation3:
             }
             rep = observation3_bound(rho, 1, assignments)
             assert rep.bound_on_c_squared <= 1e-8
+
+
+class TestInputGuards:
+    @pytest.mark.parametrize("key", [3, -1, "0", (0,)])
+    def test_obs3_rejects_unknown_split_keys(self, key):
+        # Such keys were skipped, so the W state read a bound of 0.0.
+        rho = white_noise_mix(w_state().density(), 0.9)
+        with pytest.raises(InvalidSplitError):
+            observation3_bound(rho, 1, {key: {(0,): [1.0]}})
+        with pytest.raises(InvalidSplitError):
+            observation3_bound(rho, 1, {0: {(0,): [1.0]}, key: {(0,): [1.0]}})
+
+    def test_non_finite_coefficients(self):
+        rho = white_noise_mix(ghz_state().density(), 0.5)
+        nan = float("nan")
+        with pytest.raises(NonFiniteError):
+            observation2_bound(rho, 1, {(0,): ([1.0], [nan], [1.0])}, "ghz")
+        with pytest.raises(NonFiniteError):
+            delta_tot_k(rho, example_operators("ghz"), (0,), ([1.0], [1.0], [nan]))
+        with pytest.raises(NonFiniteError):
+            observation3_bound(rho, 1, {2: {(0,): [nan]}})

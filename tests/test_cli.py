@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from concbound import cli
 from concbound.cli import RunRecord, _fmt, _make_config, main, parse_state
 from concbound.optimizer import DEFAULT_SEED
 from concbound.states import DensityMatrix, save_state, random_density
@@ -326,6 +327,28 @@ class TestScanCommand:
             ]
         )
         assert code == 2
+
+
+    @pytest.mark.parametrize("tol", ["0", "-1", "nan"])
+    def test_bad_tolerance_exits_two_before_the_grid(self, tol, tmp_path, capsys, monkeypatch):
+        calls = []
+
+        def detector(rho):
+            # Bounded, so a bisection that never stops fails instead of hanging.
+            calls.append(1)
+            if len(calls) > 200:
+                raise RuntimeError("bisection did not terminate")
+            return float(rho.matrix[0, 0].real > 0.3)
+
+        monkeypatch.setattr(cli, "_scan_detector", lambda *args: detector)
+        out_csv = tmp_path / "x.csv"
+        code = main(
+            ["scan", "--family", "ghz-noise", "--mode", "obs2", "--p-range", "0.05:1.0", f"--tol={tol}", "--out", str(out_csv)]
+        )
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
+        assert not out_csv.exists()
+        assert calls == []
 
 
 class TestDemoCommand:

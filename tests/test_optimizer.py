@@ -422,3 +422,28 @@ class TestThresholdScan:
     def test_result_dict(self):
         res = ScanResult(0.25, 1e-5, 17)
         assert res.to_dict() == {"threshold": 0.25, "bracket_width": 1e-5, "evaluations": 17}
+
+
+class TestScanTolerances:
+    @staticmethod
+    def _bounded_detector():
+        # Raises instead of looping forever if the bisection never stops.
+        calls = []
+
+        def detector(rho):
+            calls.append(1)
+            if len(calls) > 200:
+                raise RuntimeError("bisection did not terminate")
+            return ghz_detector(rho)
+
+        return detector, calls
+
+    @pytest.mark.parametrize(
+        "tol_p, tol_detect",
+        [(0.0, 1e-9), (-1.0, 1e-9), (float("nan"), 1e-9), (float("inf"), 1e-9), (1e-4, float("nan")), (1e-4, float("inf"))],
+    )
+    def test_rejects_tolerances_before_evaluating(self, tol_p, tol_detect):
+        detector, calls = self._bounded_detector()
+        with pytest.raises(ParameterRangeError):
+            threshold_scan(ghz_family, detector, 0.01, 1.0, tol_p, tol_detect)
+        assert calls == []
