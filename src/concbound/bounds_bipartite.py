@@ -24,7 +24,6 @@ import json
 import math
 import time
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
@@ -204,8 +203,9 @@ def _stack_gaps(r: np.ndarray, rc: np.ndarray, s_ops: np.ndarray) -> np.ndarray:
 
 def _gaps(r: np.ndarray, rc: np.ndarray, ops, rows, coeffs) -> np.ndarray:
     """The gap engine: gap of sum_s coeffs[i, s] * ops[rows[i, s]] for each
-    row i of equal-length index tuples into the operator stack ``ops``."""
-    flat = np.asarray(ops).reshape(len(ops), -1)
+    row i of equal-length index tuples into the stack ``ops``, whose leading
+    axes flatten to one index: (3, N, D, D) reads as (3N, D, D)."""
+    flat = ops.reshape(-1, r.size)
     rows = np.asarray(rows, dtype=np.intp)
     coeffs = np.asarray(coeffs, dtype=complex)
     if len(rows) > _BLOCK_ROWS:
@@ -262,11 +262,8 @@ def concurrence_pure_sumrule(psi: PureState, gens: GeneratorSet) -> float:
     """
     _check_dims_match(psi, gens)
     conj = psi.amplitudes.conj()
-    total = 0.0
-    for op in gens.operators:
-        amp = complex(conj @ (op @ conj))
-        total += abs(amp) ** 2
-    return math.sqrt(total)
+    amps = (gens.operators @ conj) @ conj
+    return math.sqrt(float(np.sum(np.abs(amps) ** 2)))
 
 
 def lambda_spectrum(rho: DensityMatrix, s_op: np.ndarray) -> np.ndarray:
@@ -375,8 +372,7 @@ def wootters_concurrence(rho: DensityMatrix) -> float:
     if tuple(rho.dims) != (2, 2):
         raise DimensionMismatchError(f"two-qubit state required, got dims {rho.dims}")
     # The gap of the bare generator: there is no coefficient to combine.
-    op = bipartite_generators(2, 2).operators[0]
-    return float(_stack_gaps(*_sqrt_parts(rho), op[None])[0])
+    return float(_stack_gaps(*_sqrt_parts(rho), bipartite_generators(2, 2).operators)[0])
 
 
 def delta_total_bound(rho: DensityMatrix, gens: GeneratorSet, u_full) -> float:
@@ -422,7 +418,3 @@ def ppt_min_eigenvalue(rho: DensityMatrix, split) -> float:
     pt = partial_transpose(rho, part)
     return float(np.linalg.eigvalsh(pt)[0])
 
-
-def all_subsets(n: int, k: int):
-    """Strictly increasing size-k index tuples over range(n)."""
-    return combinations(range(n), k)

@@ -60,13 +60,18 @@ def ctau_pure(psi: PureState) -> float:
 
 
 def _resolve_triple(rho: DensityMatrix, gen_source) -> GeneratorTriple:
+    """The triple ``gen_source`` gives or names, checked against the state."""
+    d = _check_tripartite(rho)
     if isinstance(gen_source, GeneratorTriple):
+        size = gen_source.operators.shape[-1]
+        if size != rho.dim:
+            raise DimensionMismatchError(f"operator size {size} versus state size {rho.dim}")
         return gen_source
     src = str(gen_source).lower()
     if src == "canonical":
-        return canonical_triple(_check_tripartite(rho))
+        return canonical_triple(d)
     if src in ("ghz", "w"):
-        if tuple(rho.dims) != (2, 2, 2):
+        if d != 2:
             raise DimensionMismatchError(
                 f"example operators act on three qubits, got dims {rho.dims}"
             )
@@ -114,15 +119,10 @@ def delta_tot_k(rho: DensityMatrix, triple: GeneratorTriple, t_vec, x) -> float:
         indices; zero on every fully separable state.
     """
     rho = _check_state(rho)
-    _check_tripartite(rho)
-    if triple.operators[0][0].shape[0] != rho.dim:
-        raise DimensionMismatchError(
-            f"operator size {triple.operators[0][0].shape[0]} versus state size {rho.dim}"
-        )
+    triple = _resolve_triple(rho, triple)
     t = _check_subset(t_vec, triple.count)
     row = _triple_coefficients(x, len(t))
-    ops = np.concatenate(triple.operators)
-    return float(_gaps(*_sqrt_parts(rho), ops, _cross_rows([t], triple.count), [row])[0])
+    return float(_gaps(*_sqrt_parts(rho), triple.operators, _cross_rows([t], triple.count), [row])[0])
 
 
 def observation2_bound(rho: DensityMatrix, k: int, assignments, gen_source="canonical") -> BoundReport:
@@ -148,13 +148,12 @@ def observation2_bound(rho: DensityMatrix, k: int, assignments, gen_source="cano
     BoundReport
     """
     rho = _check_state(rho)
-    _check_tripartite(rho)
     triple = _resolve_triple(rho, gen_source)
     n = triple.count
     k = _check_k(k, n)
     start = time.perf_counter()
     subsets, coeffs = _check_assignments(assignments, k, n, _triple_coefficients)
-    gaps = _gaps(*_sqrt_parts(rho), np.concatenate(triple.operators), _cross_rows(subsets, n), coeffs)
+    gaps = _gaps(*_sqrt_parts(rho), triple.operators, _cross_rows(subsets, n), coeffs)
     mode = "obs2" if triple.source == "canonical" else f"obs2-{triple.source}"
     return _report(mode, k, n, subsets, coeffs, gaps, start)
 
@@ -181,7 +180,7 @@ def observation3_bound(rho: DensityMatrix, k: int, assignments) -> BoundReport:
     BoundReport
     """
     rho = _check_state(rho)
-    triple = canonical_triple(_check_tripartite(rho))
+    triple = _resolve_triple(rho, "canonical")
     n = triple.count
     k = _check_k(k, n)
     unknown = [s for s in assignments if s not in (0, 1, 2)]
@@ -194,5 +193,5 @@ def observation3_bound(rho: DensityMatrix, k: int, assignments) -> BoundReport:
         pairs += [(s, t) for t in subsets]
         coeffs += rows
     rows, subsets, splits = _split_entries(pairs, n)
-    gaps = _gaps(*_sqrt_parts(rho), np.concatenate(triple.operators), rows, coeffs)
+    gaps = _gaps(*_sqrt_parts(rho), triple.operators, rows, coeffs)
     return _report("obs3", k, n, subsets, coeffs, gaps, start, splits)

@@ -39,7 +39,7 @@ from .bounds_bipartite import (
     wootters_concurrence,
 )
 from .bounds_multipartite import observation2_bound, observation3_bound, ctau_pure
-from .generators import Bipartition
+from .generators import Bipartition, bipartite_generators
 from .optimizer import (
     DEFAULT_SEED,
     OptimizerConfig,
@@ -214,7 +214,8 @@ def cmd_bound(args, argv) -> int:
     elif args.mode == "obs3":
         rep = optimize_bound_multipartite(rho, args.k, cfg, "obs3")
     elif args.mode == "wootters":
-        rep = replace(observation1_bound(rho, 1, {(0,): [1.0]}), mode="wootters")
+        # The two-qubit family rejects every other state before any output.
+        rep = replace(observation1_bound(rho, 1, {(0,): [1.0]}, bipartite_generators(2, 2)), mode="wootters")
     report = rep.to_dict() if rep is not None else {"mode": "ppt"}
     report["ppt"] = ppt
     if rep is not None:

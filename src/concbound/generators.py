@@ -12,10 +12,15 @@ The canonical sets order each pair subspace by ascending party index.
 The hand-picked example operators instead use the cyclic conventions
 1|23, 2|31, 3|12 (pair factors in that order); the closed-form noise
 thresholds they reproduce are sensitive to this choice.
+
+Each family depends only on the dimensions, so every family function
+is memoized: a family is built once and then shared by every caller as one
+read-only stacked array, which the gap engine reads without copying.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -56,15 +61,24 @@ class Bipartition:
         return f"{fmt(self.side_a)}|{fmt(self.side_b)}"
 
 
+def _frozen(operators) -> np.ndarray:
+    """A read-only stacked copy of ``operators``, in their own dtype."""
+    ops = np.array(operators)
+    ops.setflags(write=False)
+    return ops
+
+
 @dataclass(frozen=True)
 class GeneratorSet:
     """Ordered family of symmetric generators for one bipartition.
 
+    ``operators`` is one read-only (N, D, D) array, copied from the
+    matrices given, so a family can be shared by every caller.
     ``index_map[t]`` records the rotation-plane pair ((i, j), (k, l))
     behind operator t: (i, j) on the first side, (k, l) on the second.
     """
 
-    operators: tuple[np.ndarray, ...]
+    operators: np.ndarray
     index_map: tuple[tuple[tuple[int, int], tuple[int, int]], ...]
     dims: tuple[int, ...]
     split: str = "1|2"
@@ -72,6 +86,7 @@ class GeneratorSet:
     def __post_init__(self):
         if len(self.operators) != len(self.index_map):
             raise ParameterRangeError("one index entry per operator required")
+        object.__setattr__(self, "operators", _frozen(self.operators))
 
     @property
     def count(self) -> int:
@@ -82,12 +97,13 @@ class GeneratorSet:
 class GeneratorTriple:
     """Three aligned generator families, one per single-versus-pair split.
 
-    ``operators[s][t]`` is the t-th generator for split s in the order
-    1|23, 2|13, 3|12; the three families share index alignment so a
-    subset choice t applies across splits.
+    ``operators`` is one read-only (3, N, D, D) array: ``operators[s][t]``
+    is the t-th generator for split s in the order 1|23, 2|13, 3|12; the
+    three families share index alignment so a subset choice t applies
+    across splits. Flattened to (3N, D, D) it is the stack [J1; J2; J3].
     """
 
-    operators: tuple[tuple[np.ndarray, ...], ...]
+    operators: np.ndarray
     source: str = "canonical"
 
     def __post_init__(self):
@@ -95,10 +111,11 @@ class GeneratorTriple:
             raise InvalidSplitError("exactly three split families required")
         if len({len(ops) for ops in self.operators}) != 1:
             raise ParameterRangeError("split families must have equal lengths")
+        object.__setattr__(self, "operators", _frozen(self.operators))
 
     @property
     def count(self) -> int:
-        return len(self.operators[0])
+        return self.operators.shape[1]
 
 
 def _plane_pairs(d: int) -> list[tuple[int, int]]:
@@ -119,6 +136,8 @@ def so_generators(d: int) -> list[np.ndarray]:
     return out
 
 
+# A run uses at most three families, and bipartite_generators(10, 10) alone is 162 MB.
+@lru_cache(maxsize=4)
 def bipartite_generators(m: int, n: int) -> GeneratorSet:
     """All products L_(i,j) x L_(k,l) on C^m x C^n.
 
@@ -126,25 +145,19 @@ def bipartite_generators(m: int, n: int) -> GeneratorSet:
     by ((i, j), (k, l)). Each operator is real symmetric and the family
     is trace-orthogonal.
     """
-    left = so_generators(m)
-    right = so_generators(n)
-    ops = []
-    index_map = []
-    for a, (i, j) in zip(left, _plane_pairs(m)):
-        for b, (k, l) in zip(right, _plane_pairs(n)):
-            ops.append(np.kron(a, b))
-            index_map.append(((i, j), (k, l)))
-    return GeneratorSet(tuple(ops), tuple(index_map), (int(m), int(n)))
+    ops = [np.kron(a, b) for a in so_generators(m) for b in so_generators(n)]
+    index_map = [(ij, kl) for ij in _plane_pairs(m) for kl in _plane_pairs(n)]
+    return GeneratorSet(ops, tuple(index_map), (int(m), int(n)))
 
 
-def _embed_single_pair(single: np.ndarray, pair_op: np.ndarray, s: int, p: int, q: int, d: int) -> np.ndarray:
-    """Place ``single`` on party s and ``pair_op`` on the (p, q) pair
-    subspace (factor p before factor q) inside the three-party ordering."""
-    t = np.kron(single, pair_op).reshape((d,) * 6)
+def _embed_single_pair(products: np.ndarray, s: int, p: int, q: int, d: int) -> np.ndarray:
+    """Move a stack of products single x pair_op (the pair factor p
+    before factor q) into the three-party ordering, single on party s."""
+    t = products.reshape((-1,) + (d,) * 6)
     perm = [0, 0, 0]
     perm[s], perm[p], perm[q] = 0, 1, 2  # party -> axis currently holding it
-    t = np.transpose(t, axes=perm + [ax + 3 for ax in perm])
-    return np.ascontiguousarray(t.reshape(d**3, d**3))
+    t = np.transpose(t, axes=[0] + [ax + 1 for ax in perm] + [ax + 4 for ax in perm])
+    return t.reshape(-1, d**3, d**3)
 
 
 def _single_index(split) -> int:
@@ -158,37 +171,35 @@ def _single_index(split) -> int:
     return s
 
 
+# Three splits for each of two dimensions.
+@lru_cache(maxsize=6)
 def tripartite_generators(d: int, split) -> GeneratorSet:
     """Single-versus-pair generator family on three d-level systems.
 
     Products of a single-party rotation generator with a pair-space
     rotation generator, the pair subspace ordered by ascending party
-    index. ``split`` is the single party, given as an index in 0..2 or
-    as a one-versus-two Bipartition. For d = 2 the family has 6 members.
+    index: the family ``bipartite_generators(d, d*d)`` with each product
+    moved into party order, same index map. ``split`` is the single
+    party, given as an index in 0..2 or as a one-versus-two
+    Bipartition. For d = 2 the family has 6 members.
     """
-    if int(d) < 2:
-        raise DimensionTooSmallError(f"no antisymmetric generators in dimension {d}")
     d = int(d)
+    products = bipartite_generators(d, d * d)
     s = _single_index(split)
-    p, q = _ASCENDING_PAIRS[s]
-    singles = so_generators(d)
-    pairs = so_generators(d * d)
-    ops = []
-    index_map = []
-    for a, (i, j) in zip(singles, _plane_pairs(d)):
-        for b, (k, l) in zip(pairs, _plane_pairs(d * d)):
-            ops.append(_embed_single_pair(a, b, s, p, q, d))
-            index_map.append(((i, j), (k, l)))
+    ops = _embed_single_pair(products.operators, s, *_ASCENDING_PAIRS[s], d)
     label = Bipartition.single(s, 3).label
-    return GeneratorSet(tuple(ops), tuple(index_map), (d, d, d), label)
+    return GeneratorSet(ops, products.index_map, (d, d, d), label)
 
 
+# One triple per dimension, whether d is passed or defaulted.
+@lru_cache(maxsize=4)
 def canonical_triple(d: int = 2) -> GeneratorTriple:
     """The three canonical split families, index-aligned."""
-    sets = [tripartite_generators(d, s) for s in range(3)]
-    return GeneratorTriple(tuple(gs.operators for gs in sets), "canonical")
+    return GeneratorTriple(tuple(tripartite_generators(d, s).operators for s in range(3)), "canonical")
 
 
+# The two example families, "ghz" and "w".
+@lru_cache(maxsize=2)
 def example_operators(family: str) -> GeneratorTriple:
     """Hand-picked one-operator-per-split families for the noisy GHZ and
     W detection examples.
@@ -209,8 +220,6 @@ def example_operators(family: str) -> GeneratorTriple:
     else:
         pair_op[0, 2] = 1.0
         pair_op[2, 0] = -1.0
-    ops = []
-    for s in range(3):
-        p, q = _CYCLIC_PAIRS[s]
-        ops.append((_embed_single_pair(single, pair_op, s, p, q, 2),))
+    product = np.kron(single, pair_op)
+    ops = [_embed_single_pair(product, s, *_CYCLIC_PAIRS[s], 2) for s in range(3)]
     return GeneratorTriple(tuple(ops), family)

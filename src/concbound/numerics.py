@@ -1,4 +1,4 @@
-"""Dense linear-algebra kernels: validated eigensolves, PSD square roots,
+"""Dense linear-algebra kernels: validated symmetrization, PSD square roots,
 and the symmetric-matrix (Autonne-Takagi) factorization.
 
 All routines validate their structural preconditions and raise typed
@@ -11,6 +11,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import (
+    NonFiniteError,
     NonSquareError,
     NotHermitianError,
     NotPositiveSemidefiniteError,
@@ -31,47 +32,33 @@ def require_square(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _symmetrized(a, tol: float, partner, error, name: str) -> np.ndarray:
+    """Validate A = partner(A) within ``tol`` and return their mean.
+
+    A NaN or infinite entry makes the deviation non-finite, which no
+    comparison with ``tol`` would catch: it raises NonFiniteError.
+    """
+    a = require_square(a)
+    dev = np.max(np.abs(a - partner(a))) if a.size else 0.0
+    if not np.isfinite(dev):
+        raise NonFiniteError(f"max |A - {name}| = {dev!r}: NaN, infinite or overflowing entries")
+    if dev > tol:
+        raise error(f"max |A - {name}| = {dev:.3e} exceeds tol {tol:.3e}")
+    return 0.5 * (a + partner(a))
+
+
 def as_hermitian(a: np.ndarray, tol: float = 1e-10) -> np.ndarray:
     """Validate Hermiticity within ``tol`` and return the symmetrized matrix.
 
     Symmetrization only strips floating-point asymmetry below ``tol``;
     larger deviations raise NotHermitianError.
     """
-    a = require_square(a)
-    dev = np.max(np.abs(a - a.conj().T)) if a.size else 0.0
-    if dev > tol:
-        raise NotHermitianError(f"max |A - A^dag| = {dev:.3e} exceeds tol {tol:.3e}")
-    return 0.5 * (a + a.conj().T)
+    return _symmetrized(a, tol, lambda m: m.conj().T, NotHermitianError, "A^dag")
 
 
 def as_symmetric(a: np.ndarray, tol: float = 1e-10) -> np.ndarray:
     """Validate complex symmetry (A = A^T) within ``tol`` and symmetrize."""
-    a = require_square(a)
-    dev = np.max(np.abs(a - a.T)) if a.size else 0.0
-    if dev > tol:
-        raise NotSymmetricError(f"max |A - A^T| = {dev:.3e} exceeds tol {tol:.3e}")
-    return 0.5 * (a + a.T)
-
-
-def hermitian_eig(h: np.ndarray, tol: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian matrix.
-
-    Parameters
-    ----------
-    h : ndarray
-        Square matrix, Hermitian within ``tol``.
-    tol : float
-        Hermiticity tolerance.
-
-    Returns
-    -------
-    (w, q) : (ndarray, ndarray)
-        Real eigenvalues in ascending order and the unitary whose
-        columns are the matching eigenvectors, H = Q diag(w) Q^dag.
-    """
-    h = as_hermitian(h, tol)
-    w, q = np.linalg.eigh(h)
-    return w, q
+    return _symmetrized(a, tol, lambda m: m.T, NotSymmetricError, "A^T")
 
 
 def psd_sqrt(h: np.ndarray, tol: float | None = None) -> np.ndarray:

@@ -175,7 +175,6 @@ def _search(r, rc, ops, subsets, salts, cfg: OptimizerConfig):
     is optimal; every restart would end at that gap."""
     idx = np.asarray(subsets, dtype=np.intp)
     n_sub, m = idx.shape
-    ops = np.asarray(ops, dtype=complex)
     if m == 1:
         coeffs = np.ones((n_sub, 1), dtype=complex)
         deltas = _gaps(r, rc, ops, idx, coeffs)
@@ -224,15 +223,15 @@ def optimize_u(rho: DensityMatrix, gens: GeneratorSet, t_vec, cfg: OptimizerConf
 
 
 def _subset_pools(r, rc, families, k: int, cfg: OptimizerConfig) -> list[list[tuple[int, ...]]]:
-    """Size-k subset pools, one per family of singleton operators. Only
-    "top_singletons" needs singleton gaps: one SVD call for all families."""
-    sizes = [len(f) for f in families]
-    _check_k(k, min(sizes))
+    """Size-k subset pools, one per family of the (F, N, D, D) stack
+    ``families``. Only "top_singletons" needs singleton gaps: one SVD call."""
+    n = families.shape[1]
+    _check_k(k, n)
     if cfg.subset_strategy == "exhaustive":
-        return [list(combinations(range(n), k)) for n in sizes]
+        return [list(combinations(range(n), k)) for _ in families]
     pools = []
-    for g in np.split(_stack_gaps(r, rc, np.concatenate(families)), np.cumsum(sizes)[:-1]):
-        order = sorted(range(len(g)), key=lambda i: -g[i])
+    for g in _stack_gaps(r, rc, families.reshape(-1, *r.shape)).reshape(len(families), n):
+        order = sorted(range(n), key=lambda i: -g[i])
         pools.append(list(combinations(sorted(order[: max(cfg.top_count, k)]), k)))
     return pools
 
@@ -251,7 +250,7 @@ def optimize_bound_bipartite(
     start = time.perf_counter()
     r, rc = _sqrt_parts(rho)
     k = int(k)
-    (pool,) = _subset_pools(r, rc, [gens.operators], k, cfg)
+    (pool,) = _subset_pools(r, rc, gens.operators[None], k, cfg)
     coeffs, gaps, _ = _search(r, rc, gens.operators, pool, pool, cfg)
     return _report("obs1", k, gens.count, pool, coeffs, gaps, start, config=cfg.to_dict())
 
@@ -275,18 +274,17 @@ def optimize_bound_multipartite(
     triple = _resolve_triple(rho, mode.partition("-")[2] or "canonical")
     r, rc = _sqrt_parts(rho)
     k = int(k)
-    families = [np.asarray(f) for f in triple.operators]
     if mode == "obs3":
         # All three splits in one search, seeds salted by (split,) + subset.
-        pairs = [(s, t) for s, pool in enumerate(_subset_pools(r, rc, families, k, cfg)) for t in pool]
+        pairs = [(s, t) for s, pool in enumerate(_subset_pools(r, rc, triple.operators, k, cfg)) for t in pool]
         rows, subsets, splits = _split_entries(pairs, triple.count)
         salts = [(s,) + t for s, t in pairs]
     else:
         # One stacked search over (u, v, w): coefficients for the three
         # splits concatenate into a single 3k vector.
-        (subsets,) = _subset_pools(r, rc, [sum(families)], k, cfg)
+        (subsets,) = _subset_pools(r, rc, sum(triple.operators)[None], k, cfg)
         rows, salts, splits = _cross_rows(subsets, triple.count), subsets, None
-    coeffs, gaps, _ = _search(r, rc, np.concatenate(families), rows, salts, cfg)
+    coeffs, gaps, _ = _search(r, rc, triple.operators, rows, salts, cfg)
     return _report(mode, k, triple.count, subsets, coeffs, gaps, start, splits, cfg.to_dict())
 
 

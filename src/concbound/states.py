@@ -20,13 +20,12 @@ import numpy as np
 from .errors import (
     DecompositionSizeError,
     NonFiniteError,
-    NotHermitianError,
     NotNormalizedError,
     NotPositiveSemidefiniteError,
     ParameterRangeError,
     SubsystemIndexError,
 )
-from .numerics import require_square
+from .numerics import as_hermitian, require_square
 
 _NORM_TOL = 1e-10
 _TRACE_TOL = 1e-10
@@ -98,13 +97,7 @@ class DensityMatrix:
             raise ParameterRangeError(
                 f"matrix size {mat.shape[0]} does not match dims {self.dims}"
             )
-        herm_dev = float(np.max(np.abs(mat - mat.conj().T)))
-        # Any NaN or infinite entry makes this deviation non-finite.
-        if not math.isfinite(herm_dev):
-            raise NonFiniteError(f"max |rho - rho^dag| = {herm_dev!r}: NaN, infinite or overflowing entries")
-        if herm_dev > _HERM_TOL:
-            raise NotHermitianError(f"max |rho - rho^dag| = {herm_dev:.3e}")
-        mat = 0.5 * (mat + mat.conj().T)
+        mat = as_hermitian(mat, _HERM_TOL)
         tr = complex(np.trace(mat))
         if abs(tr - 1.0) > _TRACE_TOL:
             raise NotNormalizedError(f"trace {tr!r} deviates from 1 beyond 1e-10")

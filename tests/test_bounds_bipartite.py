@@ -1,6 +1,9 @@
 """Bipartite bound checks: exact cases, invariants, and error paths."""
 from __future__ import annotations
 
+import math
+from itertools import combinations
+
 import numpy as np
 import pytest
 
@@ -16,7 +19,6 @@ from concbound.errors import (
 )
 from concbound.bounds_bipartite import (
     BoundReport,
-    all_subsets,
     concurrence_pure,
     concurrence_pure_sumrule,
     decomposition_average,
@@ -77,6 +79,20 @@ class TestPureConcurrence:
             a = concurrence_pure(psi)
             b = concurrence_pure_sumrule(psi, gens)
             assert abs(a - b) < 1e-9
+
+    @pytest.mark.parametrize("dims", [(2, 3), (3, 3), (3, 4)])
+    def test_sumrule_matches_per_operator_loop(self, dims):
+        # The per-operator loop the stacked evaluation replaced; the sum
+        # order differs, so agreement is to double-precision round-off.
+        rng = np.random.default_rng(409)
+        gens = bipartite_generators(*dims)
+        for _ in range(20):
+            psi = random_pure(dims, seed=rng)
+            conj = psi.amplitudes.conj()
+            total = 0.0
+            for op in gens.operators:
+                total += abs(complex(conj @ (op @ conj))) ** 2
+            assert abs(concurrence_pure_sumrule(psi, gens) - math.sqrt(total)) < 1e-14
 
     def test_sumrule_dimension_guard(self):
         with pytest.raises(DimensionMismatchError):
@@ -195,7 +211,7 @@ class TestObservation1:
     def test_maximally_mixed_is_zero(self):
         rho = maximally_mixed((3, 3))
         for k in (1, 2, 5, 9):
-            assignments = {t: np.ones(k) for t in all_subsets(9, k)}
+            assignments = {t: np.ones(k) for t in combinations(range(9), k)}
             rep = observation1_bound(rho, k, assignments)
             assert rep.bound_on_c_squared == 0.0
 
@@ -215,7 +231,7 @@ class TestObservation1:
     def test_monotone_in_added_subsets(self):
         rng = np.random.default_rng(71)
         rho = random_density((3, 3), 2, seed=rng)
-        subsets = list(all_subsets(9, 2))
+        subsets = list(combinations(range(9), 2))
         assignments = {}
         prev = 0.0
         for t in subsets[:10]:
@@ -242,7 +258,7 @@ class TestObservation1:
     def test_report_recompute_and_json(self):
         rng = np.random.default_rng(73)
         rho = random_density((2, 3), 3, seed=rng)
-        assignments = {t: np.exp(2j * np.pi * rng.random(2)) for t in all_subsets(3, 2)}
+        assignments = {t: np.exp(2j * np.pi * rng.random(2)) for t in combinations(range(3), 2)}
         rep = observation1_bound(rho, 2, assignments)
         assert abs(rep.recompute() - rep.bound_on_c_squared) <= 1e-12
         blob = rep.to_json(include_timing=False)
@@ -256,7 +272,7 @@ class TestObservation1:
             psi = random_pure((3, 3), seed=rng)
             c = concurrence_pure(psi)
             k = int(rng.integers(1, 4))
-            subsets = list(all_subsets(9, k))
+            subsets = list(combinations(range(9), k))
             assignments = {
                 t: np.exp(2j * np.pi * rng.random(k))
                 for t in subsets
@@ -359,3 +375,21 @@ class TestNonFiniteCoefficients:
             observation1_bound(rho, 1, {(0,): [bad]})
         with pytest.raises(NonFiniteError):
             delta_total_bound(rho, gens, [bad] * 9)
+
+
+class TestNonFiniteOperators:
+    # A NaN deviation passes the "dev > tol" symmetry test, so a NaN
+    # operator used to reach the solvers (untyped LinAlgError) or return nan.
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_typed_error(self, bad):
+        rho = random_density((2, 2), 2, seed=3)
+        s_op = np.zeros((4, 4))
+        s_op[1, 2] = bad
+        dec = random_decomposition(rho, 4, seed=3)
+        for fn, arg in (
+            (lambda_spectrum, rho),
+            (lambda_spectrum_product_route, rho),
+            (decomposition_average, dec),
+        ):
+            with pytest.raises(NonFiniteError):
+                fn(arg, s_op)

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from concbound.errors import (
     NonFiniteError,
     SubsetSizeError,
 )
-from concbound.bounds_bipartite import all_subsets, concurrence_pure
+from concbound.bounds_bipartite import concurrence_pure
 from concbound.bounds_multipartite import (
     ctau_pure,
     delta_tot_k,
@@ -110,6 +111,16 @@ class TestDeltaTot:
         with pytest.raises(DimensionMismatchError):
             delta_tot_k(maximally_mixed((2, 2)), example_operators("ghz"), (0,), ([1], [1], [1]))
 
+    def test_triple_of_other_size_is_rejected(self):
+        # A qutrit triple on a three-qubit state: both entry points raise
+        # the typed error rather than a numpy reshape failure.
+        rho = ghz_state().density()
+        ones = ([1.0], [1.0], [1.0])
+        with pytest.raises(DimensionMismatchError, match="operator size 27 versus state size 8"):
+            delta_tot_k(rho, canonical_triple(3), (0,), ones)
+        with pytest.raises(DimensionMismatchError, match="operator size 27 versus state size 8"):
+            observation2_bound(rho, 1, {(0,): ones}, canonical_triple(3))
+
     def test_canonical_triple_on_separable_states(self):
         rng = np.random.default_rng(107)
         triple = canonical_triple(2)
@@ -154,7 +165,7 @@ class TestObservation2:
             k = int(rng.integers(1, 3))
             assignments = {
                 t: tuple(np.exp(2j * np.pi * rng.random(k)) for _ in range(3))
-                for t in all_subsets(6, k)
+                for t in combinations(range(6), k)
             }
             rep = observation2_bound(psi.density(), k, assignments, triple)
             assert rep.bound_on_c_squared <= ctau_pure(psi) ** 2 + 1e-6
@@ -165,7 +176,7 @@ class TestObservation2:
             rho = random_fully_separable(rng, int(rng.integers(1, 10)))
             assignments = {
                 t: tuple(np.exp(2j * np.pi * rng.random(1)) for _ in range(3))
-                for t in all_subsets(6, 1)
+                for t in combinations(range(6), 1)
             }
             rep = observation2_bound(rho, 1, assignments)
             assert rep.bound_on_c_squared <= 1e-8
@@ -184,7 +195,7 @@ class TestObservation2:
         rho = white_noise_mix(ghz_state().density(), 0.7)
         assignments = {
             t: tuple(np.exp(2j * np.pi * rng.random(2)) for _ in range(3))
-            for t in all_subsets(6, 2)
+            for t in combinations(range(6), 2)
         }
         rep = observation2_bound(rho, 2, assignments)
         assert abs(rep.recompute() - rep.bound_on_c_squared) <= 1e-12
@@ -197,7 +208,7 @@ class TestObservation3:
         # positive aggregate on the pure state.
         rho = ghz_state().density()
         assignments = {
-            s: {t: [1.0] for t in all_subsets(6, 1)} for s in range(3)
+            s: {t: [1.0] for t in combinations(range(6), 1)} for s in range(3)
         }
         rep = observation3_bound(rho, 1, assignments)
         assert rep.mode == "obs3"
@@ -213,7 +224,7 @@ class TestObservation3:
         # still fires: this separation is the point of the two bounds.
         rho = white_noise_mix(w_state().density(), 0.2)
         assignments = {
-            s: {t: np.exp(2j * np.pi * np.random.default_rng(131 + s).random(2)) for t in all_subsets(6, 2)}
+            s: {t: np.exp(2j * np.pi * np.random.default_rng(131 + s).random(2)) for t in combinations(range(6), 2)}
             for s in range(3)
         }
         rep = observation3_bound(rho, 2, assignments)
@@ -231,7 +242,7 @@ class TestObservation3:
         for _ in range(10):
             rho = random_fully_separable(rng, int(rng.integers(1, 8)))
             assignments = {
-                s: {t: np.exp(2j * np.pi * rng.random(1)) for t in all_subsets(6, 1)}
+                s: {t: np.exp(2j * np.pi * rng.random(1)) for t in combinations(range(6), 1)}
                 for s in range(3)
             }
             rep = observation3_bound(rho, 1, assignments)

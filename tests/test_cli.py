@@ -153,6 +153,14 @@ class TestBoundCommand:
         code = main(["bound", "--state", "family:ghz-noise,p=1.0", "--mode", "obs1", "--optimizer", FAST_OPT])
         assert code == 2
 
+    @pytest.mark.parametrize("state", ["family:horodecki,a=0.5", "family:maximally-mixed,dims=2x3", "family:ghz-noise,p=0.5"])
+    def test_wootters_mode_rejects_other_than_two_qubits(self, state, capsys):
+        code = main(["bound", "--state", state, "--mode", "wootters"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "error:" in captured.err and "Traceback" not in captured.err
+
     def test_non_finite_state_file_exits_two(self, tmp_path, capsys):
         path = tmp_path / "nan.json"
         path.write_text('{"dims": [2, 2], "re": [NaN, 0, 0, 0], "im": [0, 0, 0, 0]}')

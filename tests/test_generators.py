@@ -6,7 +6,13 @@ import pytest
 
 from concbound.errors import DimensionTooSmallError, InvalidSplitError, ParameterRangeError
 from concbound.generators import (
+    _ASCENDING_PAIRS,
+    _CYCLIC_PAIRS,
     Bipartition,
+    GeneratorSet,
+    GeneratorTriple,
+    _plane_pairs,
+    _single_index,
     bipartite_generators,
     canonical_triple,
     example_operators,
@@ -196,3 +202,125 @@ class TestCanonicalTriple:
         assert triple.count == 6
         assert triple.source == "canonical"
         assert len(triple.operators) == 3
+
+
+# The per-operator family functions the stacked ones replaced, kept verbatim as
+# their oracle: one kron and one party permutation per operator.
+
+
+def _reference_embed_single_pair(single: np.ndarray, pair_op: np.ndarray, s: int, p: int, q: int, d: int) -> np.ndarray:
+    """Place ``single`` on party s and ``pair_op`` on the (p, q) pair
+    subspace (factor p before factor q) inside the three-party ordering."""
+    t = np.kron(single, pair_op).reshape((d,) * 6)
+    perm = [0, 0, 0]
+    perm[s], perm[p], perm[q] = 0, 1, 2  # party -> axis currently holding it
+    t = np.transpose(t, axes=perm + [ax + 3 for ax in perm])
+    return np.ascontiguousarray(t.reshape(d**3, d**3))
+
+
+def _reference_tripartite_generators(d: int, split) -> GeneratorSet:
+    if int(d) < 2:
+        raise DimensionTooSmallError(f"no antisymmetric generators in dimension {d}")
+    d = int(d)
+    s = _single_index(split)
+    p, q = _ASCENDING_PAIRS[s]
+    singles = so_generators(d)
+    pairs = so_generators(d * d)
+    ops = []
+    index_map = []
+    for a, (i, j) in zip(singles, _plane_pairs(d)):
+        for b, (k, l) in zip(pairs, _plane_pairs(d * d)):
+            ops.append(_reference_embed_single_pair(a, b, s, p, q, d))
+            index_map.append(((i, j), (k, l)))
+    label = Bipartition.single(s, 3).label
+    return GeneratorSet(tuple(ops), tuple(index_map), (d, d, d), label)
+
+
+def _reference_example_operators(family: str) -> GeneratorTriple:
+    family = str(family).lower()
+    if family not in ("ghz", "w"):
+        raise ParameterRangeError(f"unknown example family {family!r}")
+    single = np.array([[0.0, 1.0], [-1.0, 0.0]])  # |0><1| - |1><0|
+    pair_op = np.zeros((4, 4))
+    if family == "ghz":
+        pair_op[0, 3] = 1.0
+        pair_op[3, 0] = -1.0
+    else:
+        pair_op[0, 2] = 1.0
+        pair_op[2, 0] = -1.0
+    ops = []
+    for s in range(3):
+        p, q = _CYCLIC_PAIRS[s]
+        ops.append((_reference_embed_single_pair(single, pair_op, s, p, q, 2),))
+    return GeneratorTriple(tuple(ops), family)
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestSharedFamilies:
+    """Families are built once and shared as read-only stacks."""
+
+    BUILDS = [
+        (bipartite_generators, (3, 3)),
+        (tripartite_generators, (2, 1)),
+        (canonical_triple, (2,)),
+        (example_operators, ("w",)),
+    ]
+
+    @pytest.mark.parametrize("family", [bipartite_generators(3, 3), canonical_triple(2), example_operators("w")])
+    def test_operators_are_read_only(self, family):
+        ops = family.operators
+        with pytest.raises(ValueError):
+            ops[(0,) * ops.ndim] = 1.0
+        with pytest.raises(ValueError):
+            ops[0] *= 2.0
+
+    @pytest.mark.parametrize("build,args", BUILDS)
+    def test_repeat_call_returns_same_object(self, build, args):
+        assert build(*args) is build(*args)
+
+    @pytest.mark.parametrize("build,args", BUILDS)
+    def test_caches_are_bounded(self, build, args):
+        assert 1 <= build.cache_info().maxsize <= 8
+
+    def test_stack_shapes(self):
+        assert bipartite_generators(3, 3).operators.shape == (9, 9, 9)
+        assert canonical_triple(2).operators.shape == (3, 6, 8, 8)
+        assert example_operators("ghz").operators.shape == (3, 1, 8, 8)
+
+    def test_set_copies_callers_array(self):
+        ops = np.stack(so_generators(3)).astype(complex)
+        gens = GeneratorSet(ops, tuple(((0, 1), (0, 1)) for _ in range(3)), (3,))
+        before = gens.operators.copy()
+        ops[0] = 7.0
+        assert gens.operators.dtype == complex
+        assert np.array_equal(gens.operators, before)
+
+    def test_triple_copies_callers_array(self):
+        ops = np.zeros((3, 2, 4, 4))
+        triple = GeneratorTriple(ops, "custom")
+        ops[1, 1] = 5.0
+        assert triple.operators.dtype == ops.dtype
+        assert not triple.operators.any()
+
+    def test_ragged_triple_is_rejected_before_stacking(self):
+        ops = (np.zeros((2, 4, 4)), np.zeros((2, 4, 4)), np.zeros((1, 4, 4)))
+        with pytest.raises(ParameterRangeError):
+            GeneratorTriple(ops)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("split", [0, 1, 2])
+    def test_tripartite_matches_per_operator_reference(self, d, split):
+        got = tripartite_generators(d, split)
+        want = _reference_tripartite_generators(d, split)
+        assert _same_bits(got.operators, want.operators)
+        assert (got.index_map, got.dims, got.split) == (want.index_map, want.dims, want.split)
+
+    @pytest.mark.parametrize("family", ["ghz", "w"])
+    def test_example_operators_match_per_operator_reference(self, family):
+        got = example_operators(family)
+        want = _reference_example_operators(family)
+        assert _same_bits(got.operators, want.operators)
+        assert got.source == want.source

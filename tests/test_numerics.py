@@ -1,21 +1,16 @@
-"""Linear-algebra kernel checks: eigensolve, PSD root, Takagi factorization."""
+"""Linear-algebra kernel checks: validators, PSD root, Takagi factorization."""
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
 from concbound.errors import (
-    NonSquareError,
+    NonFiniteError,
     NotHermitianError,
     NotPositiveSemidefiniteError,
     NotSymmetricError,
 )
-from concbound.numerics import as_hermitian, hermitian_eig, psd_sqrt, takagi
-
-
-def random_hermitian(rng: np.random.Generator, n: int) -> np.ndarray:
-    a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    return a + a.conj().T
+from concbound.numerics import as_hermitian, as_symmetric, psd_sqrt, takagi
 
 
 def random_symmetric(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -23,33 +18,17 @@ def random_symmetric(rng: np.random.Generator, n: int) -> np.ndarray:
     return a + a.T
 
 
-class TestHermitianEig:
-    def test_identity(self):
-        w, q = hermitian_eig(np.eye(2))
-        assert np.allclose(w, [1.0, 1.0])
-        assert np.allclose(q @ q.conj().T, np.eye(2), atol=1e-12)
-
-    def test_ascending_order(self):
-        w, _ = hermitian_eig(np.diag([3.0, -1.0]))
-        assert np.allclose(w, [-1.0, 3.0])
-
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(NotHermitianError):
-            hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-    def test_rejects_non_square(self):
-        with pytest.raises(NonSquareError):
-            hermitian_eig(np.ones((2, 3)))
-
-    @pytest.mark.parametrize("n", [2, 5, 9])
-    def test_reconstruction_and_unitarity(self, n):
-        rng = np.random.default_rng(11 + n)
-        for _ in range(20):
-            h = random_hermitian(rng, n)
-            w, q = hermitian_eig(h)
-            assert np.all(np.diff(w) >= -1e-12)
-            assert np.max(np.abs((q * w) @ q.conj().T - h)) < 1e-9
-            assert np.max(np.abs(q.conj().T @ q - np.eye(n))) < 1e-9
+class TestValidators:
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), complex(0.0, float("nan"))])
+    def test_non_finite_entries_raise_typed_error(self, bad):
+        a = np.eye(3, dtype=complex)
+        a[0, 2] = a[2, 0] = bad
+        with pytest.raises(NonFiniteError):
+            as_hermitian(a)
+        with pytest.raises(NonFiniteError):
+            as_symmetric(a)
+        with pytest.raises(NonFiniteError):
+            psd_sqrt(a)
 
 
 class TestPsdSqrt:
