@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import time
 from dataclasses import dataclass
 
@@ -125,8 +126,15 @@ def _check_dims_match(rho: DensityMatrix, gens: GeneratorSet) -> None:
         )
 
 
+def _as_index(x) -> int:
+    try:
+        return operator.index(x)
+    except TypeError:
+        raise SubsetSizeError(f"{x!r} is not an integer") from None
+
+
 def _check_subset(t_vec, n: int) -> tuple[int, ...]:
-    t = tuple(int(x) for x in t_vec)
+    t = tuple(_as_index(x) for x in t_vec)
     if len(t) == 0 or len(t) > n:
         raise SubsetSizeError(f"subset size {len(t)} outside 1..{n}")
     if any(x < 0 or x >= n for x in t):
@@ -163,7 +171,7 @@ def _check_assignments(assignments, k: int, n: int, coefficients=_check_coeffici
 
 
 def _check_k(k, n: int) -> int:
-    k = int(k)
+    k = _as_index(k)
     if not 1 <= k <= n:
         raise SubsetSizeError(f"k = {k} outside 1..{n}")
     return k

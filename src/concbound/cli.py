@@ -25,7 +25,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from datetime import datetime, timezone
 
 import numpy as np
@@ -38,12 +38,10 @@ from .bounds_bipartite import (
     ppt_min_eigenvalue,
     wootters_concurrence,
 )
-from .bounds_multipartite import observation2_bound, observation3_bound, ctau_pure
+from .bounds_multipartite import observation2_bound, ctau_pure
 from .generators import Bipartition, bipartite_generators
 from .optimizer import (
-    DEFAULT_SEED,
     OptimizerConfig,
-    _check_scan_tolerances,
     optimize_bound_bipartite,
     optimize_bound_multipartite,
     threshold_scan,
@@ -68,40 +66,17 @@ def _fmt(x: float) -> str:
     return format(float(x), ".12g")
 
 
-@dataclass(frozen=True)
-class RunRecord:
-    """Lossless record of one CLI invocation."""
-
-    command: list
-    descriptor: dict
-    report: dict
-    version: str
-    timestamp: str
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "command": self.command,
-                "descriptor": self.descriptor,
-                "report": self.report,
-                "version": self.version,
-                "timestamp": self.timestamp,
-            },
-            sort_keys=True,
-        )
-
-    @classmethod
-    def from_json(cls, blob: str) -> "RunRecord":
-        return cls(**json.loads(blob))
-
-
-def _record(argv, descriptor: dict, report: dict) -> RunRecord:
-    return RunRecord(
-        command=list(argv),
-        descriptor=descriptor,
-        report=report,
-        version=__version__,
-        timestamp=datetime.now(timezone.utc).isoformat(),
+def _record(argv, descriptor: dict, report: dict) -> str:
+    """The JSON run record of one CLI invocation."""
+    return json.dumps(
+        {
+            "command": list(argv),
+            "descriptor": descriptor,
+            "report": report,
+            "version": __version__,
+            "timestamp": datetime.now(timezone.utc).isoformat(),
+        },
+        sort_keys=True,
     )
 
 
@@ -168,15 +143,11 @@ def parse_state(text: str) -> tuple[DensityMatrix, dict]:
     return obj, {"source": "file", "path": text, "dims": list(obj.dims)}
 
 
-def _splits(rho: DensityMatrix) -> list[Bipartition]:
-    n = len(rho.dims)
-    if n == 2:
-        return [Bipartition((0,), (1,))]
-    return [Bipartition.single(i, n) for i in range(n)]
-
-
 def _ppt_summary(rho: DensityMatrix) -> dict:
-    vals = {s.label: ppt_min_eigenvalue(rho, s) for s in _splits(rho)}
+    n = len(rho.dims)
+    # One party versus the rest; two parties have only the one split.
+    splits = [Bipartition.single(i, n) for i in range(1 if n == 2 else n)]
+    vals = {s.label: ppt_min_eigenvalue(rho, s) for s in splits}
     worst_label = min(vals, key=vals.get)
     return {"per_split": vals, "worst": vals[worst_label], "worst_split": worst_label}
 
@@ -232,14 +203,14 @@ def cmd_bound(args, argv) -> int:
     report["verdict"] = verdict
     record = _record(argv, descriptor, report)
     if args.format == "json":
-        print(record.to_json())
+        print(record)
     elif args.format == "csv":
         bound_txt = _fmt(rep.bound_on_c_squared) if rep is not None else ""
         print("mode,bound_on_c_squared,ppt_min_eig_worst_split,verdict")
         print(f"{report['mode']},{bound_txt},{_fmt(ppt['worst'])},{verdict}")
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(record.to_json() + "\n")
+            fh.write(record + "\n")
     return 0
 
 
@@ -268,19 +239,19 @@ def cmd_scan(args, argv) -> int:
     p_lo, p_hi = float(lo_txt), float(hi_txt)
     if args.points < 1:
         raise ParameterRangeError(f"--points must be at least 1, got {args.points}")
-    _check_scan_tolerances(args.tol, args.tol_detect)
     cfg = _make_config(args.optimizer)
     detector = _scan_detector(name, args.mode, args.k, cfg)
-    grid = np.linspace(p_lo, p_hi, args.points)
+    # threshold_scan checks every input first; its outcome is printed after the grid.
+    try:
+        result = threshold_scan(family, detector, p_lo, p_hi, args.tol, args.tol_detect)
+    except ThresholdNotDetectedError as exc:
+        result, missed = None, exc
     rows = []
-    for p in grid:
+    for p in np.linspace(p_lo, p_hi, args.points):
         rho = family(float(p))
         rows.append((float(p), float(detector(rho)), _ppt_summary(rho)["worst"]))
     scan_report: dict = {"family": name, "params": params, "mode": args.mode, "rows": [list(r) for r in rows]}
-    summary_line = None
-    code = 0
-    try:
-        result = threshold_scan(family, detector, p_lo, p_hi, args.tol, args.tol_detect)
+    if result is not None:
         scan_report["scan"] = result.to_dict()
         summary_line = (
             f"# threshold={_fmt(result.threshold)}"
@@ -291,11 +262,10 @@ def cmd_scan(args, argv) -> int:
             f"threshold: {_fmt(result.threshold)} (bracket {_fmt(result.bracket_width)},"
             f" {result.evaluations} evaluations)"
         )
-    except ThresholdNotDetectedError as exc:
+    else:
         scan_report["scan"] = None
         summary_line = "# threshold=not-detected"
-        print(f"threshold: not detected ({exc})", file=sys.stderr)
-        code = 3
+        print(f"threshold: not detected ({missed})", file=sys.stderr)
     lines = ["p,bound,ppt_min_eig_worst_split"]
     for p, bound, ppt in rows:
         lines.append(f"{_fmt(p)},{_fmt(bound)},{_fmt(ppt)}")
@@ -304,8 +274,8 @@ def cmd_scan(args, argv) -> int:
         fh.write("\n".join(lines) + "\n")
     if args.record:
         with open(args.record, "w", encoding="utf-8") as fh:
-            fh.write(_record(argv, {"source": "family", "family": name, "params": params}, scan_report).to_json() + "\n")
-    return code
+            fh.write(_record(argv, {"source": "family", "family": name, "params": params}, scan_report) + "\n")
+    return 0 if result is not None else 3
 
 
 def _demo_wootters_check() -> list[tuple[str, bool, str]]:

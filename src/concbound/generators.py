@@ -20,7 +20,7 @@ read-only stacked array, which the gap engine reads without copying.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, wraps
 
 import numpy as np
 
@@ -136,6 +136,16 @@ def so_generators(d: int) -> list[np.ndarray]:
     return out
 
 
+def _cached(maxsize: int, key):
+    """``lru_cache(maxsize)`` on the normalized arguments ``key(*args, **kwargs)``: one entry per family."""
+    def decorate(build):
+        cached = lru_cache(maxsize)(build)
+        family = wraps(build)(lambda *args, **kwargs: cached(*key(*args, **kwargs)))
+        family.cache_info = cached.cache_info
+        return family
+    return decorate
+
+
 # A run uses at most three families, and bipartite_generators(10, 10) alone is 162 MB.
 @lru_cache(maxsize=4)
 def bipartite_generators(m: int, n: int) -> GeneratorSet:
@@ -172,7 +182,7 @@ def _single_index(split) -> int:
 
 
 # Three splits for each of two dimensions.
-@lru_cache(maxsize=6)
+@_cached(6, lambda d, split: (int(d), _single_index(split)))
 def tripartite_generators(d: int, split) -> GeneratorSet:
     """Single-versus-pair generator family on three d-level systems.
 
@@ -183,23 +193,21 @@ def tripartite_generators(d: int, split) -> GeneratorSet:
     party, given as an index in 0..2 or as a one-versus-two
     Bipartition. For d = 2 the family has 6 members.
     """
-    d = int(d)
     products = bipartite_generators(d, d * d)
-    s = _single_index(split)
-    ops = _embed_single_pair(products.operators, s, *_ASCENDING_PAIRS[s], d)
-    label = Bipartition.single(s, 3).label
+    ops = _embed_single_pair(products.operators, split, *_ASCENDING_PAIRS[split], d)
+    label = Bipartition.single(split, 3).label
     return GeneratorSet(ops, products.index_map, (d, d, d), label)
 
 
 # One triple per dimension, whether d is passed or defaulted.
-@lru_cache(maxsize=4)
+@_cached(4, lambda d=2: (int(d),))
 def canonical_triple(d: int = 2) -> GeneratorTriple:
     """The three canonical split families, index-aligned."""
     return GeneratorTriple(tuple(tripartite_generators(d, s).operators for s in range(3)), "canonical")
 
 
-# The two example families, "ghz" and "w".
-@lru_cache(maxsize=2)
+# The two example families, "ghz" and "w", in any letter case.
+@_cached(2, lambda family: (str(family).lower(),))
 def example_operators(family: str) -> GeneratorTriple:
     """Hand-picked one-operator-per-split families for the noisy GHZ and
     W detection examples.
@@ -209,7 +217,6 @@ def example_operators(family: str) -> GeneratorTriple:
     |00><10| - |10><00|. Pair subspaces follow the cyclic orderings
     (2,3), (3,1), (1,2); the W closed form depends on this.
     """
-    family = str(family).lower()
     if family not in ("ghz", "w"):
         raise ParameterRangeError(f"unknown example family {family!r}")
     single = np.array([[0.0, 1.0], [-1.0, 0.0]])  # |0><1| - |1><0|

@@ -26,7 +26,6 @@ import numpy as np
 
 from .errors import ParameterRangeError, ThresholdNotDetectedError
 from .bounds_bipartite import (
-    _BLOCK_ROWS,
     BoundReport,
     _check_dims_match,
     _check_k,
@@ -167,8 +166,8 @@ def _search(r, rc, ops, subsets, salts, cfg: OptimizerConfig):
     subset (equal-length index tuples into ``ops``) at once. Restart 0
     starts at all ones, restart j at a draw seeded by (j,) + salt.
     Returns coefficients (a row per subset, max modulus 1), their gaps,
-    and per subset the nondecreasing best gap after each restart. The
-    trajectories run in blocks of at most ``_BLOCK_ROWS`` rows.
+    and per subset the nondecreasing best gap after each restart. All
+    trajectories descend together; only ``_gaps`` splits them into blocks.
 
     One-operator subsets skip the search: sqrt(rho)·(uJ)·conj(sqrt(rho))
     is u times the bare sandwich, so its gap is |u|·Delta(J) and u = 1
@@ -187,10 +186,7 @@ def _search(r, rc, ops, subsets, salts, cfg: OptimizerConfig):
             x[p, restart] = np.concatenate([rng.random(m), 2.0 * np.pi * rng.random(m)])
     x = x.reshape(-1, 2 * m)
     rows = np.repeat(idx, cfg.restarts, axis=0)
-    val = np.concatenate([
-        _descend(r, rc, ops, rows[lo : lo + _BLOCK_ROWS], x[lo : lo + _BLOCK_ROWS], cfg)
-        for lo in range(0, len(x), _BLOCK_ROWS)
-    ]).reshape(n_sub, cfg.restarts)
+    val = _descend(r, rc, ops, rows, x, cfg).reshape(n_sub, cfg.restarts)
     # argmax keeps the first of equal gaps, like a strict '>' over restarts.
     best = x.reshape(n_sub, cfg.restarts, 2 * m)[np.arange(n_sub), np.argmax(val, axis=1)]
     top = best[:, :m].max(axis=1)
@@ -223,10 +219,9 @@ def optimize_u(rho: DensityMatrix, gens: GeneratorSet, t_vec, cfg: OptimizerConf
 
 
 def _subset_pools(r, rc, families, k: int, cfg: OptimizerConfig) -> list[list[tuple[int, ...]]]:
-    """Size-k subset pools, one per family of the (F, N, D, D) stack
-    ``families``. Only "top_singletons" needs singleton gaps: one SVD call."""
+    """Size-k subset pools (k checked by the caller), one per family of the
+    (F, N, D, D) stack ``families``. Only "top_singletons" needs singleton gaps: one SVD call."""
     n = families.shape[1]
-    _check_k(k, n)
     if cfg.subset_strategy == "exhaustive":
         return [list(combinations(range(n), k)) for _ in families]
     pools = []
@@ -249,7 +244,7 @@ def optimize_bound_bipartite(
     gens = _resolve_gens(rho, gens)
     start = time.perf_counter()
     r, rc = _sqrt_parts(rho)
-    k = int(k)
+    k = _check_k(k, gens.count)
     (pool,) = _subset_pools(r, rc, gens.operators[None], k, cfg)
     coeffs, gaps, _ = _search(r, rc, gens.operators, pool, pool, cfg)
     return _report("obs1", k, gens.count, pool, coeffs, gaps, start, config=cfg.to_dict())
@@ -273,7 +268,7 @@ def optimize_bound_multipartite(
     # obs2-w the example operators.
     triple = _resolve_triple(rho, mode.partition("-")[2] or "canonical")
     r, rc = _sqrt_parts(rho)
-    k = int(k)
+    k = _check_k(k, triple.count)
     if mode == "obs3":
         # All three splits in one search, seeds salted by (split,) + subset.
         pairs = [(s, t) for s, pool in enumerate(_subset_pools(r, rc, triple.operators, k, cfg)) for t in pool]
@@ -286,13 +281,6 @@ def optimize_bound_multipartite(
         rows, salts, splits = _cross_rows(subsets, triple.count), subsets, None
     coeffs, gaps, _ = _search(r, rc, triple.operators, rows, salts, cfg)
     return _report(mode, k, triple.count, subsets, coeffs, gaps, start, splits, cfg.to_dict())
-
-
-def _check_scan_tolerances(tol_p, tol_detect) -> None:
-    # Bisection stops only once the bracket is at most tol_p, which a
-    # bracket of adjacent floats never is for tol_p <= 0.
-    if not (math.isfinite(tol_p) and tol_p > 0.0 and math.isfinite(tol_detect)):
-        raise ParameterRangeError(f"need finite tol_p > 0 and finite tol_detect, got {tol_p}, {tol_detect}")
 
 
 def threshold_scan(
@@ -335,7 +323,10 @@ def threshold_scan(
     ThresholdNotDetectedError
         If the detector stays quiet at ``p_hi``.
     """
-    _check_scan_tolerances(tol_p, tol_detect)
+    # Bisection stops only once the bracket is at most tol_p, which a
+    # bracket of adjacent floats never is for tol_p <= 0.
+    if not (math.isfinite(tol_p) and tol_p > 0.0 and math.isfinite(tol_detect)):
+        raise ParameterRangeError(f"need finite tol_p > 0 and finite tol_detect, got {tol_p}, {tol_detect}")
     p_lo, p_hi = float(p_lo), float(p_hi)
     if not p_lo < p_hi:
         raise ParameterRangeError(f"need p_lo < p_hi, got {p_lo} >= {p_hi}")

@@ -393,3 +393,31 @@ class TestNonFiniteOperators:
         ):
             with pytest.raises(NonFiniteError):
                 fn(arg, s_op)
+
+
+class TestNonIntegralIndices:
+    """k and subset indices are integers: 2.5 is not read as k = 2, nor
+    (4.2, 8.9) as the subset (4, 8). Numpy integers are accepted."""
+
+    NOT_INTEGERS = [2.5, np.float64(2.0), "2"]
+
+    @pytest.mark.parametrize("bad", NOT_INTEGERS)
+    def test_observation1_bound_rejects(self, bad):
+        rho = horodecki_state(0.3)
+        with pytest.raises(SubsetSizeError):
+            observation1_bound(rho, bad, {(4, 8): [1.0, 1.0]})
+        with pytest.raises(SubsetSizeError):
+            observation1_bound(rho, 2, {(4, bad): [1.0, 1.0]})
+
+    @pytest.mark.parametrize("subset", [(4.2, 8.9), (4, 8.0), (np.float64(4.0), 8), ("4", 8)])
+    def test_delta_k_rejects(self, subset):
+        with pytest.raises(SubsetSizeError):
+            delta_k(horodecki_state(0.3), bipartite_generators(3, 3), subset, [1.0, 1.0])
+
+    def test_numpy_integers_pass(self):
+        rho = horodecki_state(0.3)
+        gens = bipartite_generators(3, 3)
+        subset = (np.int32(4), np.int64(8))
+        want = observation1_bound(rho, 2, {(4, 8): [1.0, 1.0]}).to_json(include_timing=False)
+        assert observation1_bound(rho, np.int64(2), {subset: [1.0, 1.0]}).to_json(include_timing=False) == want
+        assert delta_k(rho, gens, subset, [1.0, 1.0]) == delta_k(rho, gens, (4, 8), [1.0, 1.0])

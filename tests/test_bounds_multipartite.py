@@ -268,3 +268,41 @@ class TestInputGuards:
             delta_tot_k(rho, example_operators("ghz"), (0,), ([1.0], [1.0], [nan]))
         with pytest.raises(NonFiniteError):
             observation3_bound(rho, 1, {2: {(0,): [nan]}})
+
+
+class TestNonIntegralIndices:
+    """k and subset indices are integers: 1.5 is not read as k = 1, nor
+    (0.5,) as the subset (0,). Numpy integers are accepted."""
+
+    NOT_INTEGERS = [1.5, np.float64(1.0), "1"]
+    ONES = ([1.0], [1.0], [1.0])
+
+    @pytest.mark.parametrize("bad", NOT_INTEGERS)
+    def test_observation2_bound_rejects(self, bad):
+        rho = white_noise_mix(w_state().density(), 0.5)
+        with pytest.raises(SubsetSizeError):
+            observation2_bound(rho, bad, {(0,): self.ONES})
+        with pytest.raises(SubsetSizeError):
+            observation2_bound(rho, 1, {(bad,): self.ONES})
+
+    @pytest.mark.parametrize("bad", NOT_INTEGERS)
+    def test_observation3_bound_rejects(self, bad):
+        rho = white_noise_mix(w_state().density(), 0.5)
+        with pytest.raises(SubsetSizeError):
+            observation3_bound(rho, bad, {0: {(0,): [1.0]}})
+        with pytest.raises(SubsetSizeError):
+            observation3_bound(rho, 1, {0: {(bad,): [1.0]}})
+
+    @pytest.mark.parametrize("subset", [(0.5,), (np.float64(1.0),), ("1",)])
+    def test_delta_tot_k_rejects(self, subset):
+        with pytest.raises(SubsetSizeError):
+            delta_tot_k(white_noise_mix(w_state().density(), 0.5), canonical_triple(2), subset, self.ONES)
+
+    def test_numpy_integers_pass(self):
+        rho = white_noise_mix(w_state().density(), 0.5)
+        triple = canonical_triple(2)
+        want = observation2_bound(rho, 1, {(3,): self.ONES}).to_json(include_timing=False)
+        assert observation2_bound(rho, np.int64(1), {(np.int64(3),): self.ONES}).to_json(include_timing=False) == want
+        want = observation3_bound(rho, 1, {0: {(3,): [1.0]}}).to_json(include_timing=False)
+        assert observation3_bound(rho, np.int32(1), {0: {(np.int32(3),): [1.0]}}).to_json(include_timing=False) == want
+        assert delta_tot_k(rho, triple, (np.int64(3),), self.ONES) == delta_tot_k(rho, triple, (3,), self.ONES)

@@ -7,11 +7,45 @@ import numpy as np
 import pytest
 
 from concbound import cli
-from concbound.cli import RunRecord, _fmt, _make_config, main, parse_state
+from concbound.cli import _fmt, _make_config, main, parse_state
 from concbound.optimizer import DEFAULT_SEED
 from concbound.states import DensityMatrix, save_state, random_density
 
 FAST_OPT = '{"restarts": 2, "iterations": 10}'
+
+
+# Scan CSV bytes for `--p-range 0.05:1.0 --points 5 --tol 1e-3`. Every
+# bound and eigenvalue is a closed form at 12 significant digits, and the
+# bisection visits the same points whatever order the command runs in.
+GOLDEN_SCANS = {
+    ("ghz-noise", "obs2"): (
+        "p,bound,ppt_min_eig_worst_split\n"
+        "0.05,0,0.09375\n"
+        "0.2875,0.0179443359375,-0.0546875\n"
+        "0.525,0.24755859375,-0.203125\n"
+        "0.7625,0.741577148437,-0.3515625\n"
+        "1,1.5,-0.5\n"
+        "# threshold=0.199829101563 bracket_width=0.0004638671875 evaluations=12\n"
+    ),
+    ("w-noise", "ppt"): (
+        "p,bound,ppt_min_eig_worst_split\n"
+        "0.05,0,0.0951797739604\n"
+        "0.2875,0.0464662997274,-0.0464662997274\n"
+        "0.525,0.188112373415,-0.188112373415\n"
+        "0.7625,0.329758447103,-0.329758447103\n"
+        "1,0.471404520791,-0.471404520791\n"
+        "# threshold=0.210034179688 bracket_width=0.0004638671875 evaluations=12\n"
+    ),
+    ("bell-noise", "wootters"): (
+        "p,bound,ppt_min_eig_worst_split\n"
+        "0.05,0,0.2125\n"
+        "0.2875,0,0.034375\n"
+        "0.525,0.08265625,-0.14375\n"
+        "0.7625,0.4144140625,-0.321875\n"
+        "1,1,-0.5\n"
+        "# threshold=0.333422851563 bracket_width=0.0004638671875 evaluations=12\n"
+    ),
+}
 
 
 class TestStateDescriptors:
@@ -97,10 +131,10 @@ class TestBoundCommand:
         out = capsys.readouterr().out
         assert code == 0
         blob = out.splitlines()[-1]
-        rec = RunRecord.from_json(blob)
-        assert rec.report["mode"] == "wootters"
-        assert rec.descriptor["family"] == "bell-noise"
-        assert rec.to_json() == blob
+        rec = json.loads(blob)
+        assert rec["report"]["mode"] == "wootters"
+        assert rec["descriptor"]["family"] == "bell-noise"
+        assert json.dumps(rec, sort_keys=True) == blob
 
     def test_record_file(self, tmp_path, capsys):
         path = tmp_path / "record.json"
@@ -109,8 +143,8 @@ class TestBoundCommand:
         )
         capsys.readouterr()
         assert code == 0
-        rec = RunRecord.from_json(path.read_text().strip())
-        assert rec.report["verdict"] == "ENTANGLED"
+        rec = json.loads(path.read_text().strip())
+        assert rec["report"]["verdict"] == "ENTANGLED"
 
     def test_csv_format(self, capsys):
         code = main(
@@ -207,6 +241,19 @@ class TestScanCommand:
         threshold = float(lines[-1].split("threshold=")[1].split()[0])
         assert abs(threshold - 0.177975) < 1e-3
 
+    @pytest.mark.parametrize("family,mode", sorted(GOLDEN_SCANS))
+    def test_golden_csv_bytes(self, family, mode, tmp_path, capsys):
+        out_csv = tmp_path / "scan.csv"
+        argv = ["scan", "--family", family, "--mode", mode, "--p-range", "0.05:1.0", "--points", "5", "--tol", "1e-3"]
+        code = main(argv + ["--out", str(out_csv)])
+        captured = capsys.readouterr()
+        expected = GOLDEN_SCANS[family, mode]
+        threshold = expected.splitlines()[-1].split()[1].removeprefix("threshold=")
+        assert code == 0
+        assert captured.out == f"threshold: {threshold} (bracket 0.0004638671875, 12 evaluations)\n"
+        assert captured.err == ""
+        assert out_csv.read_bytes() == expected.encode()
+
     def test_scan_is_byte_stable(self, tmp_path, capsys):
         paths = []
         for name in ("a.csv", "b.csv"):
@@ -272,9 +319,9 @@ class TestScanCommand:
             ]
         )
         capsys.readouterr()
-        rec = RunRecord.from_json(record.read_text().strip())
-        assert len(rec.report["rows"]) == 3
-        assert abs(rec.report["scan"]["threshold"] - 0.2) < 1e-3
+        rec = json.loads(record.read_text().strip())
+        assert len(rec["report"]["rows"]) == 3
+        assert abs(rec["report"]["scan"]["threshold"] - 0.2) < 1e-3
 
     def test_ppt_scan_mode(self, tmp_path, capsys):
         out_csv = tmp_path / "ppt.csv"

@@ -285,6 +285,20 @@ class TestSharedFamilies:
     def test_caches_are_bounded(self, build, args):
         assert 1 <= build.cache_info().maxsize <= 8
 
+    @pytest.mark.parametrize(
+        "build,args,same",
+        [
+            (canonical_triple, (), (2,)),
+            (example_operators, ("W",), ("w",)),
+            (tripartite_generators, (2, 0), (2, Bipartition.single(0, 3))),
+        ],
+    )
+    def test_spellings_of_one_family_share_one_entry(self, build, args, same):
+        family = build(*args)
+        size = build.cache_info().currsize
+        assert build(*same) is family
+        assert build.cache_info().currsize == size
+
     def test_stack_shapes(self):
         assert bipartite_generators(3, 3).operators.shape == (9, 9, 9)
         assert canonical_triple(2).operators.shape == (3, 6, 8, 8)

@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from concbound import optimizer
+from concbound import bounds_bipartite, optimizer
 from concbound.errors import DimensionMismatchError, ParameterRangeError, SubsetSizeError, ThresholdNotDetectedError
 from concbound.bounds_bipartite import _delta_from_parts, _sqrt_parts, _stack_gaps, delta_k, observation1_bound
 from concbound.bounds_multipartite import observation2_bound, observation3_bound
@@ -257,7 +257,7 @@ class TestLockstepEngine:
             )
 
         whole = reports()
-        monkeypatch.setattr(optimizer, "_BLOCK_ROWS", 5)
+        monkeypatch.setattr(bounds_bipartite, "_BLOCK_ROWS", 5)
         assert reports() == whole
 
     def test_subset_size_outside_range(self):
@@ -283,7 +283,7 @@ class TestSingletonClosedForm:
         yield random_density((3, 3), 3, 11), bipartite_generators(3, 3).operators, range(9)
 
     def test_unit_coefficient_and_stack_gap(self, monkeypatch):
-        monkeypatch.setattr(optimizer, "_BLOCK_ROWS", 4)
+        monkeypatch.setattr(bounds_bipartite, "_BLOCK_ROWS", 4)
         ops = np.asarray(bipartite_generators(3, 3).operators)
         r, rc = _sqrt_parts(random_density((3, 3), 3, 11))
         subsets = [(i,) for i in range(9)]
@@ -447,3 +447,37 @@ class TestScanTolerances:
         with pytest.raises(ParameterRangeError):
             threshold_scan(ghz_family, detector, 0.01, 1.0, tol_p, tol_detect)
         assert calls == []
+
+
+class TestNonIntegralIndices:
+    """k and subset indices are integers: 1.5 is not read as k = 1, nor
+    (4.2, 8.9) as the subset (4, 8). Numpy integers are accepted."""
+
+    NOT_INTEGERS = [1.5, np.float64(1.0), "1"]
+
+    @pytest.mark.parametrize("subset", [(4.2, 8.9), (4, 8.0), (np.float64(4.0), 8), ("4", 8)])
+    def test_optimize_u_rejects(self, subset):
+        with pytest.raises(SubsetSizeError):
+            optimize_u(horodecki_state(0.3), bipartite_generators(3, 3), subset, FAST)
+
+    @pytest.mark.parametrize("bad", NOT_INTEGERS)
+    def test_optimize_bound_bipartite_rejects(self, bad):
+        with pytest.raises(SubsetSizeError):
+            optimize_bound_bipartite(horodecki_state(0.3), bad, FAST)
+
+    @pytest.mark.parametrize("mode", ["obs2", "obs2-w", "obs3"])
+    @pytest.mark.parametrize("bad", NOT_INTEGERS)
+    def test_optimize_bound_multipartite_rejects(self, bad, mode):
+        with pytest.raises(SubsetSizeError):
+            optimize_bound_multipartite(white_noise_mix(w_state().density(), 0.5), bad, FAST, mode)
+
+    def test_numpy_integers_pass(self):
+        rho = horodecki_state(0.3)
+        rho3 = white_noise_mix(w_state().density(), 0.5)
+        gens = bipartite_generators(3, 3)
+        assert optimize_u(rho, gens, (np.int64(4), np.int32(8)), FAST)[1] == optimize_u(rho, gens, (4, 8), FAST)[1]
+        for run in (
+            lambda k: optimize_bound_bipartite(rho, k, FAST),
+            lambda k: optimize_bound_multipartite(rho3, k, FAST, "obs3"),
+        ):
+            assert run(np.int64(1)).to_json(include_timing=False) == run(1).to_json(include_timing=False)
