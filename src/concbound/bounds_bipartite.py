@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import json
 import math
-import operator
 import time
 from dataclasses import dataclass
 
@@ -37,8 +36,8 @@ from .errors import (
     SubsetSizeError,
 )
 from .generators import Bipartition, GeneratorSet, bipartite_generators
-from .numerics import as_symmetric, psd_sqrt
-from .states import _PSD_TOL, Decomposition, DensityMatrix, PureState, partial_trace, partial_transpose
+from .numerics import _as_index, as_symmetric
+from .states import Decomposition, DensityMatrix, PureState, partial_trace, partial_transpose
 
 _COEFF_TOL = 1e-12
 
@@ -126,15 +125,8 @@ def _check_dims_match(rho: DensityMatrix, gens: GeneratorSet) -> None:
         )
 
 
-def _as_index(x) -> int:
-    try:
-        return operator.index(x)
-    except TypeError:
-        raise SubsetSizeError(f"{x!r} is not an integer") from None
-
-
 def _check_subset(t_vec, n: int) -> tuple[int, ...]:
-    t = tuple(_as_index(x) for x in t_vec)
+    t = tuple(_as_index(x, SubsetSizeError) for x in t_vec)
     if len(t) == 0 or len(t) > n:
         raise SubsetSizeError(f"subset size {len(t)} outside 1..{n}")
     if any(x < 0 or x >= n for x in t):
@@ -171,7 +163,7 @@ def _check_assignments(assignments, k: int, n: int, coefficients=_check_coeffici
 
 
 def _check_k(k, n: int) -> int:
-    k = _as_index(k)
+    k = _as_index(k, SubsetSizeError)
     if not 1 <= k <= n:
         raise SubsetSizeError(f"k = {k} outside 1..{n}")
     return k
@@ -185,12 +177,6 @@ def _check_operator(rho, s_op) -> tuple[DensityMatrix, np.ndarray]:
             f"operator size {s_op.shape[0]} versus state size {rho.dim}"
         )
     return rho, s_op
-
-
-def _sqrt_parts(rho: DensityMatrix) -> tuple[np.ndarray, np.ndarray]:
-    # Clamp at the constructor's tolerance: every state it accepts has a root.
-    r = psd_sqrt(rho.matrix, _PSD_TOL)
-    return r, r.conj()
 
 
 def _delta_from_parts(r: np.ndarray, rc: np.ndarray, s_op: np.ndarray) -> float:
@@ -290,7 +276,7 @@ def lambda_spectrum(rho: DensityMatrix, s_op: np.ndarray) -> np.ndarray:
         order; as many values as the total dimension.
     """
     rho, s_op = _check_operator(rho, s_op)
-    r, rc = _sqrt_parts(rho)
+    r, rc = rho._sqrt_parts
     return np.linalg.svd(r @ s_op @ rc, compute_uv=False)
 
 
@@ -329,7 +315,7 @@ def delta_k(rho: DensityMatrix, gens: GeneratorSet, t_vec, u) -> float:
     _check_dims_match(rho, gens)
     t = _check_subset(t_vec, gens.count)
     u = _check_coefficients(u, len(t))
-    return float(_gaps(*_sqrt_parts(rho), gens.operators, [t], [u])[0])
+    return float(_gaps(*rho._sqrt_parts, gens.operators, [t], [u])[0])
 
 
 def _resolve_gens(rho: DensityMatrix, gens: GeneratorSet | None) -> GeneratorSet:
@@ -370,7 +356,7 @@ def observation1_bound(rho: DensityMatrix, k: int, assignments, gens: GeneratorS
     k = _check_k(k, gens.count)
     start = time.perf_counter()
     subsets, coeffs = _check_assignments(assignments, k, gens.count)
-    gaps = _gaps(*_sqrt_parts(rho), gens.operators, subsets, coeffs)
+    gaps = _gaps(*rho._sqrt_parts, gens.operators, subsets, coeffs)
     return _report("obs1", k, gens.count, subsets, coeffs, gaps, start)
 
 
@@ -380,7 +366,7 @@ def wootters_concurrence(rho: DensityMatrix) -> float:
     if tuple(rho.dims) != (2, 2):
         raise DimensionMismatchError(f"two-qubit state required, got dims {rho.dims}")
     # The gap of the bare generator: there is no coefficient to combine.
-    return float(_stack_gaps(*_sqrt_parts(rho), bipartite_generators(2, 2).operators)[0])
+    return float(_stack_gaps(*rho._sqrt_parts, bipartite_generators(2, 2).operators)[0])
 
 
 def delta_total_bound(rho: DensityMatrix, gens: GeneratorSet, u_full) -> float:
@@ -396,7 +382,7 @@ def delta_total_bound(rho: DensityMatrix, gens: GeneratorSet, u_full) -> float:
     nrm = float(np.linalg.norm(u))
     if abs(nrm - 1.0) > 1e-10:
         raise NotNormalizedError(f"coefficient norm {nrm!r} deviates from 1")
-    return float(_gaps(*_sqrt_parts(rho), gens.operators, [range(gens.count)], [u])[0])
+    return float(_gaps(*rho._sqrt_parts, gens.operators, [range(gens.count)], [u])[0])
 
 
 def decomposition_average(dec: Decomposition, s_op: np.ndarray) -> float:

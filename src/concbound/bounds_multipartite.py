@@ -32,7 +32,6 @@ from .bounds_bipartite import (
     _check_subset,
     _gaps,
     _report,
-    _sqrt_parts,
 )
 from .generators import GeneratorTriple, canonical_triple, example_operators
 from .states import DensityMatrix, PureState, partial_trace
@@ -122,7 +121,7 @@ def delta_tot_k(rho: DensityMatrix, triple: GeneratorTriple, t_vec, x) -> float:
     triple = _resolve_triple(rho, triple)
     t = _check_subset(t_vec, triple.count)
     row = _triple_coefficients(x, len(t))
-    return float(_gaps(*_sqrt_parts(rho), triple.operators, _cross_rows([t], triple.count), [row])[0])
+    return float(_gaps(*rho._sqrt_parts, triple.operators, _cross_rows([t], triple.count), [row])[0])
 
 
 def observation2_bound(rho: DensityMatrix, k: int, assignments, gen_source="canonical") -> BoundReport:
@@ -153,7 +152,7 @@ def observation2_bound(rho: DensityMatrix, k: int, assignments, gen_source="cano
     k = _check_k(k, n)
     start = time.perf_counter()
     subsets, coeffs = _check_assignments(assignments, k, n, _triple_coefficients)
-    gaps = _gaps(*_sqrt_parts(rho), triple.operators, _cross_rows(subsets, n), coeffs)
+    gaps = _gaps(*rho._sqrt_parts, triple.operators, _cross_rows(subsets, n), coeffs)
     mode = "obs2" if triple.source == "canonical" else f"obs2-{triple.source}"
     return _report(mode, k, n, subsets, coeffs, gaps, start)
 
@@ -193,5 +192,5 @@ def observation3_bound(rho: DensityMatrix, k: int, assignments) -> BoundReport:
         pairs += [(s, t) for t in subsets]
         coeffs += rows
     rows, subsets, splits = _split_entries(pairs, n)
-    gaps = _gaps(*_sqrt_parts(rho), triple.operators, rows, coeffs)
+    gaps = _gaps(*rho._sqrt_parts, triple.operators, rows, coeffs)
     return _report("obs3", k, n, subsets, coeffs, gaps, start, splits)

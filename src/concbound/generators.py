@@ -25,6 +25,7 @@ from functools import lru_cache, wraps
 import numpy as np
 
 from .errors import DimensionTooSmallError, InvalidSplitError, ParameterRangeError
+from .numerics import _as_index, _frozen
 
 # Pair-factor orderings per single party, 0-based: ascending for the
 # canonical sets, cyclic for the example operators.
@@ -59,13 +60,6 @@ class Bipartition:
     def label(self) -> str:
         fmt = lambda side: "".join(str(i + 1) for i in side)
         return f"{fmt(self.side_a)}|{fmt(self.side_b)}"
-
-
-def _frozen(operators) -> np.ndarray:
-    """A read-only stacked copy of ``operators``, in their own dtype."""
-    ops = np.array(operators)
-    ops.setflags(write=False)
-    return ops
 
 
 @dataclass(frozen=True)
@@ -125,10 +119,10 @@ def _plane_pairs(d: int) -> list[tuple[int, int]]:
 def so_generators(d: int) -> list[np.ndarray]:
     """Rotation generators |i><j| - |j><i| of dimension d, pairs in
     lexicographic order. Requires d >= 2."""
-    if int(d) < 2:
+    if _as_index(d, ParameterRangeError) < 2:
         raise DimensionTooSmallError(f"no antisymmetric generators in dimension {d}")
     out = []
-    for i, j in _plane_pairs(int(d)):
+    for i, j in _plane_pairs(d):
         L = np.zeros((d, d))
         L[i, j] = 1.0
         L[j, i] = -1.0
@@ -147,7 +141,7 @@ def _cached(maxsize: int, key):
 
 
 # A run uses at most three families, and bipartite_generators(10, 10) alone is 162 MB.
-@lru_cache(maxsize=4)
+@_cached(4, lambda m, n: (_as_index(m, ParameterRangeError), _as_index(n, ParameterRangeError)))
 def bipartite_generators(m: int, n: int) -> GeneratorSet:
     """All products L_(i,j) x L_(k,l) on C^m x C^n.
 
@@ -157,7 +151,7 @@ def bipartite_generators(m: int, n: int) -> GeneratorSet:
     """
     ops = [np.kron(a, b) for a in so_generators(m) for b in so_generators(n)]
     index_map = [(ij, kl) for ij in _plane_pairs(m) for kl in _plane_pairs(n)]
-    return GeneratorSet(ops, tuple(index_map), (int(m), int(n)))
+    return GeneratorSet(ops, tuple(index_map), (m, n))
 
 
 def _embed_single_pair(products: np.ndarray, s: int, p: int, q: int, d: int) -> np.ndarray:
@@ -175,14 +169,14 @@ def _single_index(split) -> int:
         if len(split.side_a) != 1 or len(split.side_b) != 2:
             raise InvalidSplitError(f"split {split.label} is not single versus pair")
         return split.side_a[0]
-    s = int(split)
+    s = _as_index(split, InvalidSplitError)
     if s not in (0, 1, 2):
         raise InvalidSplitError(f"single-party index {s} outside 0..2")
     return s
 
 
 # Three splits for each of two dimensions.
-@_cached(6, lambda d, split: (int(d), _single_index(split)))
+@_cached(6, lambda d, split: (_as_index(d, ParameterRangeError), _single_index(split)))
 def tripartite_generators(d: int, split) -> GeneratorSet:
     """Single-versus-pair generator family on three d-level systems.
 
@@ -200,7 +194,7 @@ def tripartite_generators(d: int, split) -> GeneratorSet:
 
 
 # One triple per dimension, whether d is passed or defaulted.
-@_cached(4, lambda d=2: (int(d),))
+@_cached(4, lambda d=2: (_as_index(d, ParameterRangeError),))
 def canonical_triple(d: int = 2) -> GeneratorTriple:
     """The three canonical split families, index-aligned."""
     return GeneratorTriple(tuple(tripartite_generators(d, s).operators for s in range(3)), "canonical")

@@ -3,9 +3,12 @@ and the symmetric-matrix (Autonne-Takagi) factorization.
 
 All routines validate their structural preconditions and raise typed
 errors instead of repairing bad input. Everything is dense; no attempt
-is made to exploit sparsity.
+is made to exploit sparsity. The bounds do not call ``psd_sqrt``: they
+read the root a ``DensityMatrix`` forms once with ``eigh_sqrt``.
 """
 from __future__ import annotations
+
+import operator
 
 import numpy as np
 import scipy.linalg
@@ -24,6 +27,20 @@ from .errors import (
 _TAKAGI_CLUSTER_TOL = 1e-6
 
 
+def _as_index(x, error) -> int:
+    try:
+        return operator.index(x)
+    except TypeError:
+        raise error(f"{x!r} is not an integer") from None
+
+
+def _frozen(a) -> np.ndarray:
+    """A read-only copy of ``a`` (a sequence of arrays is stacked), in its own dtype."""
+    out = np.array(a)
+    out.setflags(write=False)
+    return out
+
+
 def require_square(a: np.ndarray) -> np.ndarray:
     """Return ``a`` as a complex square ndarray or raise NonSquareError."""
     a = np.asarray(a, dtype=complex)
@@ -36,10 +53,12 @@ def _symmetrized(a, tol: float, partner, error, name: str) -> np.ndarray:
     """Validate A = partner(A) within ``tol`` and return their mean.
 
     A NaN or infinite entry makes the deviation non-finite, which no
-    comparison with ``tol`` would catch: it raises NonFiniteError.
+    comparison with ``tol`` would catch: it raises NonFiniteError, the
+    only signal (numpy's inf - inf and overflow warnings are silenced).
     """
     a = require_square(a)
-    dev = np.max(np.abs(a - partner(a))) if a.size else 0.0
+    with np.errstate(invalid="ignore", over="ignore"):
+        dev = np.max(np.abs(a - partner(a))) if a.size else 0.0
     if not np.isfinite(dev):
         raise NonFiniteError(f"max |A - {name}| = {dev!r}: NaN, infinite or overflowing entries")
     if dev > tol:
@@ -77,8 +96,12 @@ def psd_sqrt(h: np.ndarray, tol: float | None = None) -> np.ndarray:
         raise NotPositiveSemidefiniteError(
             f"minimum eigenvalue {w[0]:.3e} below -tol = {-tol:.3e}"
         )
-    w = np.clip(w, 0.0, None)
-    s = (q * np.sqrt(w)) @ q.conj().T
+    return eigh_sqrt(w, q)
+
+
+def eigh_sqrt(w: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Root q diag(sqrt(max(w, 0))) q^dag of an ``eigh`` result, symmetrized."""
+    s = (q * np.sqrt(np.clip(w, 0.0, None))) @ q.conj().T
     return 0.5 * (s + s.conj().T)
 
 

@@ -34,7 +34,6 @@ from .bounds_bipartite import (
     _gaps,
     _report,
     _resolve_gens,
-    _sqrt_parts,
     _stack_gaps,
 )
 from .bounds_multipartite import _cross_rows, _resolve_triple, _split_entries
@@ -214,7 +213,7 @@ def optimize_u(rho: DensityMatrix, gens: GeneratorSet, t_vec, cfg: OptimizerConf
     rho = _check_state(rho)
     _check_dims_match(rho, gens)
     t = _check_subset(t_vec, gens.count)
-    coeffs, deltas, _ = _search(*_sqrt_parts(rho), gens.operators, [t], [t], cfg)
+    coeffs, deltas, _ = _search(*rho._sqrt_parts, gens.operators, [t], [t], cfg)
     return coeffs[0], float(deltas[0])
 
 
@@ -243,7 +242,7 @@ def optimize_bound_bipartite(
     rho = _check_state(rho)
     gens = _resolve_gens(rho, gens)
     start = time.perf_counter()
-    r, rc = _sqrt_parts(rho)
+    r, rc = rho._sqrt_parts
     k = _check_k(k, gens.count)
     (pool,) = _subset_pools(r, rc, gens.operators[None], k, cfg)
     coeffs, gaps, _ = _search(r, rc, gens.operators, pool, pool, cfg)
@@ -267,7 +266,7 @@ def optimize_bound_multipartite(
     # obs2 and obs3 both search the canonical families; obs2-ghz and
     # obs2-w the example operators.
     triple = _resolve_triple(rho, mode.partition("-")[2] or "canonical")
-    r, rc = _sqrt_parts(rho)
+    r, rc = rho._sqrt_parts
     k = _check_k(k, triple.count)
     if mode == "obs3":
         # All three splits in one search, seeds salted by (split,) + subset.

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import math
+from functools import cached_property
 
 import numpy as np
 
@@ -25,7 +26,7 @@ from .errors import (
     ParameterRangeError,
     SubsystemIndexError,
 )
-from .numerics import as_hermitian, require_square
+from .numerics import _as_index, _frozen, as_hermitian, eigh_sqrt, require_square
 
 _NORM_TOL = 1e-10
 _TRACE_TOL = 1e-10
@@ -35,7 +36,7 @@ _RECONSTRUCTION_TOL = 1e-9
 
 
 def _check_dims(dims) -> tuple[int, ...]:
-    dims = tuple(int(d) for d in dims)
+    dims = tuple(_as_index(d, ParameterRangeError) for d in dims)
     if len(dims) == 0 or any(d < 1 for d in dims):
         raise ParameterRangeError(f"invalid subsystem dimensions {dims}")
     return dims
@@ -101,15 +102,22 @@ class DensityMatrix:
         tr = complex(np.trace(mat))
         if abs(tr - 1.0) > _TRACE_TOL:
             raise NotNormalizedError(f"trace {tr!r} deviates from 1 beyond 1e-10")
-        w_min = float(np.linalg.eigvalsh(mat)[0])
-        if w_min < -_PSD_TOL:
-            raise NotPositiveSemidefiniteError(f"minimum eigenvalue {w_min:.3e}")
+        w, q = np.linalg.eigh(mat)
+        if w[0] < -_PSD_TOL:
+            raise NotPositiveSemidefiniteError(f"minimum eigenvalue {w[0]:.3e}")
         self.matrix = mat
         self.matrix.setflags(write=False)
+        self._eigh = (w, q)
 
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
+
+    @cached_property
+    def _sqrt_parts(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only (sqrt(rho), conj(sqrt(rho))), formed from the constructor's ``eigh``."""
+        r = eigh_sqrt(*self._eigh)
+        return _frozen(r), _frozen(r.conj())
 
     def purity(self) -> float:
         """Tr(rho^2)."""
@@ -156,7 +164,7 @@ class Decomposition:
 
 
 def _check_subsystems(indices, n_parts: int) -> tuple[int, ...]:
-    idx = tuple(int(i) for i in indices)
+    idx = tuple(_as_index(i, SubsystemIndexError) for i in indices)
     if len(idx) == 0:
         raise SubsystemIndexError("empty subsystem selection")
     if len(set(idx)) != len(idx):
@@ -285,7 +293,7 @@ def random_pure(dims, seed) -> PureState:
 def random_density(dims, rank, seed) -> DensityMatrix:
     """Random mixed state of the given rank (Ginibre construction)."""
     dims = _check_dims(dims)
-    rank = int(rank)
+    rank = _as_index(rank, ParameterRangeError)
     d = int(np.prod(dims))
     if not 1 <= rank <= d:
         raise ParameterRangeError(f"rank {rank} outside 1..{d}")
@@ -315,8 +323,8 @@ def random_decomposition(rho: DensityMatrix, m: int, seed) -> Decomposition:
     DecompositionSizeError
         If m is smaller than the rank of ``rho``.
     """
-    m = int(m)
-    w, q = np.linalg.eigh(rho.matrix)
+    m = _as_index(m, ParameterRangeError)
+    w, q = rho._eigh
     sel = w > 1e-12
     rank = int(np.count_nonzero(sel))
     if m < rank:
@@ -341,28 +349,24 @@ def random_decomposition(rho: DensityMatrix, m: int, seed) -> Decomposition:
 def state_to_jsonable(obj) -> dict:
     """Plain-dict form of a PureState or DensityMatrix."""
     if isinstance(obj, PureState):
-        return {
-            "dims": list(obj.dims),
-            "re": obj.amplitudes.real.tolist(),
-            "im": obj.amplitudes.imag.tolist(),
-        }
-    if isinstance(obj, DensityMatrix):
-        return {
-            "dims": list(obj.dims),
-            "re": obj.matrix.real.tolist(),
-            "im": obj.matrix.imag.tolist(),
-        }
-    raise TypeError(f"cannot serialize {type(obj).__name__}")
+        vals = obj.amplitudes
+    elif isinstance(obj, DensityMatrix):
+        vals = obj.matrix
+    else:
+        raise TypeError(f"cannot serialize {type(obj).__name__}")
+    return {
+        "dims": list(obj.dims),
+        "re": vals.real.tolist(),
+        "im": vals.imag.tolist(),
+    }
 
 
 def state_from_jsonable(data: dict):
     """Inverse of state_to_jsonable; the shape of "re" picks the type."""
-    dims = tuple(int(d) for d in data["dims"])
     re = np.asarray(data["re"], dtype=float)
     im = np.asarray(data["im"], dtype=float)
-    if re.ndim == 1:
-        return PureState(re + 1j * im, dims)
-    return DensityMatrix(re + 1j * im, dims)
+    kind = PureState if re.ndim == 1 else DensityMatrix
+    return kind(re + 1j * im, data["dims"])
 
 
 def save_state(obj, path) -> None:

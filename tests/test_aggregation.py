@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from concbound import bounds_bipartite
-from concbound.bounds_bipartite import BoundReport, SubsetEntry, _delta_from_parts, _sqrt_parts, observation1_bound
+from concbound.bounds_bipartite import BoundReport, SubsetEntry, _delta_from_parts, observation1_bound
 from concbound.bounds_multipartite import observation2_bound, observation3_bound
 from concbound.generators import (
     bipartite_generators,
@@ -26,7 +26,7 @@ def _obs1_loop(rho, k, assignments, gens):
     """Per-subset loop of observation1_bound before the gap engine: one
     summed operator and one SVD per subset."""
     n = gens.count
-    r, rc = _sqrt_parts(rho)
+    r, rc = rho._sqrt_parts
     entries = []
     for t in sorted(assignments):
         u = np.asarray(assignments[t], dtype=complex).reshape(-1)
@@ -42,7 +42,7 @@ def _obs2_loop(rho, k, assignments, triple, mode):
     its summed operator built term by term (u0 J1, v0 J2, w0 J3, u1 J1, ...)."""
     j1, j2, j3 = triple.operators
     n = triple.count
-    r, rc = _sqrt_parts(rho)
+    r, rc = rho._sqrt_parts
     entries = []
     for t in sorted(assignments):
         u, v, w = (np.asarray(c, dtype=complex).reshape(-1) for c in assignments[t])

@@ -31,7 +31,7 @@ from concbound.bounds_bipartite import (
     wootters_concurrence,
 )
 from concbound.generators import Bipartition, bipartite_generators
-from concbound.optimizer import OptimizerConfig, optimize_bound_bipartite
+from concbound.optimizer import OptimizerConfig, optimize_bound_bipartite, optimize_u
 from concbound.states import (
     DensityMatrix,
     bell_state,
@@ -421,3 +421,22 @@ class TestNonIntegralIndices:
         want = observation1_bound(rho, 2, {(4, 8): [1.0, 1.0]}).to_json(include_timing=False)
         assert observation1_bound(rho, np.int64(2), {subset: [1.0, 1.0]}).to_json(include_timing=False) == want
         assert delta_k(rho, gens, subset, [1.0, 1.0]) == delta_k(rho, gens, (4, 8), [1.0, 1.0])
+
+
+def test_bounds_reuse_the_constructor_eigendecomposition(monkeypatch):
+    """One 3x3 state through four bounds: the constructor's eigh is the
+    only eigensolve, and nothing calls eigvalsh."""
+    matrix = random_density((3, 3), 5, seed=8).matrix
+    gens = bipartite_generators(3, 3)
+    calls = {"eigh": 0, "eigvalsh": 0}
+    for name in calls:
+        def spy(*args, _name=name, _kernel=getattr(np.linalg, name), **kwargs):
+            calls[_name] += 1
+            return _kernel(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, spy)
+    rho = DensityMatrix(matrix, (3, 3))
+    observation1_bound(rho, 1, {(0,): [1.0], (4,): [1.0]}, gens)
+    delta_k(rho, gens, (0, 4), [1.0, 0.5j])
+    lambda_spectrum(rho, gens.operators[4])
+    optimize_u(rho, gens, (0, 4), OptimizerConfig(restarts=2, iterations=3))
+    assert calls == {"eigh": 1, "eigvalsh": 0}

@@ -338,3 +338,50 @@ class TestSharedFamilies:
         want = _reference_example_operators(family)
         assert _same_bits(got.operators, want.operators)
         assert got.source == want.source
+
+
+class TestNonIntegralArguments:
+    """Dimensions and split indices are integers: 2.5 is not read as 2, nor
+    1.7 as the split 2|13, whether or not the family is already cached.
+    Numpy integers are accepted and share the cache entry of the int."""
+
+    NOT_INTEGERS = [2.5, np.float64(2.0), "2"]
+
+    @pytest.mark.parametrize("bad", NOT_INTEGERS)
+    def test_so_generators_rejects(self, bad):
+        with pytest.raises(ParameterRangeError):
+            so_generators(bad)
+
+    @pytest.mark.parametrize("bad", NOT_INTEGERS)
+    def test_bipartite_generators_rejects(self, bad):
+        bipartite_generators(2, 2)
+        with pytest.raises(ParameterRangeError):
+            bipartite_generators(bad, 2)
+        with pytest.raises(ParameterRangeError):
+            bipartite_generators(2, bad)
+
+    @pytest.mark.parametrize("bad", NOT_INTEGERS)
+    def test_tripartite_generators_rejects_dimension(self, bad):
+        tripartite_generators(2, 0)
+        with pytest.raises(ParameterRangeError):
+            tripartite_generators(bad, 0)
+
+    @pytest.mark.parametrize("bad", [1.7, np.float64(1.0), "1"])
+    def test_tripartite_generators_rejects_split(self, bad):
+        with pytest.raises(InvalidSplitError):
+            tripartite_generators(2, bad)
+        with pytest.raises(InvalidSplitError):
+            _single_index(bad)
+
+    @pytest.mark.parametrize("bad", NOT_INTEGERS)
+    def test_canonical_triple_rejects(self, bad):
+        canonical_triple(2)
+        with pytest.raises(ParameterRangeError):
+            canonical_triple(bad)
+
+    def test_numpy_integers_pass(self):
+        assert bipartite_generators(np.int64(3), np.int32(3)) is bipartite_generators(3, 3)
+        assert tripartite_generators(np.int64(2), np.int64(1)) is tripartite_generators(2, 1)
+        assert canonical_triple(np.int32(2)) is canonical_triple(2)
+        assert np.array_equal(np.stack(so_generators(np.int64(3))), np.stack(so_generators(3)))
+        assert bipartite_generators(np.int64(2), 2).dims == (2, 2)

@@ -8,7 +8,7 @@ import pytest
 
 from concbound import bounds_bipartite, optimizer
 from concbound.errors import DimensionMismatchError, ParameterRangeError, SubsetSizeError, ThresholdNotDetectedError
-from concbound.bounds_bipartite import _delta_from_parts, _sqrt_parts, _stack_gaps, delta_k, observation1_bound
+from concbound.bounds_bipartite import _delta_from_parts, _stack_gaps, delta_k, observation1_bound
 from concbound.bounds_multipartite import observation2_bound, observation3_bound
 from concbound.generators import bipartite_generators, tripartite_generators
 from concbound.optimizer import (
@@ -124,7 +124,7 @@ class TestOptimizeU:
     def test_trace_is_monotone_and_beats_all_ones(self):
         gens = bipartite_generators(3, 3)
         rho = white_noise_mix(horodecki_state(0.2), 0.95)
-        r, rc = _sqrt_parts(rho)
+        r, rc = rho._sqrt_parts
         ops = np.stack([gens.operators[i] for i in (1, 5)])
         cfg = OptimizerConfig(restarts=6, iterations=30)
         _, delta, trace = _optimize_coefficients(r, rc, ops, cfg, (1, 5))
@@ -217,7 +217,7 @@ class TestLockstepEngine:
     GENS = bipartite_generators(3, 3)
 
     def _parts(self, subset, rho):
-        r, rc = _sqrt_parts(rho)
+        r, rc = rho._sqrt_parts
         return r, rc, np.stack([self.GENS.operators[i] for i in subset])
 
     @pytest.mark.parametrize("subset", [(4,), (4, 8), (1, 5, 7)])
@@ -239,7 +239,7 @@ class TestLockstepEngine:
 
     def test_multipartite_stack_matches_sequential_descent(self):
         rho = white_noise_mix(w_state().density(), 0.5)
-        r, rc = _sqrt_parts(rho)
+        r, rc = rho._sqrt_parts
         ops = np.stack([tripartite_generators(2, s).operators[2] for s in range(3)])
         cfg = OptimizerConfig(restarts=3, iterations=7)
         want = _reference_descent(r, rc, ops, cfg, (2,))
@@ -285,7 +285,7 @@ class TestSingletonClosedForm:
     def test_unit_coefficient_and_stack_gap(self, monkeypatch):
         monkeypatch.setattr(bounds_bipartite, "_BLOCK_ROWS", 4)
         ops = np.asarray(bipartite_generators(3, 3).operators)
-        r, rc = _sqrt_parts(random_density((3, 3), 3, 11))
+        r, rc = random_density((3, 3), 3, 11)._sqrt_parts
         subsets = [(i,) for i in range(9)]
         coeffs, deltas, traces = optimizer._search(r, rc, ops, subsets, subsets, self.CFG)
         assert coeffs.tobytes() == np.ones((9, 1), dtype=complex).tobytes()
@@ -294,7 +294,7 @@ class TestSingletonClosedForm:
 
     def test_matches_search_oracle_within_round_off(self):
         for rho, ops, indices in self._nonzero_cases():
-            r, rc = _sqrt_parts(rho)
+            r, rc = rho._sqrt_parts
             for i in indices:
                 op = np.stack([ops[i]])
                 want = _reference_descent(r, rc, op, self.CFG, (i,))[1]

@@ -13,6 +13,7 @@ from concbound.errors import (
     ParameterRangeError,
     SubsystemIndexError,
 )
+from concbound.numerics import psd_sqrt
 from concbound.states import (
     Decomposition,
     DensityMatrix,
@@ -240,3 +241,105 @@ class TestJsonIO:
         assert isinstance(state_from_jsonable(flat), PureState)
         nested = state_to_jsonable(maximally_mixed((2, 2)))
         assert isinstance(state_from_jsonable(nested), DensityMatrix)
+
+
+# Every rank of every listed size, the Horodecki family, noisy W, and a
+# state whose smallest eigenvalue sits inside the clamp window.
+ROOT_CASES = [
+    (f"{'x'.join(map(str, dims))}-rank{rank}", lambda dims=dims, rank=rank: random_density(dims, rank, seed=rank))
+    for dims in [(2, 2), (2, 3), (3, 3), (2, 2, 2)]
+    for rank in range(1, int(np.prod(dims)) + 1)
+] + [
+    (f"horodecki-{a}", lambda a=a: horodecki_state(a)) for a in (0.2, 0.5, 0.8)
+] + [
+    (f"w-noise-{p}", lambda p=p: white_noise_mix(w_state().density(), p)) for p in (0.2, 0.6)
+] + [
+    ("clamped", lambda: DensityMatrix(np.diag([0.5 + 5e-10, 0.5, 0.0, -5e-10]), (2, 2))),
+]
+
+
+class TestRootFromConstructor:
+    """A state validates and eigendecomposes itself once; its root pair is
+    what psd_sqrt gives on the stored matrix at the constructor's
+    tolerance, bit for bit."""
+
+    @pytest.mark.parametrize("build", [b for _, b in ROOT_CASES], ids=[n for n, _ in ROOT_CASES])
+    def test_root_pair_is_psd_sqrt_bit_for_bit(self, build):
+        rho = build()
+        r, rc = rho._sqrt_parts
+        want = psd_sqrt(rho.matrix, 1e-9)
+        assert r.tobytes() == want.tobytes()
+        assert rc.tobytes() == want.conj().tobytes()
+
+    def test_root_pair_is_cached_and_read_only(self):
+        rho = horodecki_state(0.3)
+        parts = rho._sqrt_parts
+        assert rho._sqrt_parts is parts
+        for part in parts:
+            with pytest.raises(ValueError):
+                part[0, 0] = 1.0
+
+
+class TestNonIntegralIndices:
+    """Dimensions, ranks, sizes and subsystem indices are integers: 2.5 is
+    not read as 2. Numpy integers are accepted."""
+
+    NOT_INTEGERS = [2.5, 2.7, np.float64(2.0), "2"]
+    NOT_INDICES = [0.9, np.float64(0.0), "0"]
+
+    @pytest.mark.parametrize("bad", NOT_INTEGERS)
+    def test_pure_state_rejects_dims(self, bad):
+        with pytest.raises(ParameterRangeError):
+            PureState(bell_state().amplitudes, (bad, 2))
+
+    @pytest.mark.parametrize("bad", NOT_INTEGERS)
+    def test_density_matrix_rejects_dims(self, bad):
+        with pytest.raises(ParameterRangeError):
+            DensityMatrix(np.eye(4) / 4, (2, bad))
+
+    @pytest.mark.parametrize("bad", NOT_INTEGERS)
+    def test_maximally_mixed_rejects_dims(self, bad):
+        with pytest.raises(ParameterRangeError):
+            maximally_mixed((bad, 2))
+
+    @pytest.mark.parametrize("bad", NOT_INTEGERS)
+    def test_random_pure_rejects_dims(self, bad):
+        with pytest.raises(ParameterRangeError):
+            random_pure((bad, 2), seed=1)
+
+    @pytest.mark.parametrize("bad", NOT_INTEGERS)
+    def test_random_density_rejects_dims_and_rank(self, bad):
+        with pytest.raises(ParameterRangeError):
+            random_density((bad, 2), 1, seed=1)
+        with pytest.raises(ParameterRangeError):
+            random_density((2, 2), bad, seed=1)
+
+    @pytest.mark.parametrize("bad", NOT_INTEGERS)
+    def test_random_decomposition_rejects_size(self, bad):
+        with pytest.raises(ParameterRangeError):
+            random_decomposition(maximally_mixed((2,)), bad, seed=None)
+
+    @pytest.mark.parametrize("bad", NOT_INDICES)
+    def test_partial_trace_rejects_indices(self, bad):
+        with pytest.raises(SubsystemIndexError):
+            partial_trace(bell_state().density(), [bad])
+
+    @pytest.mark.parametrize("bad", NOT_INDICES)
+    def test_partial_transpose_rejects_indices(self, bad):
+        with pytest.raises(SubsystemIndexError):
+            partial_transpose(bell_state().density(), [bad])
+
+    @pytest.mark.parametrize("bad", NOT_INTEGERS)
+    def test_state_from_jsonable_rejects_dims(self, bad):
+        pure = state_to_jsonable(bell_state())
+        mixed = state_to_jsonable(maximally_mixed((2, 2)))
+        for data in (pure, mixed):
+            with pytest.raises(ParameterRangeError):
+                state_from_jsonable({**data, "dims": [bad, 2]})
+
+    def test_numpy_integers_pass(self):
+        two = (np.int64(2), np.int32(2))
+        assert PureState(bell_state().amplitudes, two).dims == (2, 2)
+        assert random_density(two, np.int64(2), seed=4).matrix.tobytes() == random_density((2, 2), 2, seed=4).matrix.tobytes()
+        assert partial_trace(bell_state().density(), [np.int64(1)]).dims == (2,)
+        assert len(random_decomposition(maximally_mixed((2,)), np.int64(3), seed=None)) == 2
