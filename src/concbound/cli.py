@@ -59,9 +59,6 @@ from .states import (
     white_noise_mix,
 )
 
-_BOUND_MODES = ("obs1", "obs2", "obs3", "wootters", "ppt")
-
-
 def _fmt(x: float) -> str:
     return format(float(x), ".12g")
 
@@ -160,44 +157,52 @@ def _make_config(blob: str | None) -> OptimizerConfig:
     return OptimizerConfig.from_dict(user)
 
 
-def _example_report(rho: DensityMatrix, source: str) -> BoundReport:
-    ones = ([1.0], [1.0], [1.0])
-    return observation2_bound(rho, 1, {(0,): ones}, source)
+def _obs2_report(rho: DensityMatrix, k: int, cfg: OptimizerConfig, source: str) -> BoundReport:
+    if source in ("ghz", "w"):
+        # Example families have a known optimum at u = v = w = 1;
+        # the evaluation is deterministic and closed-form exact.
+        return observation2_bound(rho, 1, {(0,): ([1.0], [1.0], [1.0])}, source)
+    return optimize_bound_multipartite(rho, k, cfg, "obs2")
+
+
+# Mode -> (rho, k, optimizer config, obs2 generator source) -> BoundReport; "ppt" has none.
+_REPORTS = {
+    "obs1": lambda rho, k, cfg, source: optimize_bound_bipartite(rho, k, cfg),
+    "obs2": _obs2_report,
+    "obs3": lambda rho, k, cfg, source: optimize_bound_multipartite(rho, k, cfg, "obs3"),
+    # The two-qubit family rejects every other state before any output.
+    "wootters": lambda rho, k, cfg, source: replace(observation1_bound(rho, 1, {(0,): [1.0]}, bipartite_generators(2, 2)), mode="wootters"),
+}
+_MODES = (*_REPORTS, "ppt")
+
+# Scan detectors that bypass the report: "ppt" has none, and the wootters
+# closed form equals its report's bound bit for bit at half the cost.
+_SCAN_SHORTCUTS = {
+    "ppt": lambda rho: max(0.0, -_ppt_summary(rho)["worst"]),
+    "wootters": lambda rho: wootters_concurrence(rho) ** 2,
+}
 
 
 def cmd_bound(args, argv) -> int:
+    if not math.isfinite(args.tol_detect):
+        raise ParameterRangeError(f"--tol-detect must be finite, got {args.tol_detect}")
     rho, descriptor = parse_state(args.state)
     cfg = _make_config(args.optimizer)
     ppt = _ppt_summary(rho)
-    rep = None
-    if args.mode == "obs1":
-        rep = optimize_bound_bipartite(rho, args.k, cfg)
-    elif args.mode == "obs2":
-        source = args.gen_source
-        if source == "auto":
-            source = _FAMILIES.get(descriptor.get("family"), (None, "canonical"))[1]
-        if source in ("ghz", "w"):
-            # Example families have a known optimum at u = v = w = 1;
-            # the evaluation is deterministic and closed-form exact.
-            rep = _example_report(rho, source)
-        else:
-            rep = optimize_bound_multipartite(rho, args.k, cfg, "obs2")
-    elif args.mode == "obs3":
-        rep = optimize_bound_multipartite(rho, args.k, cfg, "obs3")
-    elif args.mode == "wootters":
-        # The two-qubit family rejects every other state before any output.
-        rep = replace(observation1_bound(rho, 1, {(0,): [1.0]}, bipartite_generators(2, 2)), mode="wootters")
+    source = args.gen_source
+    if source == "auto":
+        source = _FAMILIES.get(descriptor.get("family"), (None, "canonical"))[1]
+    rep = _REPORTS[args.mode](rho, args.k, cfg, source) if args.mode in _REPORTS else None
     report = rep.to_dict() if rep is not None else {"mode": "ppt"}
     report["ppt"] = ppt
+    print(f"mode: {report['mode']}")
     if rep is not None:
         bound = rep.bound_on_c_squared
         verdict = "ENTANGLED" if bound > args.tol_detect else "UNDETECTED"
-        print(f"mode: {report['mode']}")
         print(f"bound_on_c_squared: {_fmt(bound)}")
         print(f"sqrt_bound: {_fmt(math.sqrt(max(0.0, bound)))}")
     else:
         verdict = "ENTANGLED" if ppt["worst"] < -args.tol_detect else "UNDETECTED"
-        print("mode: ppt")
     print(f"ppt_min_eig ({ppt['worst_split']}): {_fmt(ppt['worst'])}")
     print(f"verdict: {verdict}")
     report["verdict"] = verdict
@@ -214,23 +219,6 @@ def cmd_bound(args, argv) -> int:
     return 0
 
 
-def _scan_detector(name: str, mode: str, k: int, cfg: OptimizerConfig):
-    if mode == "obs2":
-        source = _FAMILIES[name][1]
-        if source == "canonical":
-            raise ValueError(f"obs2 scan needs a tripartite family, not {name!r}")
-        return lambda rho: _example_report(rho, source).bound_on_c_squared
-    if mode == "obs1":
-        return lambda rho: optimize_bound_bipartite(rho, k, cfg).bound_on_c_squared
-    if mode == "obs3":
-        return lambda rho: optimize_bound_multipartite(rho, k, cfg, "obs3").bound_on_c_squared
-    if mode == "wootters":
-        return lambda rho: wootters_concurrence(rho) ** 2
-    if mode == "ppt":
-        return lambda rho: max(0.0, -_ppt_summary(rho)["worst"])
-    raise ValueError(f"unknown scan mode {mode!r}")
-
-
 def cmd_scan(args, argv) -> int:
     name, _, rest = args.family.partition(":")
     name, params = name.strip(), _parse_params(rest)
@@ -240,7 +228,8 @@ def cmd_scan(args, argv) -> int:
     if args.points < 1:
         raise ParameterRangeError(f"--points must be at least 1, got {args.points}")
     cfg = _make_config(args.optimizer)
-    detector = _scan_detector(name, args.mode, args.k, cfg)
+    report, source = _REPORTS.get(args.mode), _FAMILIES[name][1]
+    detector = _SCAN_SHORTCUTS.get(args.mode) or (lambda rho: report(rho, args.k, cfg, source).bound_on_c_squared)
     # threshold_scan checks every input first; its outcome is printed after the grid.
     try:
         result = threshold_scan(family, detector, p_lo, p_hi, args.tol, args.tol_detect)
@@ -283,8 +272,8 @@ def _demo_wootters_check() -> list[tuple[str, bool, str]]:
     start = time.perf_counter()
     for i in range(1000):
         rho = random_density((2, 2), i % 4 + 1, seed=i)
-        rep = observation1_bound(rho, 1, {(0,): [1.0]})
-        worst = max(worst, abs(rep.bound_on_c_squared - wootters_concurrence(rho) ** 2))
+        bound = _REPORTS["wootters"](rho, 1, None, None).bound_on_c_squared
+        worst = max(worst, abs(bound - _SCAN_SHORTCUTS["wootters"](rho)))
     dt = time.perf_counter() - start
     ok = worst < 1e-9
     return [("singleton aggregate equals squared two-qubit concurrence on 1000 states", ok, f"worst deviation {worst:.2e} in {dt:.1f}s")]
@@ -293,17 +282,16 @@ def _demo_wootters_check() -> list[tuple[str, bool, str]]:
 def _demo_ghz() -> list[tuple[str, bool, str]]:
     checks = []
     worst = 0.0
+    fam = _noise_family("ghz-noise", {})
+    det = lambda rho: _REPORTS["obs2"](rho, 1, None, "ghz").bound_on_c_squared
     for p in (0.25, 0.5, 0.75, 1.0):
-        rho = white_noise_mix(ghz_state().density(), p)
-        bound = _example_report(rho, "ghz").bound_on_c_squared
         closed = (0.75 * (5.0 * p - 1.0)) ** 2 / 6.0
-        worst = max(worst, abs(bound - closed))
+        worst = max(worst, abs(det(fam(p)) - closed))
     checks.append(("noisy GHZ bound matches its closed form on the p-grid", worst < 1e-9, f"worst deviation {worst:.2e}"))
-    pure = _example_report(ghz_state().density(), "ghz").bound_on_c_squared
+    pure = det(ghz_state().density())
     tau = ctau_pure(ghz_state()) ** 2
     checks.append(("pure GHZ bound reproduces the squared tripartite concurrence 3/2", abs(pure - 1.5) < 1e-9 and abs(pure - tau) < 1e-9, f"bound {pure!r}"))
-    det = _scan_detector("ghz-noise", "obs2", 1, OptimizerConfig())
-    res = threshold_scan(lambda p: white_noise_mix(ghz_state().density(), p), det, 0.01, 1.0, 1e-5, 1e-9)
+    res = threshold_scan(fam, det, 0.01, 1.0, 1e-5, 1e-9)
     checks.append(("detection threshold sits at p = 0.2000 within 1e-4", abs(res.threshold - 0.2) < 1e-4, f"threshold {_fmt(res.threshold)}"))
     return checks
 
@@ -312,22 +300,20 @@ def _demo_w() -> list[tuple[str, bool, str]]:
     rt3 = math.sqrt(3.0)
     checks = []
     worst = 0.0
+    fam = _noise_family("w-noise", {})
+    det = lambda rho: _REPORTS["obs2"](rho, 1, None, "w").bound_on_c_squared
     for p in (0.2, 0.35, 0.5, 0.65, 0.8, 1.0):
-        rho = white_noise_mix(w_state().density(), p)
-        bound = _example_report(rho, "w").bound_on_c_squared
         closed = (p * (8.0 + rt3) - rt3) ** 2 / 96.0
-        worst = max(worst, abs(bound - closed))
+        worst = max(worst, abs(det(fam(p)) - closed))
     checks.append(("noisy W bound matches its closed form on the p-grid", worst < 1e-9, f"worst deviation {worst:.2e}"))
-    fam = lambda p: white_noise_mix(w_state().density(), p)
-    det = _scan_detector("w-noise", "obs2", 1, OptimizerConfig())
     res = threshold_scan(fam, det, 0.01, 1.0, 1e-5, 1e-9)
     checks.append(("detection threshold sits at p = 0.17797 within 1e-4", abs(res.threshold - rt3 / (8.0 + rt3)) < 1e-4, f"threshold {_fmt(res.threshold)}"))
-    neg = threshold_scan(fam, lambda rho: max(0.0, -_ppt_summary(rho)["worst"]), 0.01, 1.0, 1e-5, 1e-9)
+    neg = threshold_scan(fam, _SCAN_SHORTCUTS["ppt"], 0.01, 1.0, 1e-5, 1e-9)
     boundary = 3.0 * (8.0 * math.sqrt(2.0) - 3.0) / 119.0
     checks.append(("worst-split transposition eigenvalue changes sign at p = 0.20959", abs(neg.threshold - boundary) < 1e-4, f"threshold {_fmt(neg.threshold)}"))
     rho02 = fam(0.2)
     ppt = _ppt_summary(rho02)
-    joint = _example_report(rho02, "w").bound_on_c_squared
+    joint = det(rho02)
     checks.append(("at p = 0.2 every bipartition is PPT yet the joint bound fires", ppt["worst"] >= -1e-9 and joint > 1e-4, f"worst PPT eig {ppt['worst']:.2e}, bound {joint:.3e}"))
     split = optimize_bound_multipartite(rho02, 1, OptimizerConfig(restarts=8, iterations=100), "obs3").bound_on_c_squared
     checks.append(("the split-wise aggregate stays silent at p = 0.2", split <= 1e-8, f"obs3 bound {split:.2e} versus obs2 {joint:.3e}"))
@@ -349,19 +335,20 @@ def _demo_horodecki() -> list[tuple[str, bool, str]]:
     return checks
 
 
+# Scenario name -> checks, in the order `demo --help` lists them.
+_DEMOS = {
+    "ghz": _demo_ghz,
+    "w": _demo_w,
+    "horodecki": _demo_horodecki,
+    "wootters-check": _demo_wootters_check,
+}
+
+
 def cmd_demo(args, argv) -> int:
-    scenarios = {
-        "wootters-check": _demo_wootters_check,
-        "ghz": _demo_ghz,
-        "w": _demo_w,
-        "horodecki": _demo_horodecki,
-    }
-    checks = scenarios[args.scenario]()
-    all_ok = True
+    checks = _DEMOS[args.scenario]()
     for label, ok, detail in checks:
-        all_ok &= ok
         print(f"{'PASS' if ok else 'FAIL'}: {label} ({detail})")
-    return 0 if all_ok else 1
+    return 0 if all(ok for _, ok, _ in checks) else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -373,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     b = sub.add_parser("bound", help="evaluate one detector on one state")
     b.add_argument("--state", required=True, help="JSON file or family:<name>,key=value,...")
-    b.add_argument("--mode", choices=_BOUND_MODES, default="obs1")
+    b.add_argument("--mode", choices=_MODES, default="obs1")
     b.add_argument("--k", type=int, default=1, help="subset size for aggregated modes")
     b.add_argument("--optimizer", help="JSON object overriding optimizer fields")
     b.add_argument("--gen-source", choices=("auto", "canonical", "ghz", "w"), default="auto", help="generator family for obs2")
@@ -383,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("scan", help="sweep a noise family and bisect its threshold")
     s.add_argument("--family", required=True, help="ghz-noise | w-noise | bell-noise | horodecki:a=...")
-    s.add_argument("--mode", choices=("obs1", "obs2", "obs3", "wootters", "ppt"), default="obs2")
+    s.add_argument("--mode", choices=_MODES, default="obs2")
     s.add_argument("--p-range", required=True, help="lo:hi")
     s.add_argument("--tol", type=float, default=1e-4, help="bisection bracket target on p")
     s.add_argument("--tol-detect", type=float, default=1e-9, help="detection tolerance on the bound")
@@ -394,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--record", help="optional JSON run record path")
 
     d = sub.add_parser("demo", help="self-contained reproduction scenarios")
-    d.add_argument("scenario", choices=("ghz", "w", "horodecki", "wootters-check"))
+    d.add_argument("scenario", choices=_DEMOS)
     return parser
 
 

@@ -53,17 +53,23 @@ def _symmetrized(a, tol: float, partner, error, name: str) -> np.ndarray:
     """Validate A = partner(A) within ``tol`` and return their mean.
 
     A NaN or infinite entry makes the deviation non-finite, which no
-    comparison with ``tol`` would catch: it raises NonFiniteError, the
-    only signal (numpy's inf - inf and overflow warnings are silenced).
+    comparison with ``tol`` would catch, and entries near the float
+    maximum can overflow the mean, its trace or its product with a
+    state's root; the sum of |mean| bounds all three. Each raises
+    NonFiniteError, the only signal (numpy's warnings are silenced).
     """
     a = require_square(a)
     with np.errstate(invalid="ignore", over="ignore"):
         dev = np.max(np.abs(a - partner(a))) if a.size else 0.0
+        mean = 0.5 * (a + partner(a))
+        total = np.abs(mean).sum()
     if not np.isfinite(dev):
         raise NonFiniteError(f"max |A - {name}| = {dev!r}: NaN, infinite or overflowing entries")
     if dev > tol:
         raise error(f"max |A - {name}| = {dev:.3e} exceeds tol {tol:.3e}")
-    return 0.5 * (a + partner(a))
+    if not np.isfinite(total):
+        raise NonFiniteError(f"sum of |entries| = {total!r}: overflowing entries")
+    return mean
 
 
 def as_hermitian(a: np.ndarray, tol: float = 1e-10) -> np.ndarray:

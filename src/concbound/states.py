@@ -61,7 +61,8 @@ class PureState:
             raise ParameterRangeError(
                 f"vector length {vec.size} does not match dims {self.dims}"
             )
-        norm = float(np.linalg.norm(vec))
+        # vdot overflows to inf silently, where np.linalg.norm warns first.
+        norm = math.sqrt(np.vdot(vec, vec).real)
         if not math.isfinite(norm):
             raise NonFiniteError(f"amplitude norm {norm!r}: NaN, infinite or overflowing entries")
         if abs(norm - 1.0) > _NORM_TOL:

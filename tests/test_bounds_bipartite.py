@@ -394,6 +394,11 @@ class TestNonFiniteOperators:
             with pytest.raises(NonFiniteError):
                 fn(arg, s_op)
 
+    def test_overflowing_operator(self):
+        # Finite entries whose symmetrized mean overflows to inf.
+        with pytest.raises(NonFiniteError):
+            lambda_spectrum(bell_state().density(), np.full((4, 4), 1e308))
+
 
 class TestNonIntegralIndices:
     """k and subset indices are integers: 2.5 is not read as k = 2, nor

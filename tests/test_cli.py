@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -203,6 +204,15 @@ class TestBoundCommand:
         assert code == 2
         assert "error:" in err and "NaN" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("mode", ["wootters", "ppt"])
+    def test_non_finite_tol_detect_exits_two_before_output(self, mode, tol, capsys):
+        code = main(["bound", "--state", "family:bell-noise,p=1", "--mode", mode, f"--tol-detect={tol}"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "error:" in captured.err and "Traceback" not in captured.err
+
     @pytest.mark.parametrize("blob", ['{"foo": 1}', "[1]", '{"restarts": 1.5}'])
     def test_bad_optimizer_json_exits_two(self, blob, capsys):
         code = main(["bound", "--state", "family:horodecki,a=0.5", "--mode", "obs1", "--optimizer", blob])
@@ -368,21 +378,24 @@ class TestScanCommand:
         assert not out_csv.exists()
 
     def test_obs2_scan_rejects_bipartite_family(self, tmp_path, capsys):
-        code = main(
-            [
-                "scan",
-                "--family",
-                "bell-noise",
-                "--mode",
-                "obs2",
-                "--p-range",
-                "0.01:1.0",
-                "--out",
-                str(tmp_path / "x.csv"),
-            ]
-        )
-        assert code == 2
-
+        for family in ("bell-noise", "horodecki:a=0.3"):
+            out_csv = tmp_path / "x.csv"
+            code = main(
+                [
+                    "scan",
+                    "--family",
+                    family,
+                    "--mode",
+                    "obs2",
+                    "--p-range",
+                    "0.01:1.0",
+                    "--out",
+                    str(out_csv),
+                ]
+            )
+            assert code == 2
+            assert "error:" in capsys.readouterr().err
+            assert not out_csv.exists()
 
     @pytest.mark.parametrize("tol", ["0", "-1", "nan"])
     def test_bad_tolerance_exits_two_before_the_grid(self, tol, tmp_path, capsys, monkeypatch):
@@ -395,7 +408,7 @@ class TestScanCommand:
                 raise RuntimeError("bisection did not terminate")
             return float(rho.matrix[0, 0].real > 0.3)
 
-        monkeypatch.setattr(cli, "_scan_detector", lambda *args: detector)
+        monkeypatch.setitem(cli._REPORTS, "obs2", lambda rho, *args: SimpleNamespace(bound_on_c_squared=detector(rho)))
         out_csv = tmp_path / "x.csv"
         code = main(
             ["scan", "--family", "ghz-noise", "--mode", "obs2", "--p-range", "0.05:1.0", f"--tol={tol}", "--out", str(out_csv)]
@@ -404,6 +417,49 @@ class TestScanCommand:
         assert "error:" in capsys.readouterr().err
         assert not out_csv.exists()
         assert calls == []
+
+
+class TestScanMatchesBound:
+    """`scan` evaluates each mode with the detector `bound` reports: every
+    grid row's bound equals `bound_on_c_squared` at that p, bit for bit."""
+
+    @staticmethod
+    def _scan_rows(tmp_path, family, mode, p_range, points, *extra):
+        record = tmp_path / "record.json"
+        argv = ["scan", "--family", family, "--mode", mode, "--p-range", p_range, "--points", str(points)]
+        code = main(argv + ["--tol", "0.1", *extra, "--out", str(tmp_path / "scan.csv"), "--record", str(record)])
+        assert code in (0, 3)
+        return json.loads(record.read_text())["report"]["rows"]
+
+    @staticmethod
+    def _bound(state, mode, capsys, *extra):
+        capsys.readouterr()
+        assert main(["bound", "--state", state, "--mode", mode, "--format", "json", *extra]) == 0
+        return json.loads(capsys.readouterr().out.splitlines()[-1])["report"]["bound_on_c_squared"]
+
+    @pytest.mark.parametrize(
+        "family,state,mode,p_range,points,extra",
+        [
+            ("bell-noise", "family:bell-noise", "wootters", "0.05:1.0", 7, ()),
+            ("ghz-noise", "family:ghz-noise", "obs2", "0.05:1.0", 5, ()),
+            ("w-noise", "family:w-noise", "obs2", "0.05:1.0", 5, ()),
+            ("horodecki:a=0.2", "family:horodecki,a=0.2", "obs1", "0.9:1.0", 2, ("--k", "2", "--optimizer", FAST_OPT)),
+            ("w-noise", "family:w-noise", "obs3", "0.5:1.0", 1, ("--optimizer", FAST_OPT)),
+        ],
+    )
+    def test_scan_rows_equal_bound_reports(self, family, state, mode, p_range, points, extra, tmp_path, capsys, monkeypatch):
+        monkeypatch.delenv("CONCBOUND_SEED", raising=False)
+        rows = self._scan_rows(tmp_path, family, mode, p_range, points, *extra)
+        assert len(rows) == points
+        for p, bound, _ in rows:
+            assert self._bound(f"{state},p={p!r}", mode, capsys, *extra) == bound
+
+    def test_wootters_closed_form_is_the_report_bound(self):
+        rng = np.random.default_rng(11)
+        for i in range(50):
+            rho = random_density((2, 2), i % 4 + 1, seed=int(rng.integers(2**31)))
+            report = cli._REPORTS["wootters"](rho, 1, None, None)
+            assert cli._SCAN_SHORTCUTS["wootters"](rho) == report.bound_on_c_squared
 
 
 class TestDemoCommand:

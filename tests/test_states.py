@@ -75,6 +75,21 @@ class TestContainers:
         with pytest.raises(NonFiniteError):
             DensityMatrix(m, (2, 2))
 
+    def test_pure_rejects_overflowing_norm(self):
+        # Finite amplitudes whose squared norm overflows.
+        with pytest.raises(NonFiniteError):
+            PureState([1e200, 1e200], (2,))
+
+    @pytest.mark.parametrize(
+        "matrix",
+        [np.full((2, 2), 1e308), np.diag([8e307] * 3)],
+        ids=["mean-overflows", "trace-overflows"],
+    )
+    def test_density_rejects_overflowing_entries(self, matrix):
+        # Finite entries: the mean or the trace overflows to inf.
+        with pytest.raises(NonFiniteError):
+            DensityMatrix(matrix, (len(matrix),))
+
     def test_density_rejects_dim_mismatch(self):
         with pytest.raises(ParameterRangeError):
             DensityMatrix(np.eye(4) / 4, (2, 3))
