@@ -8,15 +8,15 @@ built from antisymmetric generator products. The gap
 
 vanishes on every separable state, and suitably weighted sums of
 squared gaps over generator subsets bound the squared concurrence from
-below. The spectrum is evaluated as the singular values of
-A = sqrt(rho) S conj(sqrt(rho)), which is the numerically stable form
-of the same quantity; the eigenvalue route through rho S rho* S^dag is
-kept alongside as a cross-check.
-
-Every gap comes from one engine, ``_gaps`` (coefficient rows over an
-operator stack, evaluated by stacked SVDs), and every aggregate, the
-tripartite and optimized ones included, from one report builder,
-``_report``: a prefactor times the sum of squared row gaps.
+below. The spectrum is the singular values of A = sqrt(rho) S
+conj(sqrt(rho)), the numerically stable form of the same quantity (the
+eigenvalue route through rho S rho* S^dag is kept as a cross-check),
+read off the rank x rank B = X^dag S conj(X) with A = Q B Q^T on the
+support of rho (``states.SupportBasis``). B is linear in S, so every gap
+comes from one engine, ``_gaps``: coefficient sums over a state's B stack
+of a family, and stacked SVDs. Every aggregate, the tripartite and
+optimized ones included, comes from one report builder, ``_report``: a
+prefactor times the sum of squared row gaps.
 """
 from __future__ import annotations
 
@@ -37,7 +37,7 @@ from .errors import (
 )
 from .generators import Bipartition, GeneratorSet, bipartite_generators
 from .numerics import _as_index, as_symmetric
-from .states import Decomposition, DensityMatrix, PureState, partial_trace, partial_transpose
+from .states import Decomposition, DensityMatrix, PureState, SupportBasis, partial_trace, partial_transpose
 
 _COEFF_TOL = 1e-12
 
@@ -179,35 +179,27 @@ def _check_operator(rho, s_op) -> tuple[DensityMatrix, np.ndarray]:
     return rho, s_op
 
 
-def _delta_from_parts(r: np.ndarray, rc: np.ndarray, s_op: np.ndarray) -> float:
-    """Gap of one operator by its own SVD: the single-matrix reference
-    that the stacked engine is tested against."""
-    lam = np.linalg.svd(r @ s_op @ rc, compute_uv=False)
-    return max(0.0, 2.0 * float(lam[0]) - float(np.sum(lam)))
-
-
-def _stack_gaps(r: np.ndarray, rc: np.ndarray, s_ops: np.ndarray) -> np.ndarray:
-    """Gaps of an operator stack in one SVD call, each what
-    ``_delta_from_parts`` gives on its matrix alone (the tests compare
-    the two bit for bit)."""
-    lam = np.linalg.svd(r @ s_ops @ rc, compute_uv=False)
-    gap = 2.0 * lam[:, 0] - np.sum(lam, axis=1)
+def _delta_from_parts(b: np.ndarray):
+    """Gaps of the (..., r, r) matrices b = X^dag S conj(X) by (stacked) SVD:
+    the engine's kernel, and on one matrix its reference in the tests."""
+    lam = np.linalg.svd(b, compute_uv=False)
+    gap = 2.0 * lam[..., 0] - np.sum(lam, axis=-1)
     return np.where(gap > 0.0, gap, 0.0)
 
 
-def _gaps(r: np.ndarray, rc: np.ndarray, ops, rows, coeffs) -> np.ndarray:
+def _gaps(basis: SupportBasis, ops, rows, coeffs) -> np.ndarray:
     """The gap engine: gap of sum_s coeffs[i, s] * ops[rows[i, s]] for each
     row i of equal-length index tuples into the stack ``ops``, whose leading
-    axes flatten to one index: (3, N, D, D) reads as (3N, D, D)."""
-    flat = ops.reshape(-1, r.size)
+    axes flatten to one index: (3, N, D, D) reads as (3N, D, D). Each row's
+    sum is taken over the state's stack ``basis.stack(ops)``."""
+    flat = basis.stack(ops)
     rows = np.asarray(rows, dtype=np.intp)
     coeffs = np.asarray(coeffs, dtype=complex)
-    if len(rows) > _BLOCK_ROWS:
-        blocks = range(0, len(rows), _BLOCK_ROWS)
-        return np.concatenate([_gaps(r, rc, flat, rows[lo : lo + _BLOCK_ROWS], coeffs[lo : lo + _BLOCK_ROWS]) for lo in blocks])
-    if not len(rows):
-        return np.zeros(0)
-    return _stack_gaps(r, rc, (coeffs[:, None, :] @ flat[rows]).reshape(-1, *r.shape))
+    blocks = []
+    for lo in range(0, len(rows), _BLOCK_ROWS):
+        b = coeffs[lo : lo + _BLOCK_ROWS, None, :] @ flat[rows[lo : lo + _BLOCK_ROWS]]
+        blocks.append(_delta_from_parts(b.reshape(-1, basis.rank, basis.rank)))
+    return blocks[0] if len(blocks) == 1 else np.concatenate([np.zeros(0), *blocks])
 
 
 def _report(mode: str, k: int, n: int, subsets, coeffs, gaps, start: float, splits=None, config=None) -> BoundReport:
@@ -273,11 +265,12 @@ def lambda_spectrum(rho: DensityMatrix, s_op: np.ndarray) -> np.ndarray:
     -------
     ndarray
         Singular values of sqrt(rho) S conj(sqrt(rho)) in descending
-        order; as many values as the total dimension.
+        order; as many values as the total dimension, the rank of rho
+        first and zeros past the support.
     """
     rho, s_op = _check_operator(rho, s_op)
-    r, rc = rho._sqrt_parts
-    return np.linalg.svd(r @ s_op @ rc, compute_uv=False)
+    lam = np.linalg.svd(rho._basis.frame(s_op), compute_uv=False)
+    return np.concatenate([lam, np.zeros(rho.dim - lam.size)])
 
 
 def lambda_spectrum_product_route(rho: DensityMatrix, s_op: np.ndarray) -> np.ndarray:
@@ -315,7 +308,7 @@ def delta_k(rho: DensityMatrix, gens: GeneratorSet, t_vec, u) -> float:
     _check_dims_match(rho, gens)
     t = _check_subset(t_vec, gens.count)
     u = _check_coefficients(u, len(t))
-    return float(_gaps(*rho._sqrt_parts, gens.operators, [t], [u])[0])
+    return float(_gaps(rho._basis, gens.operators, [t], [u])[0])
 
 
 def _resolve_gens(rho: DensityMatrix, gens: GeneratorSet | None) -> GeneratorSet:
@@ -356,7 +349,7 @@ def observation1_bound(rho: DensityMatrix, k: int, assignments, gens: GeneratorS
     k = _check_k(k, gens.count)
     start = time.perf_counter()
     subsets, coeffs = _check_assignments(assignments, k, gens.count)
-    gaps = _gaps(*rho._sqrt_parts, gens.operators, subsets, coeffs)
+    gaps = _gaps(rho._basis, gens.operators, subsets, coeffs)
     return _report("obs1", k, gens.count, subsets, coeffs, gaps, start)
 
 
@@ -365,8 +358,7 @@ def wootters_concurrence(rho: DensityMatrix) -> float:
     rho = _check_state(rho)
     if tuple(rho.dims) != (2, 2):
         raise DimensionMismatchError(f"two-qubit state required, got dims {rho.dims}")
-    # The gap of the bare generator: there is no coefficient to combine.
-    return float(_stack_gaps(*rho._sqrt_parts, bipartite_generators(2, 2).operators)[0])
+    return float(_gaps(rho._basis, bipartite_generators(2, 2).operators, [(0,)], [(1.0,)])[0])
 
 
 def delta_total_bound(rho: DensityMatrix, gens: GeneratorSet, u_full) -> float:
@@ -382,7 +374,7 @@ def delta_total_bound(rho: DensityMatrix, gens: GeneratorSet, u_full) -> float:
     nrm = float(np.linalg.norm(u))
     if abs(nrm - 1.0) > 1e-10:
         raise NotNormalizedError(f"coefficient norm {nrm!r} deviates from 1")
-    return float(_gaps(*rho._sqrt_parts, gens.operators, [range(gens.count)], [u])[0])
+    return float(_gaps(rho._basis, gens.operators, [range(gens.count)], [u])[0])
 
 
 def decomposition_average(dec: Decomposition, s_op: np.ndarray) -> float:

@@ -159,9 +159,9 @@ def _make_config(blob: str | None) -> OptimizerConfig:
 
 def _obs2_report(rho: DensityMatrix, k: int, cfg: OptimizerConfig, source: str) -> BoundReport:
     if source in ("ghz", "w"):
-        # Example families have a known optimum at u = v = w = 1;
-        # the evaluation is deterministic and closed-form exact.
-        return observation2_bound(rho, 1, {(0,): ([1.0], [1.0], [1.0])}, source)
+        # Example families have one operator per split (k = 1 only) and a
+        # known optimum at u = v = w = 1: the evaluation is closed-form exact.
+        return observation2_bound(rho, k, {(0,): ([1.0], [1.0], [1.0])}, source)
     return optimize_bound_multipartite(rho, k, cfg, "obs2")
 
 
@@ -238,7 +238,8 @@ def cmd_scan(args, argv) -> int:
     rows = []
     for p in np.linspace(p_lo, p_hi, args.points):
         rho = family(float(p))
-        rows.append((float(p), float(detector(rho)), _ppt_summary(rho)["worst"]))
+        ppt = _ppt_summary(rho)["worst"]  # a ppt row's detector reads it too
+        rows.append((float(p), max(0.0, -ppt) if args.mode == "ppt" else float(detector(rho)), ppt))
     scan_report: dict = {"family": name, "params": params, "mode": args.mode, "rows": [list(r) for r in rows]}
     if result is not None:
         scan_report["scan"] = result.to_dict()

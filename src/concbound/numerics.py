@@ -3,8 +3,9 @@ and the symmetric-matrix (Autonne-Takagi) factorization.
 
 All routines validate their structural preconditions and raise typed
 errors instead of repairing bad input. Everything is dense; no attempt
-is made to exploit sparsity. The bounds do not call ``psd_sqrt``: they
-read the root a ``DensityMatrix`` forms once with ``eigh_sqrt``.
+is made to exploit sparsity. The bounds never form sqrt(rho): they read
+a state's support basis (``states.SupportBasis``), which is tested
+against the full-matrix root ``psd_sqrt``.
 """
 from __future__ import annotations
 
@@ -102,11 +103,6 @@ def psd_sqrt(h: np.ndarray, tol: float | None = None) -> np.ndarray:
         raise NotPositiveSemidefiniteError(
             f"minimum eigenvalue {w[0]:.3e} below -tol = {-tol:.3e}"
         )
-    return eigh_sqrt(w, q)
-
-
-def eigh_sqrt(w: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Root q diag(sqrt(max(w, 0))) q^dag of an ``eigh`` result, symmetrized."""
     s = (q * np.sqrt(np.clip(w, 0.0, None))) @ q.conj().T
     return 0.5 * (s + s.conj().T)
 

@@ -34,11 +34,10 @@ from .bounds_bipartite import (
     _gaps,
     _report,
     _resolve_gens,
-    _stack_gaps,
 )
 from .bounds_multipartite import _cross_rows, _resolve_triple, _split_entries
 from .generators import GeneratorSet
-from .states import DensityMatrix
+from .states import DensityMatrix, SupportBasis
 
 DEFAULT_SEED = 1905
 
@@ -127,14 +126,14 @@ class ScanResult:
         return asdict(self)
 
 
-def _descend(r, rc, ops, idx, x, cfg: OptimizerConfig) -> np.ndarray:
+def _descend(basis: SupportBasis, ops, idx, x, cfg: OptimizerConfig) -> np.ndarray:
     """Coordinate descent on rows x = (radii, phases) over operators
     ops[idx]: updates x in place, returns its gaps. As in a one-row loop,
     a radius probe skips the rows whose clipped radius does not move."""
     m = idx.shape[1]
 
     def gaps(rows, xs):
-        return _gaps(r, rc, ops, idx[rows], xs[:, :m] * np.exp(1j * xs[:, m:]))
+        return _gaps(basis, ops, idx[rows], xs[:, :m] * np.exp(1j * xs[:, m:]))
 
     val = gaps(slice(None), x)
 
@@ -160,7 +159,7 @@ def _descend(r, rc, ops, idx, x, cfg: OptimizerConfig) -> np.ndarray:
     return val
 
 
-def _search(r, rc, ops, subsets, salts, cfg: OptimizerConfig):
+def _search(basis: SupportBasis, ops, subsets, salts, cfg: OptimizerConfig):
     """Multi-restart coordinate descent over moduli and phases for every
     subset (equal-length index tuples into ``ops``) at once. Restart 0
     starts at all ones, restart j at a draw seeded by (j,) + salt.
@@ -168,14 +167,14 @@ def _search(r, rc, ops, subsets, salts, cfg: OptimizerConfig):
     and per subset the nondecreasing best gap after each restart. All
     trajectories descend together; only ``_gaps`` splits them into blocks.
 
-    One-operator subsets skip the search: sqrt(rho)·(uJ)·conj(sqrt(rho))
-    is u times the bare sandwich, so its gap is |u|·Delta(J) and u = 1
-    is optimal; every restart would end at that gap."""
+    One-operator subsets skip the search: the gap matrix of uJ is u times
+    that of J, so its gap is |u|·Delta(J) and u = 1 is optimal; every
+    restart would end at that gap."""
     idx = np.asarray(subsets, dtype=np.intp)
     n_sub, m = idx.shape
     if m == 1:
         coeffs = np.ones((n_sub, 1), dtype=complex)
-        deltas = _gaps(r, rc, ops, idx, coeffs)
+        deltas = _gaps(basis, ops, idx, coeffs)
         return coeffs, deltas, np.repeat(deltas[:, None], cfg.restarts, axis=1)
     x = np.zeros((n_sub, cfg.restarts, 2 * m))
     x[:, 0, :m] = 1.0
@@ -185,7 +184,7 @@ def _search(r, rc, ops, subsets, salts, cfg: OptimizerConfig):
             x[p, restart] = np.concatenate([rng.random(m), 2.0 * np.pi * rng.random(m)])
     x = x.reshape(-1, 2 * m)
     rows = np.repeat(idx, cfg.restarts, axis=0)
-    val = _descend(r, rc, ops, rows, x, cfg).reshape(n_sub, cfg.restarts)
+    val = _descend(basis, ops, rows, x, cfg).reshape(n_sub, cfg.restarts)
     # argmax keeps the first of equal gaps, like a strict '>' over restarts.
     best = x.reshape(n_sub, cfg.restarts, 2 * m)[np.arange(n_sub), np.argmax(val, axis=1)]
     top = best[:, :m].max(axis=1)
@@ -195,12 +194,12 @@ def _search(r, rc, ops, subsets, salts, cfg: OptimizerConfig):
     # it, so the returned vector always touches the modulus cap.
     best[:, :m] /= np.where(top <= 0.0, 1.0, top)[:, None]
     coeffs = best[:, :m] * np.exp(1j * best[:, m:])
-    return coeffs, _gaps(r, rc, ops, idx, coeffs), np.maximum.accumulate(val, axis=1)
+    return coeffs, _gaps(basis, ops, idx, coeffs), np.maximum.accumulate(val, axis=1)
 
 
-def _optimize_coefficients(r, rc, ops, cfg: OptimizerConfig, salt: tuple[int, ...]):
+def _optimize_coefficients(basis: SupportBasis, ops, cfg: OptimizerConfig, salt: tuple[int, ...]):
     """One-subset search over the stack ``ops``: (coefficients, delta, per-restart best trace)."""
-    coeffs, deltas, traces = _search(r, rc, ops, [tuple(range(len(ops)))], [salt], cfg)
+    coeffs, deltas, traces = _search(basis, ops, [tuple(range(len(ops)))], [salt], cfg)
     return coeffs[0], float(deltas[0]), traces[0].tolist()
 
 
@@ -213,18 +212,20 @@ def optimize_u(rho: DensityMatrix, gens: GeneratorSet, t_vec, cfg: OptimizerConf
     rho = _check_state(rho)
     _check_dims_match(rho, gens)
     t = _check_subset(t_vec, gens.count)
-    coeffs, deltas, _ = _search(*rho._sqrt_parts, gens.operators, [t], [t], cfg)
+    coeffs, deltas, _ = _search(rho._basis, gens.operators, [t], [t], cfg)
     return coeffs[0], float(deltas[0])
 
 
-def _subset_pools(r, rc, families, k: int, cfg: OptimizerConfig) -> list[list[tuple[int, ...]]]:
-    """Size-k subset pools (k checked by the caller), one per family of the
-    (F, N, D, D) stack ``families``. Only "top_singletons" needs singleton gaps: one SVD call."""
-    n = families.shape[1]
+def _subset_pools(basis: SupportBasis, ops, singles, k: int, cfg: OptimizerConfig) -> list[list[tuple[int, ...]]]:
+    """Size-k subset pools (k checked by the caller), one per family:
+    ``singles[f][i]`` is the index row into ``ops`` of generator i of
+    family f. Only "top_singletons" needs their all-ones gaps: one call."""
+    n_fam, n = np.shape(singles)[:2]
     if cfg.subset_strategy == "exhaustive":
-        return [list(combinations(range(n), k)) for _ in families]
+        return [list(combinations(range(n), k)) for _ in range(n_fam)]
+    rows = np.reshape(singles, (n_fam * n, -1))
     pools = []
-    for g in _stack_gaps(r, rc, families.reshape(-1, *r.shape)).reshape(len(families), n):
+    for g in _gaps(basis, ops, rows, np.ones(rows.shape)).reshape(n_fam, n):
         order = sorted(range(n), key=lambda i: -g[i])
         pools.append(list(combinations(sorted(order[: max(cfg.top_count, k)]), k)))
     return pools
@@ -242,10 +243,9 @@ def optimize_bound_bipartite(
     rho = _check_state(rho)
     gens = _resolve_gens(rho, gens)
     start = time.perf_counter()
-    r, rc = rho._sqrt_parts
     k = _check_k(k, gens.count)
-    (pool,) = _subset_pools(r, rc, gens.operators[None], k, cfg)
-    coeffs, gaps, _ = _search(r, rc, gens.operators, pool, pool, cfg)
+    (pool,) = _subset_pools(rho._basis, gens.operators, np.arange(gens.count).reshape(1, -1, 1), k, cfg)
+    coeffs, gaps, _ = _search(rho._basis, gens.operators, pool, pool, cfg)
     return _report("obs1", k, gens.count, pool, coeffs, gaps, start, config=cfg.to_dict())
 
 
@@ -266,20 +266,21 @@ def optimize_bound_multipartite(
     # obs2 and obs3 both search the canonical families; obs2-ghz and
     # obs2-w the example operators.
     triple = _resolve_triple(rho, mode.partition("-")[2] or "canonical")
-    r, rc = rho._sqrt_parts
-    k = _check_k(k, triple.count)
+    basis, n = rho._basis, triple.count
+    k = _check_k(k, n)
     if mode == "obs3":
         # All three splits in one search, seeds salted by (split,) + subset.
-        pairs = [(s, t) for s, pool in enumerate(_subset_pools(r, rc, triple.operators, k, cfg)) for t in pool]
-        rows, subsets, splits = _split_entries(pairs, triple.count)
+        pools = _subset_pools(basis, triple.operators, np.arange(3 * n).reshape(3, n, 1), k, cfg)
+        pairs = [(s, t) for s, pool in enumerate(pools) for t in pool]
+        rows, subsets, splits = _split_entries(pairs, n)
         salts = [(s,) + t for s, t in pairs]
     else:
         # One stacked search over (u, v, w): coefficients for the three
         # splits concatenate into a single 3k vector.
-        (subsets,) = _subset_pools(r, rc, sum(triple.operators)[None], k, cfg)
-        rows, salts, splits = _cross_rows(subsets, triple.count), subsets, None
-    coeffs, gaps, _ = _search(r, rc, triple.operators, rows, salts, cfg)
-    return _report(mode, k, triple.count, subsets, coeffs, gaps, start, splits, cfg.to_dict())
+        (subsets,) = _subset_pools(basis, triple.operators, [_cross_rows([(i,) for i in range(n)], n)], k, cfg)
+        rows, salts, splits = _cross_rows(subsets, n), subsets, None
+    coeffs, gaps, _ = _search(basis, triple.operators, rows, salts, cfg)
+    return _report(mode, k, n, subsets, coeffs, gaps, start, splits, cfg.to_dict())
 
 
 def threshold_scan(

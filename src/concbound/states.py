@@ -26,13 +26,18 @@ from .errors import (
     ParameterRangeError,
     SubsystemIndexError,
 )
-from .numerics import _as_index, _frozen, as_hermitian, eigh_sqrt, require_square
+from .numerics import _as_index, as_hermitian, require_square
 
 _NORM_TOL = 1e-10
 _TRACE_TOL = 1e-10
 _HERM_TOL = 1e-10
 _PSD_TOL = 1e-9
 _RECONSTRUCTION_TOL = 1e-9
+# Support cut per unit of D * lambda_max: eigh's eigenvalues are exact to
+# about D * eps * lambda_max, so smaller ones are 0 (on horodecki_state(0.2)
+# -7.1e-18 and 1.1e-16 fall under a cut of 8.8e-16; the next is 0.077).
+_SUPPORT_CUT = np.finfo(float).eps
+_MAX_STACKS = 8  # family stacks a state keeps, oldest dropped first
 
 
 def _check_dims(dims) -> tuple[int, ...]:
@@ -115,14 +120,42 @@ class DensityMatrix:
         return self.matrix.shape[0]
 
     @cached_property
-    def _sqrt_parts(self) -> tuple[np.ndarray, np.ndarray]:
-        """Read-only (sqrt(rho), conj(sqrt(rho))), formed from the constructor's ``eigh``."""
-        r = eigh_sqrt(*self._eigh)
-        return _frozen(r), _frozen(r.conj())
+    def _basis(self) -> "SupportBasis":
+        """The support of rho, formed from the constructor's ``eigh``."""
+        return SupportBasis(*self._eigh)
 
     def purity(self) -> float:
         """Tr(rho^2)."""
         return float(np.real(np.trace(self.matrix @ self.matrix)))
+
+
+class SupportBasis:
+    """sqrt(rho) = X X^dag with X = Q D^(1/2) over the eigenpairs above the
+    support cut. sqrt(rho) S conj(sqrt(rho)) = Q B Q^T, so the gap matrices
+    have the singular values of the rank x rank B = X^dag S conj(X), which is
+    linear in S: ``stack`` forms B once per family array, keyed by identity
+    (families are shared and read-only)."""
+
+    def __init__(self, w: np.ndarray, q: np.ndarray):
+        low = np.count_nonzero(w <= _SUPPORT_CUT * w.size * w[-1])  # eigh's w ascends
+        xc = q[:, low:] * np.sqrt(w[low:])
+        self._xc = np.conjugate(xc, out=xc)
+        self.rank = self._xc.shape[1]
+        self._stacks = {}
+
+    def frame(self, ops: np.ndarray) -> np.ndarray:
+        """B = X^dag S conj(X) for each S of the (..., D, D) stack ``ops``."""
+        return self._xc.T @ ops @ self._xc
+
+    def stack(self, ops: np.ndarray) -> np.ndarray:
+        """Read-only ``frame(ops)`` as (K, rank^2), formed once per family array."""
+        if id(ops) not in self._stacks:
+            if len(self._stacks) >= _MAX_STACKS:
+                del self._stacks[next(iter(self._stacks))]
+            flat = self.frame(ops).reshape(-1, self.rank**2)
+            flat.setflags(write=False)
+            self._stacks[id(ops)] = (ops, flat)  # holding ops keeps its id unique
+        return self._stacks[id(ops)][1]
 
 
 class Decomposition:

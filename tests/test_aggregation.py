@@ -24,32 +24,34 @@ from concbound.states import ghz_state, horodecki_state, random_density, w_state
 
 def _obs1_loop(rho, k, assignments, gens):
     """Per-subset loop of observation1_bound before the gap engine: one
-    summed operator and one SVD per subset."""
+    summed operator and one SVD per subset. The sum is the product of the
+    coefficient vector with the operators' gap matrices B_s = X^dag J_s
+    conj(X) on the state's support, formed apart from the engine's cache."""
     n = gens.count
-    r, rc = rho._sqrt_parts
+    stack = rho._basis.frame(gens.operators)
     entries = []
     for t in sorted(assignments):
         u = np.asarray(assignments[t], dtype=complex).reshape(-1)
-        s_op = sum(c * gens.operators[i] for c, i in zip(u, t))
-        entries.append(SubsetEntry(t, {"u": tuple(u)}, _delta_from_parts(r, rc, s_op)))
+        b = (u @ stack[list(t)].reshape(k, -1)).reshape(stack.shape[1:])
+        entries.append(SubsetEntry(t, {"u": tuple(u)}, float(_delta_from_parts(b))))
     prefactor = n / (k * k * math.comb(n, k))
     bound = prefactor * math.fsum(e.delta * e.delta for e in entries)
     return BoundReport(bound, tuple(entries), k, n, prefactor, "obs1", 0.0)
 
 
 def _obs2_loop(rho, k, assignments, triple, mode):
-    """Per-subset loop of observation2_bound before the gap engine, with
-    its summed operator built term by term (u0 J1, v0 J2, w0 J3, u1 J1, ...)."""
-    j1, j2, j3 = triple.operators
+    """Per-subset loop of observation2_bound before the gap engine: u
+    weights the 1|23 family, v the 2|13 one and w the 3|12 one, and the
+    gap matrix is the product of (u, v, w) with the state's gap
+    matrices of the three families at the subset's indices."""
+    b1, b2, b3 = rho._basis.frame(triple.operators)
     n = triple.count
-    r, rc = rho._sqrt_parts
     entries = []
     for t in sorted(assignments):
         u, v, w = (np.asarray(c, dtype=complex).reshape(-1) for c in assignments[t])
-        s_op = np.zeros_like(j1[0], dtype=complex)
-        for s, idx in enumerate(t):
-            s_op = s_op + u[s] * j1[idx] + v[s] * j2[idx] + w[s] * j3[idx]
-        entries.append(SubsetEntry(t, {"u": tuple(u), "v": tuple(v), "w": tuple(w)}, _delta_from_parts(r, rc, s_op)))
+        terms = [b1[i] for i in t] + [b2[i] for i in t] + [b3[i] for i in t]
+        b = (np.concatenate([u, v, w]) @ np.reshape(terms, (3 * k, -1))).reshape(b1.shape[1:])
+        entries.append(SubsetEntry(t, {"u": tuple(u), "v": tuple(v), "w": tuple(w)}, float(_delta_from_parts(b))))
     prefactor = n / (6.0 * k * k * math.comb(n, k))
     bound = prefactor * math.fsum(e.delta * e.delta for e in entries)
     return BoundReport(bound, tuple(entries), k, n, prefactor, mode, 0.0)
@@ -212,6 +214,20 @@ class TestNoSingleMatrixRecompute:
         # 1 start + 20 iterations x 2 coordinates x 4 probes + 1 final.
         assert len(svd_calls) == 162
         assert set(svd_calls) == {3}
+
+    def test_horodecki_pairs_run_on_the_support(self, monkeypatch):
+        # rank 7 of 9: every gap matrix is 7x7, none 9x9.
+        shapes = []
+        svd = np.linalg.svd
+
+        def spy(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", spy)
+        optimize_bound_bipartite(horodecki_state(0.2), 2, CFG)
+        assert len(shapes) == 162
+        assert {s[1:] for s in shapes} == {(7, 7)}
 
     def test_obs3_singletons(self, svd_calls):
         optimize_bound_multipartite(white_noise_mix(w_state().density(), 0.9), 1, CFG, "obs3")

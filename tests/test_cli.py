@@ -213,6 +213,15 @@ class TestBoundCommand:
         assert captured.out == ""
         assert "error:" in captured.err and "Traceback" not in captured.err
 
+    @pytest.mark.parametrize("source", ["auto", "ghz", "w"])
+    def test_example_obs2_rejects_k_other_than_one(self, source, capsys):
+        # The example families hold one operator per split.
+        code = main(["bound", "--state", "family:ghz-noise,p=1", "--mode", "obs2", "--gen-source", source, "--k", "7"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "error:" in captured.err and "k = 7" in captured.err and "Traceback" not in captured.err
+
     @pytest.mark.parametrize("blob", ['{"foo": 1}', "[1]", '{"restarts": 1.5}'])
     def test_bad_optimizer_json_exits_two(self, blob, capsys):
         code = main(["bound", "--state", "family:horodecki,a=0.5", "--mode", "obs1", "--optimizer", blob])
@@ -396,6 +405,29 @@ class TestScanCommand:
             assert code == 2
             assert "error:" in capsys.readouterr().err
             assert not out_csv.exists()
+
+    def test_example_obs2_scan_rejects_k_other_than_one(self, tmp_path, capsys):
+        out_csv = tmp_path / "x.csv"
+        code = main(["scan", "--family", "w-noise", "--mode", "obs2", "--k", "2", "--p-range", "0.01:1.0", "--out", str(out_csv)])
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
+        assert not out_csv.exists()
+
+    def test_ppt_scan_evaluates_each_grid_row_once(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        ppt = cli.ppt_min_eigenvalue
+
+        def spy(rho, split):
+            calls.append(split)
+            return ppt(rho, split)
+
+        monkeypatch.setattr(cli, "ppt_min_eigenvalue", spy)
+        out_csv = tmp_path / "ppt.csv"
+        code = main(["scan", "--family", "w-noise", "--mode", "ppt", "--p-range", "0.01:1.0", "--points", "5", "--out", str(out_csv)])
+        printed = capsys.readouterr().out
+        assert code == 0 and "16 evaluations" in printed
+        # Three splits for each of 16 bisection points and 5 grid rows.
+        assert len(calls) == 3 * (16 + 5)
 
     @pytest.mark.parametrize("tol", ["0", "-1", "nan"])
     def test_bad_tolerance_exits_two_before_the_grid(self, tol, tmp_path, capsys, monkeypatch):

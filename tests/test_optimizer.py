@@ -8,7 +8,7 @@ import pytest
 
 from concbound import bounds_bipartite, optimizer
 from concbound.errors import DimensionMismatchError, ParameterRangeError, SubsetSizeError, ThresholdNotDetectedError
-from concbound.bounds_bipartite import _delta_from_parts, _stack_gaps, delta_k, observation1_bound
+from concbound.bounds_bipartite import _delta_from_parts, delta_k, observation1_bound
 from concbound.bounds_multipartite import observation2_bound, observation3_bound
 from concbound.generators import bipartite_generators, tripartite_generators
 from concbound.optimizer import (
@@ -124,10 +124,9 @@ class TestOptimizeU:
     def test_trace_is_monotone_and_beats_all_ones(self):
         gens = bipartite_generators(3, 3)
         rho = white_noise_mix(horodecki_state(0.2), 0.95)
-        r, rc = rho._sqrt_parts
         ops = np.stack([gens.operators[i] for i in (1, 5)])
         cfg = OptimizerConfig(restarts=6, iterations=30)
-        _, delta, trace = _optimize_coefficients(r, rc, ops, cfg, (1, 5))
+        _, delta, trace = _optimize_coefficients(rho._basis, ops, cfg, (1, 5))
         assert len(trace) == cfg.restarts
         assert all(b >= a for a, b in zip(trace, trace[1:]))
         all_ones = delta_k(rho, gens, (1, 5), [1.0, 1.0])
@@ -143,13 +142,15 @@ class TestOptimizeU:
             optimize_u(bell_state().density(), bipartite_generators(3, 3), (0,), FAST)
 
 
-def _reference_descent(r, rc, ops, cfg, salt):
+def _reference_descent(basis, ops, cfg, salt):
     """One subset, one restart at a time: the coordinate descent the
-    lockstep engine replaces, kept verbatim as its oracle."""
+    lockstep engine replaces, kept verbatim as its oracle. Each gap is one
+    SVD of the coefficient sum over the state's gap matrices of ``ops``."""
+    stack = basis.frame(ops)
 
     def delta_of(radii, phases):
         coeffs = radii * np.exp(1j * phases)
-        return _delta_from_parts(r, rc, np.tensordot(coeffs, ops, axes=1))
+        return float(_delta_from_parts(np.tensordot(coeffs, stack, axes=1)))
 
     m = len(ops)
     decay = (cfg.step_final / cfg.step_initial) ** (
@@ -217,33 +218,31 @@ class TestLockstepEngine:
     GENS = bipartite_generators(3, 3)
 
     def _parts(self, subset, rho):
-        r, rc = rho._sqrt_parts
-        return r, rc, np.stack([self.GENS.operators[i] for i in subset])
+        return rho._basis, np.stack([self.GENS.operators[i] for i in subset])
 
     @pytest.mark.parametrize("subset", [(4,), (4, 8), (1, 5, 7)])
     @pytest.mark.parametrize("restarts", [1, 3])
     @pytest.mark.parametrize("iterations", [1, 7])
     def test_matches_sequential_descent(self, subset, restarts, iterations):
-        r, rc, ops = self._parts(subset, white_noise_mix(horodecki_state(0.3), 0.9))
+        basis, ops = self._parts(subset, white_noise_mix(horodecki_state(0.3), 0.9))
         cfg = OptimizerConfig(restarts=restarts, iterations=iterations)
-        want = _reference_descent(r, rc, ops, cfg, subset)
-        _assert_bitwise_equal(_optimize_coefficients(r, rc, ops, cfg, subset), want)
+        want = _reference_descent(basis, ops, cfg, subset)
+        _assert_bitwise_equal(_optimize_coefficients(basis, ops, cfg, subset), want)
 
     def test_matches_where_radii_clip_at_zero_and_one(self):
-        r, rc, ops = self._parts((0, 4), horodecki_state(0.2))
+        basis, ops = self._parts((0, 4), horodecki_state(0.2))
         cfg = OptimizerConfig(restarts=3, iterations=7, step_initial=0.9, step_final=0.05)
-        want = _reference_descent(r, rc, ops, cfg, (0, 4))
-        got = _optimize_coefficients(r, rc, ops, cfg, (0, 4))
+        want = _reference_descent(basis, ops, cfg, (0, 4))
+        got = _optimize_coefficients(basis, ops, cfg, (0, 4))
         _assert_bitwise_equal(got, want)
         assert sorted(np.abs(got[0])) == [0.0, 1.0]
 
     def test_multipartite_stack_matches_sequential_descent(self):
         rho = white_noise_mix(w_state().density(), 0.5)
-        r, rc = rho._sqrt_parts
         ops = np.stack([tripartite_generators(2, s).operators[2] for s in range(3)])
         cfg = OptimizerConfig(restarts=3, iterations=7)
-        want = _reference_descent(r, rc, ops, cfg, (2,))
-        _assert_bitwise_equal(_optimize_coefficients(r, rc, ops, cfg, (2,)), want)
+        want = _reference_descent(rho._basis, ops, cfg, (2,))
+        _assert_bitwise_equal(_optimize_coefficients(rho._basis, ops, cfg, (2,)), want)
 
     def test_reports_do_not_depend_on_block_size(self, monkeypatch):
         cfg = OptimizerConfig(restarts=3, iterations=8)
@@ -285,20 +284,19 @@ class TestSingletonClosedForm:
     def test_unit_coefficient_and_stack_gap(self, monkeypatch):
         monkeypatch.setattr(bounds_bipartite, "_BLOCK_ROWS", 4)
         ops = np.asarray(bipartite_generators(3, 3).operators)
-        r, rc = random_density((3, 3), 3, 11)._sqrt_parts
+        basis = random_density((3, 3), 3, 11)._basis
         subsets = [(i,) for i in range(9)]
-        coeffs, deltas, traces = optimizer._search(r, rc, ops, subsets, subsets, self.CFG)
+        coeffs, deltas, traces = optimizer._search(basis, ops, subsets, subsets, self.CFG)
         assert coeffs.tobytes() == np.ones((9, 1), dtype=complex).tobytes()
-        assert deltas.tobytes() == _stack_gaps(r, rc, ops).tobytes()
+        assert deltas.tobytes() == np.array([_delta_from_parts(b) for b in basis.frame(ops)]).tobytes()
         assert traces.tobytes() == np.repeat(deltas[:, None], self.CFG.restarts, axis=1).tobytes()
 
     def test_matches_search_oracle_within_round_off(self):
         for rho, ops, indices in self._nonzero_cases():
-            r, rc = rho._sqrt_parts
             for i in indices:
                 op = np.stack([ops[i]])
-                want = _reference_descent(r, rc, op, self.CFG, (i,))[1]
-                u, got, _ = _optimize_coefficients(r, rc, op, self.CFG, (i,))
+                want = _reference_descent(rho._basis, op, self.CFG, (i,))[1]
+                u, got, _ = _optimize_coefficients(rho._basis, op, self.CFG, (i,))
                 assert want > 1e-3
                 assert u.tobytes() == np.ones(1, dtype=complex).tobytes()
                 assert want - 1e-14 <= got <= want

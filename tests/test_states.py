@@ -13,7 +13,8 @@ from concbound.errors import (
     ParameterRangeError,
     SubsystemIndexError,
 )
-from concbound.numerics import psd_sqrt
+from concbound.bounds_bipartite import lambda_spectrum, lambda_spectrum_product_route
+from concbound.generators import bipartite_generators
 from concbound.states import (
     Decomposition,
     DensityMatrix,
@@ -274,25 +275,42 @@ ROOT_CASES = [
 
 
 class TestRootFromConstructor:
-    """A state validates and eigendecomposes itself once; its root pair is
-    what psd_sqrt gives on the stored matrix at the constructor's
-    tolerance, bit for bit."""
+    """A state validates and eigendecomposes itself once, and reads its
+    root off that decomposition: the support basis X = Q D^(1/2) is the
+    part of psd_sqrt's eigendecomposition of the stored matrix above the
+    support cut, bit for bit. No root is formed, so the numerical oracle
+    is the spectrum, against the product route, which needs no root."""
 
     @pytest.mark.parametrize("build", [b for _, b in ROOT_CASES], ids=[n for n, _ in ROOT_CASES])
     def test_root_pair_is_psd_sqrt_bit_for_bit(self, build):
         rho = build()
-        r, rc = rho._sqrt_parts
-        want = psd_sqrt(rho.matrix, 1e-9)
-        assert r.tobytes() == want.tobytes()
-        assert rc.tobytes() == want.conj().tobytes()
+        w, q = np.linalg.eigh(rho.matrix)  # what psd_sqrt(rho.matrix) decomposes
+        keep = w > np.finfo(float).eps * w.size * w[-1]
+        assert rho._basis.rank == np.count_nonzero(keep) >= 1
+        assert rho._basis._xc.tobytes() == (q[:, keep] * np.sqrt(w[keep])).conj().tobytes()
+
+    @pytest.mark.parametrize("build", [b for _, b in ROOT_CASES], ids=[n for n, _ in ROOT_CASES])
+    def test_spectrum_matches_product_route(self, build):
+        # With |S| = 1 the product route's square roots are accurate to about
+        # sqrt(D eps) <= 4.5e-8 where its matrix has a defective zero eigenvalue.
+        rho = build()
+        rng = np.random.default_rng(rho.dim)
+        for _ in range(3):
+            g = rng.normal(size=(rho.dim, rho.dim)) + 1j * rng.normal(size=(rho.dim, rho.dim))
+            s_op = (g + g.T) / np.linalg.norm(g + g.T, 2)
+            lam = lambda_spectrum(rho, s_op)
+            assert lam.shape == (rho.dim,)
+            assert np.max(np.abs(lam - lambda_spectrum_product_route(rho, s_op))) < 1e-7
 
     def test_root_pair_is_cached_and_read_only(self):
         rho = horodecki_state(0.3)
-        parts = rho._sqrt_parts
-        assert rho._sqrt_parts is parts
-        for part in parts:
-            with pytest.raises(ValueError):
-                part[0, 0] = 1.0
+        basis = rho._basis
+        assert rho._basis is basis
+        ops = bipartite_generators(3, 3).operators
+        stack = basis.stack(ops)
+        assert basis.stack(ops) is stack
+        with pytest.raises(ValueError):
+            stack[0, 0] = 1.0
 
 
 class TestNonIntegralIndices:
