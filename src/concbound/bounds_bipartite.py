@@ -15,8 +15,10 @@ read off the rank x rank B = X^dag S conj(X) with A = Q B Q^T on the
 support of rho (``states.SupportBasis``). B is linear in S, so every gap
 comes from one engine, ``_gaps``: coefficient sums over a state's B stack
 of a family, and stacked SVDs. Every aggregate, the tripartite and
-optimized ones included, comes from one report builder, ``_report``: a
-prefactor times the sum of squared row gaps.
+optimized ones included, is a list of (split, subset) entries: one
+layout function, ``_entry_rows``, maps them to rows of the stacked
+families, and one report builder, ``_report``, takes a prefactor times
+the sum of squared entry gaps.
 """
 from __future__ import annotations
 
@@ -45,10 +47,15 @@ _COEFF_TOL = 1e-12
 # number of rows.
 _BLOCK_ROWS = 512
 
-# Aggregate family -> (w, coefficient names): the bound is
-# N / (w k^2 binom(N, k)) times the sum of squared subset gaps, and each
-# coefficient row splits evenly into the named vectors.
-_AGGREGATES = {"obs1": (1, ("u",)), "obs2": (6, ("u", "v", "w")), "obs3": (2, ("u",))}
+# Aggregate family -> (w, coefficient names, split labels): the bound is
+# N / (w k^2 binom(N, k)) times the sum of squared subset gaps, each
+# coefficient row splits evenly into the named vectors, and an entry of
+# split s carries the label splits[s].
+_AGGREGATES = {
+    "obs1": (1, ("u",), (None,)),
+    "obs2": (6, ("u", "v", "w"), (None,)),
+    "obs3": (2, ("u",), ("1|23", "2|13", "3|12")),
+}
 
 
 @dataclass(frozen=True)
@@ -149,19 +156,6 @@ def _check_coefficients(u, size: int, cap: float = 1.0 + _COEFF_TOL) -> np.ndarr
     return u
 
 
-def _check_assignments(assignments, k: int, n: int, coefficients=_check_coefficients):
-    """Validated (subsets, coefficient rows) of a subset -> coefficients
-    mapping, in sorted key order; ``coefficients(value, k)`` checks one value."""
-    subsets, rows = [], []
-    for t_vec in sorted(assignments):
-        t = _check_subset(t_vec, n)
-        if len(t) != k:
-            raise SubsetSizeError(f"subset {t} does not have size k = {k}")
-        subsets.append(t)
-        rows.append(coefficients(assignments[t_vec], k))
-    return subsets, rows
-
-
 def _check_k(k, n: int) -> int:
     k = _as_index(k, SubsetSizeError)
     if not 1 <= k <= n:
@@ -202,14 +196,23 @@ def _gaps(basis: SupportBasis, ops, rows, coeffs) -> np.ndarray:
     return blocks[0] if len(blocks) == 1 else np.concatenate([np.zeros(0), *blocks])
 
 
-def _report(mode: str, k: int, n: int, subsets, coeffs, gaps, start: float, splits=None, config=None) -> BoundReport:
-    """Aggregate of entries (subsets[i], coeffs[i], gaps[i], splits[i]); the
-    mode's family ("obs2-w" is "obs2") fixes prefactor and coefficient names."""
-    weight, names = _AGGREGATES[mode.split("-")[0]]
-    labels = [None] * len(subsets) if splits is None else splits
+def _entry_rows(mode: str, entries, n: int) -> list[tuple[int, ...]]:
+    """The layout of every aggregate: rows into the stacked families (N
+    each) of (split, subset) entries. A row reads one family per
+    coefficient name, starting at the entry's split s: s*N+t for obs1
+    (s = 0) and obs3, and t, N+t, 2N+t (u, v, w) for obs2."""
+    blocks = range(len(_AGGREGATES[mode.split("-")[0]][1]))
+    return [tuple((s + j) * n + i for j in blocks for i in t) for s, t in entries]
+
+
+def _report(mode: str, k: int, n: int, entries, coeffs, gaps, start: float, config=None) -> BoundReport:
+    """Aggregate of (split, subset) entries with rows coeffs and gaps; the
+    mode's family ("obs2-w" is "obs2") fixes prefactor, coefficient names
+    and split labels."""
+    weight, names, labels = _AGGREGATES[mode.split("-")[0]]
     entries = tuple([
-        SubsetEntry(t, {name: tuple(c[j * k : j * k + k]) for j, name in enumerate(names)}, d, split)
-        for t, c, d, split in zip(subsets, coeffs, gaps.tolist(), labels)
+        SubsetEntry(t, {name: tuple(c[j * k : j * k + k]) for j, name in enumerate(names)}, d, labels[s])
+        for (s, t), c, d in zip(entries, coeffs, gaps.tolist())
     ])
     prefactor = n / (weight * k * k * math.comb(n, k))
     return BoundReport(
@@ -222,6 +225,24 @@ def _report(mode: str, k: int, n: int, subsets, coeffs, gaps, start: float, spli
         wall_time=time.perf_counter() - start,
         config=config,
     )
+
+
+def _aggregate(rho: DensityMatrix, mode: str, k, ops, n: int, per_split, coefficients=_check_coefficients) -> BoundReport:
+    """The fixed-coefficient aggregate over ``ops`` of one subset ->
+    coefficients mapping per split, each in sorted key order;
+    ``coefficients(value, k)`` checks one value as a coefficient row."""
+    k = _check_k(k, n)
+    start = time.perf_counter()
+    entries, coeffs = [], []
+    for s, assignments in enumerate(per_split):
+        for t_vec in sorted(assignments):
+            t = _check_subset(t_vec, n)
+            if len(t) != k:
+                raise SubsetSizeError(f"subset {t} does not have size k = {k}")
+            entries.append((s, t))
+            coeffs.append(coefficients(assignments[t_vec], k))
+    gaps = _gaps(rho._basis, ops, _entry_rows(mode, entries, n), coeffs)
+    return _report(mode, k, n, entries, coeffs, gaps, start)
 
 
 def concurrence_pure(psi: PureState, split: Bipartition | None = None) -> float:
@@ -346,11 +367,7 @@ def observation1_bound(rho: DensityMatrix, k: int, assignments, gens: GeneratorS
     """
     rho = _check_state(rho)
     gens = _resolve_gens(rho, gens)
-    k = _check_k(k, gens.count)
-    start = time.perf_counter()
-    subsets, coeffs = _check_assignments(assignments, k, gens.count)
-    gaps = _gaps(rho._basis, gens.operators, subsets, coeffs)
-    return _report("obs1", k, gens.count, subsets, coeffs, gaps, start)
+    return _aggregate(rho, "obs1", k, gens.operators, gens.count, [assignments])
 
 
 def wootters_concurrence(rho: DensityMatrix) -> float:

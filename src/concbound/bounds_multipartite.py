@@ -12,31 +12,27 @@ aggregates the three bipartite bounds. The joint form strictly
 dominates on the noisy W family, which is the reason both exist.
 
 Both run on the bipartite gap engine over the stacked families
-[J1; J2; J3]: the joint bound evaluates subset t with (u, v, w) as the
-row t, N+t, 2N+t, the split-wise bound subset t of split s as s*N+t.
+[J1; J2; J3], with rows laid out by ``bounds_bipartite._entry_rows``.
 """
 from __future__ import annotations
 
 import math
-import time
 
 import numpy as np
 
 from .errors import DimensionMismatchError, InvalidSplitError, LengthMismatchError
 from .bounds_bipartite import (
     BoundReport,
-    _check_assignments,
+    _aggregate,
     _check_coefficients,
-    _check_k,
     _check_state,
     _check_subset,
+    _entry_rows,
     _gaps,
-    _report,
 )
 from .generators import GeneratorTriple, canonical_triple, example_operators
+from .numerics import _as_index
 from .states import DensityMatrix, PureState, partial_trace
-
-_SPLIT_LABELS = ("1|23", "2|13", "3|12")
 
 
 def _check_tripartite(rho: DensityMatrix) -> int:
@@ -79,22 +75,10 @@ def _resolve_triple(rho: DensityMatrix, gen_source) -> GeneratorTriple:
 
 
 def _triple_coefficients(x, k: int) -> np.ndarray:
-    """A validated (u, v, w) triple as one row u ++ v ++ w for ``_cross_rows``."""
+    """A validated (u, v, w) triple as one row u ++ v ++ w."""
     if len(x) != 3:
         raise LengthMismatchError("expected coefficient triple (u, v, w)")
     return np.concatenate([_check_coefficients(c, k) for c in x])
-
-
-def _cross_rows(subsets, n: int) -> list[tuple[int, ...]]:
-    """Rows t, N+t, 2N+t of each subset t into the stack [J1; J2; J3]."""
-    return [t + tuple(n + i for i in t) + tuple(2 * n + i for i in t) for t in subsets]
-
-
-def _split_entries(pairs, n: int):
-    """Rows s*N+t into the three stacked split families, entry subsets and
-    split labels of (split, subset) pairs."""
-    rows = [tuple(s * n + i for i in t) for s, t in pairs]
-    return rows, [t for _, t in pairs], [_SPLIT_LABELS[s] for s, _ in pairs]
 
 
 def delta_tot_k(rho: DensityMatrix, triple: GeneratorTriple, t_vec, x) -> float:
@@ -121,7 +105,7 @@ def delta_tot_k(rho: DensityMatrix, triple: GeneratorTriple, t_vec, x) -> float:
     triple = _resolve_triple(rho, triple)
     t = _check_subset(t_vec, triple.count)
     row = _triple_coefficients(x, len(t))
-    return float(_gaps(rho._basis, triple.operators, _cross_rows([t], triple.count), [row])[0])
+    return float(_gaps(rho._basis, triple.operators, _entry_rows("obs2", [(0, t)], triple.count), [row])[0])
 
 
 def observation2_bound(rho: DensityMatrix, k: int, assignments, gen_source="canonical") -> BoundReport:
@@ -148,13 +132,8 @@ def observation2_bound(rho: DensityMatrix, k: int, assignments, gen_source="cano
     """
     rho = _check_state(rho)
     triple = _resolve_triple(rho, gen_source)
-    n = triple.count
-    k = _check_k(k, n)
-    start = time.perf_counter()
-    subsets, coeffs = _check_assignments(assignments, k, n, _triple_coefficients)
-    gaps = _gaps(rho._basis, triple.operators, _cross_rows(subsets, n), coeffs)
     mode = "obs2" if triple.source == "canonical" else f"obs2-{triple.source}"
-    return _report(mode, k, n, subsets, coeffs, gaps, start)
+    return _aggregate(rho, mode, k, triple.operators, triple.count, [assignments], _triple_coefficients)
 
 
 def observation3_bound(rho: DensityMatrix, k: int, assignments) -> BoundReport:
@@ -180,17 +159,8 @@ def observation3_bound(rho: DensityMatrix, k: int, assignments) -> BoundReport:
     """
     rho = _check_state(rho)
     triple = _resolve_triple(rho, "canonical")
-    n = triple.count
-    k = _check_k(k, n)
-    unknown = [s for s in assignments if s not in (0, 1, 2)]
+    unknown = [s for s in assignments if _as_index(s, InvalidSplitError) not in (0, 1, 2)]
     if unknown:
         raise InvalidSplitError(f"split keys {unknown!r} outside 0, 1, 2")
-    start = time.perf_counter()
-    pairs, coeffs = [], []
-    for s in range(3):
-        subsets, rows = _check_assignments(assignments.get(s, {}), k, n)
-        pairs += [(s, t) for t in subsets]
-        coeffs += rows
-    rows, subsets, splits = _split_entries(pairs, n)
-    gaps = _gaps(rho._basis, triple.operators, rows, coeffs)
-    return _report("obs3", k, n, subsets, coeffs, gaps, start, splits)
+    per_split = [assignments.get(s, {}) for s in range(3)]
+    return _aggregate(rho, "obs3", k, triple.operators, triple.count, per_split)

@@ -19,18 +19,41 @@ read-only stacked array, which the gap engine reads without copying.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache, wraps
 
 import numpy as np
 
-from .errors import DimensionTooSmallError, InvalidSplitError, ParameterRangeError
-from .numerics import _as_index, _frozen
+from .errors import (
+    DimensionMismatchError,
+    DimensionTooSmallError,
+    InvalidSplitError,
+    NonSquareError,
+    ParameterRangeError,
+)
+from .numerics import _as_index, _frozen, as_symmetric
 
 # Pair-factor orderings per single party, 0-based: ascending for the
 # canonical sets, cyclic for the example operators.
 _ASCENDING_PAIRS = {0: (1, 2), 1: (0, 2), 2: (0, 1)}
 _CYCLIC_PAIRS = {0: (1, 2), 1: (2, 0), 2: (0, 1)}
+
+
+def _checked_family(ops, ndim: int) -> np.ndarray:
+    """``_frozen(ops)`` if it is an ndim-axis stack of finite square
+    matrices, each symmetric (S = S^T within 1e-10, as ``as_symmetric``
+    requires). Checked one matrix at a time, so no temporary is the size
+    of the family."""
+    try:
+        ops = _frozen(ops)
+    except ValueError:  # numpy's error for matrices of unequal shapes
+        raise NonSquareError("operators of unequal shapes") from None
+    if ops.ndim != ndim or ops.shape[-1] != ops.shape[-2]:
+        raise NonSquareError(f"expected a {ndim}-axis stack of square matrices, got shape {ops.shape}")
+    for op in ops.reshape((-1,) + ops.shape[-2:]):
+        as_symmetric(op)
+    return ops
 
 
 @dataclass(frozen=True)
@@ -67,7 +90,8 @@ class GeneratorSet:
     """Ordered family of symmetric generators for one bipartition.
 
     ``operators`` is one read-only (N, D, D) array, copied from the
-    matrices given, so a family can be shared by every caller.
+    matrices given, so a family can be shared by every caller; each
+    matrix is finite and symmetric, with D = prod(dims).
     ``index_map[t]`` records the rotation-plane pair ((i, j), (k, l))
     behind operator t: (i, j) on the first side, (k, l) on the second.
     """
@@ -80,7 +104,9 @@ class GeneratorSet:
     def __post_init__(self):
         if len(self.operators) != len(self.index_map):
             raise ParameterRangeError("one index entry per operator required")
-        object.__setattr__(self, "operators", _frozen(self.operators))
+        object.__setattr__(self, "operators", _checked_family(self.operators, 3))
+        if self.operators.shape[-1] != math.prod(self.dims):
+            raise DimensionMismatchError(f"operator size {self.operators.shape[-1]} versus dims {self.dims}")
 
     @property
     def count(self) -> int:
@@ -95,6 +121,7 @@ class GeneratorTriple:
     is the t-th generator for split s in the order 1|23, 2|13, 3|12; the
     three families share index alignment so a subset choice t applies
     across splits. Flattened to (3N, D, D) it is the stack [J1; J2; J3].
+    Each matrix is finite and symmetric.
     """
 
     operators: np.ndarray
@@ -105,7 +132,7 @@ class GeneratorTriple:
             raise InvalidSplitError("exactly three split families required")
         if len({len(ops) for ops in self.operators}) != 1:
             raise ParameterRangeError("split families must have equal lengths")
-        object.__setattr__(self, "operators", _frozen(self.operators))
+        object.__setattr__(self, "operators", _checked_family(self.operators, 4))
 
     @property
     def count(self) -> int:

@@ -13,6 +13,11 @@ rows. A row accepts a probe only if its own gap strictly improves and
 never reads another row, and its arithmetic is the same per element
 and per matrix as a one-trajectory loop's, so each row makes exactly
 that loop's decisions, bit for bit, however the rows are blocked.
+
+Every searched aggregate, obs1, obs2 and obs3 alike, takes one path,
+``_optimize_aggregate``: the subset pool, the seed salts and the report
+of (split, subset) entries, whose rows ``bounds_bipartite._entry_rows``
+lays out.
 """
 from __future__ import annotations
 
@@ -26,16 +31,18 @@ import numpy as np
 
 from .errors import ParameterRangeError, ThresholdNotDetectedError
 from .bounds_bipartite import (
+    _AGGREGATES,
     BoundReport,
     _check_dims_match,
     _check_k,
     _check_state,
     _check_subset,
+    _entry_rows,
     _gaps,
     _report,
     _resolve_gens,
 )
-from .bounds_multipartite import _cross_rows, _resolve_triple, _split_entries
+from .bounds_multipartite import _resolve_triple
 from .generators import GeneratorSet
 from .states import DensityMatrix, SupportBasis
 
@@ -216,19 +223,26 @@ def optimize_u(rho: DensityMatrix, gens: GeneratorSet, t_vec, cfg: OptimizerConf
     return coeffs[0], float(deltas[0])
 
 
-def _subset_pools(basis: SupportBasis, ops, singles, k: int, cfg: OptimizerConfig) -> list[list[tuple[int, ...]]]:
-    """Size-k subset pools (k checked by the caller), one per family:
-    ``singles[f][i]`` is the index row into ``ops`` of generator i of
-    family f. Only "top_singletons" needs their all-ones gaps: one call."""
-    n_fam, n = np.shape(singles)[:2]
-    if cfg.subset_strategy == "exhaustive":
-        return [list(combinations(range(n), k)) for _ in range(n_fam)]
-    rows = np.reshape(singles, (n_fam * n, -1))
-    pools = []
-    for g in _gaps(basis, ops, rows, np.ones(rows.shape)).reshape(n_fam, n):
-        order = sorted(range(n), key=lambda i: -g[i])
-        pools.append(list(combinations(sorted(order[: max(cfg.top_count, k)]), k)))
-    return pools
+def _optimize_aggregate(rho: DensityMatrix, mode: str, k, cfg: OptimizerConfig, ops, n: int) -> BoundReport:
+    """The searched aggregate of every mode over its stacked families
+    ``ops`` (N generators each): per split a pool of size-k subsets, then
+    one search over all (split, subset) entries. "top_singletons" ranks
+    each split's generators by their all-ones gaps, in one call. Seeds are
+    salted by the subset, by (split,) + subset where a mode has several
+    splits."""
+    start = time.perf_counter()
+    k = _check_k(k, n)
+    basis, n_splits = rho._basis, len(_AGGREGATES[mode.split("-")[0]][2])
+    pools = [list(combinations(range(n), k))] * n_splits
+    if cfg.subset_strategy == "top_singletons":
+        rows = _entry_rows(mode, [(s, (i,)) for s in range(n_splits) for i in range(n)], n)
+        for s, g in enumerate(_gaps(basis, ops, rows, np.ones(np.shape(rows))).reshape(n_splits, n)):
+            top = sorted(range(n), key=lambda i: -g[i])[: max(cfg.top_count, k)]
+            pools[s] = list(combinations(sorted(top), k))
+    entries = [(s, t) for s, pool in enumerate(pools) for t in pool]
+    salts = [t if n_splits == 1 else (s,) + t for s, t in entries]
+    coeffs, gaps, _ = _search(basis, ops, _entry_rows(mode, entries, n), salts, cfg)
+    return _report(mode, k, n, entries, coeffs, gaps, start, cfg.to_dict())
 
 
 def optimize_bound_bipartite(
@@ -242,11 +256,7 @@ def optimize_bound_bipartite(
     """
     rho = _check_state(rho)
     gens = _resolve_gens(rho, gens)
-    start = time.perf_counter()
-    k = _check_k(k, gens.count)
-    (pool,) = _subset_pools(rho._basis, gens.operators, np.arange(gens.count).reshape(1, -1, 1), k, cfg)
-    coeffs, gaps, _ = _search(rho._basis, gens.operators, pool, pool, cfg)
-    return _report("obs1", k, gens.count, pool, coeffs, gaps, start, config=cfg.to_dict())
+    return _optimize_aggregate(rho, "obs1", k, cfg, gens.operators, gens.count)
 
 
 def optimize_bound_multipartite(
@@ -262,25 +272,10 @@ def optimize_bound_multipartite(
     mode = str(mode).lower()
     if mode not in ("obs2", "obs2-ghz", "obs2-w", "obs3"):
         raise ParameterRangeError(f"unknown mode {mode!r}")
-    start = time.perf_counter()
     # obs2 and obs3 both search the canonical families; obs2-ghz and
     # obs2-w the example operators.
     triple = _resolve_triple(rho, mode.partition("-")[2] or "canonical")
-    basis, n = rho._basis, triple.count
-    k = _check_k(k, n)
-    if mode == "obs3":
-        # All three splits in one search, seeds salted by (split,) + subset.
-        pools = _subset_pools(basis, triple.operators, np.arange(3 * n).reshape(3, n, 1), k, cfg)
-        pairs = [(s, t) for s, pool in enumerate(pools) for t in pool]
-        rows, subsets, splits = _split_entries(pairs, n)
-        salts = [(s,) + t for s, t in pairs]
-    else:
-        # One stacked search over (u, v, w): coefficients for the three
-        # splits concatenate into a single 3k vector.
-        (subsets,) = _subset_pools(basis, triple.operators, [_cross_rows([(i,) for i in range(n)], n)], k, cfg)
-        rows, salts, splits = _cross_rows(subsets, n), subsets, None
-    coeffs, gaps, _ = _search(basis, triple.operators, rows, salts, cfg)
-    return _report(mode, k, n, subsets, coeffs, gaps, start, splits, cfg.to_dict())
+    return _optimize_aggregate(rho, mode, k, cfg, triple.operators, triple.count)
 
 
 def threshold_scan(

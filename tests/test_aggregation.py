@@ -159,6 +159,7 @@ class TestFixedCoefficientOracle:
 
 
 CFG = OptimizerConfig(restarts=2, iterations=20)
+TOP = OptimizerConfig(restarts=3, iterations=10, subset_strategy="top_singletons")
 
 
 def _own_coefficients(rep):
@@ -175,18 +176,25 @@ class TestOptimizedReportsAreTheirOwnAggregates:
         assert rep.config == cfg.to_dict()
         _same_bytes(replace(rep, config=None), fixed)
 
-    @pytest.mark.parametrize("mode, k", [("obs2", 1), ("obs2", 2), ("obs2-ghz", 1), ("obs2-w", 1)])
-    def test_obs2(self, mode, k):
+    @pytest.mark.parametrize(
+        "mode, k, cfg",
+        [
+            ("obs2", 1, CFG), ("obs2", 2, CFG), ("obs2-ghz", 1, CFG), ("obs2-w", 1, CFG),
+            ("obs2", 1, TOP), ("obs2", 2, TOP),
+        ],
+        ids=["obs2-1", "obs2-2", "obs2-ghz-1", "obs2-w-1", "obs2-1-top", "obs2-2-top"],
+    )
+    def test_obs2(self, mode, k, cfg):
         rho = white_noise_mix(w_state().density(), 0.9)
-        rep = optimize_bound_multipartite(rho, k, CFG, mode)
+        rep = optimize_bound_multipartite(rho, k, cfg, mode)
         source = mode.partition("-")[2] or "canonical"
         fixed = observation2_bound(rho, k, {t: tuple(c) for t, c in _own_coefficients(rep).items()}, source)
         _same_bytes(replace(rep, config=None), fixed)
 
-    @pytest.mark.parametrize("k", [1, 2])
-    def test_obs3(self, k):
+    @pytest.mark.parametrize("k, cfg", [(1, CFG), (2, CFG), (1, TOP), (2, TOP)], ids=["1", "2", "1-top", "2-top"])
+    def test_obs3(self, k, cfg):
         rho = white_noise_mix(ghz_state().density(), 0.9)
-        rep = optimize_bound_multipartite(rho, k, CFG, "obs3")
+        rep = optimize_bound_multipartite(rho, k, cfg, "obs3")
         per_split = {s: {} for s in range(3)}
         for e in rep.per_subset:
             per_split[("1|23", "2|13", "3|12").index(e.split)][e.subset] = np.array(e.coefficients["u"])

@@ -250,9 +250,10 @@ class TestObservation3:
 
 
 class TestInputGuards:
-    @pytest.mark.parametrize("key", [3, -1, "0", (0,)])
+    @pytest.mark.parametrize("key", [3, -1, "0", (0,), 1.0, 2.0])
     def test_obs3_rejects_unknown_split_keys(self, key):
-        # Such keys were skipped, so the W state read a bound of 0.0.
+        # Such keys were skipped, so the W state read a bound of 0.0;
+        # float keys were read as the split of equal value.
         rho = white_noise_mix(w_state().density(), 0.9)
         with pytest.raises(InvalidSplitError):
             observation3_bound(rho, 1, {key: {(0,): [1.0]}})

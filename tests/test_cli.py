@@ -1,7 +1,11 @@
 """Command line behavior: descriptors, outputs, exit codes, records."""
 from __future__ import annotations
 
+import argparse
 import json
+import re
+from dataclasses import fields
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -9,7 +13,7 @@ import pytest
 
 from concbound import cli
 from concbound.cli import _fmt, _make_config, main, parse_state
-from concbound.optimizer import DEFAULT_SEED
+from concbound.optimizer import DEFAULT_SEED, OptimizerConfig
 from concbound.states import DensityMatrix, save_state, random_density
 
 FAST_OPT = '{"restarts": 2, "iterations": 10}'
@@ -506,3 +510,36 @@ class TestDemoCommand:
         out = capsys.readouterr().out
         assert code == 0
         assert out.count("PASS") == 3
+
+
+class TestOptionSurface:
+    """The knobs a user can turn, listed in full: adding an optimizer field
+    or a command-line option has to change this list on purpose."""
+
+    def test_optimizer_config_fields(self):
+        assert [f.name for f in fields(OptimizerConfig)] == [
+            "restarts", "iterations", "seed", "step_initial", "step_final", "subset_strategy", "top_count",
+        ]
+
+    def test_subcommand_options(self):
+        parser = cli.build_parser()
+        (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        options = {
+            name: [s for a in sub._actions for s in (a.option_strings or [a.dest])]
+            for name, sub in subparsers.choices.items()
+        }
+        assert [s for a in parser._actions for s in (a.option_strings or [a.dest])] == ["-h", "--help", "subcommand"]
+        assert options == {
+            "bound": ["-h", "--help", "--state", "--mode", "--k", "--optimizer", "--gen-source", "--tol-detect", "--out", "--format"],
+            "scan": [
+                "-h", "--help", "--family", "--mode", "--p-range", "--tol", "--tol-detect", "--k", "--points",
+                "--optimizer", "--out", "--record",
+            ],
+            "demo": ["-h", "--help", "scenario"],
+        }
+
+    def test_environment_variables(self):
+        read = set()
+        for path in Path(cli.__file__).parent.glob("*.py"):
+            read |= set(re.findall(r"""(?:environ\.get\(|environ\[|getenv\()["'](\w+)""", path.read_text()))
+        assert read == {"CONCBOUND_SEED"}

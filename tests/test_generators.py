@@ -4,7 +4,15 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from concbound.errors import DimensionTooSmallError, InvalidSplitError, ParameterRangeError
+from concbound.errors import (
+    DimensionMismatchError,
+    DimensionTooSmallError,
+    InvalidSplitError,
+    NonFiniteError,
+    NonSquareError,
+    NotSymmetricError,
+    ParameterRangeError,
+)
 from concbound.generators import (
     _ASCENDING_PAIRS,
     _CYCLIC_PAIRS,
@@ -305,7 +313,7 @@ class TestSharedFamilies:
         assert example_operators("ghz").operators.shape == (3, 1, 8, 8)
 
     def test_set_copies_callers_array(self):
-        ops = np.stack(so_generators(3)).astype(complex)
+        ops = np.stack([g @ g for g in so_generators(3)]).astype(complex)
         gens = GeneratorSet(ops, tuple(((0, 1), (0, 1)) for _ in range(3)), (3,))
         before = gens.operators.copy()
         ops[0] = 7.0
@@ -338,6 +346,52 @@ class TestSharedFamilies:
         want = _reference_example_operators(family)
         assert _same_bits(got.operators, want.operators)
         assert got.source == want.source
+
+
+def _with_entry(ops: np.ndarray, value) -> np.ndarray:
+    """A copy of the family ``ops`` with entries (0, 1) and (1, 0) of its
+    first matrix set to ``value``, which keeps the matrix symmetric."""
+    out = np.array(ops, dtype=complex)
+    first = out.reshape((-1,) + out.shape[-2:])[0]
+    first[0, 1] = first[1, 0] = value
+    return out
+
+
+class TestMalformedFamilies:
+    """A family is a stack of finite symmetric D x D matrices. A
+    non-symmetric one used to give invalid bounds (1.5 for the Bell state,
+    where C^2 = 1), a NaN one an SVD failure, an infinite one a
+    RuntimeWarning, a mis-sized one a matmul error."""
+
+    SET_CASES = {
+        "antisymmetric": (np.stack(so_generators(4)), NotSymmetricError),
+        "nan": (_with_entry(bipartite_generators(2, 2).operators, np.nan), NonFiniteError),
+        "inf": (_with_entry(bipartite_generators(2, 2).operators, np.inf), NonFiniteError),
+        "mis-sized": (np.eye(3)[None], DimensionMismatchError),
+        "not-a-stack": (np.eye(4), NonSquareError),
+        "non-square": (np.zeros((1, 4, 3)), NonSquareError),
+        "ragged": ((np.eye(4), np.eye(3)), NonSquareError),
+    }
+    TRIPLE_CASES = {
+        "non-symmetric": (np.triu(np.ones((3, 1, 8, 8))), NotSymmetricError),
+        "nan": (_with_entry(example_operators("ghz").operators, np.nan), NonFiniteError),
+        "inf": (_with_entry(example_operators("w").operators, -np.inf), NonFiniteError),
+        "not-four-axes": (np.zeros((3, 8, 8)), NonSquareError),
+        "non-square": (np.zeros((3, 1, 8, 4)), NonSquareError),
+        "ragged-split": ((np.zeros((2, 8, 8)), (np.eye(8), np.eye(4)), np.zeros((2, 8, 8))), NonSquareError),
+    }
+
+    @pytest.mark.parametrize("case", SET_CASES)
+    def test_set_rejects(self, case):
+        ops, error = self.SET_CASES[case]
+        with pytest.raises(error):
+            GeneratorSet(ops, tuple(((0, 1), (0, 1)) for _ in ops), (2, 2))
+
+    @pytest.mark.parametrize("case", TRIPLE_CASES)
+    def test_triple_rejects(self, case):
+        ops, error = self.TRIPLE_CASES[case]
+        with pytest.raises(error):
+            GeneratorTriple(ops, "custom")
 
 
 class TestNonIntegralArguments:

@@ -1,7 +1,10 @@
 """Optimizer, subset strategy, and threshold-scan checks."""
 from __future__ import annotations
 
+import math
+from collections import Counter
 from dataclasses import replace
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -9,8 +12,8 @@ import pytest
 from concbound import bounds_bipartite, optimizer
 from concbound.errors import DimensionMismatchError, ParameterRangeError, SubsetSizeError, ThresholdNotDetectedError
 from concbound.bounds_bipartite import _delta_from_parts, delta_k, observation1_bound
-from concbound.bounds_multipartite import observation2_bound, observation3_bound
-from concbound.generators import bipartite_generators, tripartite_generators
+from concbound.bounds_multipartite import delta_tot_k, observation2_bound, observation3_bound
+from concbound.generators import bipartite_generators, canonical_triple, tripartite_generators
 from concbound.optimizer import (
     OptimizerConfig,
     ScanResult,
@@ -259,6 +262,26 @@ class TestLockstepEngine:
         monkeypatch.setattr(bounds_bipartite, "_BLOCK_ROWS", 5)
         assert reports() == whole
 
+    @pytest.mark.parametrize("mode", ["obs1", "obs2", "obs3"])
+    def test_each_entry_is_its_own_search(self, mode):
+        # Entry (s, t) searches the operators at rows t (obs1), t, N+t,
+        # 2N+t (obs2) or s*N+t (obs3), salted by t, or by (s,) + t in obs3.
+        cfg = OptimizerConfig(restarts=3, iterations=6)
+        if mode == "obs1":
+            rho = white_noise_mix(horodecki_state(0.3), 0.9)
+            rep, ops = optimize_bound_bipartite(rho, 2, cfg), self.GENS.operators
+        else:
+            rho = white_noise_mix(w_state().density(), 0.8)
+            rep, ops = optimize_bound_multipartite(rho, 2, cfg, mode), canonical_triple(2).operators
+        flat, n = ops.reshape((-1,) + ops.shape[-2:]), rep.n_generators
+        for e in rep.per_subset:
+            s = ("1|23", "2|13", "3|12").index(e.split) if mode == "obs3" else 0
+            rows = [(s + j) * n + i for j in range(3 if mode == "obs2" else 1) for i in e.subset]
+            salt = (s,) + e.subset if mode == "obs3" else e.subset
+            u, delta, _ = _optimize_coefficients(rho._basis, flat[rows], cfg, salt)
+            assert np.concatenate([np.array(c) for c in e.coefficients.values()]).tobytes() == u.tobytes()
+            assert np.float64(e.delta).tobytes() == np.float64(delta).tobytes()
+
     def test_subset_size_outside_range(self):
         with pytest.raises(SubsetSizeError):
             optimize_bound_bipartite(horodecki_state(0.2), 0, FAST)
@@ -352,6 +375,35 @@ class TestOptimizedBipartiteBound:
         cfg = OptimizerConfig(restarts=2, iterations=10, subset_strategy="top_singletons", top_count=3)
         rep = optimize_bound_bipartite(horodecki_state(0.2), 2, cfg)
         assert len(rep.per_subset) == 3  # C(3, 2)
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_top_singletons_pools_per_mode(self, k):
+        # obs2 keeps one pool over the cross-split gaps, obs3 one per split.
+        cfg = OptimizerConfig(restarts=2, iterations=10, subset_strategy="top_singletons", top_count=3)
+        rho = white_noise_mix(w_state().density(), 0.9)
+        per_pool = math.comb(3, k)
+        assert len(optimize_bound_multipartite(rho, k, cfg, "obs2").per_subset) == per_pool
+        rep = optimize_bound_multipartite(rho, k, cfg, "obs3")
+        assert len(rep.per_subset) == 3 * per_pool
+        assert Counter(e.split for e in rep.per_subset) == {label: per_pool for label in ("1|23", "2|13", "3|12")}
+
+    def test_top_singletons_pools_hold_the_largest_gaps(self):
+        cfg = OptimizerConfig(restarts=1, iterations=1, subset_strategy="top_singletons", top_count=3)
+        rho = random_density((2, 2, 2), 3, 5)
+
+        def pool(gap):
+            gaps = [gap(i) for i in range(6)]
+            top = sorted(range(6), key=lambda i: -gaps[i])[:3]
+            assert min(gaps[i] for i in top) > max(gaps[i] for i in range(6) if i not in top)  # no tie at the cut
+            return list(combinations(sorted(top), 2))
+
+        ones = ([1.0], [1.0], [1.0])
+        want = pool(lambda i: delta_tot_k(rho, canonical_triple(2), (i,), ones))
+        assert [e.subset for e in optimize_bound_multipartite(rho, 2, cfg, "obs2").per_subset] == want
+        rep = optimize_bound_multipartite(rho, 2, cfg, "obs3")
+        for s, label in enumerate(("1|23", "2|13", "3|12")):
+            want = pool(lambda i: delta_k(rho, tripartite_generators(2, s), (i,), [1.0]))
+            assert [e.subset for e in rep.per_subset if e.split == label] == want
 
     def test_byte_deterministic_reports(self):
         a = optimize_bound_bipartite(horodecki_state(0.3), 1, FAST)
