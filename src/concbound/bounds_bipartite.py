@@ -13,12 +13,12 @@ conj(sqrt(rho)), the numerically stable form of the same quantity (the
 eigenvalue route through rho S rho* S^dag is kept as a cross-check),
 read off the rank x rank B = X^dag S conj(X) with A = Q B Q^T on the
 support of rho (``states.SupportBasis``). B is linear in S, so every gap
-comes from one engine, ``_gaps``: coefficient sums over a state's B stack
-of a family, and stacked SVDs. Every aggregate, the tripartite and
-optimized ones included, is a list of (split, subset) entries: one
-layout function, ``_entry_rows``, maps them to rows of the stacked
-families, and one report builder, ``_report``, takes a prefactor times
-the sum of squared entry gaps.
+comes from one engine, ``_gaps``: coefficient sums over one stack of B's
+(a state's kept family stack, or a single subset's own), and stacked SVDs.
+Every aggregate, the tripartite and optimized ones included, is a list of
+(split, subset) entries: one layout function, ``_entry_rows``, maps them
+to rows of the stacked families, and one report builder, ``_report``,
+takes a prefactor times the sum of squared entry gaps.
 """
 from __future__ import annotations
 
@@ -39,7 +39,7 @@ from .errors import (
 )
 from .generators import Bipartition, GeneratorSet, bipartite_generators
 from .numerics import _as_index, as_symmetric
-from .states import Decomposition, DensityMatrix, PureState, SupportBasis, partial_trace, partial_transpose
+from .states import Decomposition, DensityMatrix, PureState, partial_trace, partial_transpose
 
 _COEFF_TOL = 1e-12
 
@@ -181,18 +181,19 @@ def _delta_from_parts(b: np.ndarray):
     return np.where(gap > 0.0, gap, 0.0)
 
 
-def _gaps(basis: SupportBasis, ops, rows, coeffs) -> np.ndarray:
-    """The gap engine: gap of sum_s coeffs[i, s] * ops[rows[i, s]] for each
-    row i of equal-length index tuples into the stack ``ops``, whose leading
-    axes flatten to one index: (3, N, D, D) reads as (3N, D, D). Each row's
-    sum is taken over the state's stack ``basis.stack(ops)``."""
-    flat = basis.stack(ops)
+def _gaps(stack: np.ndarray, rows, coeffs) -> np.ndarray:
+    """The gap engine: gap of sum_s coeffs[i, s] * stack[rows[i, s]] for
+    each row i of equal-length index tuples into the B stack ``stack``
+    (``SupportBasis.frame`` of some operators), whose leading axes flatten
+    to one index: (3, N, r, r) reads as (3N, r, r)."""
+    r = stack.shape[-1]
+    flat = stack.reshape(-1, r * r)
     rows = np.asarray(rows, dtype=np.intp)
     coeffs = np.asarray(coeffs, dtype=complex)
     blocks = []
     for lo in range(0, len(rows), _BLOCK_ROWS):
         b = coeffs[lo : lo + _BLOCK_ROWS, None, :] @ flat[rows[lo : lo + _BLOCK_ROWS]]
-        blocks.append(_delta_from_parts(b.reshape(-1, basis.rank, basis.rank)))
+        blocks.append(_delta_from_parts(b.reshape(-1, r, r)))
     return blocks[0] if len(blocks) == 1 else np.concatenate([np.zeros(0), *blocks])
 
 
@@ -241,7 +242,7 @@ def _aggregate(rho: DensityMatrix, mode: str, k, ops, n: int, per_split, coeffic
                 raise SubsetSizeError(f"subset {t} does not have size k = {k}")
             entries.append((s, t))
             coeffs.append(coefficients(assignments[t_vec], k))
-    gaps = _gaps(rho._basis, ops, _entry_rows(mode, entries, n), coeffs)
+    gaps = _gaps(rho._basis.stack(ops), _entry_rows(mode, entries, n), coeffs)
     return _report(mode, k, n, entries, coeffs, gaps, start)
 
 
@@ -329,7 +330,7 @@ def delta_k(rho: DensityMatrix, gens: GeneratorSet, t_vec, u) -> float:
     _check_dims_match(rho, gens)
     t = _check_subset(t_vec, gens.count)
     u = _check_coefficients(u, len(t))
-    return float(_gaps(rho._basis, gens.operators, [t], [u])[0])
+    return float(_gaps(rho._basis.frame(gens.operators[list(t)]), [range(len(t))], [u])[0])
 
 
 def _resolve_gens(rho: DensityMatrix, gens: GeneratorSet | None) -> GeneratorSet:
@@ -375,7 +376,7 @@ def wootters_concurrence(rho: DensityMatrix) -> float:
     rho = _check_state(rho)
     if tuple(rho.dims) != (2, 2):
         raise DimensionMismatchError(f"two-qubit state required, got dims {rho.dims}")
-    return float(_gaps(rho._basis, bipartite_generators(2, 2).operators, [(0,)], [(1.0,)])[0])
+    return float(_gaps(rho._basis.stack(bipartite_generators(2, 2).operators), [(0,)], [(1.0,)])[0])
 
 
 def delta_total_bound(rho: DensityMatrix, gens: GeneratorSet, u_full) -> float:
@@ -391,7 +392,7 @@ def delta_total_bound(rho: DensityMatrix, gens: GeneratorSet, u_full) -> float:
     nrm = float(np.linalg.norm(u))
     if abs(nrm - 1.0) > 1e-10:
         raise NotNormalizedError(f"coefficient norm {nrm!r} deviates from 1")
-    return float(_gaps(rho._basis, gens.operators, [range(gens.count)], [u])[0])
+    return float(_gaps(rho._basis.stack(gens.operators), [range(gens.count)], [u])[0])
 
 
 def decomposition_average(dec: Decomposition, s_op: np.ndarray) -> float:

@@ -223,8 +223,11 @@ def tripartite_generators(d: int, split) -> GeneratorSet:
 # One triple per dimension, whether d is passed or defaulted.
 @_cached(4, lambda d=2: (_as_index(d, ParameterRangeError),))
 def canonical_triple(d: int = 2) -> GeneratorTriple:
-    """The three canonical split families, index-aligned."""
-    return GeneratorTriple(tuple(tripartite_generators(d, s).operators for s in range(3)), "canonical")
+    """The three canonical split families, index-aligned: the operators of
+    ``tripartite_generators(d, s)`` for s = 0, 1, 2, embedded here from the
+    shared products, so the triple checks each operator once."""
+    products = bipartite_generators(d, d * d).operators
+    return GeneratorTriple(tuple(_embed_single_pair(products, s, *_ASCENDING_PAIRS[s], d) for s in range(3)), "canonical")
 
 
 # The two example families, "ghz" and "w", in any letter case.

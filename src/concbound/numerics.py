@@ -29,10 +29,13 @@ _TAKAGI_CLUSTER_TOL = 1e-6
 
 
 def _as_index(x, error) -> int:
-    try:
-        return operator.index(x)
-    except TypeError:
-        raise error(f"{x!r} is not an integer") from None
+    """``operator.index(x)``, raising ``error`` for a non-integer or a bool."""
+    if not isinstance(x, bool):
+        try:
+            return operator.index(x)
+        except TypeError:
+            pass
+    raise error(f"{x!r} is not an integer")
 
 
 def _frozen(a) -> np.ndarray:

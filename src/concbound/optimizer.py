@@ -133,14 +133,14 @@ class ScanResult:
         return asdict(self)
 
 
-def _descend(basis: SupportBasis, ops, idx, x, cfg: OptimizerConfig) -> np.ndarray:
-    """Coordinate descent on rows x = (radii, phases) over operators
-    ops[idx]: updates x in place, returns its gaps. As in a one-row loop,
+def _descend(stack: np.ndarray, idx, x, cfg: OptimizerConfig) -> np.ndarray:
+    """Coordinate descent on rows x = (radii, phases) over the B matrices
+    stack[idx]: updates x in place, returns its gaps. As in a one-row loop,
     a radius probe skips the rows whose clipped radius does not move."""
     m = idx.shape[1]
 
     def gaps(rows, xs):
-        return _gaps(basis, ops, idx[rows], xs[:, :m] * np.exp(1j * xs[:, m:]))
+        return _gaps(stack, idx[rows], xs[:, :m] * np.exp(1j * xs[:, m:]))
 
     val = gaps(slice(None), x)
 
@@ -166,9 +166,9 @@ def _descend(basis: SupportBasis, ops, idx, x, cfg: OptimizerConfig) -> np.ndarr
     return val
 
 
-def _search(basis: SupportBasis, ops, subsets, salts, cfg: OptimizerConfig):
+def _search(stack: np.ndarray, subsets, salts, cfg: OptimizerConfig):
     """Multi-restart coordinate descent over moduli and phases for every
-    subset (equal-length index tuples into ``ops``) at once. Restart 0
+    subset (equal-length index tuples into the B stack ``stack``) at once. Restart 0
     starts at all ones, restart j at a draw seeded by (j,) + salt.
     Returns coefficients (a row per subset, max modulus 1), their gaps,
     and per subset the nondecreasing best gap after each restart. All
@@ -181,7 +181,7 @@ def _search(basis: SupportBasis, ops, subsets, salts, cfg: OptimizerConfig):
     n_sub, m = idx.shape
     if m == 1:
         coeffs = np.ones((n_sub, 1), dtype=complex)
-        deltas = _gaps(basis, ops, idx, coeffs)
+        deltas = _gaps(stack, idx, coeffs)
         return coeffs, deltas, np.repeat(deltas[:, None], cfg.restarts, axis=1)
     x = np.zeros((n_sub, cfg.restarts, 2 * m))
     x[:, 0, :m] = 1.0
@@ -191,7 +191,7 @@ def _search(basis: SupportBasis, ops, subsets, salts, cfg: OptimizerConfig):
             x[p, restart] = np.concatenate([rng.random(m), 2.0 * np.pi * rng.random(m)])
     x = x.reshape(-1, 2 * m)
     rows = np.repeat(idx, cfg.restarts, axis=0)
-    val = _descend(basis, ops, rows, x, cfg).reshape(n_sub, cfg.restarts)
+    val = _descend(stack, rows, x, cfg).reshape(n_sub, cfg.restarts)
     # argmax keeps the first of equal gaps, like a strict '>' over restarts.
     best = x.reshape(n_sub, cfg.restarts, 2 * m)[np.arange(n_sub), np.argmax(val, axis=1)]
     top = best[:, :m].max(axis=1)
@@ -201,12 +201,12 @@ def _search(basis: SupportBasis, ops, subsets, salts, cfg: OptimizerConfig):
     # it, so the returned vector always touches the modulus cap.
     best[:, :m] /= np.where(top <= 0.0, 1.0, top)[:, None]
     coeffs = best[:, :m] * np.exp(1j * best[:, m:])
-    return coeffs, _gaps(basis, ops, idx, coeffs), np.maximum.accumulate(val, axis=1)
+    return coeffs, _gaps(stack, idx, coeffs), np.maximum.accumulate(val, axis=1)
 
 
 def _optimize_coefficients(basis: SupportBasis, ops, cfg: OptimizerConfig, salt: tuple[int, ...]):
-    """One-subset search over the stack ``ops``: (coefficients, delta, per-restart best trace)."""
-    coeffs, deltas, traces = _search(basis, ops, [tuple(range(len(ops)))], [salt], cfg)
+    """One-subset search over ``ops``, framed alone: (coefficients, delta, per-restart best trace)."""
+    coeffs, deltas, traces = _search(basis.frame(ops), [range(len(ops))], [salt], cfg)
     return coeffs[0], float(deltas[0]), traces[0].tolist()
 
 
@@ -219,8 +219,7 @@ def optimize_u(rho: DensityMatrix, gens: GeneratorSet, t_vec, cfg: OptimizerConf
     rho = _check_state(rho)
     _check_dims_match(rho, gens)
     t = _check_subset(t_vec, gens.count)
-    coeffs, deltas, _ = _search(rho._basis, gens.operators, [t], [t], cfg)
-    return coeffs[0], float(deltas[0])
+    return _optimize_coefficients(rho._basis, gens.operators[list(t)], cfg, t)[:2]
 
 
 def _optimize_aggregate(rho: DensityMatrix, mode: str, k, cfg: OptimizerConfig, ops, n: int) -> BoundReport:
@@ -232,16 +231,16 @@ def _optimize_aggregate(rho: DensityMatrix, mode: str, k, cfg: OptimizerConfig, 
     splits."""
     start = time.perf_counter()
     k = _check_k(k, n)
-    basis, n_splits = rho._basis, len(_AGGREGATES[mode.split("-")[0]][2])
+    stack, n_splits = rho._basis.stack(ops), len(_AGGREGATES[mode.split("-")[0]][2])
     pools = [list(combinations(range(n), k))] * n_splits
     if cfg.subset_strategy == "top_singletons":
         rows = _entry_rows(mode, [(s, (i,)) for s in range(n_splits) for i in range(n)], n)
-        for s, g in enumerate(_gaps(basis, ops, rows, np.ones(np.shape(rows))).reshape(n_splits, n)):
+        for s, g in enumerate(_gaps(stack, rows, np.ones(np.shape(rows))).reshape(n_splits, n)):
             top = sorted(range(n), key=lambda i: -g[i])[: max(cfg.top_count, k)]
             pools[s] = list(combinations(sorted(top), k))
     entries = [(s, t) for s, pool in enumerate(pools) for t in pool]
     salts = [t if n_splits == 1 else (s,) + t for s, t in entries]
-    coeffs, gaps, _ = _search(basis, ops, _entry_rows(mode, entries, n), salts, cfg)
+    coeffs, gaps, _ = _search(stack, _entry_rows(mode, entries, n), salts, cfg)
     return _report(mode, k, n, entries, coeffs, gaps, start, cfg.to_dict())
 
 

@@ -37,11 +37,13 @@ _RECONSTRUCTION_TOL = 1e-9
 # about D * eps * lambda_max, so smaller ones are 0 (on horodecki_state(0.2)
 # -7.1e-18 and 1.1e-16 fall under a cut of 8.8e-16; the next is 0.077).
 _SUPPORT_CUT = np.finfo(float).eps
-_MAX_STACKS = 8  # family stacks a state keeps, oldest dropped first
 
 
 def _check_dims(dims) -> tuple[int, ...]:
-    dims = tuple(_as_index(d, ParameterRangeError) for d in dims)
+    try:
+        dims = tuple(_as_index(d, ParameterRangeError) for d in dims)
+    except TypeError:
+        raise ParameterRangeError(f"subsystem dimensions {dims!r} are not a sequence") from None
     if len(dims) == 0 or any(d < 1 for d in dims):
         raise ParameterRangeError(f"invalid subsystem dimensions {dims}")
     return dims
@@ -133,29 +135,28 @@ class SupportBasis:
     """sqrt(rho) = X X^dag with X = Q D^(1/2) over the eigenpairs above the
     support cut. sqrt(rho) S conj(sqrt(rho)) = Q B Q^T, so the gap matrices
     have the singular values of the rank x rank B = X^dag S conj(X), which is
-    linear in S: ``stack`` forms B once per family array, keyed by identity
-    (families are shared and read-only)."""
+    linear in S. ``frame`` forms B for any operators; ``stack`` keeps the B's
+    of one family array, the last it was given (families are shared and
+    read-only), for every aggregate and search over that family."""
 
     def __init__(self, w: np.ndarray, q: np.ndarray):
         low = np.count_nonzero(w <= _SUPPORT_CUT * w.size * w[-1])  # eigh's w ascends
         xc = q[:, low:] * np.sqrt(w[low:])
         self._xc = np.conjugate(xc, out=xc)
         self.rank = self._xc.shape[1]
-        self._stacks = {}
+        self._last = (None, None)  # (family array, its read-only B stack)
 
     def frame(self, ops: np.ndarray) -> np.ndarray:
         """B = X^dag S conj(X) for each S of the (..., D, D) stack ``ops``."""
         return self._xc.T @ ops @ self._xc
 
     def stack(self, ops: np.ndarray) -> np.ndarray:
-        """Read-only ``frame(ops)`` as (K, rank^2), formed once per family array."""
-        if id(ops) not in self._stacks:
-            if len(self._stacks) >= _MAX_STACKS:
-                del self._stacks[next(iter(self._stacks))]
-            flat = self.frame(ops).reshape(-1, self.rank**2)
-            flat.setflags(write=False)
-            self._stacks[id(ops)] = (ops, flat)  # holding ops keeps its id unique
-        return self._stacks[id(ops)][1]
+        """Read-only ``frame(ops)``, formed again unless ``ops`` is the last family array."""
+        if self._last[0] is not ops:
+            b = self.frame(ops)
+            b.setflags(write=False)
+            self._last = (ops, b)
+        return self._last[1]
 
 
 class Decomposition:
@@ -397,8 +398,13 @@ def state_to_jsonable(obj) -> dict:
 
 def state_from_jsonable(data: dict):
     """Inverse of state_to_jsonable; the shape of "re" picks the type."""
-    re = np.asarray(data["re"], dtype=float)
-    im = np.asarray(data["im"], dtype=float)
+    if not isinstance(data, dict) or not {"dims", "re", "im"} <= data.keys():
+        raise ParameterRangeError('a state is an object with keys "dims", "re" and "im"')
+    try:
+        re = np.asarray(data["re"], dtype=float)
+        im = np.asarray(data["im"], dtype=float)
+    except TypeError:
+        raise ParameterRangeError('"re" and "im" must hold numbers') from None
     kind = PureState if re.ndim == 1 else DensityMatrix
     return kind(re + 1j * im, data["dims"])
 

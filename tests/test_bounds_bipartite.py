@@ -404,7 +404,7 @@ class TestNonIntegralIndices:
     """k and subset indices are integers: 2.5 is not read as k = 2, nor
     (4.2, 8.9) as the subset (4, 8). Numpy integers are accepted."""
 
-    NOT_INTEGERS = [2.5, np.float64(2.0), "2"]
+    NOT_INTEGERS = [2.5, np.float64(2.0), "2", True]
 
     @pytest.mark.parametrize("bad", NOT_INTEGERS)
     def test_observation1_bound_rejects(self, bad):
@@ -414,7 +414,15 @@ class TestNonIntegralIndices:
         with pytest.raises(SubsetSizeError):
             observation1_bound(rho, 2, {(4, bad): [1.0, 1.0]})
 
-    @pytest.mark.parametrize("subset", [(4.2, 8.9), (4, 8.0), (np.float64(4.0), 8), ("4", 8)])
+    def test_observation1_bound_rejects_bools(self):
+        # True and False were read as 1 and 0.
+        bell = bell_state().density()
+        with pytest.raises(SubsetSizeError):
+            observation1_bound(bell, True, {(0,): [1.0]})
+        with pytest.raises(SubsetSizeError):
+            observation1_bound(bell, 1, {(False,): [1.0]})
+
+    @pytest.mark.parametrize("subset", [(4.2, 8.9), (4, 8.0), (np.float64(4.0), 8), ("4", 8), (False, 8)])
     def test_delta_k_rejects(self, subset):
         with pytest.raises(SubsetSizeError):
             delta_k(horodecki_state(0.3), bipartite_generators(3, 3), subset, [1.0, 1.0])

@@ -250,7 +250,7 @@ class TestObservation3:
 
 
 class TestInputGuards:
-    @pytest.mark.parametrize("key", [3, -1, "0", (0,), 1.0, 2.0])
+    @pytest.mark.parametrize("key", [3, -1, "0", (0,), 1.0, 2.0, True])
     def test_obs3_rejects_unknown_split_keys(self, key):
         # Such keys were skipped, so the W state read a bound of 0.0;
         # float keys were read as the split of equal value.
@@ -275,7 +275,7 @@ class TestNonIntegralIndices:
     """k and subset indices are integers: 1.5 is not read as k = 1, nor
     (0.5,) as the subset (0,). Numpy integers are accepted."""
 
-    NOT_INTEGERS = [1.5, np.float64(1.0), "1"]
+    NOT_INTEGERS = [1.5, np.float64(1.0), "1", True]
     ONES = ([1.0], [1.0], [1.0])
 
     @pytest.mark.parametrize("bad", NOT_INTEGERS)
@@ -294,7 +294,7 @@ class TestNonIntegralIndices:
         with pytest.raises(SubsetSizeError):
             observation3_bound(rho, 1, {0: {(bad,): [1.0]}})
 
-    @pytest.mark.parametrize("subset", [(0.5,), (np.float64(1.0),), ("1",)])
+    @pytest.mark.parametrize("subset", [(0.5,), (np.float64(1.0),), ("1",), (False,)])
     def test_delta_tot_k_rejects(self, subset):
         with pytest.raises(SubsetSizeError):
             delta_tot_k(white_noise_mix(w_state().density(), 0.5), canonical_triple(2), subset, self.ONES)

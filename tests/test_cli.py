@@ -208,6 +208,16 @@ class TestBoundCommand:
         assert code == 2
         assert "error:" in err and "NaN" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("blob", ['{"dims": [2, 2]}', "[1, 2]", '"x"', '{"dims": 2, "re": [1, 0], "im": [0, 0]}'])
+    def test_malformed_state_file_exits_two(self, blob, tmp_path, capsys):
+        path = tmp_path / "state.json"
+        path.write_text(blob)
+        code = main(["bound", "--state", str(path), "--mode", "ppt"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "error:" in captured.err and "Traceback" not in captured.err
+
     @pytest.mark.parametrize("tol", ["nan", "inf", "-inf"])
     @pytest.mark.parametrize("mode", ["wootters", "ppt"])
     def test_non_finite_tol_detect_exits_two_before_output(self, mode, tol, capsys):

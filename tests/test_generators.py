@@ -399,7 +399,7 @@ class TestNonIntegralArguments:
     1.7 as the split 2|13, whether or not the family is already cached.
     Numpy integers are accepted and share the cache entry of the int."""
 
-    NOT_INTEGERS = [2.5, np.float64(2.0), "2"]
+    NOT_INTEGERS = [2.5, np.float64(2.0), "2", True]
 
     @pytest.mark.parametrize("bad", NOT_INTEGERS)
     def test_so_generators_rejects(self, bad):
@@ -420,7 +420,7 @@ class TestNonIntegralArguments:
         with pytest.raises(ParameterRangeError):
             tripartite_generators(bad, 0)
 
-    @pytest.mark.parametrize("bad", [1.7, np.float64(1.0), "1"])
+    @pytest.mark.parametrize("bad", [1.7, np.float64(1.0), "1", True])
     def test_tripartite_generators_rejects_split(self, bad):
         with pytest.raises(InvalidSplitError):
             tripartite_generators(2, bad)

@@ -309,7 +309,7 @@ class TestSingletonClosedForm:
         ops = np.asarray(bipartite_generators(3, 3).operators)
         basis = random_density((3, 3), 3, 11)._basis
         subsets = [(i,) for i in range(9)]
-        coeffs, deltas, traces = optimizer._search(basis, ops, subsets, subsets, self.CFG)
+        coeffs, deltas, traces = optimizer._search(basis.stack(ops), subsets, subsets, self.CFG)
         assert coeffs.tobytes() == np.ones((9, 1), dtype=complex).tobytes()
         assert deltas.tobytes() == np.array([_delta_from_parts(b) for b in basis.frame(ops)]).tobytes()
         assert traces.tobytes() == np.repeat(deltas[:, None], self.CFG.restarts, axis=1).tobytes()

@@ -317,8 +317,8 @@ class TestNonIntegralIndices:
     """Dimensions, ranks, sizes and subsystem indices are integers: 2.5 is
     not read as 2. Numpy integers are accepted."""
 
-    NOT_INTEGERS = [2.5, 2.7, np.float64(2.0), "2"]
-    NOT_INDICES = [0.9, np.float64(0.0), "0"]
+    NOT_INTEGERS = [2.5, 2.7, np.float64(2.0), "2", True]
+    NOT_INDICES = [0.9, np.float64(0.0), "0", False]
 
     @pytest.mark.parametrize("bad", NOT_INTEGERS)
     def test_pure_state_rejects_dims(self, bad):
@@ -369,6 +369,23 @@ class TestNonIntegralIndices:
         for data in (pure, mixed):
             with pytest.raises(ParameterRangeError):
                 state_from_jsonable({**data, "dims": [bad, 2]})
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            {"dims": [2, 2]},
+            {"re": [1.0, 0.0], "im": [0.0, 0.0]},
+            [1, 2],
+            "x",
+            None,
+            {"dims": 2, "re": [1.0, 0.0], "im": [0.0, 0.0]},
+            {"dims": [2], "re": {"a": 1.0}, "im": [0.0, 0.0]},
+        ],
+        ids=["no-re-im", "no-dims", "list", "string", "null", "int-dims", "dict-re"],
+    )
+    def test_state_from_jsonable_rejects_malformed(self, data):
+        with pytest.raises(ParameterRangeError):
+            state_from_jsonable(data)
 
     def test_numpy_integers_pass(self):
         two = (np.int64(2), np.int32(2))

@@ -15,7 +15,7 @@ from concbound.bounds_bipartite import (
 from concbound.bounds_multipartite import delta_tot_k, observation2_bound, observation3_bound
 from concbound.generators import bipartite_generators, canonical_triple
 from concbound.numerics import psd_sqrt
-from concbound.optimizer import OptimizerConfig, optimize_bound_bipartite, optimize_bound_multipartite
+from concbound.optimizer import OptimizerConfig, optimize_bound_bipartite, optimize_bound_multipartite, optimize_u
 from concbound.states import (
     SupportBasis,
     ghz_state,
@@ -154,11 +154,35 @@ class TestStackBuiltOnce:
         assert len(frames) == 1
 
     def test_stacks_per_state_are_bounded(self, frames):
+        # One slot: the stack of the last family array, compared by identity.
         rho = random_density((2, 2), 4, seed=1)
-        ops = [np.array(bipartite_generators(2, 2).operators) for _ in range(12)]
+        ops = [np.array(bipartite_generators(2, 2).operators) for _ in range(3)]
         for o in ops:
             rho._basis.stack(o)
-        assert len(frames) == 12
-        assert len(rho._basis._stacks) <= 8
-        rho._basis.stack(ops[-1])
-        assert len(frames) == 12
+        assert len(frames) == 3
+        assert rho._basis.stack(ops[-1]) is rho._basis.stack(ops[-1])
+        assert len(frames) == 3
+        rho._basis.stack(ops[0])
+        assert len(frames) == 4
+
+    def test_single_subset_calls_frame_only_their_operators(self, frames):
+        rho = white_noise_mix(horodecki_state(0.2), 0.9)
+        gens = bipartite_generators(3, 3)
+        delta_k(rho, gens, (4, 8), [1.0, 0.5])
+        optimize_u(rho, gens, (1, 5, 7), CFG)
+        rho3 = white_noise_mix(w_state().density(), 0.5)
+        delta_tot_k(rho3, canonical_triple(2), (0, 3), ([1.0, 1.0], [1.0, 0.5], [0.5, 1.0]))
+        assert [f.shape[:-2] for f in frames] == [(2,), (3,), (3, 2)]
+
+    def test_single_subset_calls_leave_the_family_stack(self, frames):
+        rho = horodecki_state(0.2)
+        observation1_bound(rho, 2, {(4, 8): [1.0, 1.0]})
+        delta_k(rho, bipartite_generators(3, 3), (4, 8), [1.0, 0.5])
+        observation1_bound(rho, 2, {(4, 8): [1.0, 0.5]})
+        assert len(frames) == 2
+
+    def test_delta_k_on_a_large_family_frames_its_subset(self, frames):
+        # N = 225 operators; the gap reads two of them.
+        rho = random_density((6, 6), 36, seed=1)
+        delta_k(rho, bipartite_generators(6, 6), (0, 1), [1.0, 0.5])
+        assert len(frames) == 1 and frames[0].shape == (2, 36, 36)
