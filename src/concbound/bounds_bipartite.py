@@ -12,9 +12,11 @@ below. The spectrum is the singular values of A = sqrt(rho) S
 conj(sqrt(rho)), the numerically stable form of the same quantity (the
 eigenvalue route through rho S rho* S^dag is kept as a cross-check),
 read off the rank x rank B = X^dag S conj(X) with A = Q B Q^T on the
-support of rho (``states.SupportBasis``). B is linear in S, so every gap
+support of rho (``DensityMatrix._frame``). B is linear in S, so every gap
 comes from one engine, ``_gaps``: coefficient sums over one stack of B's
-(a state's kept family stack, or a single subset's own), and stacked SVDs.
+and stacked SVDs. Each call frames, once, exactly the operators its rows
+read: a search or a whole-family gap its family, a fixed aggregate the
+distinct operators of its entries, a single subset its own.
 Every aggregate, the tripartite and optimized ones included, is a list of
 (split, subset) entries: one layout function, ``_entry_rows``, maps them
 to rows of the stacked families, and one report builder, ``_report``,
@@ -184,8 +186,8 @@ def _delta_from_parts(b: np.ndarray):
 def _gaps(stack: np.ndarray, rows, coeffs) -> np.ndarray:
     """The gap engine: gap of sum_s coeffs[i, s] * stack[rows[i, s]] for
     each row i of equal-length index tuples into the B stack ``stack``
-    (``SupportBasis.frame`` of some operators), whose leading axes flatten
-    to one index: (3, N, r, r) reads as (3N, r, r)."""
+    (``DensityMatrix._frame`` of some operators), whose leading axes
+    flatten to one index: (3, N, r, r) reads as (3N, r, r)."""
     r = stack.shape[-1]
     flat = stack.reshape(-1, r * r)
     rows = np.asarray(rows, dtype=np.intp)
@@ -242,7 +244,9 @@ def _aggregate(rho: DensityMatrix, mode: str, k, ops, n: int, per_split, coeffic
                 raise SubsetSizeError(f"subset {t} does not have size k = {k}")
             entries.append((s, t))
             coeffs.append(coefficients(assignments[t_vec], k))
-    gaps = _gaps(rho._basis.stack(ops), _entry_rows(mode, entries, n), coeffs)
+    slot = {}
+    rows = [tuple(slot.setdefault(i, len(slot)) for i in row) for row in _entry_rows(mode, entries, n)]
+    gaps = _gaps(rho._frame(ops.reshape((-1,) + ops.shape[-2:])[list(slot)]), rows, coeffs)
     return _report(mode, k, n, entries, coeffs, gaps, start)
 
 
@@ -291,7 +295,7 @@ def lambda_spectrum(rho: DensityMatrix, s_op: np.ndarray) -> np.ndarray:
         first and zeros past the support.
     """
     rho, s_op = _check_operator(rho, s_op)
-    lam = np.linalg.svd(rho._basis.frame(s_op), compute_uv=False)
+    lam = np.linalg.svd(rho._frame(s_op), compute_uv=False)
     return np.concatenate([lam, np.zeros(rho.dim - lam.size)])
 
 
@@ -330,7 +334,7 @@ def delta_k(rho: DensityMatrix, gens: GeneratorSet, t_vec, u) -> float:
     _check_dims_match(rho, gens)
     t = _check_subset(t_vec, gens.count)
     u = _check_coefficients(u, len(t))
-    return float(_gaps(rho._basis.frame(gens.operators[list(t)]), [range(len(t))], [u])[0])
+    return float(_gaps(rho._frame(gens.operators[list(t)]), [range(len(t))], [u])[0])
 
 
 def _resolve_gens(rho: DensityMatrix, gens: GeneratorSet | None) -> GeneratorSet:
@@ -376,7 +380,7 @@ def wootters_concurrence(rho: DensityMatrix) -> float:
     rho = _check_state(rho)
     if tuple(rho.dims) != (2, 2):
         raise DimensionMismatchError(f"two-qubit state required, got dims {rho.dims}")
-    return float(_gaps(rho._basis.stack(bipartite_generators(2, 2).operators), [(0,)], [(1.0,)])[0])
+    return float(_gaps(rho._frame(bipartite_generators(2, 2).operators), [(0,)], [(1.0,)])[0])
 
 
 def delta_total_bound(rho: DensityMatrix, gens: GeneratorSet, u_full) -> float:
@@ -392,7 +396,7 @@ def delta_total_bound(rho: DensityMatrix, gens: GeneratorSet, u_full) -> float:
     nrm = float(np.linalg.norm(u))
     if abs(nrm - 1.0) > 1e-10:
         raise NotNormalizedError(f"coefficient norm {nrm!r} deviates from 1")
-    return float(_gaps(rho._basis.stack(gens.operators), [range(gens.count)], [u])[0])
+    return float(_gaps(rho._frame(gens.operators), [range(gens.count)], [u])[0])
 
 
 def decomposition_average(dec: Decomposition, s_op: np.ndarray) -> float:

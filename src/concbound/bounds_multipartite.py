@@ -104,7 +104,7 @@ def delta_tot_k(rho: DensityMatrix, triple: GeneratorTriple, t_vec, x) -> float:
     triple = _resolve_triple(rho, triple)
     t = _check_subset(t_vec, triple.count)
     row = _triple_coefficients(x, len(t))
-    return float(_gaps(rho._basis.frame(triple.operators[:, list(t)]), [range(3 * len(t))], [row])[0])
+    return float(_gaps(rho._frame(triple.operators[:, list(t)]), [range(3 * len(t))], [row])[0])
 
 
 def observation2_bound(rho: DensityMatrix, k: int, assignments, gen_source="canonical") -> BoundReport:

@@ -34,6 +34,7 @@ from . import __version__
 from .errors import ParameterRangeError, ThresholdNotDetectedError
 from .bounds_bipartite import (
     BoundReport,
+    _check_k,
     observation1_bound,
     ppt_min_eigenvalue,
     wootters_concurrence,
@@ -82,46 +83,47 @@ def _parse_params(text: str) -> dict:
     if not text:
         return params
     for chunk in text.split(","):
-        key, _, val = chunk.partition("=")
-        if not _:
+        key, eq, val = (part.strip() for part in chunk.partition("="))
+        if not eq:
             raise ValueError(f"malformed parameter {chunk!r}, expected key=value")
-        params[key.strip()] = val.strip()
+        if key in params:
+            raise ValueError(f"parameter {key!r} given twice")
+        params[key] = val
     return params
 
 
 def _mixed_dims(params: dict) -> tuple[int, ...]:
+    if len(params) != 1 or not params.keys() <= {"d", "dims"}:
+        raise ValueError(f"maximally-mixed takes one of dims=AxB or a square total d=N, got {sorted(params)}")
     if "dims" in params:
         return tuple(int(x) for x in params["dims"].split("x"))
-    if "d" in params:
-        d = int(params["d"])
-        root = round(math.sqrt(d))
-        if root * root == d and root >= 2:
-            return (root, root)
-        raise ValueError(f"cannot infer square dims from d={d}; pass dims=AxB")
-    raise ValueError("maximally-mixed needs dims=AxB or a square total d=N")
-
-
-def _horodecki_base(params: dict) -> DensityMatrix:
-    if "a" not in params:
-        raise ValueError("horodecki needs a=<value>")
-    return horodecki_state(float(params["a"]))
+    d = int(params["d"])
+    root = round(math.sqrt(d))
+    if root * root == d and root >= 2:
+        return (root, root)
+    raise ValueError(f"cannot infer square dims from d={d}; pass dims=AxB")
 
 
 # Noise family -> (base state from the descriptor parameters, obs2
-# generator source); a family's state at p is white_noise_mix(base, p).
+# generator source, the descriptor's keys, all required); a family's state
+# at p is white_noise_mix(base, p).
 _FAMILIES = {
-    "ghz-noise": (lambda params: ghz_state().density(), "ghz"),
-    "w-noise": (lambda params: w_state().density(), "w"),
-    "bell-noise": (lambda params: bell_state().density(), "canonical"),
-    "horodecki": (_horodecki_base, "canonical"),
+    "ghz-noise": (lambda params: ghz_state().density(), "ghz", ()),
+    "w-noise": (lambda params: w_state().density(), "w", ()),
+    "bell-noise": (lambda params: bell_state().density(), "canonical", ()),
+    "horodecki": (lambda params: horodecki_state(float(params["a"])), "canonical", ("a",)),
 }
 
 
-def _noise_family(name: str, params: dict):
-    """p -> state along the named noise family."""
+def _noise_family(name: str, params: dict, optional=()):
+    """p -> state along the named noise family; ``params`` holds the
+    family's keys and may hold those in ``optional``, and no other."""
     if name not in _FAMILIES:
         raise ValueError(f"unknown family {name!r}")
-    base = _FAMILIES[name][0](params)
+    make, _, keys = _FAMILIES[name]
+    if not set(keys) <= params.keys() <= set(keys + optional):
+        raise ValueError(f"{name} needs the keys {list(keys)} and takes {list(optional)}, got {sorted(params)}")
+    base = make(params)
     return lambda p: white_noise_mix(base, p)
 
 
@@ -132,7 +134,7 @@ def parse_state(text: str) -> tuple[DensityMatrix, dict]:
         name, params = name.strip(), _parse_params(rest)
         p = float(params.get("p", 1.0))
         # maximally-mixed is a bound-only family: it has no noise parameter.
-        rho = maximally_mixed(_mixed_dims(params)) if name == "maximally-mixed" else _noise_family(name, params)(p)
+        rho = maximally_mixed(_mixed_dims(params)) if name == "maximally-mixed" else _noise_family(name, params, ("p",))(p)
         return rho, {"source": "family", "family": name, "params": params}
     obj = load_state(text)
     if isinstance(obj, PureState):
@@ -171,7 +173,7 @@ _REPORTS = {
     "obs2": _obs2_report,
     "obs3": lambda rho, k, cfg, source: optimize_bound_multipartite(rho, k, cfg, "obs3"),
     # The two-qubit family rejects every other state before any output.
-    "wootters": lambda rho, k, cfg, source: replace(observation1_bound(rho, 1, {(0,): [1.0]}, bipartite_generators(2, 2)), mode="wootters"),
+    "wootters": lambda rho, k, cfg, source: replace(observation1_bound(rho, k, {(0,): [1.0]}, bipartite_generators(2, 2)), mode="wootters"),
 }
 _MODES = (*_REPORTS, "ppt")
 
@@ -223,6 +225,8 @@ def cmd_scan(args, argv) -> int:
     name, _, rest = args.family.partition(":")
     name, params = name.strip(), _parse_params(rest)
     family = _noise_family(name, params)
+    if args.mode == "wootters":
+        _check_k(args.k, bipartite_generators(2, 2).count)
     lo_txt, _, hi_txt = args.p_range.partition(":")
     p_lo, p_hi = float(lo_txt), float(hi_txt)
     if args.points < 1:

@@ -4,8 +4,9 @@ and the symmetric-matrix (Autonne-Takagi) factorization.
 All routines validate their structural preconditions and raise typed
 errors instead of repairing bad input. Everything is dense; no attempt
 is made to exploit sparsity. The bounds never form sqrt(rho): they read
-a state's support basis (``states.SupportBasis``), which is tested
-against the full-matrix root ``psd_sqrt``.
+its support factor off a state's own eigendecomposition
+(``DensityMatrix._xc``), which is tested against the full-matrix root
+``psd_sqrt``.
 """
 from __future__ import annotations
 

@@ -44,7 +44,7 @@ from .bounds_bipartite import (
 )
 from .bounds_multipartite import _resolve_triple
 from .generators import GeneratorSet
-from .states import DensityMatrix, SupportBasis
+from .states import DensityMatrix
 
 DEFAULT_SEED = 1905
 
@@ -204,9 +204,9 @@ def _search(stack: np.ndarray, subsets, salts, cfg: OptimizerConfig):
     return coeffs, _gaps(stack, idx, coeffs), np.maximum.accumulate(val, axis=1)
 
 
-def _optimize_coefficients(basis: SupportBasis, ops, cfg: OptimizerConfig, salt: tuple[int, ...]):
+def _optimize_coefficients(rho: DensityMatrix, ops, cfg: OptimizerConfig, salt: tuple[int, ...]):
     """One-subset search over ``ops``, framed alone: (coefficients, delta, per-restart best trace)."""
-    coeffs, deltas, traces = _search(basis.frame(ops), [range(len(ops))], [salt], cfg)
+    coeffs, deltas, traces = _search(rho._frame(ops), [range(len(ops))], [salt], cfg)
     return coeffs[0], float(deltas[0]), traces[0].tolist()
 
 
@@ -219,19 +219,19 @@ def optimize_u(rho: DensityMatrix, gens: GeneratorSet, t_vec, cfg: OptimizerConf
     rho = _check_state(rho)
     _check_dims_match(rho, gens)
     t = _check_subset(t_vec, gens.count)
-    return _optimize_coefficients(rho._basis, gens.operators[list(t)], cfg, t)[:2]
+    return _optimize_coefficients(rho, gens.operators[list(t)], cfg, t)[:2]
 
 
 def _optimize_aggregate(rho: DensityMatrix, mode: str, k, cfg: OptimizerConfig, ops, n: int) -> BoundReport:
     """The searched aggregate of every mode over its stacked families
-    ``ops`` (N generators each): per split a pool of size-k subsets, then
-    one search over all (split, subset) entries. "top_singletons" ranks
+    ``ops`` (N generators each), framed once for the call: per split a pool
+    of size-k subsets, then one search over all (split, subset) entries. "top_singletons" ranks
     each split's generators by their all-ones gaps, in one call. Seeds are
     salted by the subset, by (split,) + subset where a mode has several
     splits."""
     start = time.perf_counter()
     k = _check_k(k, n)
-    stack, n_splits = rho._basis.stack(ops), len(_AGGREGATES[mode.split("-")[0]][2])
+    stack, n_splits = rho._frame(ops), len(_AGGREGATES[mode.split("-")[0]][2])
     pools = [list(combinations(range(n), k))] * n_splits
     if cfg.subset_strategy == "top_singletons":
         rows = _entry_rows(mode, [(s, (i,)) for s in range(n_splits) for i in range(n)], n)

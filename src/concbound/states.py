@@ -4,7 +4,9 @@ Composite systems use the row-major index convention: for subsystem
 dimensions (d1, d2, d3) the basis ket |i j k> maps to the flat index
 i*d2*d3 + j*d3 + k, matching a C-order reshape of the coefficient
 tensor. All containers validate on construction and reject bad input
-rather than repairing it.
+rather than repairing it. A DensityMatrix eigendecomposes itself once
+and reads the support factor of its root off that decomposition; it
+keeps no gap matrices, so each bound frames only the operators it reads.
 
 State JSON format: ``{"dims": [...], "re": ..., "im": ...}`` where
 ``re``/``im`` are flat lists for a pure state and row-major nested
@@ -122,41 +124,23 @@ class DensityMatrix:
         return self.matrix.shape[0]
 
     @cached_property
-    def _basis(self) -> "SupportBasis":
-        """The support of rho, formed from the constructor's ``eigh``."""
-        return SupportBasis(*self._eigh)
+    def _xc(self) -> np.ndarray:
+        """conj(X) for sqrt(rho) = X X^dag, X = Q D^(1/2) over the eigenpairs
+        of the constructor's ``eigh`` above the support cut."""
+        w, q = self._eigh
+        low = np.count_nonzero(w <= _SUPPORT_CUT * w.size * w[-1])  # eigh's w ascends
+        xc = q[:, low:] * np.sqrt(w[low:])
+        np.conjugate(xc, out=xc).setflags(write=False)
+        return xc
+
+    def _frame(self, ops: np.ndarray) -> np.ndarray:
+        """B = X^dag S conj(X) for each S of the (..., D, D) stack ``ops``,
+        formed anew on each call: a state keeps no B."""
+        return self._xc.T @ ops @ self._xc
 
     def purity(self) -> float:
         """Tr(rho^2)."""
         return float(np.real(np.trace(self.matrix @ self.matrix)))
-
-
-class SupportBasis:
-    """sqrt(rho) = X X^dag with X = Q D^(1/2) over the eigenpairs above the
-    support cut. sqrt(rho) S conj(sqrt(rho)) = Q B Q^T, so the gap matrices
-    have the singular values of the rank x rank B = X^dag S conj(X), which is
-    linear in S. ``frame`` forms B for any operators; ``stack`` keeps the B's
-    of one family array, the last it was given (families are shared and
-    read-only), for every aggregate and search over that family."""
-
-    def __init__(self, w: np.ndarray, q: np.ndarray):
-        low = np.count_nonzero(w <= _SUPPORT_CUT * w.size * w[-1])  # eigh's w ascends
-        xc = q[:, low:] * np.sqrt(w[low:])
-        self._xc = np.conjugate(xc, out=xc)
-        self.rank = self._xc.shape[1]
-        self._last = (None, None)  # (family array, its read-only B stack)
-
-    def frame(self, ops: np.ndarray) -> np.ndarray:
-        """B = X^dag S conj(X) for each S of the (..., D, D) stack ``ops``."""
-        return self._xc.T @ ops @ self._xc
-
-    def stack(self, ops: np.ndarray) -> np.ndarray:
-        """Read-only ``frame(ops)``, formed again unless ``ops`` is the last family array."""
-        if self._last[0] is not ops:
-            b = self.frame(ops)
-            b.setflags(write=False)
-            self._last = (ops, b)
-        return self._last[1]
 
 
 class Decomposition:
@@ -405,6 +389,8 @@ def state_from_jsonable(data: dict):
         im = np.asarray(data["im"], dtype=float)
     except TypeError:
         raise ParameterRangeError('"re" and "im" must hold numbers') from None
+    if re.shape != im.shape:
+        raise ParameterRangeError(f'"re" has shape {re.shape} but "im" has shape {im.shape}')
     kind = PureState if re.ndim == 1 else DensityMatrix
     return kind(re + 1j * im, data["dims"])
 

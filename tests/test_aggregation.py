@@ -28,7 +28,7 @@ def _obs1_loop(rho, k, assignments, gens):
     coefficient vector with the operators' gap matrices B_s = X^dag J_s
     conj(X) on the state's support, formed apart from the engine's cache."""
     n = gens.count
-    stack = rho._basis.frame(gens.operators)
+    stack = rho._frame(gens.operators)
     entries = []
     for t in sorted(assignments):
         u = np.asarray(assignments[t], dtype=complex).reshape(-1)
@@ -44,7 +44,7 @@ def _obs2_loop(rho, k, assignments, triple, mode):
     weights the 1|23 family, v the 2|13 one and w the 3|12 one, and the
     gap matrix is the product of (u, v, w) with the state's gap
     matrices of the three families at the subset's indices."""
-    b1, b2, b3 = rho._basis.frame(triple.operators)
+    b1, b2, b3 = rho._frame(triple.operators)
     n = triple.count
     entries = []
     for t in sorted(assignments):

@@ -90,6 +90,34 @@ class TestStateDescriptors:
         with pytest.raises(ValueError):
             parse_state("family:ghz-noise,p")
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("family:ghz-noise,P=0.1", "got ['P']"),
+            ("family:bell-noise,a=0.5", "got ['a']"),
+            ("family:horodecki,a=0.2,p=0.5,p=1", "'p' given twice"),
+            ("family:horodecki,a=0.2,a=0.3", "'a' given twice"),
+            ("family:horodecki,p=0.5", "needs the keys ['a']"),
+            ("family:maximally-mixed,d=9,p=0.5", "got ['d', 'p']"),
+            ("family:maximally-mixed,d=9,dims=3x3", "got ['d', 'dims']"),
+            ("family:maximally-mixed,d=9,d=4", "'d' given twice"),
+        ],
+    )
+    def test_rejects_unknown_and_repeated_keys(self, text, message):
+        # Each family takes its own keys (and p for a noise family), each once.
+        with pytest.raises(ValueError, match=re.escape(message)):
+            parse_state(text)
+
+    @pytest.mark.parametrize("family", ["ghz-noise:p=0.3", "horodecki:a=0.2,p=0.3", "horodecki:a=0.2,a=0.3", "w-noise:x=1"])
+    def test_scan_family_rejects_unknown_and_repeated_keys(self, family, tmp_path, capsys):
+        # A scan family's p is the swept parameter, not a descriptor key.
+        out_csv = tmp_path / "scan.csv"
+        code = main(["scan", "--family", family, "--mode", "ppt", "--p-range", "0.1:1.0", "--out", str(out_csv)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == "" and not out_csv.exists()
+        assert "error:" in captured.err and "Traceback" not in captured.err
+
 
 class TestConfigResolution:
     def test_default_seed(self, monkeypatch):
@@ -218,6 +246,18 @@ class TestBoundCommand:
         assert captured.out == ""
         assert "error:" in captured.err and "Traceback" not in captured.err
 
+    @pytest.mark.parametrize("im", ["[[0, 0, 0, 0]]", "0", "[0, 0, 0, 0]"])
+    def test_state_file_with_mismatched_re_im_shapes_exits_two(self, im, tmp_path, capsys):
+        # "im" is not broadcast against "re": every shape but re's is rejected.
+        re_rows = json.dumps((np.eye(4) / 4).tolist())
+        path = tmp_path / "state.json"
+        path.write_text(f'{{"dims": [2, 2], "re": {re_rows}, "im": {im}}}')
+        code = main(["bound", "--state", str(path), "--mode", "ppt"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "error:" in captured.err and "shape" in captured.err and "Traceback" not in captured.err
+
     @pytest.mark.parametrize("tol", ["nan", "inf", "-inf"])
     @pytest.mark.parametrize("mode", ["wootters", "ppt"])
     def test_non_finite_tol_detect_exits_two_before_output(self, mode, tol, capsys):
@@ -235,6 +275,22 @@ class TestBoundCommand:
         assert code == 2
         assert captured.out == ""
         assert "error:" in captured.err and "k = 7" in captured.err and "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("k", ["7", "2", "0"])
+    def test_wootters_rejects_k_other_than_one(self, k, tmp_path, capsys):
+        # The two-qubit family holds one operator, for bound and scan alike.
+        code = main(["bound", "--state", "family:bell-noise,p=1", "--mode", "wootters", "--k", k])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert f"k = {k}" in captured.err and "Traceback" not in captured.err
+        out_csv = tmp_path / "scan.csv"
+        argv = ["scan", "--family", "bell-noise", "--mode", "wootters", "--k", k, "--p-range", "0.1:1.0"]
+        code = main(argv + ["--out", str(out_csv)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == "" and not out_csv.exists()
+        assert f"k = {k}" in captured.err and "Traceback" not in captured.err
 
     @pytest.mark.parametrize("blob", ['{"foo": 1}', "[1]", '{"restarts": 1.5}'])
     def test_bad_optimizer_json_exits_two(self, blob, capsys):

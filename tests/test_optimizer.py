@@ -129,7 +129,7 @@ class TestOptimizeU:
         rho = white_noise_mix(horodecki_state(0.2), 0.95)
         ops = np.stack([gens.operators[i] for i in (1, 5)])
         cfg = OptimizerConfig(restarts=6, iterations=30)
-        _, delta, trace = _optimize_coefficients(rho._basis, ops, cfg, (1, 5))
+        _, delta, trace = _optimize_coefficients(rho, ops, cfg, (1, 5))
         assert len(trace) == cfg.restarts
         assert all(b >= a for a, b in zip(trace, trace[1:]))
         all_ones = delta_k(rho, gens, (1, 5), [1.0, 1.0])
@@ -145,11 +145,11 @@ class TestOptimizeU:
             optimize_u(bell_state().density(), bipartite_generators(3, 3), (0,), FAST)
 
 
-def _reference_descent(basis, ops, cfg, salt):
+def _reference_descent(rho, ops, cfg, salt):
     """One subset, one restart at a time: the coordinate descent the
     lockstep engine replaces, kept verbatim as its oracle. Each gap is one
     SVD of the coefficient sum over the state's gap matrices of ``ops``."""
-    stack = basis.frame(ops)
+    stack = rho._frame(ops)
 
     def delta_of(radii, phases):
         coeffs = radii * np.exp(1j * phases)
@@ -221,22 +221,22 @@ class TestLockstepEngine:
     GENS = bipartite_generators(3, 3)
 
     def _parts(self, subset, rho):
-        return rho._basis, np.stack([self.GENS.operators[i] for i in subset])
+        return rho, np.stack([self.GENS.operators[i] for i in subset])
 
     @pytest.mark.parametrize("subset", [(4,), (4, 8), (1, 5, 7)])
     @pytest.mark.parametrize("restarts", [1, 3])
     @pytest.mark.parametrize("iterations", [1, 7])
     def test_matches_sequential_descent(self, subset, restarts, iterations):
-        basis, ops = self._parts(subset, white_noise_mix(horodecki_state(0.3), 0.9))
+        rho, ops = self._parts(subset, white_noise_mix(horodecki_state(0.3), 0.9))
         cfg = OptimizerConfig(restarts=restarts, iterations=iterations)
-        want = _reference_descent(basis, ops, cfg, subset)
-        _assert_bitwise_equal(_optimize_coefficients(basis, ops, cfg, subset), want)
+        want = _reference_descent(rho, ops, cfg, subset)
+        _assert_bitwise_equal(_optimize_coefficients(rho, ops, cfg, subset), want)
 
     def test_matches_where_radii_clip_at_zero_and_one(self):
-        basis, ops = self._parts((0, 4), horodecki_state(0.2))
+        rho, ops = self._parts((0, 4), horodecki_state(0.2))
         cfg = OptimizerConfig(restarts=3, iterations=7, step_initial=0.9, step_final=0.05)
-        want = _reference_descent(basis, ops, cfg, (0, 4))
-        got = _optimize_coefficients(basis, ops, cfg, (0, 4))
+        want = _reference_descent(rho, ops, cfg, (0, 4))
+        got = _optimize_coefficients(rho, ops, cfg, (0, 4))
         _assert_bitwise_equal(got, want)
         assert sorted(np.abs(got[0])) == [0.0, 1.0]
 
@@ -244,8 +244,8 @@ class TestLockstepEngine:
         rho = white_noise_mix(w_state().density(), 0.5)
         ops = np.stack([tripartite_generators(2, s).operators[2] for s in range(3)])
         cfg = OptimizerConfig(restarts=3, iterations=7)
-        want = _reference_descent(rho._basis, ops, cfg, (2,))
-        _assert_bitwise_equal(_optimize_coefficients(rho._basis, ops, cfg, (2,)), want)
+        want = _reference_descent(rho, ops, cfg, (2,))
+        _assert_bitwise_equal(_optimize_coefficients(rho, ops, cfg, (2,)), want)
 
     def test_reports_do_not_depend_on_block_size(self, monkeypatch):
         cfg = OptimizerConfig(restarts=3, iterations=8)
@@ -278,7 +278,7 @@ class TestLockstepEngine:
             s = ("1|23", "2|13", "3|12").index(e.split) if mode == "obs3" else 0
             rows = [(s + j) * n + i for j in range(3 if mode == "obs2" else 1) for i in e.subset]
             salt = (s,) + e.subset if mode == "obs3" else e.subset
-            u, delta, _ = _optimize_coefficients(rho._basis, flat[rows], cfg, salt)
+            u, delta, _ = _optimize_coefficients(rho, flat[rows], cfg, salt)
             assert np.concatenate([np.array(c) for c in e.coefficients.values()]).tobytes() == u.tobytes()
             assert np.float64(e.delta).tobytes() == np.float64(delta).tobytes()
 
@@ -307,19 +307,19 @@ class TestSingletonClosedForm:
     def test_unit_coefficient_and_stack_gap(self, monkeypatch):
         monkeypatch.setattr(bounds_bipartite, "_BLOCK_ROWS", 4)
         ops = np.asarray(bipartite_generators(3, 3).operators)
-        basis = random_density((3, 3), 3, 11)._basis
+        rho = random_density((3, 3), 3, 11)
         subsets = [(i,) for i in range(9)]
-        coeffs, deltas, traces = optimizer._search(basis.stack(ops), subsets, subsets, self.CFG)
+        coeffs, deltas, traces = optimizer._search(rho._frame(ops), subsets, subsets, self.CFG)
         assert coeffs.tobytes() == np.ones((9, 1), dtype=complex).tobytes()
-        assert deltas.tobytes() == np.array([_delta_from_parts(b) for b in basis.frame(ops)]).tobytes()
+        assert deltas.tobytes() == np.array([_delta_from_parts(b) for b in rho._frame(ops)]).tobytes()
         assert traces.tobytes() == np.repeat(deltas[:, None], self.CFG.restarts, axis=1).tobytes()
 
     def test_matches_search_oracle_within_round_off(self):
         for rho, ops, indices in self._nonzero_cases():
             for i in indices:
                 op = np.stack([ops[i]])
-                want = _reference_descent(rho._basis, op, self.CFG, (i,))[1]
-                u, got, _ = _optimize_coefficients(rho._basis, op, self.CFG, (i,))
+                want = _reference_descent(rho, op, self.CFG, (i,))[1]
+                u, got, _ = _optimize_coefficients(rho, op, self.CFG, (i,))
                 assert want > 1e-3
                 assert u.tobytes() == np.ones(1, dtype=complex).tobytes()
                 assert want - 1e-14 <= got <= want

@@ -14,7 +14,6 @@ from concbound.errors import (
     SubsystemIndexError,
 )
 from concbound.bounds_bipartite import lambda_spectrum, lambda_spectrum_product_route
-from concbound.generators import bipartite_generators
 from concbound.states import (
     Decomposition,
     DensityMatrix,
@@ -258,6 +257,16 @@ class TestJsonIO:
         nested = state_to_jsonable(maximally_mixed((2, 2)))
         assert isinstance(state_from_jsonable(nested), DensityMatrix)
 
+    @pytest.mark.parametrize("im", [[[0.0] * 4], 0.0, [0.0] * 4, [[0.0] * 5] * 4], ids=["row", "scalar", "flat", "wide"])
+    def test_re_im_shapes_must_match(self, im):
+        # "im" is never broadcast against "re", for a matrix or a vector.
+        data = state_to_jsonable(maximally_mixed((2, 2)))
+        with pytest.raises(ParameterRangeError, match="shape"):
+            state_from_jsonable({**data, "im": im})
+        pure = state_to_jsonable(bell_state())
+        with pytest.raises(ParameterRangeError, match="shape"):
+            state_from_jsonable({**pure, "im": 0.0})
+
 
 # Every rank of every listed size, the Horodecki family, noisy W, and a
 # state whose smallest eigenvalue sits inside the clamp window.
@@ -286,8 +295,8 @@ class TestRootFromConstructor:
         rho = build()
         w, q = np.linalg.eigh(rho.matrix)  # what psd_sqrt(rho.matrix) decomposes
         keep = w > np.finfo(float).eps * w.size * w[-1]
-        assert rho._basis.rank == np.count_nonzero(keep) >= 1
-        assert rho._basis._xc.tobytes() == (q[:, keep] * np.sqrt(w[keep])).conj().tobytes()
+        assert rho._xc.shape[1] == np.count_nonzero(keep) >= 1
+        assert rho._xc.tobytes() == (q[:, keep] * np.sqrt(w[keep])).conj().tobytes()
 
     @pytest.mark.parametrize("build", [b for _, b in ROOT_CASES], ids=[n for n, _ in ROOT_CASES])
     def test_spectrum_matches_product_route(self, build):
@@ -304,13 +313,10 @@ class TestRootFromConstructor:
 
     def test_root_pair_is_cached_and_read_only(self):
         rho = horodecki_state(0.3)
-        basis = rho._basis
-        assert rho._basis is basis
-        ops = bipartite_generators(3, 3).operators
-        stack = basis.stack(ops)
-        assert basis.stack(ops) is stack
+        xc = rho._xc
+        assert rho._xc is xc
         with pytest.raises(ValueError):
-            stack[0, 0] = 1.0
+            xc[0, 0] = 1.0
 
 
 class TestNonIntegralIndices:

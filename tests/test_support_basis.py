@@ -1,6 +1,6 @@
-"""The support basis and its operator stacks: every gap is the singular
-value gap of B = X^dag S conj(X), X = Q D^(1/2) on the support of rho,
-with B formed once per (state, family)."""
+"""The support frame of a state: every gap is the singular value gap of
+B = X^dag S conj(X), X = Q D^(1/2) on the support of rho, and each call
+frames, once, exactly the operators its rows read."""
 from __future__ import annotations
 
 import numpy as np
@@ -17,7 +17,7 @@ from concbound.generators import bipartite_generators, canonical_triple
 from concbound.numerics import psd_sqrt
 from concbound.optimizer import OptimizerConfig, optimize_bound_bipartite, optimize_bound_multipartite, optimize_u
 from concbound.states import (
-    SupportBasis,
+    DensityMatrix,
     ghz_state,
     horodecki_state,
     random_density,
@@ -91,7 +91,7 @@ class TestCrossRoute:
     def test_pure_state_gap_is_the_expectation(self, pure):
         # Rank one: every gap matrix is 1x1, the value |<psi|S|psi*>|.
         rho = pure.density()
-        assert rho._basis.rank == 1
+        assert rho._xc.shape[1] == 1
         triple = canonical_triple(2)
         rng = np.random.default_rng(3)
         conj = pure.amplitudes.conj()
@@ -109,24 +109,26 @@ class TestCrossRoute:
         s_op = bipartite_generators(*rho.dims).operators.sum(axis=0)
         lam = lambda_spectrum(rho, s_op)
         assert lam.shape == (rho.dim,)
-        assert np.all(lam[rho._basis.rank :] == 0.0)
+        assert np.all(lam[rho._xc.shape[1] :] == 0.0)
         assert np.all(np.diff(lam) <= 0.0)
 
 
 class TestStackBuiltOnce:
-    """A state forms the gap matrices of a family once, whatever and
-    however often its bounds read them."""
+    """Each call frames, once, exactly the operators its rows read: a
+    search its whole family, whatever the number of probes, and a fixed
+    aggregate the distinct operators of its entries. No state keeps a
+    frame between calls."""
 
     @pytest.fixture
     def frames(self, monkeypatch):
         calls = []
-        frame = SupportBasis.frame
+        frame = DensityMatrix._frame
 
         def spy(self, ops):
             calls.append(ops)
             return frame(self, ops)
 
-        monkeypatch.setattr(SupportBasis, "frame", spy)
+        monkeypatch.setattr(DensityMatrix, "_frame", spy)
         return calls
 
     def test_bipartite_search(self, frames):
@@ -134,36 +136,36 @@ class TestStackBuiltOnce:
         gens = bipartite_generators(3, 3)
         optimize_bound_bipartite(rho, 2, CFG)
         optimize_bound_bipartite(rho, 1, OptimizerConfig(restarts=1, iterations=2, subset_strategy="top_singletons"))
+        assert len(frames) == 2 and all(f is gens.operators for f in frames)
         observation1_bound(rho, 2, {(4, 8): [1.0, 1.0]})
-        assert len(frames) == 1 and frames[0] is gens.operators
+        assert frames[2].tobytes() == gens.operators[[4, 8]].tobytes()
         optimize_bound_bipartite(horodecki_state(0.5), 2, CFG)
-        assert len(frames) == 2
+        assert len(frames) == 4 and frames[3] is gens.operators
 
     def test_tripartite_modes_share_the_canonical_stack(self, frames):
+        # Both searches frame the one shared canonical family array; the
+        # fixed aggregates frame the operators their entries read.
         rho = white_noise_mix(w_state().density(), 0.5)
+        canonical = canonical_triple(2).operators
         optimize_bound_multipartite(rho, 1, CFG, "obs2")
         optimize_bound_multipartite(rho, 1, CFG, "obs3")
         observation2_bound(rho, 1, {(0,): ([1.0], [1.0], [1.0])})
-        observation3_bound(rho, 1, {0: {(0,): [1.0]}})
-        assert len(frames) == 1 and frames[0] is canonical_triple(2).operators
+        observation3_bound(rho, 1, {0: {(0,): [1.0]}, 2: {(0,): [1.0], (3,): [0.5]}})
+        assert frames[0] is canonical and frames[1] is canonical
+        flat = canonical.reshape((-1,) + canonical.shape[-2:])
+        n = canonical.shape[1]
+        assert frames[2].tobytes() == flat[[0, n, 2 * n]].tobytes()
+        assert frames[3].tobytes() == flat[[0, 2 * n, 2 * n + 3]].tobytes()
+        assert len(frames) == 4
 
     def test_wootters_reads_the_obs1_stack(self, frames):
+        # obs1 frames the one operator its subset reads; wootters frames
+        # the shared two-qubit family, which is that operator.
         rho = random_density((2, 2), 3, seed=5)
         observation1_bound(rho, 1, {(0,): [1.0]})
         wootters_concurrence(rho)
-        assert len(frames) == 1
-
-    def test_stacks_per_state_are_bounded(self, frames):
-        # One slot: the stack of the last family array, compared by identity.
-        rho = random_density((2, 2), 4, seed=1)
-        ops = [np.array(bipartite_generators(2, 2).operators) for _ in range(3)]
-        for o in ops:
-            rho._basis.stack(o)
-        assert len(frames) == 3
-        assert rho._basis.stack(ops[-1]) is rho._basis.stack(ops[-1])
-        assert len(frames) == 3
-        rho._basis.stack(ops[0])
-        assert len(frames) == 4
+        assert [f.shape for f in frames] == [(1, 4, 4), (1, 4, 4)]
+        assert frames[1] is bipartite_generators(2, 2).operators
 
     def test_single_subset_calls_frame_only_their_operators(self, frames):
         rho = white_noise_mix(horodecki_state(0.2), 0.9)
@@ -174,15 +176,26 @@ class TestStackBuiltOnce:
         delta_tot_k(rho3, canonical_triple(2), (0, 3), ([1.0, 1.0], [1.0, 0.5], [0.5, 1.0]))
         assert [f.shape[:-2] for f in frames] == [(2,), (3,), (3, 2)]
 
-    def test_single_subset_calls_leave_the_family_stack(self, frames):
-        rho = horodecki_state(0.2)
-        observation1_bound(rho, 2, {(4, 8): [1.0, 1.0]})
-        delta_k(rho, bipartite_generators(3, 3), (4, 8), [1.0, 0.5])
-        observation1_bound(rho, 2, {(4, 8): [1.0, 0.5]})
-        assert len(frames) == 2
-
     def test_delta_k_on_a_large_family_frames_its_subset(self, frames):
         # N = 225 operators; the gap reads two of them.
         rho = random_density((6, 6), 36, seed=1)
         delta_k(rho, bipartite_generators(6, 6), (0, 1), [1.0, 0.5])
         assert len(frames) == 1 and frames[0].shape == (2, 36, 36)
+
+    def test_aggregate_on_a_large_family_frames_its_subsets(self, frames):
+        # N = 225 operators; a k=1 aggregate of one subset reads one, and
+        # operators read by several rows are framed once.
+        rho = random_density((6, 6), 36, seed=1)
+        gens = bipartite_generators(6, 6)
+        observation1_bound(rho, 1, {(7,): [1.0]})
+        observation1_bound(rho, 2, {(0, 1): [1.0, 0.5], (1, 2): [1.0, 1.0], (0, 2): [0.5, 1.0]})
+        assert [f.shape for f in frames] == [(1, 36, 36), (3, 36, 36)]
+        assert frames[1].tobytes() == gens.operators[[0, 1, 2]].tobytes()
+
+    def test_frames_are_not_kept(self, frames):
+        # Calls repeated on one state frame again: no state holds a B cache.
+        rho = random_density((2, 2), 4, seed=1)
+        for _ in range(2):
+            observation1_bound(rho, 1, {(0,): [1.0]})
+            wootters_concurrence(rho)
+        assert len(frames) == 4
