@@ -176,6 +176,21 @@ _REPORTS = {
     "wootters": lambda rho, k, cfg, source: replace(observation1_bound(rho, k, {(0,): [1.0]}, bipartite_generators(2, 2)), mode="wootters"),
 }
 _MODES = (*_REPORTS, "ppt")
+# Mode -> the options besides --mode that it reads; obs2 on the ghz and w
+# example sources reads no optimizer config.
+_READS = {"obs1": {"k", "optimizer"}, "obs2": {"k", "gen_source", "optimizer"}, "obs3": {"k", "optimizer"}, "wootters": {"k"}, "ppt": set()}
+
+
+def _check_read(args, source: str) -> None:
+    """Reject a non-default --k, --gen-source or --optimizer that the mode,
+    on generator source ``source``, never reads."""
+    example = args.mode == "obs2" and source in ("ghz", "w")
+    reads = _READS[args.mode] - ({"optimizer"} if example else set())
+    given = {"k": args.k != 1, "gen_source": getattr(args, "gen_source", "auto") != "auto", "optimizer": args.optimizer is not None}
+    unread = [f"--{name.replace('_', '-')}" for name in given if given[name] and name not in reads]
+    if unread:
+        where = f" on generator source {source}" if example else ""
+        raise ParameterRangeError(f"--mode {args.mode}{where} does not read {', '.join(unread)}")
 
 # Scan detectors that bypass the report: "ppt" has none, and the wootters
 # closed form equals its report's bound bit for bit at half the cost.
@@ -189,11 +204,12 @@ def cmd_bound(args, argv) -> int:
     if not math.isfinite(args.tol_detect):
         raise ParameterRangeError(f"--tol-detect must be finite, got {args.tol_detect}")
     rho, descriptor = parse_state(args.state)
-    cfg = _make_config(args.optimizer)
-    ppt = _ppt_summary(rho)
     source = args.gen_source
     if source == "auto":
         source = _FAMILIES.get(descriptor.get("family"), (None, "canonical"))[1]
+    _check_read(args, source)
+    cfg = _make_config(args.optimizer)
+    ppt = _ppt_summary(rho)
     rep = _REPORTS[args.mode](rho, args.k, cfg, source) if args.mode in _REPORTS else None
     report = rep.to_dict() if rep is not None else {"mode": "ppt"}
     report["ppt"] = ppt
@@ -225,6 +241,7 @@ def cmd_scan(args, argv) -> int:
     name, _, rest = args.family.partition(":")
     name, params = name.strip(), _parse_params(rest)
     family = _noise_family(name, params)
+    _check_read(args, _FAMILIES[name][1])
     if args.mode == "wootters":
         _check_k(args.k, bipartite_generators(2, 2).count)
     lo_txt, _, hi_txt = args.p_range.partition(":")

@@ -343,12 +343,10 @@ def random_decomposition(rho: DensityMatrix, m: int, seed) -> Decomposition:
         If m is smaller than the rank of ``rho``.
     """
     m = _as_index(m, ParameterRangeError)
-    w, q = rho._eigh
-    sel = w > 1e-12
-    rank = int(np.count_nonzero(sel))
+    basis = rho._xc.conj()  # columns sqrt(lambda_j)|chi_j> over the state's support
+    rank = basis.shape[1]
     if m < rank:
         raise DecompositionSizeError(f"requested {m} members for a rank-{rank} state")
-    basis = q[:, sel] * np.sqrt(w[sel])  # columns sqrt(lambda_j)|chi_j>
     if seed is None:
         iso = np.eye(m, rank, dtype=complex)
     else:

@@ -292,6 +292,29 @@ class TestBoundCommand:
         assert captured.out == "" and not out_csv.exists()
         assert f"k = {k}" in captured.err and "Traceback" not in captured.err
 
+    @pytest.mark.parametrize(
+        "state, mode, extra, unread",
+        [
+            ("family:bell-noise", "ppt", ["--k", "7"], "--k"),
+            ("family:bell-noise", "obs1", ["--gen-source", "w"], "--gen-source"),
+            ("family:bell-noise", "wootters", ["--optimizer", '{"restarts": 3}'], "--optimizer"),
+            # The ghz and w example sources are closed forms: no search runs.
+            ("family:ghz-noise,p=0.9", "obs2", ["--optimizer", '{"restarts": 3}'], "--optimizer"),
+        ],
+    )
+    def test_options_the_mode_never_reads_exit_two(self, state, mode, extra, unread, tmp_path, capsys):
+        record = tmp_path / "record.json"
+        code = main(["bound", "--state", state, "--mode", mode, *extra, "--format", "csv", "--out", str(record)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == "" and not record.exists()
+        assert "error:" in captured.err and f"does not read {unread}" in captured.err and "Traceback" not in captured.err
+
+    def test_default_valued_options_are_not_unread(self, capsys):
+        code = main(["bound", "--state", "family:bell-noise", "--mode", "ppt", "--k", "1", "--gen-source", "auto"])
+        assert code == 0
+        assert "verdict: ENTANGLED" in capsys.readouterr().out
+
     @pytest.mark.parametrize("blob", ['{"foo": 1}', "[1]", '{"restarts": 1.5}'])
     def test_bad_optimizer_json_exits_two(self, blob, capsys):
         code = main(["bound", "--state", "family:horodecki,a=0.5", "--mode", "obs1", "--optimizer", blob])
@@ -482,6 +505,14 @@ class TestScanCommand:
         assert code == 2
         assert "error:" in capsys.readouterr().err
         assert not out_csv.exists()
+
+    def test_ppt_scan_rejects_k_it_never_reads(self, tmp_path, capsys):
+        out_csv = tmp_path / "x.csv"
+        code = main(["scan", "--family", "w-noise", "--mode", "ppt", "--k", "7", "--p-range", "0.01:1.0", "--out", str(out_csv)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == "" and not out_csv.exists()
+        assert "error:" in captured.err and "does not read --k" in captured.err
 
     def test_ppt_scan_evaluates_each_grid_row_once(self, tmp_path, capsys, monkeypatch):
         calls = []

@@ -1,9 +1,15 @@
 """Linear-algebra kernel checks: validators, PSD root, Takagi factorization."""
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import concbound
 from concbound.errors import (
     NonFiniteError,
     NotHermitianError,
@@ -93,18 +99,25 @@ class TestTakagi:
             assert np.max(np.abs(v.conj().T @ v - np.eye(n))) < 1e-9
             assert np.max(np.abs(d - np.linalg.svd(y, compute_uv=False))) < 1e-9
 
-    @pytest.mark.parametrize("gap", [0.0, 1e-9, 1e-4, 1.0])
-    def test_degenerate_clusters(self, gap):
-        # Spectra with exact and near ties exercise the cluster pairing.
+    @pytest.mark.parametrize(
+        "vals",
+        [pytest.param([2.0, 2.0 - g, 2.0 - 2 * g, 1.0, 1.0 - g, 0.0], id=str(g)) for g in (0.0, 1e-9, 1e-4, 1.0)]
+        # Many distinct values far below the largest: no relative-gap
+        # clustering can tell them apart.
+        + [pytest.param(np.logspace(0, -18, 27), id="logspace")],
+    )
+    def test_degenerate_clusters(self, vals):
+        # Spectra with exact and near ties, a zero, and a wide dynamic range.
         rng = np.random.default_rng(53)
-        n = 6
-        vals = np.array([2.0, 2.0 - gap, 2.0 - 2 * gap, 1.0, 1.0 - gap, 0.0])
+        n = len(vals)
         for _ in range(10):
             a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
             q, r = np.linalg.qr(a)
             q = q * (np.diag(r) / np.abs(np.diag(r)))
             y = q @ np.diag(vals) @ q.T
             v, d = takagi(y)
+            assert np.all(np.diff(d) <= 0.0) and np.all(d >= 0.0)
+            assert np.max(np.abs(d - np.linalg.svd(y, compute_uv=False))) < 1e-9
             assert np.max(np.abs(v @ np.diag(d) @ v.T - y)) < 1e-8
             assert np.max(np.abs(v.conj().T @ v - np.eye(n))) < 1e-9
 
@@ -118,3 +131,12 @@ class TestAsHermitian:
     def test_rejects_above_tol(self):
         with pytest.raises(NotHermitianError):
             as_hermitian(np.eye(2) + np.array([[0.0, 1e-8], [0.0, 0.0]]))
+
+
+def test_package_imports_without_scipy():
+    # numpy is the only runtime dependency: a scipy import anywhere in the
+    # package fails here, where the module is blocked.
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(Path(concbound.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])}
+    code = "import sys; sys.modules['scipy'] = None; import concbound, concbound.cli"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
