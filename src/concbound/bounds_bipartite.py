@@ -40,10 +40,8 @@ from .errors import (
     SubsetSizeError,
 )
 from .generators import Bipartition, GeneratorSet, bipartite_generators
-from .numerics import _as_index, as_symmetric
-from .states import Decomposition, DensityMatrix, PureState, partial_trace, partial_transpose
-
-_COEFF_TOL = 1e-12
+from .numerics import _MODULUS, _ROUNDOFF, _as_index, as_symmetric
+from .states import Decomposition, DensityMatrix, PureState, _check_pure, _check_state, partial_trace, partial_transpose
 
 # Most gap matrices per SVD call: caps the engine's memory whatever the
 # number of rows.
@@ -119,14 +117,6 @@ class BoundReport:
         return json.dumps(self.to_dict(include_timing), sort_keys=True)
 
 
-def _check_state(rho) -> DensityMatrix:
-    if isinstance(rho, PureState):
-        return rho.density()
-    if not isinstance(rho, DensityMatrix):
-        raise TypeError(f"expected a state, got {type(rho).__name__}")
-    return rho
-
-
 def _check_dims_match(rho: DensityMatrix, gens: GeneratorSet) -> None:
     if tuple(rho.dims) != tuple(gens.dims):
         raise DimensionMismatchError(
@@ -145,13 +135,13 @@ def _check_subset(t_vec, n: int) -> tuple[int, ...]:
     return t
 
 
-def _check_coefficients(u, size: int, cap: float = 1.0 + _COEFF_TOL) -> np.ndarray:
+def _check_coefficients(u, size: int, cap: float = 1.0 + _MODULUS) -> np.ndarray:
     u = np.asarray(u, dtype=complex).reshape(-1)
     worst = float(np.max(np.abs(u))) if u.size else 0.0
     # The largest modulus is NaN or infinite exactly when an entry is.
     if not math.isfinite(worst):
         raise NonFiniteError("coefficients must be finite")
-    if worst > cap:
+    if not worst <= cap:
         raise CoefficientBoundError(f"coefficient modulus {worst!r} exceeds 1")
     if u.size != size:
         raise LengthMismatchError(f"{size} indices versus {u.size} coefficients")
@@ -259,6 +249,7 @@ def concurrence_pure(psi: PureState, split: Bipartition | None = None) -> float:
     split : Bipartition, optional
         Defaults to the first subsystem versus the rest.
     """
+    psi = _check_pure(psi)
     if split is None:
         split = Bipartition.single(0, len(psi.dims))
     red = partial_trace(psi.density(), split.side_a)
@@ -272,6 +263,7 @@ def concurrence_pure_sumrule(psi: PureState, gens: GeneratorSet) -> float:
     Evaluates sqrt( sum_t |<psi| J_t |psi*>|^2 ), which agrees with
     ``concurrence_pure`` across the generators' bipartition.
     """
+    psi = _check_pure(psi)
     _check_dims_match(psi, gens)
     conj = psi.amplitudes.conj()
     amps = (gens.operators @ conj) @ conj
@@ -393,8 +385,9 @@ def delta_total_bound(rho: DensityMatrix, gens: GeneratorSet, u_full) -> float:
     _check_dims_match(rho, gens)
     # The norm check below is the cap on the moduli here.
     u = _check_coefficients(u_full, gens.count, cap=math.inf)
-    nrm = float(np.linalg.norm(u))
-    if abs(nrm - 1.0) > 1e-10:
+    # vdot overflows to inf silently, where np.linalg.norm warns first.
+    nrm = math.sqrt(np.vdot(u, u).real)
+    if not abs(nrm - 1.0) <= _ROUNDOFF:
         raise NotNormalizedError(f"coefficient norm {nrm!r} deviates from 1")
     return float(_gaps(rho._frame(gens.operators), [range(gens.count)], [u])[0])
 
@@ -421,7 +414,6 @@ def ppt_min_eigenvalue(rho: DensityMatrix, split) -> float:
     iterable of subsystem indices. Negative values certify
     entanglement across the split; nonnegative values are silent.
     """
-    rho = _check_state(rho)
     part = split.side_a if isinstance(split, Bipartition) else split
     pt = partial_transpose(rho, part)
     return float(np.linalg.eigvalsh(pt)[0])

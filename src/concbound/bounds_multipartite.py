@@ -25,13 +25,12 @@ from .bounds_bipartite import (
     BoundReport,
     _aggregate,
     _check_coefficients,
-    _check_state,
     _check_subset,
     _gaps,
 )
 from .generators import GeneratorTriple, canonical_triple, example_operators
 from .numerics import _as_index
-from .states import DensityMatrix, PureState, partial_trace
+from .states import DensityMatrix, PureState, _check_pure, _check_state, partial_trace
 
 
 def _check_tripartite(rho: DensityMatrix) -> int:
@@ -44,6 +43,7 @@ def _check_tripartite(rho: DensityMatrix) -> int:
 
 def ctau_pure(psi: PureState) -> float:
     """Tripartite concurrence of a pure three-party state."""
+    psi = _check_pure(psi)
     if len(psi.dims) != 3:
         raise DimensionMismatchError(f"three subsystems required, got dims {psi.dims}")
     rho = psi.density()

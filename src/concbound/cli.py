@@ -49,7 +49,7 @@ from .optimizer import (
 )
 from .states import (
     DensityMatrix,
-    PureState,
+    _check_state,
     bell_state,
     ghz_state,
     horodecki_state,
@@ -136,10 +136,8 @@ def parse_state(text: str) -> tuple[DensityMatrix, dict]:
         # maximally-mixed is a bound-only family: it has no noise parameter.
         rho = maximally_mixed(_mixed_dims(params)) if name == "maximally-mixed" else _noise_family(name, params, ("p",))(p)
         return rho, {"source": "family", "family": name, "params": params}
-    obj = load_state(text)
-    if isinstance(obj, PureState):
-        obj = obj.density()
-    return obj, {"source": "file", "path": text, "dims": list(obj.dims)}
+    rho = _check_state(load_state(text))
+    return rho, {"source": "file", "path": text, "dims": list(rho.dims)}
 
 
 def _ppt_summary(rho: DensityMatrix) -> dict:

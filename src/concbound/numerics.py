@@ -3,11 +3,11 @@ and the symmetric-matrix (Autonne-Takagi) factorization, read off one
 real symmetric eigendecomposition of twice the size.
 
 All routines validate their structural preconditions and raise typed
-errors instead of repairing bad input. Everything is dense; no attempt
-is made to exploit sparsity. The bounds never form sqrt(rho): they read
-its support factor off a state's own eigendecomposition
-(``DensityMatrix._xc``), which is tested against the full-matrix root
-``psd_sqrt``.
+errors instead of repairing bad input; every input check of the package
+reads its tolerance from the table below. Everything is dense. The bounds
+never form sqrt(rho): they read its support factor off a state's own
+eigendecomposition (``DensityMatrix._xc``), which is tested against the
+full-matrix root ``psd_sqrt``.
 """
 from __future__ import annotations
 
@@ -22,6 +22,17 @@ from .errors import (
     NotPositiveSemidefiniteError,
     NotSymmetricError,
 )
+
+# Validation tolerances, one per reason; checks raise on ``not dev <= tol``, so NaN fails them. The CLI's
+# --tol-detect defaults and demo pass criteria are user options and reproduction criteria, not these.
+_ROUNDOFF = 1e-10  # float error in a quantity exact in theory: A vs A^dag or A^T per entry, a norm, trace or weight sum vs 1; psd_sqrt clamps at this times max|h| + 1
+_EIG_FLOOR = 1e-9  # how far below 0 a state's smallest eigenvalue may lie: eigh's round-off on matrices built in floats
+_RECONSTRUCTION = 1e-9  # per-entry deviation of an ensemble's sum of p |psi><psi| from its state, which sums many products
+_MODULUS = 1e-12  # how far a coefficient's modulus may exceed 1, for vectors rescaled to max modulus 1 in floats
+_WEIGHT_FLOOR = 1e-14  # ensemble weights below -this are negative; random_decomposition drops members below +this
+# On horodecki_state(0.2), -7.1e-18 and 1.1e-16 fall under a cut of 8.8e-16; the next eigenvalue is 0.077.
+_SUPPORT_CUT = np.finfo(float).eps  # support cut per unit of D * lambda_max: eigh's eigenvalues are exact to about D * eps * lambda_max
+
 
 def _as_index(x, error) -> int:
     """``operator.index(x)``, raising ``error`` for a non-integer or a bool."""
@@ -48,11 +59,11 @@ def require_square(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _symmetrized(a, tol: float, partner, error, name: str) -> np.ndarray:
-    """Validate A = partner(A) within ``tol`` and return their mean.
+def _symmetrized(a, partner, error, name: str) -> np.ndarray:
+    """Validate A = partner(A) within ``_ROUNDOFF`` per entry and return their mean.
 
-    A NaN or infinite entry makes the deviation non-finite, which no
-    comparison with ``tol`` would catch, and entries near the float
+    A NaN or infinite entry makes the deviation non-finite, which is
+    checked before the tolerance, and entries near the float
     maximum can overflow the mean, its trace or its product with a
     state's root; the sum of |mean| bounds all three. Each raises
     NonFiniteError, the only signal (numpy's warnings are silenced).
@@ -64,40 +75,38 @@ def _symmetrized(a, tol: float, partner, error, name: str) -> np.ndarray:
         total = np.abs(mean).sum()
     if not np.isfinite(dev):
         raise NonFiniteError(f"max |A - {name}| = {dev!r}: NaN, infinite or overflowing entries")
-    if dev > tol:
-        raise error(f"max |A - {name}| = {dev:.3e} exceeds tol {tol:.3e}")
+    if not dev <= _ROUNDOFF:
+        raise error(f"max |A - {name}| = {dev:.3e} exceeds tol {_ROUNDOFF:.3e}")
     if not np.isfinite(total):
         raise NonFiniteError(f"sum of |entries| = {total!r}: overflowing entries")
     return mean
 
 
-def as_hermitian(a: np.ndarray, tol: float = 1e-10) -> np.ndarray:
-    """Validate Hermiticity within ``tol`` and return the symmetrized matrix.
+def as_hermitian(a: np.ndarray) -> np.ndarray:
+    """Validate Hermiticity within 1e-10 per entry and return the symmetrized matrix.
 
-    Symmetrization only strips floating-point asymmetry below ``tol``;
+    Symmetrization only strips floating-point asymmetry below that;
     larger deviations raise NotHermitianError.
     """
-    return _symmetrized(a, tol, lambda m: m.conj().T, NotHermitianError, "A^dag")
+    return _symmetrized(a, lambda m: m.conj().T, NotHermitianError, "A^dag")
 
 
-def as_symmetric(a: np.ndarray, tol: float = 1e-10) -> np.ndarray:
-    """Validate complex symmetry (A = A^T) within ``tol`` and symmetrize."""
-    return _symmetrized(a, tol, lambda m: m.T, NotSymmetricError, "A^T")
+def as_symmetric(a: np.ndarray) -> np.ndarray:
+    """Validate complex symmetry (A = A^T) within 1e-10 per entry and symmetrize."""
+    return _symmetrized(a, lambda m: m.T, NotSymmetricError, "A^T")
 
 
-def psd_sqrt(h: np.ndarray, tol: float | None = None) -> np.ndarray:
+def psd_sqrt(h: np.ndarray) -> np.ndarray:
     """Principal square root of a positive-semidefinite Hermitian matrix.
 
-    Eigenvalues in [-tol, 0) are clamped to zero before the root is
-    formed; anything below -tol raises NotPositiveSemidefiniteError.
-    ``tol`` defaults to 1e-10 * (max-norm + 1) so that the clamp scales
-    with the matrix without vanishing for the zero matrix.
+    Eigenvalues in [-tol, 0) are clamped to zero before the root is formed,
+    with tol = 1e-10 * (max-norm + 1), which scales with the matrix without
+    vanishing for the zero matrix; lower ones raise NotPositiveSemidefiniteError.
     """
     h = as_hermitian(h)
-    if tol is None:
-        tol = 1e-10 * (float(np.max(np.abs(h))) + 1.0) if h.size else 1e-10
+    tol = _ROUNDOFF * (float(np.max(np.abs(h), initial=0.0)) + 1.0)
     w, q = np.linalg.eigh(h)
-    if w.size and w[0] < -tol:
+    if w.size and not w[0] >= -tol:
         raise NotPositiveSemidefiniteError(
             f"minimum eigenvalue {w[0]:.3e} below -tol = {-tol:.3e}"
         )
@@ -105,15 +114,13 @@ def psd_sqrt(h: np.ndarray, tol: float | None = None) -> np.ndarray:
     return 0.5 * (s + s.conj().T)
 
 
-def takagi(y: np.ndarray, tol: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:
+def takagi(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Factor a complex symmetric matrix as Y = V diag(d) V^T.
 
     Parameters
     ----------
     y : ndarray
-        Square matrix, symmetric (Y = Y^T) within ``tol``.
-    tol : float
-        Symmetry tolerance.
+        Square matrix, symmetric (Y = Y^T) within 1e-10 per entry.
 
     Returns
     -------
@@ -132,7 +139,7 @@ def takagi(y: np.ndarray, tol: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:
     other columns as they are up to sign, since (-v)(-v)^T = v v^T, and
     completes that pair orthonormally, which d = 0 allows.
     """
-    y = as_symmetric(y, tol)
+    y = as_symmetric(y)
     n = y.shape[0]
     w, x = np.linalg.eigh(np.block([[y.real, y.imag], [y.imag, -y.real]]))
     v, _ = np.linalg.qr(x[:n, ::-1][:, :n] + 1j * x[n:, ::-1][:, :n])

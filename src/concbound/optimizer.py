@@ -35,7 +35,6 @@ from .bounds_bipartite import (
     BoundReport,
     _check_dims_match,
     _check_k,
-    _check_state,
     _check_subset,
     _entry_rows,
     _gaps,
@@ -44,7 +43,7 @@ from .bounds_bipartite import (
 )
 from .bounds_multipartite import _resolve_triple
 from .generators import GeneratorSet
-from .states import DensityMatrix
+from .states import DensityMatrix, _check_state
 
 DEFAULT_SEED = 1905
 

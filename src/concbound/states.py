@@ -4,7 +4,8 @@ Composite systems use the row-major index convention: for subsystem
 dimensions (d1, d2, d3) the basis ket |i j k> maps to the flat index
 i*d2*d3 + j*d3 + k, matching a C-order reshape of the coefficient
 tensor. All containers validate on construction and reject bad input
-rather than repairing it. A DensityMatrix eigendecomposes itself once
+rather than repairing it, within the tolerances of the table in
+``numerics``. A DensityMatrix eigendecomposes itself once
 and reads the support factor of its root off that decomposition; it
 keeps no gap matrices, so each bound frames only the operators it reads.
 
@@ -28,17 +29,7 @@ from .errors import (
     ParameterRangeError,
     SubsystemIndexError,
 )
-from .numerics import _as_index, as_hermitian, require_square
-
-_NORM_TOL = 1e-10
-_TRACE_TOL = 1e-10
-_HERM_TOL = 1e-10
-_PSD_TOL = 1e-9
-_RECONSTRUCTION_TOL = 1e-9
-# Support cut per unit of D * lambda_max: eigh's eigenvalues are exact to
-# about D * eps * lambda_max, so smaller ones are 0 (on horodecki_state(0.2)
-# -7.1e-18 and 1.1e-16 fall under a cut of 8.8e-16; the next is 0.077).
-_SUPPORT_CUT = np.finfo(float).eps
+from .numerics import _EIG_FLOOR, _RECONSTRUCTION, _ROUNDOFF, _SUPPORT_CUT, _WEIGHT_FLOOR, _as_index, as_hermitian, require_square
 
 
 def _check_dims(dims) -> tuple[int, ...]:
@@ -74,8 +65,8 @@ class PureState:
         norm = math.sqrt(np.vdot(vec, vec).real)
         if not math.isfinite(norm):
             raise NonFiniteError(f"amplitude norm {norm!r}: NaN, infinite or overflowing entries")
-        if abs(norm - 1.0) > _NORM_TOL:
-            raise NotNormalizedError(f"norm {norm!r} deviates from 1 beyond 1e-10")
+        if not abs(norm - 1.0) <= _ROUNDOFF:
+            raise NotNormalizedError(f"norm {norm!r} deviates from 1 beyond {_ROUNDOFF:g}")
         self.amplitudes = vec
         self.amplitudes.setflags(write=False)
 
@@ -108,12 +99,12 @@ class DensityMatrix:
             raise ParameterRangeError(
                 f"matrix size {mat.shape[0]} does not match dims {self.dims}"
             )
-        mat = as_hermitian(mat, _HERM_TOL)
+        mat = as_hermitian(mat)
         tr = complex(np.trace(mat))
-        if abs(tr - 1.0) > _TRACE_TOL:
-            raise NotNormalizedError(f"trace {tr!r} deviates from 1 beyond 1e-10")
+        if not abs(tr - 1.0) <= _ROUNDOFF:
+            raise NotNormalizedError(f"trace {tr!r} deviates from 1 beyond {_ROUNDOFF:g}")
         w, q = np.linalg.eigh(mat)
-        if w[0] < -_PSD_TOL:
+        if not w[0] >= -_EIG_FLOOR:
             raise NotPositiveSemidefiniteError(f"minimum eigenvalue {w[0]:.3e}")
         self.matrix = mat
         self.matrix.setflags(write=False)
@@ -143,6 +134,22 @@ class DensityMatrix:
         return float(np.real(np.trace(self.matrix @ self.matrix)))
 
 
+def _check_state(rho) -> DensityMatrix:
+    """The one coercion of a state argument: a PureState to its density matrix, a non-state to TypeError."""
+    if isinstance(rho, PureState):
+        return rho.density()
+    if not isinstance(rho, DensityMatrix):
+        raise TypeError(f"expected a state, got {type(rho).__name__}")
+    return rho
+
+
+def _check_pure(psi) -> PureState:
+    """The one check of a pure-state argument: anything but a PureState to TypeError."""
+    if not isinstance(psi, PureState):
+        raise TypeError(f"expected a PureState, got {type(psi).__name__}")
+    return psi
+
+
 class Decomposition:
     """Pure-state ensemble realizing a given density matrix.
 
@@ -162,15 +169,17 @@ class Decomposition:
         members = tuple(members)
         if len(weights) != len(members):
             raise ParameterRangeError("one weight per member required")
-        if any(p < -1e-14 for p in weights):
+        if not all(map(math.isfinite, weights)):
+            raise NonFiniteError(f"ensemble weights {weights!r} must be finite")
+        if not all(p >= -_WEIGHT_FLOOR for p in weights):
             raise ParameterRangeError("negative ensemble weight")
-        if abs(sum(weights) - 1.0) > _NORM_TOL:
+        if not abs(sum(weights) - 1.0) <= _ROUNDOFF:
             raise NotNormalizedError(f"weights sum to {sum(weights)!r}")
         acc = np.zeros_like(state.matrix)
         for p, psi in zip(weights, members):
             acc = acc + p * np.outer(psi.amplitudes, psi.amplitudes.conj())
         dev = float(np.max(np.abs(acc - state.matrix)))
-        if dev > _RECONSTRUCTION_TOL:
+        if not dev <= _RECONSTRUCTION:
             raise ParameterRangeError(
                 f"ensemble reproduces the state only to {dev:.3e}"
             )
@@ -198,7 +207,7 @@ def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
 
     Parameters
     ----------
-    rho : DensityMatrix
+    rho : DensityMatrix or PureState
     keep : iterable of int
         Subsystem indices to retain, in their original order.
 
@@ -207,6 +216,7 @@ def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
     DensityMatrix
         Reduced state on the retained subsystems.
     """
+    rho = _check_state(rho)
     n = len(rho.dims)
     keep = sorted(_check_subsystems(keep, n))
     tensor = rho.matrix.reshape(rho.dims + rho.dims)
@@ -225,6 +235,7 @@ def partial_transpose(rho: DensityMatrix, part) -> np.ndarray:
     Returns a plain matrix: the result is Hermitian but in general not
     positive, which is the point of the test.
     """
+    rho = _check_state(rho)
     n = len(rho.dims)
     part = _check_subsystems(part, n)
     tensor = rho.matrix.reshape(rho.dims + rho.dims)
@@ -278,7 +289,9 @@ def horodecki_state(a: float) -> DensityMatrix:
 
 
 def white_noise_mix(rho: DensityMatrix, p: float) -> DensityMatrix:
-    """Convex mixture p*rho + (1-p)*I/d with the maximally mixed state."""
+    """Convex mixture p*rho + (1-p)*I/d with the maximally mixed state;
+    ``rho`` is a DensityMatrix or PureState."""
+    rho = _check_state(rho)
     p = float(p)
     if not 0.0 <= p <= 1.0:
         raise ParameterRangeError(f"mixing weight p = {p!r} outside [0, 1]")
@@ -356,7 +369,7 @@ def random_decomposition(rho: DensityMatrix, m: int, seed) -> Decomposition:
     for i in range(m):
         vec = basis @ iso[i, :].conj()
         p = float(np.real(np.vdot(vec, vec)))
-        if p < 1e-14:
+        if p < _WEIGHT_FLOOR:
             continue
         weights.append(p)
         members.append(PureState(vec / math.sqrt(p), rho.dims))

@@ -1,0 +1,169 @@
+"""Write the byte-identity corpus: the canonical text of reports, values
+and CLI runs that a change which claims "same outputs" must reproduce.
+
+Run from the repository root, on the commit whose outputs are the
+reference:
+
+    PYTHONPATH=src python tests/golden/regen.py
+
+It rewrites ``tests/golden/corpus.json``; ``tests/test_golden.py``
+recomputes every entry and compares it field by field. The header
+records the numpy build, the BLAS and the kernel it picked for the CPU
+that produced the bytes, since another BLAS or kernel may round an SVD
+differently; the test compares only on that environment.
+"""
+from __future__ import annotations
+
+import contextlib
+import ctypes
+import io
+import json
+import os
+import platform
+import re
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+from concbound import (
+    OptimizerConfig,
+    bell_state,
+    bipartite_generators,
+    canonical_triple,
+    delta_k,
+    delta_tot_k,
+    ghz_state,
+    horodecki_state,
+    lambda_spectrum,
+    observation1_bound,
+    observation2_bound,
+    observation3_bound,
+    optimize_bound_bipartite,
+    optimize_bound_multipartite,
+    optimize_u,
+    random_density,
+    w_state,
+    white_noise_mix,
+    wootters_concurrence,
+)
+from concbound.cli import main
+
+CORPUS = Path(__file__).resolve().parent / "corpus.json"
+
+# A short search: the corpus pins the arithmetic, not the optimum.
+FAST = {"restarts": 2, "iterations": 10}
+FAST_JSON = json.dumps(FAST)
+
+# CLI argv lists; a scan writes its CSV to a scratch file.
+CLI_RUNS = {
+    "bound/horodecki-obs1-k2-json": ["bound", "--state", "family:horodecki,a=0.2", "--mode", "obs1", "--k", "2", "--optimizer", FAST_JSON, "--format", "json"],
+    "bound/w-obs3-k2": ["bound", "--state", "family:w-noise,p=0.5", "--mode", "obs3", "--k", "2", "--optimizer", FAST_JSON],
+    "bound/ghz-obs2-csv": ["bound", "--state", "family:ghz-noise,p=0.5", "--mode", "obs2", "--format", "csv"],
+    "bound/horodecki-ppt": ["bound", "--state", "family:horodecki,a=0.5", "--mode", "ppt"],
+    "scan/bell-obs1": ["scan", "--family", "bell-noise", "--mode", "obs1", "--p-range", "0.05:1.0", "--points", "4", "--tol", "1e-2"],
+    "scan/w-obs3": ["scan", "--family", "w-noise", "--mode", "obs3", "--p-range", "0.05:1.0", "--points", "4", "--tol", "1e-2", "--optimizer", FAST_JSON],
+    "scan/horodecki-ppt-undetected": ["scan", "--family", "horodecki:a=0.5", "--mode", "ppt", "--p-range", "0.5:1.0", "--points", "3", "--tol", "1e-2"],
+}
+
+
+def _blas_core() -> str:
+    """The kernel a DYNAMIC_ARCH OpenBLAS picked for this CPU, or "" if not found."""
+    for lib in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*")):
+        for name in ("scipy_openblas_get_corename64_", "scipy_openblas_get_corename", "openblas_get_corename"):
+            corename = getattr(ctypes.CDLL(str(lib)), name, None)
+            if corename is not None:
+                corename.restype = ctypes.c_char_p
+                return corename().decode()
+    return ""
+
+
+def environment() -> dict:
+    """The build that produced (or recomputes) the corpus bytes."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except TypeError:  # numpy < 1.26: show_config takes no mode
+        blas = {}
+    return {
+        "python": platform.python_version(),
+        "machine": platform.machine(),
+        "numpy": np.__version__,
+        "blas": f"{blas.get('name')} {blas.get('version')}",
+        "blas_config": blas.get("openblas configuration", ""),
+        "blas_core": _blas_core(),
+    }
+
+
+def _mask_times(text: str) -> str:
+    text = re.sub(r'"wall_time": [^,}]+', '"wall_time": "<masked>"', text)
+    return re.sub(r'"timestamp": "[^"]*"', '"timestamp": "<masked>"', text)
+
+
+def _cli(argv) -> dict:
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        csv = Path(tmp) / "scan.csv"
+        full = argv + ["--out", str(csv)] if argv[0] == "scan" else argv
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(full)
+        fields = {"exit": str(code), "stdout": _mask_times(out.getvalue()), "stderr": err.getvalue()}
+        if csv.exists():
+            fields["csv"] = csv.read_text(encoding="utf-8")
+    return fields
+
+
+def _report(rep) -> dict:
+    return {"report": rep.to_json(include_timing=False)}
+
+
+def entries():
+    """(name, {field: text}) for every corpus entry, in a fixed order."""
+    fast = OptimizerConfig(**FAST)
+    top = OptimizerConfig(**FAST, subset_strategy="top_singletons", top_count=4)
+    for a in (0.2, 0.8):
+        for p in (1.0, 0.6):
+            rho = white_noise_mix(horodecki_state(a), p)
+            for k in (1, 2):
+                for pool, cfg in (("exhaustive", fast), ("top_singletons", top)):
+                    yield f"obs1/a={a}/p={p}/k={k}/{pool}", _report(optimize_bound_bipartite(rho, k, cfg))
+    for mode in ("obs2", "obs3"):
+        for name, state in (("ghz", ghz_state), ("w", w_state)):
+            for p in (1.0, 0.5):
+                rho = white_noise_mix(state().density(), p)
+                for k in (1, 2):
+                    yield f"{mode}/{name}/p={p}/k={k}", _report(optimize_bound_multipartite(rho, k, fast, mode))
+
+    rho = horodecki_state(0.2)
+    gens = bipartite_generators(3, 3)
+    w_mix = white_noise_mix(w_state().density(), 0.5)
+    yield "fixed/obs1", _report(observation1_bound(rho, 2, {(4, 8): [0.5333, 1.0], (0, 1): [1.0, 1j]}))
+    yield "fixed/obs2", _report(observation2_bound(w_mix, 1, {(0,): ([1.0], [1.0], [1.0]), (5,): ([1j], [0.5], [1.0])}))
+    yield "fixed/obs2-w", _report(observation2_bound(w_mix, 1, {(0,): ([1.0], [1.0], [1.0])}, "w"))
+    yield "fixed/obs3", _report(observation3_bound(w_mix, 1, {0: {(0,): [1.0]}, 2: {(3,): [0.5j]}}))
+    yield "empty/obs1", _report(observation1_bound(rho, 2, {}))
+    yield "empty/obs2", _report(observation2_bound(w_mix, 2, {}))
+    yield "empty/obs3", _report(observation3_bound(w_mix, 1, {}))
+
+    yield "repr/delta_k", {"repr": repr(delta_k(rho, gens, (4, 8), [0.5333, 1.0]))}
+    yield "repr/delta_tot_k", {"repr": repr(delta_tot_k(w_mix, canonical_triple(2), (0, 5), ([1.0, 0.5], [1j, 1.0], [1.0, -1.0])))}
+    yield "repr/optimize_u", {"repr": repr(optimize_u(rho, gens, (4, 8), OptimizerConfig(**FAST)))}
+    yield "repr/lambda_spectrum", {"repr": repr(lambda_spectrum(rho, gens.operators[4] + 0.5 * gens.operators[8]).tolist())}
+    for seed in range(4):
+        two = random_density((2, 2), seed + 1, seed=seed)
+        yield f"repr/wootters_concurrence/rank={seed + 1}", {"repr": repr(wootters_concurrence(two))}
+    # Noise eigenvalues of 2.5e-5 next to 0.75: a coarse support cut drops them.
+    yield "repr/wootters_concurrence/bell-p=0.9999", {"repr": repr(wootters_concurrence(white_noise_mix(bell_state().density(), 0.9999)))}
+
+    for name, argv in CLI_RUNS.items():
+        yield f"cli/{name}", _cli(argv)
+
+
+def corpus() -> dict:
+    return {"environment": environment(), "entries": dict(entries())}
+
+
+if __name__ == "__main__":
+    os.environ.pop("CONCBOUND_SEED", None)
+    CORPUS.write_text(json.dumps(corpus(), indent=1, sort_keys=True) + "\n", encoding="utf-8")
+    print(f"wrote {CORPUS}", file=sys.stderr)

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 from itertools import combinations
 
 import numpy as np
@@ -62,6 +63,16 @@ def random_separable(rng, dims, terms):
 class TestPureConcurrence:
     def test_bell_value(self):
         assert abs(concurrence_pure(bell_state()) - 1.0) < 1e-12
+
+    @pytest.mark.parametrize(
+        "call",
+        [concurrence_pure, lambda x: concurrence_pure_sumrule(x, bipartite_generators(2, 2))],
+        ids=["concurrence_pure", "sumrule"],
+    )
+    @pytest.mark.parametrize("bad", [bell_state().density(), "x"], ids=["density", "str"])
+    def test_only_a_pure_state(self, call, bad):
+        with pytest.raises(TypeError):
+            call(bad)
 
     def test_product_state_is_zero(self):
         psi = random_pure((3,), seed=1)
@@ -289,6 +300,13 @@ class TestDeltaTotal:
             delta_total_bound(rho, gens, np.ones(9))
         with pytest.raises(LengthMismatchError):
             delta_total_bound(rho, gens, np.ones(4) / 2.0)
+
+    def test_overflowing_norm_raises_without_warning(self):
+        # np.linalg.norm warned of overflow before the typed error.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NotNormalizedError):
+                delta_total_bound(bell_state().density(), bipartite_generators(2, 2), [1e200])
 
     def test_single_generator_system_recovers_wootters(self):
         gens = bipartite_generators(2, 2)

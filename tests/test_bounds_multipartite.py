@@ -66,6 +66,11 @@ class TestCtauPure:
         with pytest.raises(DimensionMismatchError):
             ctau_pure(random_pure((2, 2), seed=0))
 
+    @pytest.mark.parametrize("bad", [ghz_state().density(), "x"], ids=["density", "str"])
+    def test_only_a_pure_state(self, bad):
+        with pytest.raises(TypeError):
+            ctau_pure(bad)
+
     def test_equals_half_sum_of_split_concurrences(self):
         rng = np.random.default_rng(103)
         for dims in ((2, 2, 2), (3, 3, 3)):

@@ -105,6 +105,33 @@ class TestContainers:
         with pytest.raises(NotNormalizedError):
             Decomposition(rho, [0.5, 0.4], [up, down])
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_decomposition_rejects_non_finite_weight(self, bad):
+        # NaN fails every comparison, the reconstruction's included.
+        with pytest.raises(NonFiniteError):
+            Decomposition(bell_state().density(), [bad, 1.0], [bell_state(), bell_state()])
+
+
+class TestStateArguments:
+    """The state transforms take a PureState as every bound does, and
+    raise TypeError for anything that is not a state."""
+
+    def test_pure_state_equals_its_density(self):
+        psi, rho = ghz_state(), ghz_state().density()
+        assert np.array_equal(white_noise_mix(psi, 0.5).matrix, white_noise_mix(rho, 0.5).matrix)
+        assert np.array_equal(partial_trace(psi, [0]).matrix, partial_trace(rho, [0]).matrix)
+        assert np.array_equal(partial_transpose(psi, [0]), partial_transpose(rho, [0]))
+
+    @pytest.mark.parametrize(
+        "call",
+        [lambda x: white_noise_mix(x, 0.5), lambda x: partial_trace(x, [0]), lambda x: partial_transpose(x, [0])],
+        ids=["white_noise_mix", "partial_trace", "partial_transpose"],
+    )
+    @pytest.mark.parametrize("bad", ["x", np.eye(8) / 8], ids=["str", "ndarray"])
+    def test_non_state_raises_type_error(self, call, bad):
+        with pytest.raises(TypeError):
+            call(bad)
+
 
 class TestPartialOps:
     def test_ghz_single_qubit_is_mixed(self):
