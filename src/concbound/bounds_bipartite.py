@@ -165,27 +165,39 @@ def _check_operator(rho, s_op) -> tuple[DensityMatrix, np.ndarray]:
     return rho, s_op
 
 
-def _delta_from_parts(b: np.ndarray):
+def _delta_from_parts(b: np.ndarray, parts: np.ndarray | None = None):
     """Gaps of the (..., r, r) matrices b = X^dag S conj(X) by (stacked) SVD:
-    the engine's kernel, and on one matrix its reference in the tests."""
-    lam = np.linalg.svd(b, compute_uv=False)
-    gap = 2.0 * lam[..., 0] - np.sum(lam, axis=-1)
-    return np.where(gap > 0.0, gap, 0.0)
+    the engine's kernel, and on one matrix its reference in the tests. Given
+    the (..., m, r*r) terms that b sums with coefficients c, it returns the
+    unclipped 2 sigma_1 - sum sigma instead, with its gradient g_s =
+    <U diag(1, -1, ..., -1) V^H, term_s>: the value moves by Re(sum_s g_s dc_s)."""
+    if parts is None:
+        lam = np.linalg.svd(b, compute_uv=False)
+        gap = 2.0 * lam[..., 0] - np.sum(lam, axis=-1)
+        return np.where(gap > 0.0, gap, 0.0)
+    u, lam, vh = np.linalg.svd(b)
+    u[..., 1:] *= -1.0
+    p = (u @ vh).reshape(parts.shape[:-2] + (-1, 1))
+    return 2.0 * lam[..., 0] - np.sum(lam, axis=-1), (parts @ p.conj())[..., 0]
 
 
-def _gaps(stack: np.ndarray, rows, coeffs) -> np.ndarray:
+def _gaps(stack: np.ndarray, rows, coeffs, slope: bool = False):
     """The gap engine: gap of sum_s coeffs[i, s] * stack[rows[i, s]] for
     each row i of equal-length index tuples into the B stack ``stack``
     (``DensityMatrix._frame`` of some operators), whose leading axes
-    flatten to one index: (3, N, r, r) reads as (3N, r, r)."""
+    flatten to one index: (3, N, r, r) reads as (3N, r, r). With
+    ``slope``, the unclipped values and gradients of ``_delta_from_parts``."""
     r = stack.shape[-1]
     flat = stack.reshape(-1, r * r)
     rows = np.asarray(rows, dtype=np.intp)
     coeffs = np.asarray(coeffs, dtype=complex)
     blocks = []
     for lo in range(0, len(rows), _BLOCK_ROWS):
-        b = coeffs[lo : lo + _BLOCK_ROWS, None, :] @ flat[rows[lo : lo + _BLOCK_ROWS]]
-        blocks.append(_delta_from_parts(b.reshape(-1, r, r)))
+        parts = flat[rows[lo : lo + _BLOCK_ROWS]]
+        b = (coeffs[lo : lo + _BLOCK_ROWS, None, :] @ parts).reshape(-1, r, r)
+        blocks.append(_delta_from_parts(b, parts if slope else None))
+    if slope:
+        return tuple(np.concatenate(col) for col in zip(*blocks))
     return blocks[0] if len(blocks) == 1 else np.concatenate([np.zeros(0), *blocks])
 
 
@@ -399,6 +411,8 @@ def decomposition_average(dec: Decomposition, s_op: np.ndarray) -> float:
     spectral gap of the same S, which is what makes the gap a certified
     infimum; the function exists to test exactly that.
     """
+    if not isinstance(dec, Decomposition):
+        raise TypeError(f"expected a Decomposition, got {type(dec).__name__}")
     _, s_op = _check_operator(dec.state, s_op)
     total = 0.0
     for p, psi in zip(dec.weights, dec.members):

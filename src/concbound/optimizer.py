@@ -1,18 +1,13 @@
 """Coefficient search, subset aggregation, and threshold scans.
 
 The gap delta is piecewise smooth in the coefficient moduli and phases,
-so a seeded multi-restart coordinate descent with a geometrically
-decaying step is enough to polish coefficients; every evaluation is a
-valid lower bound, which makes the search safe to stop anywhere. All
-randomness is derived from one user-visible seed, and the same
-configuration always reproduces the same report, byte for byte.
-
-Every (subset, restart) trajectory of a call runs in lockstep as one
-row of a coordinate array, and each probe is one SVD call over all
-rows. A row accepts a probe only if its own gap strictly improves and
-never reads another row, and its arithmetic is the same per element
-and per matrix as a one-trajectory loop's, so each row makes exactly
-that loop's decisions, bit for bit, however the rows are blocked.
+and every evaluation is a valid lower bound, so a seeded multi-restart
+sign-gradient ascent may stop anywhere. Every (subset, restart)
+trajectory of a call is one row, and each step is one stacked SVD with
+vectors over the live rows, which gives their values and gradients. A
+row never reads another, so blocking the rows changes nothing, and all
+randomness derives from one user-visible seed: the same configuration
+reproduces the same report, byte for byte.
 
 Every searched aggregate, obs1, obs2 and obs3 alike, takes one path,
 ``_optimize_aggregate``: the subset pool, the seed salts and the report
@@ -56,9 +51,10 @@ class OptimizerConfig:
 
     ``restarts`` counts starting points per subset: the first is the
     deterministic all-ones vector, the rest are seeded random draws.
-    Each restart runs ``iterations`` sweeps of coordinate descent with
-    the step decaying geometrically from ``step_initial`` to
-    ``step_final``. One-coefficient subsets (k=1 in obs1 and obs3, or
+    Each restart takes at most ``iterations`` steps, each coordinate by
+    its own length: it starts at ``step_initial``, grows after a step
+    that raises the gap and shrinks otherwise, and the restart stops once
+    its largest step is below ``step_final``. One-coefficient subsets (k=1 in obs1 and obs3, or
     ``optimize_u`` on one index) are not searched: the unit coefficient
     is optimal, so ``restarts``, ``iterations``, ``seed`` and the steps
     do not change those bounds, though the report's ``config`` still
@@ -132,74 +128,63 @@ class ScanResult:
         return asdict(self)
 
 
-def _descend(stack: np.ndarray, idx, x, cfg: OptimizerConfig) -> np.ndarray:
-    """Coordinate descent on rows x = (radii, phases) over the B matrices
-    stack[idx]: updates x in place, returns its gaps. As in a one-row loop,
-    a radius probe skips the rows whose clipped radius does not move."""
+def _ascend(stack: np.ndarray, idx, x, cfg: OptimizerConfig) -> np.ndarray:
+    """Projected sign-gradient ascent of the unclipped 2 sigma_1 - sum sigma
+    on rows x = (radii, phases) over the B matrices stack[idx]: updates x in
+    place, returns its gaps. Each coordinate steps by its own length along
+    its derivative's sign, radii clip to [0, 1] (exactly onto optima at
+    c_s = 0), and a row keeps a move only if its value strictly rises. A
+    kept move grows (x1.5) the steps whose derivative kept its sign and
+    shrinks (x0.3) the rest, damping zigzags across ridges; a dropped move
+    shrinks all. A row stops once its largest step is below ``step_final``."""
     m = idx.shape[1]
 
-    def gaps(rows, xs):
-        return _gaps(stack, idx[rows], xs[:, :m] * np.exp(1j * xs[:, m:]))
+    def climb(rows, xs):
+        turn = np.exp(1j * xs[:, m:])
+        val, g = _gaps(stack, idx[rows], xs[:, :m] * turn, slope=True)
+        g = g * turn
+        return val, np.concatenate([g.real, -xs[:, :m] * g.imag], axis=1)
 
-    val = gaps(slice(None), x)
-
-    def probe(col, cand, rows):
-        if rows.size:
-            trial = x[rows]
-            trial[:, col] = cand[rows]
-            new = gaps(rows, trial)
-            win = new > val[rows]
-            x[rows[win], col] = cand[rows[win]]
-            val[rows[win]] = new[win]
-
-    decay = (cfg.step_final / cfg.step_initial) ** (1.0 / max(cfg.iterations - 1, 1))
-    step = cfg.step_initial
+    val, grad = climb(slice(None), x)
+    step, live = np.full(x.shape, float(cfg.step_initial)), np.arange(len(x))
     for _ in range(cfg.iterations):
-        for s in range(m):
-            for dr in (step, -step):
-                cand = np.clip(x[:, s] + dr, 0.0, 1.0)
-                probe(s, cand, np.flatnonzero(cand != x[:, s]))
-            for dt in (2.0 * np.pi * step, -2.0 * np.pi * step):
-                probe(m + s, (x[:, m + s] + dt) % (2.0 * np.pi), np.arange(len(x)))
-        step *= decay
-    return val
+        live = live[step[live].max(axis=1) >= cfg.step_final]
+        if not live.size:
+            break
+        trial = x[live] + step[live] * np.sign(grad[live])
+        trial[:, :m] = np.clip(trial[:, :m], 0.0, 1.0)
+        new, new_grad = climb(live, trial)
+        win = new > val[live]
+        step[live] *= np.where(win[:, None] & (np.sign(new_grad) == np.sign(grad[live])), 1.5, 0.3)
+        x[live[win]], val[live[win]], grad[live[win]] = trial[win], new[win], new_grad[win]
+    return np.where(val > 0.0, val, 0.0)
 
 
 def _search(stack: np.ndarray, subsets, salts, cfg: OptimizerConfig):
-    """Multi-restart coordinate descent over moduli and phases for every
-    subset (equal-length index tuples into the B stack ``stack``) at once. Restart 0
-    starts at all ones, restart j at a draw seeded by (j,) + salt.
-    Returns coefficients (a row per subset, max modulus 1), their gaps,
-    and per subset the nondecreasing best gap after each restart. All
-    trajectories descend together; only ``_gaps`` splits them into blocks.
-
-    One-operator subsets skip the search: the gap matrix of uJ is u times
-    that of J, so its gap is |u|·Delta(J) and u = 1 is optimal; every
-    restart would end at that gap."""
+    """Multi-restart ascent for every subset (equal-length index tuples into
+    the B stack ``stack``) at once. Restart 0 starts at all ones, restart j
+    at a draw seeded by (j,) + salt. Returns coefficients (a row per
+    subset, max modulus 1), their gaps, and per subset the nondecreasing
+    best gap after each restart. One-operator subsets skip the search: the
+    gap of uJ is |u|·Delta(J), so u = 1 is optimal."""
     idx = np.asarray(subsets, dtype=np.intp)
     n_sub, m = idx.shape
     if m == 1:
         coeffs = np.ones((n_sub, 1), dtype=complex)
         deltas = _gaps(stack, idx, coeffs)
         return coeffs, deltas, np.repeat(deltas[:, None], cfg.restarts, axis=1)
-    x = np.zeros((n_sub, cfg.restarts, 2 * m))
-    x[:, 0, :m] = 1.0
+    x = np.tile(np.repeat([1.0, 0.0], m), (n_sub, cfg.restarts, 1))
     for p, salt in enumerate(salts):
         for restart in range(1, cfg.restarts):
             rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(restart,) + tuple(salt)))
             x[p, restart] = np.concatenate([rng.random(m), 2.0 * np.pi * rng.random(m)])
-    x = x.reshape(-1, 2 * m)
-    rows = np.repeat(idx, cfg.restarts, axis=0)
-    val = _descend(stack, rows, x, cfg).reshape(n_sub, cfg.restarts)
-    # argmax keeps the first of equal gaps, like a strict '>' over restarts.
-    best = x.reshape(n_sub, cfg.restarts, 2 * m)[np.arange(n_sub), np.argmax(val, axis=1)]
-    top = best[:, :m].max(axis=1)
-    # Degenerate optimum; the all-ones vector is as good (delta 0).
-    best[top <= 0.0] = np.repeat([1.0, 0.0], m)
-    # Scaling u by 1/max|u| scales delta the same way and never shrinks
-    # it, so the returned vector always touches the modulus cap.
-    best[:, :m] /= np.where(top <= 0.0, 1.0, top)[:, None]
-    coeffs = best[:, :m] * np.exp(1j * best[:, m:])
+    val = _ascend(stack, np.repeat(idx, cfg.restarts, axis=0), x.reshape(-1, 2 * m), cfg).reshape(n_sub, -1)
+    # argmax keeps the first of equal gaps, like a strict '>' over restarts;
+    # where none is positive, the all-ones start is as good (delta 0).
+    best = x[np.arange(n_sub), np.argmax(val, axis=1)]
+    best[val.max(axis=1) <= 0.0] = np.repeat([1.0, 0.0], m)
+    # u / max|u| scales delta by 1 / max|u| >= 1 and touches the modulus cap.
+    coeffs = best[:, :m] / best[:, :m].max(axis=1, keepdims=True) * np.exp(1j * best[:, m:])
     return coeffs, _gaps(stack, idx, coeffs), np.maximum.accumulate(val, axis=1)
 
 

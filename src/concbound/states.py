@@ -155,8 +155,8 @@ class Decomposition:
 
     Parameters
     ----------
-    state : DensityMatrix
-        The target mixed state.
+    state : DensityMatrix or PureState
+        The target state.
     weights : sequence of float
         Probabilities; must sum to 1 within 1e-10.
     members : sequence of PureState
@@ -165,8 +165,9 @@ class Decomposition:
     """
 
     def __init__(self, state: DensityMatrix, weights, members):
+        state = _check_state(state)
         weights = tuple(float(p) for p in weights)
-        members = tuple(members)
+        members = tuple(_check_pure(psi) for psi in members)
         if len(weights) != len(members):
             raise ParameterRangeError("one weight per member required")
         if not all(map(math.isfinite, weights)):

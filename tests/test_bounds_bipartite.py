@@ -353,6 +353,12 @@ class TestDecompositionAverage:
         assert abs(val - abs(conj @ (gens.operators[0] @ conj))) < 1e-12
 
 
+    @pytest.mark.parametrize("bad", ["x", bell_state(), bell_state().density()], ids=["str", "pure", "density"])
+    def test_non_decomposition_raises_type_error(self, bad):
+        with pytest.raises(TypeError):
+            decomposition_average(bad, np.eye(4))
+
+
 class TestPptMinEigenvalue:
     def test_bell_negativity(self):
         val = ppt_min_eigenvalue(bell_state().density(), Bipartition((0,), (1,)))

@@ -146,9 +146,10 @@ class TestOptimizeU:
 
 
 def _reference_descent(rho, ops, cfg, salt):
-    """One subset, one restart at a time: the coordinate descent the
-    lockstep engine replaces, kept verbatim as its oracle. Each gap is one
-    SVD of the coefficient sum over the state's gap matrices of ``ops``."""
+    """One subset, one restart at a time: the coordinate descent that the
+    gradient search replaced, kept verbatim as its floor oracle. Each gap
+    is one SVD of the coefficient sum over the state's gap matrices of
+    ``ops``."""
     stack = rho._frame(ops)
 
     def delta_of(radii, phases):
@@ -211,13 +212,49 @@ def _reference_descent(rho, ops, cfg, salt):
     return radii * np.exp(1j * best_t), delta_of(radii, best_t), trace
 
 
+def _one_row_at_a_time(rho, ops, cfg, salt):
+    """The search with each (subset, restart) trajectory climbing alone:
+    the start the search seeds for each restart goes through
+    ``optimizer._ascend`` as a one-row array, a strict '>' over restarts
+    keeps the best, and one SVD of the coefficient sum gives its gap."""
+    stack = rho._frame(ops)
+    m = len(ops)
+    if m == 1:
+        delta = float(_delta_from_parts(stack[0]))
+        return np.ones(1, dtype=complex), delta, [delta] * cfg.restarts
+    best, best_val, trace = np.repeat([1.0, 0.0], m), 0.0, []
+    for restart in range(cfg.restarts):
+        x = np.repeat([[1.0, 0.0]], m, axis=1)
+        if restart:
+            rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(restart,) + salt))
+            x[0] = np.concatenate([rng.random(m), 2.0 * np.pi * rng.random(m)])
+        val = float(optimizer._ascend(stack, np.arange(m)[None, :], x, cfg)[0])
+        if val > best_val:
+            best, best_val = x[0], val
+        trace.append(best_val)
+    u = best[:m] / best[:m].max() * np.exp(1j * best[m:])
+    return u, float(_delta_from_parts(np.tensordot(u, stack, axes=1))), trace
+
+
 def _assert_bitwise_equal(got, want):
     assert got[0].tobytes() == want[0].tobytes()
     assert np.float64(got[1]).tobytes() == np.float64(want[1]).tobytes()
     assert np.array(got[2]).tobytes() == np.array(want[2]).tobytes()
 
 
+def _raw_value(b):
+    """2 sigma_1 - sum sigma of one matrix, unclipped."""
+    lam = np.linalg.svd(b, compute_uv=False)
+    return 2.0 * lam[0] - lam.sum()
+
+
 class TestLockstepEngine:
+    """Every (subset, restart) trajectory of a search climbs in lockstep
+    as one row, and no row reads another: the batch reproduces
+    trajectories run one at a time, bit for bit. The retired coordinate
+    descent is the floor: where the budget does not limit the result,
+    the gradient search is never below it."""
+
     GENS = bipartite_generators(3, 3)
 
     def _parts(self, subset, rho):
@@ -229,23 +266,73 @@ class TestLockstepEngine:
     def test_matches_sequential_descent(self, subset, restarts, iterations):
         rho, ops = self._parts(subset, white_noise_mix(horodecki_state(0.3), 0.9))
         cfg = OptimizerConfig(restarts=restarts, iterations=iterations)
-        want = _reference_descent(rho, ops, cfg, subset)
+        want = _one_row_at_a_time(rho, ops, cfg, subset)
         _assert_bitwise_equal(_optimize_coefficients(rho, ops, cfg, subset), want)
 
     def test_matches_where_radii_clip_at_zero_and_one(self):
-        rho, ops = self._parts((0, 4), horodecki_state(0.2))
+        # On noisy W the 1|23 pair (0, 2) peaks at c = (1, 0), on a kink
+        # that only a radius clipped at 0 reaches exactly.
+        rho = white_noise_mix(w_state().density(), 0.5)
+        ops = tripartite_generators(2, 0).operators[[0, 2]]
         cfg = OptimizerConfig(restarts=3, iterations=7, step_initial=0.9, step_final=0.05)
-        want = _reference_descent(rho, ops, cfg, (0, 4))
-        got = _optimize_coefficients(rho, ops, cfg, (0, 4))
+        want = _one_row_at_a_time(rho, ops, cfg, (0, 2))
+        got = _optimize_coefficients(rho, ops, cfg, (0, 2))
         _assert_bitwise_equal(got, want)
         assert sorted(np.abs(got[0])) == [0.0, 1.0]
+        assert got[1] >= _reference_descent(rho, ops, cfg, (0, 2))[1] * (1.0 - 1e-12)
 
     def test_multipartite_stack_matches_sequential_descent(self):
+        # The obs2 k=1 subset (0,) of noisy W: m = 3, one operator per split.
         rho = white_noise_mix(w_state().density(), 0.5)
-        ops = np.stack([tripartite_generators(2, s).operators[2] for s in range(3)])
-        cfg = OptimizerConfig(restarts=3, iterations=7)
-        want = _reference_descent(rho, ops, cfg, (2,))
-        _assert_bitwise_equal(_optimize_coefficients(rho, ops, cfg, (2,)), want)
+        ops = np.stack([tripartite_generators(2, s).operators[0] for s in range(3)])
+        for cfg in (OptimizerConfig(restarts=3, iterations=7), OptimizerConfig(restarts=2, iterations=20)):
+            got = _optimize_coefficients(rho, ops, cfg, (0,))
+            _assert_bitwise_equal(got, _one_row_at_a_time(rho, ops, cfg, (0,)))
+            floor = _reference_descent(rho, ops, cfg, (0,))[1]
+            assert floor > 0.5
+            assert got[1] >= floor * (1.0 - 1e-12)
+
+    @pytest.mark.parametrize("a", [0.2, 0.5, 0.8])
+    @pytest.mark.parametrize("restarts, iterations", [(2, 20), (3, 25)])
+    def test_never_below_coordinate_descent(self, a, restarts, iterations):
+        # Pair (4, 8) is the one detecting pair of the Horodecki states.
+        rho, ops = self._parts((4, 8), horodecki_state(a))
+        cfg = OptimizerConfig(restarts=restarts, iterations=iterations)
+        floor = _reference_descent(rho, ops, cfg, (4, 8))[1]
+        assert floor > 1e-3
+        assert _optimize_coefficients(rho, ops, cfg, (4, 8))[1] >= floor * (1.0 - 1e-12)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_never_below_all_ones(self, seed):
+        rng = np.random.default_rng(seed)
+        rho = white_noise_mix(random_density((3, 3), 2 + seed, seed=seed), 0.9)
+        cfg = OptimizerConfig(restarts=2, iterations=10)
+        for m in (2, 3):
+            subset = tuple(sorted(rng.choice(9, m, replace=False).tolist()))
+            start = delta_k(rho, self.GENS, subset, np.ones(m))
+            got = _optimize_coefficients(rho, self.GENS.operators[list(subset)], cfg, subset)[1]
+            assert got >= start * (1.0 - 1e-12)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_gradient_matches_central_differences(self, seed):
+        # d(value) = Re(sum_s g_s dc_s), so a step h along e_s moves it by
+        # h Re(g_s) and a step ih by -h Im(g_s).
+        rng = np.random.default_rng(seed)
+        cases = [
+            (random_density((3, 3), 5, seed=seed), self.GENS.operators[[1, 4, 8]]),
+            (white_noise_mix(w_state().density(), 0.6), canonical_triple(2).operators[:, [0, seed + 1]].reshape(6, 8, 8)),
+        ]
+        for rho, ops in cases:
+            stack, m, h = rho._frame(ops), len(ops), 1e-6
+            c = rng.random(m) * np.exp(2j * np.pi * rng.random(m))
+            val, grad = bounds_bipartite._gaps(stack, [range(m)], [c], slope=True)
+            assert val[0] == pytest.approx(_raw_value(np.tensordot(c, stack, axes=1)), abs=1e-12)
+            for s in range(m):
+                for unit, want in ((1.0, grad[0, s].real), (1j, -grad[0, s].imag)):
+                    dc = np.zeros(m, dtype=complex)
+                    dc[s] = unit * h
+                    up, down = (_raw_value(np.tensordot(c + sign * dc, stack, axes=1)) for sign in (1, -1))
+                    assert (up - down) / (2 * h) == pytest.approx(want, abs=1e-6)
 
     def test_reports_do_not_depend_on_block_size(self, monkeypatch):
         cfg = OptimizerConfig(restarts=3, iterations=8)
@@ -370,6 +457,11 @@ class TestOptimizedBipartiteBound:
         cfg = OptimizerConfig(restarts=2, iterations=40)
         rep = optimize_bound_bipartite(horodecki_state(0.2), 2, cfg)
         assert rep.bound_on_c_squared > 1e-7
+
+    def test_default_config_keeps_the_coordinate_descent_bound(self):
+        # 2.8003688020e-5 is what the default coordinate descent reported.
+        rep = optimize_bound_bipartite(horodecki_state(0.2), 2, OptimizerConfig())
+        assert rep.bound_on_c_squared >= 2.8003688020e-5
 
     def test_top_singletons_restricts_pool(self):
         cfg = OptimizerConfig(restarts=2, iterations=10, subset_strategy="top_singletons", top_count=3)

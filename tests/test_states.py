@@ -132,6 +132,22 @@ class TestStateArguments:
         with pytest.raises(TypeError):
             call(bad)
 
+    def test_decomposition_takes_a_pure_state(self):
+        dec = Decomposition(bell_state(), [1.0], [bell_state()])
+        assert np.array_equal(dec.state.matrix, bell_state().density().matrix)
+
+    @pytest.mark.parametrize("bad", ["x", np.eye(4) / 4], ids=["str", "ndarray"])
+    def test_decomposition_rejects_a_non_state(self, bad):
+        with pytest.raises(TypeError):
+            Decomposition(bad, [1.0], [bell_state()])
+
+    @pytest.mark.parametrize(
+        "bad", ["x", np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2), bell_state().density()], ids=["str", "ndarray", "density"]
+    )
+    def test_decomposition_rejects_a_member_that_is_no_pure_state(self, bad):
+        with pytest.raises(TypeError):
+            Decomposition(bell_state(), [1.0], [bad])
+
 
 class TestPartialOps:
     def test_ghz_single_qubit_is_mixed(self):

@@ -115,7 +115,7 @@ class TestCrossRoute:
 
 class TestStackBuiltOnce:
     """Each call frames, once, exactly the operators its rows read: a
-    search its whole family, whatever the number of probes, and a fixed
+    search its whole family, whatever the number of steps, and a fixed
     aggregate the distinct operators of its entries. No state keeps a
     frame between calls."""
 
