@@ -13,8 +13,8 @@ conj(sqrt(rho)), the numerically stable form of the same quantity (the
 eigenvalue route through rho S rho* S^dag is kept as a cross-check),
 read off the rank x rank B = X^dag S conj(X) with A = Q B Q^T on the
 support of rho (``DensityMatrix._frame``). B is linear in S, so every gap
-comes from one engine, ``_gaps``: coefficient sums over one stack of B's
-and stacked SVDs. Each call frames, once, exactly the operators its rows
+comes from one function, ``_gaps``: coefficient sums over one stack of B's
+and stacked SVDs, their gradients too. Each call frames, once, exactly the operators its rows
 read: a search or a whole-family gap its family, a fixed aggregate the
 distinct operators of its entries, a single subset its own.
 Every aggregate, the tripartite and optimized ones included, is a list of
@@ -117,11 +117,18 @@ class BoundReport:
         return json.dumps(self.to_dict(include_timing), sort_keys=True)
 
 
-def _check_dims_match(rho: DensityMatrix, gens: GeneratorSet) -> None:
+def _resolve_gens(rho: DensityMatrix | PureState, gens: GeneratorSet | None) -> GeneratorSet:
+    """The one check of a generator-set argument: None is the product family
+    of a bipartite state, and a GeneratorSet must match the state's dims."""
+    if gens is None:
+        if len(rho.dims) != 2:
+            raise DimensionMismatchError(f"default generators need bipartite dims, got {rho.dims}")
+        return bipartite_generators(*rho.dims)
+    if not isinstance(gens, GeneratorSet):
+        raise TypeError(f"expected a GeneratorSet, got {type(gens).__name__}")
     if tuple(rho.dims) != tuple(gens.dims):
-        raise DimensionMismatchError(
-            f"state dims {rho.dims} versus generator dims {gens.dims}"
-        )
+        raise DimensionMismatchError(f"state dims {rho.dims} versus generator dims {gens.dims}")
+    return gens
 
 
 def _check_subset(t_vec, n: int) -> tuple[int, ...]:
@@ -165,28 +172,14 @@ def _check_operator(rho, s_op) -> tuple[DensityMatrix, np.ndarray]:
     return rho, s_op
 
 
-def _delta_from_parts(b: np.ndarray, parts: np.ndarray | None = None):
-    """Gaps of the (..., r, r) matrices b = X^dag S conj(X) by (stacked) SVD:
-    the engine's kernel, and on one matrix its reference in the tests. Given
-    the (..., m, r*r) terms that b sums with coefficients c, it returns the
-    unclipped 2 sigma_1 - sum sigma instead, with its gradient g_s =
-    <U diag(1, -1, ..., -1) V^H, term_s>: the value moves by Re(sum_s g_s dc_s)."""
-    if parts is None:
-        lam = np.linalg.svd(b, compute_uv=False)
-        gap = 2.0 * lam[..., 0] - np.sum(lam, axis=-1)
-        return np.where(gap > 0.0, gap, 0.0)
-    u, lam, vh = np.linalg.svd(b)
-    u[..., 1:] *= -1.0
-    p = (u @ vh).reshape(parts.shape[:-2] + (-1, 1))
-    return 2.0 * lam[..., 0] - np.sum(lam, axis=-1), (parts @ p.conj())[..., 0]
-
-
 def _gaps(stack: np.ndarray, rows, coeffs, slope: bool = False):
     """The gap engine: gap of sum_s coeffs[i, s] * stack[rows[i, s]] for
     each row i of equal-length index tuples into the B stack ``stack``
     (``DensityMatrix._frame`` of some operators), whose leading axes
-    flatten to one index: (3, N, r, r) reads as (3N, r, r). With
-    ``slope``, the unclipped values and gradients of ``_delta_from_parts``."""
+    flatten to one index: (3, N, r, r) reads as (3N, r, r); one stacked SVD
+    per block of rows. With ``slope``, the unclipped 2 sigma_1 - sum sigma
+    instead, and its gradient g_s = <U diag(1, -1, ..., -1) V^H, B_s>: the
+    value moves by Re(sum_s g_s dc_s)."""
     r = stack.shape[-1]
     flat = stack.reshape(-1, r * r)
     rows = np.asarray(rows, dtype=np.intp)
@@ -195,7 +188,14 @@ def _gaps(stack: np.ndarray, rows, coeffs, slope: bool = False):
     for lo in range(0, len(rows), _BLOCK_ROWS):
         parts = flat[rows[lo : lo + _BLOCK_ROWS]]
         b = (coeffs[lo : lo + _BLOCK_ROWS, None, :] @ parts).reshape(-1, r, r)
-        blocks.append(_delta_from_parts(b, parts if slope else None))
+        if slope:
+            u, lam, vh = np.linalg.svd(b)
+            u[..., 1:] *= -1.0
+            grad = (parts @ (u @ vh).reshape(len(b), -1, 1).conj())[..., 0]
+        else:
+            lam = np.linalg.svd(b, compute_uv=False)
+        gap = 2.0 * lam[:, 0] - np.sum(lam, axis=-1)
+        blocks.append((gap, grad) if slope else np.where(gap > 0.0, gap, 0.0))
     if slope:
         return tuple(np.concatenate(col) for col in zip(*blocks))
     return blocks[0] if len(blocks) == 1 else np.concatenate([np.zeros(0), *blocks])
@@ -232,10 +232,11 @@ def _report(mode: str, k: int, n: int, entries, coeffs, gaps, start: float, conf
     )
 
 
-def _aggregate(rho: DensityMatrix, mode: str, k, ops, n: int, per_split, coefficients=_check_coefficients) -> BoundReport:
-    """The fixed-coefficient aggregate over ``ops`` of one subset ->
-    coefficients mapping per split, each in sorted key order;
+def _aggregate(rho: DensityMatrix, mode: str, k, ops, per_split, coefficients=_check_coefficients) -> BoundReport:
+    """The fixed-coefficient aggregate over the stacked families ``ops`` of
+    one subset -> coefficients mapping per split, each in sorted key order;
     ``coefficients(value, k)`` checks one value as a coefficient row."""
+    n = ops.shape[-3]
     k = _check_k(k, n)
     start = time.perf_counter()
     entries, coeffs = [], []
@@ -264,19 +265,20 @@ def concurrence_pure(psi: PureState, split: Bipartition | None = None) -> float:
     psi = _check_pure(psi)
     if split is None:
         split = Bipartition.single(0, len(psi.dims))
-    red = partial_trace(psi.density(), split.side_a)
+    red = partial_trace(psi, split)
     val = 2.0 * (1.0 - red.purity())
     return math.sqrt(max(0.0, val))
 
 
-def concurrence_pure_sumrule(psi: PureState, gens: GeneratorSet) -> float:
+def concurrence_pure_sumrule(psi: PureState, gens: GeneratorSet | None) -> float:
     """Concurrence of a pure state via the generator expectation sum.
 
     Evaluates sqrt( sum_t |<psi| J_t |psi*>|^2 ), which agrees with
-    ``concurrence_pure`` across the generators' bipartition.
+    ``concurrence_pure`` across the generators' bipartition. ``gens``
+    ``None`` means the product family of a bipartite state.
     """
     psi = _check_pure(psi)
-    _check_dims_match(psi, gens)
+    gens = _resolve_gens(psi, gens)
     conj = psi.amplitudes.conj()
     amps = (gens.operators @ conj) @ conj
     return math.sqrt(float(np.sum(np.abs(amps) ** 2)))
@@ -317,13 +319,14 @@ def lambda_spectrum_product_route(rho: DensityMatrix, s_op: np.ndarray) -> np.nd
     return np.sort(lam)[::-1]
 
 
-def delta_k(rho: DensityMatrix, gens: GeneratorSet, t_vec, u) -> float:
+def delta_k(rho: DensityMatrix, gens: GeneratorSet | None, t_vec, u) -> float:
     """Spectral gap for one generator subset and coefficient vector.
 
     Parameters
     ----------
     rho : DensityMatrix or PureState
-    gens : GeneratorSet
+    gens : GeneratorSet or None
+        None means the product family of a bipartite state.
     t_vec : sequence of int
         Strictly increasing generator indices.
     u : sequence of complex
@@ -335,21 +338,10 @@ def delta_k(rho: DensityMatrix, gens: GeneratorSet, t_vec, u) -> float:
         max(0, lambda_1 - sum_{i>1} lambda_i) for S = sum_s u_s J_{t_s}.
     """
     rho = _check_state(rho)
-    _check_dims_match(rho, gens)
+    gens = _resolve_gens(rho, gens)
     t = _check_subset(t_vec, gens.count)
     u = _check_coefficients(u, len(t))
     return float(_gaps(rho._frame(gens.operators[list(t)]), [range(len(t))], [u])[0])
-
-
-def _resolve_gens(rho: DensityMatrix, gens: GeneratorSet | None) -> GeneratorSet:
-    if gens is None:
-        if len(rho.dims) != 2:
-            raise DimensionMismatchError(
-                f"default generators need bipartite dims, got {rho.dims}"
-            )
-        gens = bipartite_generators(*rho.dims)
-    _check_dims_match(rho, gens)
-    return gens
 
 
 def observation1_bound(rho: DensityMatrix, k: int, assignments, gens: GeneratorSet | None = None) -> BoundReport:
@@ -376,7 +368,7 @@ def observation1_bound(rho: DensityMatrix, k: int, assignments, gens: GeneratorS
     """
     rho = _check_state(rho)
     gens = _resolve_gens(rho, gens)
-    return _aggregate(rho, "obs1", k, gens.operators, gens.count, [assignments])
+    return _aggregate(rho, "obs1", k, gens.operators, [assignments])
 
 
 def wootters_concurrence(rho: DensityMatrix) -> float:
@@ -387,14 +379,15 @@ def wootters_concurrence(rho: DensityMatrix) -> float:
     return float(_gaps(rho._frame(bipartite_generators(2, 2).operators), [(0,)], [(1.0,)])[0])
 
 
-def delta_total_bound(rho: DensityMatrix, gens: GeneratorSet, u_full) -> float:
+def delta_total_bound(rho: DensityMatrix, gens: GeneratorSet | None, u_full) -> float:
     """Spectral gap for a normalized coefficient vector over all N generators.
 
     With sum_s |u_s|^2 = 1 the gap lower-bounds the concurrence itself
     (not its square). Raises NotNormalizedError off the unit sphere.
+    ``gens`` None means the product family of a bipartite state.
     """
     rho = _check_state(rho)
-    _check_dims_match(rho, gens)
+    gens = _resolve_gens(rho, gens)
     # The norm check below is the cap on the moduli here.
     u = _check_coefficients(u_full, gens.count, cap=math.inf)
     # vdot overflows to inf silently, where np.linalg.norm warns first.
@@ -424,11 +417,10 @@ def decomposition_average(dec: Decomposition, s_op: np.ndarray) -> float:
 def ppt_min_eigenvalue(rho: DensityMatrix, split) -> float:
     """Minimum eigenvalue after transposing one side of a bipartition.
 
-    ``split`` is a Bipartition (its first side is transposed) or an
-    iterable of subsystem indices. Negative values certify
-    entanglement across the split; nonnegative values are silent.
+    ``split`` is a Bipartition of the state's parties (its first side is
+    transposed) or an iterable of subsystem indices. Negative values
+    certify entanglement across the split; nonnegative values are silent.
     """
-    part = split.side_a if isinstance(split, Bipartition) else split
-    pt = partial_transpose(rho, part)
+    pt = partial_transpose(rho, split)
     return float(np.linalg.eigvalsh(pt)[0])
 

@@ -20,7 +20,7 @@ import math
 
 import numpy as np
 
-from .errors import DimensionMismatchError, InvalidSplitError, LengthMismatchError
+from .errors import DimensionMismatchError, InvalidSplitError, LengthMismatchError, ParameterRangeError
 from .bounds_bipartite import (
     BoundReport,
     _aggregate,
@@ -31,14 +31,6 @@ from .bounds_bipartite import (
 from .generators import GeneratorTriple, canonical_triple, example_operators
 from .numerics import _as_index
 from .states import DensityMatrix, PureState, _check_pure, _check_state, partial_trace
-
-
-def _check_tripartite(rho: DensityMatrix) -> int:
-    if len(rho.dims) != 3 or len(set(rho.dims)) != 1:
-        raise DimensionMismatchError(
-            f"three subsystems of equal dimension required, got dims {rho.dims}"
-        )
-    return rho.dims[0]
 
 
 def ctau_pure(psi: PureState) -> float:
@@ -54,23 +46,21 @@ def ctau_pure(psi: PureState) -> float:
 
 
 def _resolve_triple(rho: DensityMatrix, gen_source) -> GeneratorTriple:
-    """The triple ``gen_source`` gives or names, checked against the state."""
-    d = _check_tripartite(rho)
-    if isinstance(gen_source, GeneratorTriple):
-        size = gen_source.operators.shape[-1]
-        if size != rho.dim:
-            raise DimensionMismatchError(f"operator size {size} versus state size {rho.dim}")
-        return gen_source
-    src = str(gen_source).lower()
-    if src == "canonical":
-        return canonical_triple(d)
-    if src in ("ghz", "w"):
-        if d != 2:
-            raise DimensionMismatchError(
-                f"example operators act on three qubits, got dims {rho.dims}"
-            )
-        return example_operators(src)
-    raise ValueError(f"unknown generator source {gen_source!r}")
+    """The one check of a triple argument: the triple ``gen_source`` gives or
+    names ("canonical", "ghz", "w"), checked against a state of three equal parties."""
+    if len(rho.dims) != 3 or len(set(rho.dims)) != 1:
+        raise DimensionMismatchError(f"three subsystems of equal dimension required, got dims {rho.dims}")
+    if isinstance(gen_source, str):
+        src = gen_source.lower()
+        if src not in ("canonical", "ghz", "w"):
+            raise ParameterRangeError(f"unknown generator source {gen_source!r}")
+        gen_source = canonical_triple(rho.dims[0]) if src == "canonical" else example_operators(src)
+    if not isinstance(gen_source, GeneratorTriple):
+        raise TypeError(f"expected a GeneratorTriple or a family name, got {type(gen_source).__name__}")
+    size = gen_source.operators.shape[-1]
+    if size != rho.dim:
+        raise DimensionMismatchError(f"operator size {size} versus state size {rho.dim} (dims {rho.dims})")
+    return gen_source
 
 
 def _triple_coefficients(x, k: int) -> np.ndarray:
@@ -132,7 +122,7 @@ def observation2_bound(rho: DensityMatrix, k: int, assignments, gen_source="cano
     rho = _check_state(rho)
     triple = _resolve_triple(rho, gen_source)
     mode = "obs2" if triple.source == "canonical" else f"obs2-{triple.source}"
-    return _aggregate(rho, mode, k, triple.operators, triple.count, [assignments], _triple_coefficients)
+    return _aggregate(rho, mode, k, triple.operators, [assignments], _triple_coefficients)
 
 
 def observation3_bound(rho: DensityMatrix, k: int, assignments) -> BoundReport:
@@ -162,4 +152,4 @@ def observation3_bound(rho: DensityMatrix, k: int, assignments) -> BoundReport:
     if unknown:
         raise InvalidSplitError(f"split keys {unknown!r} outside 0, 1, 2")
     per_split = [assignments.get(s, {}) for s in range(3)]
-    return _aggregate(rho, "obs3", k, triple.operators, triple.count, per_split)
+    return _aggregate(rho, "obs3", k, triple.operators, per_split)

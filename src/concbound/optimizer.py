@@ -28,7 +28,6 @@ from .errors import ParameterRangeError, ThresholdNotDetectedError
 from .bounds_bipartite import (
     _AGGREGATES,
     BoundReport,
-    _check_dims_match,
     _check_k,
     _check_subset,
     _entry_rows,
@@ -188,33 +187,36 @@ def _search(stack: np.ndarray, subsets, salts, cfg: OptimizerConfig):
     return coeffs, _gaps(stack, idx, coeffs), np.maximum.accumulate(val, axis=1)
 
 
-def _optimize_coefficients(rho: DensityMatrix, ops, cfg: OptimizerConfig, salt: tuple[int, ...]):
-    """One-subset search over ``ops``, framed alone: (coefficients, delta, per-restart best trace)."""
-    coeffs, deltas, traces = _search(rho._frame(ops), [range(len(ops))], [salt], cfg)
-    return coeffs[0], float(deltas[0]), traces[0].tolist()
+def _check_config(cfg) -> OptimizerConfig:
+    """The one check of a search configuration: anything but an OptimizerConfig to TypeError."""
+    if not isinstance(cfg, OptimizerConfig):
+        raise TypeError(f"expected an OptimizerConfig, got {type(cfg).__name__}")
+    return cfg
 
 
-def optimize_u(rho: DensityMatrix, gens: GeneratorSet, t_vec, cfg: OptimizerConfig):
+def optimize_u(rho: DensityMatrix, gens: GeneratorSet | None, t_vec, cfg: OptimizerConfig):
     """Search coefficients for one subset; returns (u, delta).
 
     Deterministic for a fixed configuration. The result is never worse
-    than the best sampled starting point and has max modulus 1.
+    than the best sampled starting point and has max modulus 1. ``gens``
+    None means the product family of a bipartite state.
     """
     rho = _check_state(rho)
-    _check_dims_match(rho, gens)
+    gens = _resolve_gens(rho, gens)
     t = _check_subset(t_vec, gens.count)
-    return _optimize_coefficients(rho, gens.operators[list(t)], cfg, t)[:2]
+    coeffs, deltas, _ = _search(rho._frame(gens.operators[list(t)]), [range(len(t))], [t], _check_config(cfg))
+    return coeffs[0], float(deltas[0])
 
 
-def _optimize_aggregate(rho: DensityMatrix, mode: str, k, cfg: OptimizerConfig, ops, n: int) -> BoundReport:
+def _optimize_aggregate(rho: DensityMatrix, mode: str, k, cfg: OptimizerConfig, ops) -> BoundReport:
     """The searched aggregate of every mode over its stacked families
     ``ops`` (N generators each), framed once for the call: per split a pool
     of size-k subsets, then one search over all (split, subset) entries. "top_singletons" ranks
     each split's generators by their all-ones gaps, in one call. Seeds are
     salted by the subset, by (split,) + subset where a mode has several
     splits."""
-    start = time.perf_counter()
-    k = _check_k(k, n)
+    start, n = time.perf_counter(), ops.shape[-3]
+    k, cfg = _check_k(k, n), _check_config(cfg)
     stack, n_splits = rho._frame(ops), len(_AGGREGATES[mode.split("-")[0]][2])
     pools = [list(combinations(range(n), k))] * n_splits
     if cfg.subset_strategy == "top_singletons":
@@ -239,7 +241,7 @@ def optimize_bound_bipartite(
     """
     rho = _check_state(rho)
     gens = _resolve_gens(rho, gens)
-    return _optimize_aggregate(rho, "obs1", k, cfg, gens.operators, gens.count)
+    return _optimize_aggregate(rho, "obs1", k, cfg, gens.operators)
 
 
 def optimize_bound_multipartite(
@@ -258,7 +260,7 @@ def optimize_bound_multipartite(
     # obs2 and obs3 both search the canonical families; obs2-ghz and
     # obs2-w the example operators.
     triple = _resolve_triple(rho, mode.partition("-")[2] or "canonical")
-    return _optimize_aggregate(rho, mode, k, cfg, triple.operators, triple.count)
+    return _optimize_aggregate(rho, mode, k, cfg, triple.operators)
 
 
 def threshold_scan(

@@ -23,12 +23,14 @@ import numpy as np
 
 from .errors import (
     DecompositionSizeError,
+    InvalidSplitError,
     NonFiniteError,
     NotNormalizedError,
     NotPositiveSemidefiniteError,
     ParameterRangeError,
     SubsystemIndexError,
 )
+from .generators import Bipartition
 from .numerics import _EIG_FLOOR, _RECONSTRUCTION, _ROUNDOFF, _SUPPORT_CUT, _WEIGHT_FLOOR, _as_index, as_hermitian, require_square
 
 
@@ -192,8 +194,17 @@ class Decomposition:
         return len(self.members)
 
 
-def _check_subsystems(indices, n_parts: int) -> tuple[int, ...]:
-    idx = tuple(_as_index(i, SubsystemIndexError) for i in indices)
+def _check_subsystems(selection, n_parts: int) -> tuple[int, ...]:
+    """The one check of a subsystem selection: distinct indices in 0..n_parts-1,
+    or a Bipartition of n_parts parties, which selects its first side."""
+    if isinstance(selection, Bipartition):
+        if len(selection.side_a) + len(selection.side_b) != n_parts:
+            raise InvalidSplitError(f"split {selection.label} versus a state of {n_parts} parties")
+        selection = selection.side_a
+    try:
+        idx = tuple(_as_index(i, SubsystemIndexError) for i in selection)
+    except TypeError:
+        raise SubsystemIndexError(f"subsystem selection {selection!r} is not iterable") from None
     if len(idx) == 0:
         raise SubsystemIndexError("empty subsystem selection")
     if len(set(idx)) != len(idx):
@@ -209,8 +220,9 @@ def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
     Parameters
     ----------
     rho : DensityMatrix or PureState
-    keep : iterable of int
-        Subsystem indices to retain, in their original order.
+    keep : iterable of int or Bipartition
+        Subsystem indices to retain, in their original order, or a
+        split of the state's parties, whose first side is retained.
 
     Returns
     -------
@@ -231,7 +243,8 @@ def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
 
 
 def partial_transpose(rho: DensityMatrix, part) -> np.ndarray:
-    """Transpose the listed subsystems in place of the full transpose.
+    """Transpose the listed subsystems, or a Bipartition's first side, in
+    place of the full transpose.
 
     Returns a plain matrix: the result is Hermitian but in general not
     positive, which is the point of the test.
@@ -356,6 +369,7 @@ def random_decomposition(rho: DensityMatrix, m: int, seed) -> Decomposition:
     DecompositionSizeError
         If m is smaller than the rank of ``rho``.
     """
+    rho = _check_state(rho)
     m = _as_index(m, ParameterRangeError)
     basis = rho._xc.conj()  # columns sqrt(lambda_j)|chi_j> over the state's support
     rank = basis.shape[1]

@@ -32,8 +32,10 @@ from concbound import (
     bell_state,
     bipartite_generators,
     canonical_triple,
+    concurrence_pure_sumrule,
     delta_k,
     delta_tot_k,
+    delta_total_bound,
     ghz_state,
     horodecki_state,
     lambda_spectrum,
@@ -44,6 +46,7 @@ from concbound import (
     optimize_bound_multipartite,
     optimize_u,
     random_density,
+    random_pure,
     w_state,
     white_noise_mix,
     wootters_concurrence,
@@ -148,6 +151,10 @@ def entries():
     yield "repr/delta_k", {"repr": repr(delta_k(rho, gens, (4, 8), [0.5333, 1.0]))}
     yield "repr/delta_tot_k", {"repr": repr(delta_tot_k(w_mix, canonical_triple(2), (0, 5), ([1.0, 0.5], [1j, 1.0], [1.0, -1.0])))}
     yield "repr/optimize_u", {"repr": repr(optimize_u(rho, gens, (4, 8), OptimizerConfig(**FAST)))}
+    u_full = np.zeros(gens.count, dtype=complex)
+    u_full[[0, 4, 8]] = 0.1j, 0.5333, 1.0
+    yield "repr/delta_total_bound", {"repr": repr(delta_total_bound(rho, gens, u_full / np.linalg.norm(u_full)))}
+    yield "repr/concurrence_pure_sumrule", {"repr": repr(concurrence_pure_sumrule(random_pure((3, 3), seed=7), gens))}
     yield "repr/lambda_spectrum", {"repr": repr(lambda_spectrum(rho, gens.operators[4] + 0.5 * gens.operators[8]).tolist())}
     for seed in range(4):
         two = random_density((2, 2), seed + 1, seed=seed)

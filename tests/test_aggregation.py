@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from concbound import bounds_bipartite
-from concbound.bounds_bipartite import BoundReport, SubsetEntry, _delta_from_parts, observation1_bound
+from concbound.bounds_bipartite import BoundReport, SubsetEntry, observation1_bound
 from concbound.bounds_multipartite import observation2_bound, observation3_bound
 from concbound.generators import (
     bipartite_generators,
@@ -20,6 +20,12 @@ from concbound.generators import (
 )
 from concbound.optimizer import OptimizerConfig, optimize_bound_bipartite, optimize_bound_multipartite
 from concbound.states import ghz_state, horodecki_state, random_density, w_state, white_noise_mix
+
+
+def _gap(b: np.ndarray) -> float:
+    """The clipped gap of one matrix by its own SVD: the engine's reference."""
+    lam = np.linalg.svd(b, compute_uv=False)
+    return max(0.0, 2.0 * float(lam[0]) - float(np.sum(lam)))
 
 
 def _obs1_loop(rho, k, assignments, gens):
@@ -33,7 +39,7 @@ def _obs1_loop(rho, k, assignments, gens):
     for t in sorted(assignments):
         u = np.asarray(assignments[t], dtype=complex).reshape(-1)
         b = (u @ stack[list(t)].reshape(k, -1)).reshape(stack.shape[1:])
-        entries.append(SubsetEntry(t, {"u": tuple(u)}, float(_delta_from_parts(b))))
+        entries.append(SubsetEntry(t, {"u": tuple(u)}, _gap(b)))
     prefactor = n / (k * k * math.comb(n, k))
     bound = prefactor * math.fsum(e.delta * e.delta for e in entries)
     return BoundReport(bound, tuple(entries), k, n, prefactor, "obs1", 0.0)
@@ -51,7 +57,7 @@ def _obs2_loop(rho, k, assignments, triple, mode):
         u, v, w = (np.asarray(c, dtype=complex).reshape(-1) for c in assignments[t])
         terms = [b1[i] for i in t] + [b2[i] for i in t] + [b3[i] for i in t]
         b = (np.concatenate([u, v, w]) @ np.reshape(terms, (3 * k, -1))).reshape(b1.shape[1:])
-        entries.append(SubsetEntry(t, {"u": tuple(u), "v": tuple(v), "w": tuple(w)}, float(_delta_from_parts(b))))
+        entries.append(SubsetEntry(t, {"u": tuple(u), "v": tuple(v), "w": tuple(w)}, _gap(b)))
     prefactor = n / (6.0 * k * k * math.comb(n, k))
     bound = prefactor * math.fsum(e.delta * e.delta for e in entries)
     return BoundReport(bound, tuple(entries), k, n, prefactor, mode, 0.0)

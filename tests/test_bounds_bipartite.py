@@ -11,6 +11,7 @@ import pytest
 from concbound.errors import (
     CoefficientBoundError,
     DimensionMismatchError,
+    InvalidSplitError,
     LengthMismatchError,
     NonFiniteError,
     NotNormalizedError,
@@ -31,7 +32,7 @@ from concbound.bounds_bipartite import (
     ppt_min_eigenvalue,
     wootters_concurrence,
 )
-from concbound.generators import Bipartition, bipartite_generators
+from concbound.generators import Bipartition, bipartite_generators, canonical_triple
 from concbound.optimizer import OptimizerConfig, optimize_bound_bipartite, optimize_u
 from concbound.states import (
     DensityMatrix,
@@ -108,6 +109,11 @@ class TestPureConcurrence:
     def test_sumrule_dimension_guard(self):
         with pytest.raises(DimensionMismatchError):
             concurrence_pure_sumrule(random_pure((2, 2), seed=0), bipartite_generators(3, 3))
+
+    def test_split_of_other_party_count(self):
+        # A three-party split on a two-party state used to read 1.0.
+        with pytest.raises(InvalidSplitError):
+            concurrence_pure(bell_state(), Bipartition((0,), (1, 2)))
 
 
 class TestLambdaSpectrum:
@@ -369,6 +375,44 @@ class TestPptMinEigenvalue:
         rho = horodecki_state(a)
         for part in ({0}, {1}):
             assert ppt_min_eigenvalue(rho, part) > -1e-12
+
+    def test_split_of_other_party_count(self):
+        # A three-party split on a two-party state used to read -0.5.
+        with pytest.raises(InvalidSplitError):
+            ppt_min_eigenvalue(bell_state(), Bipartition((0,), (1, 2)))
+        with pytest.raises(InvalidSplitError):
+            ppt_min_eigenvalue(random_density((2, 2, 2), 3, seed=1), Bipartition((0,), (1,)))
+
+
+# Every function that takes a bipartite generator set, on one set's worth
+# of arguments; each returns something comparable with ==.
+_GENS_CALLS = {
+    "delta_k": lambda gens: delta_k(horodecki_state(0.3), gens, (4, 8), [0.5, 1.0]),
+    "optimize_u": lambda gens: optimize_u(horodecki_state(0.3), gens, (4, 8), OptimizerConfig(restarts=2, iterations=5))[1],
+    "delta_total_bound": lambda gens: delta_total_bound(horodecki_state(0.3), gens, np.eye(9)[4]),
+    "concurrence_pure_sumrule": lambda gens: concurrence_pure_sumrule(random_pure((3, 3), seed=2), gens),
+    "observation1_bound": lambda gens: observation1_bound(horodecki_state(0.3), 1, {(4,): [1.0]}, gens).bound_on_c_squared,
+    "optimize_bound_bipartite": lambda gens: optimize_bound_bipartite(
+        horodecki_state(0.3), 1, OptimizerConfig(restarts=2, iterations=5), gens
+    ).bound_on_c_squared,
+}
+
+
+class TestGeneratorArgument:
+    """One check of a generator-set argument: None is the product family of
+    a bipartite state, and anything but a GeneratorSet raises TypeError."""
+
+    @pytest.mark.parametrize("call", _GENS_CALLS.values(), ids=_GENS_CALLS)
+    def test_none_is_the_product_family(self, call):
+        assert call(None) == call(bipartite_generators(3, 3))
+
+    @pytest.mark.parametrize("call", _GENS_CALLS.values(), ids=_GENS_CALLS)
+    @pytest.mark.parametrize(
+        "bad", [canonical_triple(2), bipartite_generators(3, 3).operators, "product"], ids=["triple", "ndarray", "str"]
+    )
+    def test_non_set_raises_type_error(self, call, bad):
+        with pytest.raises(TypeError, match="GeneratorSet"):
+            call(bad)
 
 
 class TestPsdTolerance:

@@ -12,6 +12,7 @@ from concbound.errors import (
     InvalidSplitError,
     LengthMismatchError,
     NonFiniteError,
+    ParameterRangeError,
     SubsetSizeError,
 )
 from concbound.bounds_bipartite import concurrence_pure
@@ -21,7 +22,7 @@ from concbound.bounds_multipartite import (
     observation2_bound,
     observation3_bound,
 )
-from concbound.generators import Bipartition, canonical_triple, example_operators
+from concbound.generators import Bipartition, bipartite_generators, canonical_triple, example_operators
 from concbound.states import (
     DensityMatrix,
     ghz_state,
@@ -115,6 +116,9 @@ class TestDeltaTot:
     def test_arity_guard(self):
         with pytest.raises(DimensionMismatchError):
             delta_tot_k(maximally_mixed((2, 2)), example_operators("ghz"), (0,), ([1], [1], [1]))
+        # The example families act on three qubits only.
+        with pytest.raises(DimensionMismatchError):
+            observation2_bound(maximally_mixed((3, 3, 3)), 1, {(0,): ([1], [1], [1])}, "ghz")
 
     def test_triple_of_other_size_is_rejected(self):
         # A qutrit triple on a three-qubit state: both entry points raise
@@ -264,6 +268,22 @@ class TestInputGuards:
             observation3_bound(rho, 1, {key: {(0,): [1.0]}})
         with pytest.raises(InvalidSplitError):
             observation3_bound(rho, 1, {0: {(0,): [1.0]}, key: {(0,): [1.0]}})
+
+    @pytest.mark.parametrize(
+        "bad", [None, 2, ("ghz",), bipartite_generators(2, 4)], ids=["none", "int", "tuple", "generator-set"]
+    )
+    def test_non_triple_source_raises_type_error(self, bad):
+        # Each used to be read as a name through str() and fail as unknown.
+        rho = white_noise_mix(w_state().density(), 0.9)
+        ones = ([1.0], [1.0], [1.0])
+        with pytest.raises(TypeError, match="GeneratorTriple"):
+            observation2_bound(rho, 1, {(0,): ones}, bad)
+        with pytest.raises(TypeError, match="GeneratorTriple"):
+            delta_tot_k(rho, bad, (0,), ones)
+
+    def test_unknown_source_name(self):
+        with pytest.raises(ParameterRangeError, match="unknown generator source 'cluster'"):
+            observation2_bound(white_noise_mix(w_state().density(), 0.9), 1, {}, "cluster")
 
     def test_non_finite_coefficients(self):
         rho = white_noise_mix(ghz_state().density(), 0.5)

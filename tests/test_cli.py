@@ -596,17 +596,19 @@ class TestScanMatchesBound:
 
 
 class TestDemoCommand:
-    def test_wootters_check_passes(self, capsys):
-        code = main(["demo", "wootters-check"])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "PASS" in out and "FAIL" not in out
+    # Scenario -> its number of checks.
+    CHECKS = {"wootters-check": 1, "ghz": 3, "w": 5, "horodecki": 5}
 
-    def test_ghz_demo_passes(self, capsys):
-        code = main(["demo", "ghz"])
+    @pytest.mark.parametrize("scenario", cli._DEMOS)
+    def test_demo_passes(self, scenario, capsys):
+        code = main(["demo", scenario])
         out = capsys.readouterr().out
         assert code == 0
-        assert out.count("PASS") == 3
+        assert out.count("PASS") == self.CHECKS[scenario]
+        assert "FAIL" not in out
+
+    def test_every_demo_is_counted(self):
+        assert sorted(self.CHECKS) == sorted(cli._DEMOS)
 
 
 class TestOptionSurface:

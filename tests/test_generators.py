@@ -379,6 +379,7 @@ class TestMalformedFamilies:
         "not-four-axes": (np.zeros((3, 8, 8)), NonSquareError),
         "non-square": (np.zeros((3, 1, 8, 4)), NonSquareError),
         "ragged-split": ((np.zeros((2, 8, 8)), (np.eye(8), np.eye(4)), np.zeros((2, 8, 8))), NonSquareError),
+        "two-families": (np.zeros((2, 1, 8, 8)), InvalidSplitError),
     }
 
     @pytest.mark.parametrize("case", SET_CASES)
@@ -386,6 +387,11 @@ class TestMalformedFamilies:
         ops, error = self.SET_CASES[case]
         with pytest.raises(error):
             GeneratorSet(ops, tuple(((0, 1), (0, 1)) for _ in ops), (2, 2))
+
+    def test_set_rejects_an_index_map_of_another_length(self):
+        ops = bipartite_generators(2, 2).operators
+        with pytest.raises(ParameterRangeError):
+            GeneratorSet(ops, (((0, 1), (0, 1)),) * 2, (2, 2))
 
     @pytest.mark.parametrize("case", TRIPLE_CASES)
     def test_triple_rejects(self, case):

@@ -11,13 +11,12 @@ import pytest
 
 from concbound import bounds_bipartite, optimizer
 from concbound.errors import DimensionMismatchError, ParameterRangeError, SubsetSizeError, ThresholdNotDetectedError
-from concbound.bounds_bipartite import _delta_from_parts, delta_k, observation1_bound
+from concbound.bounds_bipartite import delta_k, observation1_bound
 from concbound.bounds_multipartite import delta_tot_k, observation2_bound, observation3_bound
 from concbound.generators import bipartite_generators, canonical_triple, tripartite_generators
 from concbound.optimizer import (
     OptimizerConfig,
     ScanResult,
-    _optimize_coefficients,
     optimize_bound_bipartite,
     optimize_bound_multipartite,
     optimize_u,
@@ -34,6 +33,18 @@ from concbound.states import (
 )
 
 FAST = OptimizerConfig(restarts=3, iterations=25)
+
+
+def _gap(b: np.ndarray) -> float:
+    """The clipped gap of one matrix by its own SVD: the engine's reference."""
+    lam = np.linalg.svd(b, compute_uv=False)
+    return max(0.0, 2.0 * float(lam[0]) - float(np.sum(lam)))
+
+
+def _search_one(rho, ops, cfg, salt):
+    """One-subset search over ``ops``, framed alone: (coefficients, delta, per-restart best trace)."""
+    coeffs, deltas, traces = optimizer._search(rho._frame(ops), [range(len(ops))], [salt], cfg)
+    return coeffs[0], float(deltas[0]), traces[0].tolist()
 
 
 def ghz_family(p):
@@ -94,6 +105,21 @@ class TestConfig:
         with pytest.raises(ParameterRangeError):
             OptimizerConfig.from_dict(data)
 
+    @pytest.mark.parametrize("bad", [None, {"restarts": 2}, "restarts=2"], ids=["none", "dict", "str"])
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda cfg: optimize_u(horodecki_state(0.3), bipartite_generators(3, 3), (4,), cfg),
+            lambda cfg: optimize_bound_bipartite(horodecki_state(0.3), 1, cfg),
+            lambda cfg: optimize_bound_multipartite(w_state(), 1, cfg, "obs3"),
+        ],
+        ids=["optimize_u", "optimize_bound_bipartite", "optimize_bound_multipartite"],
+    )
+    def test_optimizers_reject_a_non_config(self, call, bad):
+        # Each used to escape as an AttributeError on the first field read.
+        with pytest.raises(TypeError, match="OptimizerConfig"):
+            call(bad)
+
     def test_integral_steps_are_accepted(self):
         assert OptimizerConfig(step_initial=1, step_final=1).step_initial == 1
 
@@ -129,7 +155,7 @@ class TestOptimizeU:
         rho = white_noise_mix(horodecki_state(0.2), 0.95)
         ops = np.stack([gens.operators[i] for i in (1, 5)])
         cfg = OptimizerConfig(restarts=6, iterations=30)
-        _, delta, trace = _optimize_coefficients(rho, ops, cfg, (1, 5))
+        _, delta, trace = _search_one(rho, ops, cfg, (1, 5))
         assert len(trace) == cfg.restarts
         assert all(b >= a for a, b in zip(trace, trace[1:]))
         all_ones = delta_k(rho, gens, (1, 5), [1.0, 1.0])
@@ -154,7 +180,7 @@ def _reference_descent(rho, ops, cfg, salt):
 
     def delta_of(radii, phases):
         coeffs = radii * np.exp(1j * phases)
-        return float(_delta_from_parts(np.tensordot(coeffs, stack, axes=1)))
+        return _gap(np.tensordot(coeffs, stack, axes=1))
 
     m = len(ops)
     decay = (cfg.step_final / cfg.step_initial) ** (
@@ -220,7 +246,7 @@ def _one_row_at_a_time(rho, ops, cfg, salt):
     stack = rho._frame(ops)
     m = len(ops)
     if m == 1:
-        delta = float(_delta_from_parts(stack[0]))
+        delta = _gap(stack[0])
         return np.ones(1, dtype=complex), delta, [delta] * cfg.restarts
     best, best_val, trace = np.repeat([1.0, 0.0], m), 0.0, []
     for restart in range(cfg.restarts):
@@ -233,7 +259,7 @@ def _one_row_at_a_time(rho, ops, cfg, salt):
             best, best_val = x[0], val
         trace.append(best_val)
     u = best[:m] / best[:m].max() * np.exp(1j * best[m:])
-    return u, float(_delta_from_parts(np.tensordot(u, stack, axes=1))), trace
+    return u, _gap(np.tensordot(u, stack, axes=1)), trace
 
 
 def _assert_bitwise_equal(got, want):
@@ -267,7 +293,7 @@ class TestLockstepEngine:
         rho, ops = self._parts(subset, white_noise_mix(horodecki_state(0.3), 0.9))
         cfg = OptimizerConfig(restarts=restarts, iterations=iterations)
         want = _one_row_at_a_time(rho, ops, cfg, subset)
-        _assert_bitwise_equal(_optimize_coefficients(rho, ops, cfg, subset), want)
+        _assert_bitwise_equal(_search_one(rho, ops, cfg, subset), want)
 
     def test_matches_where_radii_clip_at_zero_and_one(self):
         # On noisy W the 1|23 pair (0, 2) peaks at c = (1, 0), on a kink
@@ -276,7 +302,7 @@ class TestLockstepEngine:
         ops = tripartite_generators(2, 0).operators[[0, 2]]
         cfg = OptimizerConfig(restarts=3, iterations=7, step_initial=0.9, step_final=0.05)
         want = _one_row_at_a_time(rho, ops, cfg, (0, 2))
-        got = _optimize_coefficients(rho, ops, cfg, (0, 2))
+        got = _search_one(rho, ops, cfg, (0, 2))
         _assert_bitwise_equal(got, want)
         assert sorted(np.abs(got[0])) == [0.0, 1.0]
         assert got[1] >= _reference_descent(rho, ops, cfg, (0, 2))[1] * (1.0 - 1e-12)
@@ -286,7 +312,7 @@ class TestLockstepEngine:
         rho = white_noise_mix(w_state().density(), 0.5)
         ops = np.stack([tripartite_generators(2, s).operators[0] for s in range(3)])
         for cfg in (OptimizerConfig(restarts=3, iterations=7), OptimizerConfig(restarts=2, iterations=20)):
-            got = _optimize_coefficients(rho, ops, cfg, (0,))
+            got = _search_one(rho, ops, cfg, (0,))
             _assert_bitwise_equal(got, _one_row_at_a_time(rho, ops, cfg, (0,)))
             floor = _reference_descent(rho, ops, cfg, (0,))[1]
             assert floor > 0.5
@@ -300,7 +326,7 @@ class TestLockstepEngine:
         cfg = OptimizerConfig(restarts=restarts, iterations=iterations)
         floor = _reference_descent(rho, ops, cfg, (4, 8))[1]
         assert floor > 1e-3
-        assert _optimize_coefficients(rho, ops, cfg, (4, 8))[1] >= floor * (1.0 - 1e-12)
+        assert _search_one(rho, ops, cfg, (4, 8))[1] >= floor * (1.0 - 1e-12)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_never_below_all_ones(self, seed):
@@ -310,7 +336,7 @@ class TestLockstepEngine:
         for m in (2, 3):
             subset = tuple(sorted(rng.choice(9, m, replace=False).tolist()))
             start = delta_k(rho, self.GENS, subset, np.ones(m))
-            got = _optimize_coefficients(rho, self.GENS.operators[list(subset)], cfg, subset)[1]
+            got = _search_one(rho, self.GENS.operators[list(subset)], cfg, subset)[1]
             assert got >= start * (1.0 - 1e-12)
 
     @pytest.mark.parametrize("seed", range(3))
@@ -365,7 +391,7 @@ class TestLockstepEngine:
             s = ("1|23", "2|13", "3|12").index(e.split) if mode == "obs3" else 0
             rows = [(s + j) * n + i for j in range(3 if mode == "obs2" else 1) for i in e.subset]
             salt = (s,) + e.subset if mode == "obs3" else e.subset
-            u, delta, _ = _optimize_coefficients(rho, flat[rows], cfg, salt)
+            u, delta, _ = _search_one(rho, flat[rows], cfg, salt)
             assert np.concatenate([np.array(c) for c in e.coefficients.values()]).tobytes() == u.tobytes()
             assert np.float64(e.delta).tobytes() == np.float64(delta).tobytes()
 
@@ -398,7 +424,7 @@ class TestSingletonClosedForm:
         subsets = [(i,) for i in range(9)]
         coeffs, deltas, traces = optimizer._search(rho._frame(ops), subsets, subsets, self.CFG)
         assert coeffs.tobytes() == np.ones((9, 1), dtype=complex).tobytes()
-        assert deltas.tobytes() == np.array([_delta_from_parts(b) for b in rho._frame(ops)]).tobytes()
+        assert deltas.tobytes() == np.array([_gap(b) for b in rho._frame(ops)]).tobytes()
         assert traces.tobytes() == np.repeat(deltas[:, None], self.CFG.restarts, axis=1).tobytes()
 
     def test_matches_search_oracle_within_round_off(self):
@@ -406,7 +432,7 @@ class TestSingletonClosedForm:
             for i in indices:
                 op = np.stack([ops[i]])
                 want = _reference_descent(rho, op, self.CFG, (i,))[1]
-                u, got, _ = _optimize_coefficients(rho, op, self.CFG, (i,))
+                u, got, _ = _search_one(rho, op, self.CFG, (i,))
                 assert want > 1e-3
                 assert u.tobytes() == np.ones(1, dtype=complex).tobytes()
                 assert want - 1e-14 <= got <= want

@@ -6,7 +6,9 @@ import pytest
 
 from concbound.errors import (
     DecompositionSizeError,
+    InvalidSplitError,
     NonFiniteError,
+    NonSquareError,
     NotHermitianError,
     NotNormalizedError,
     NotPositiveSemidefiniteError,
@@ -14,6 +16,7 @@ from concbound.errors import (
     SubsystemIndexError,
 )
 from concbound.bounds_bipartite import lambda_spectrum, lambda_spectrum_product_route
+from concbound.generators import Bipartition
 from concbound.states import (
     Decomposition,
     DensityMatrix,
@@ -47,6 +50,7 @@ class TestContainers:
         vec[5] = 1.0
         psi = PureState(vec, (2, 2, 2))
         assert psi.amplitudes[5] == 1.0
+        assert psi.dim == 8
 
     def test_density_rejects_non_hermitian(self):
         m = np.diag([0.5, 0.5]).astype(complex)
@@ -94,6 +98,23 @@ class TestContainers:
         with pytest.raises(ParameterRangeError):
             DensityMatrix(np.eye(4) / 4, (2, 3))
 
+    @pytest.mark.parametrize(
+        "build, error",
+        [
+            (lambda: DensityMatrix(np.eye(4)[:3] / 3, (2, 2)), NonSquareError),
+            (lambda: DensityMatrix(np.eye(4) / 4, ()), ParameterRangeError),
+            (lambda: DensityMatrix(np.eye(4) / 4, (0, 2)), ParameterRangeError),
+            (lambda: PureState([1.0], ()), ParameterRangeError),
+            (lambda: PureState([1.0, 0.0], (0, 2)), ParameterRangeError),
+            (lambda: PureState(np.ones(3) / np.sqrt(3), (2, 2)), ParameterRangeError),
+            (lambda: Decomposition(bell_state(), [0.5, 0.5], [bell_state()]), ParameterRangeError),
+        ],
+        ids=["non-square", "density-no-dims", "density-zero-dim", "pure-no-dims", "pure-zero-dim", "pure-length", "more-weights"],
+    )
+    def test_rejects_malformed_shapes(self, build, error):
+        with pytest.raises(error):
+            build()
+
     def test_decomposition_validates_reconstruction(self):
         rho = maximally_mixed((2,))
         up = PureState([1.0, 0.0], (2,))
@@ -121,11 +142,19 @@ class TestStateArguments:
         assert np.array_equal(white_noise_mix(psi, 0.5).matrix, white_noise_mix(rho, 0.5).matrix)
         assert np.array_equal(partial_trace(psi, [0]).matrix, partial_trace(rho, [0]).matrix)
         assert np.array_equal(partial_transpose(psi, [0]), partial_transpose(rho, [0]))
+        a, b = random_decomposition(psi, 2, seed=1), random_decomposition(rho, 2, seed=1)
+        assert a.weights == b.weights
+        assert [m.amplitudes.tobytes() for m in a.members] == [m.amplitudes.tobytes() for m in b.members]
 
     @pytest.mark.parametrize(
         "call",
-        [lambda x: white_noise_mix(x, 0.5), lambda x: partial_trace(x, [0]), lambda x: partial_transpose(x, [0])],
-        ids=["white_noise_mix", "partial_trace", "partial_transpose"],
+        [
+            lambda x: white_noise_mix(x, 0.5),
+            lambda x: partial_trace(x, [0]),
+            lambda x: partial_transpose(x, [0]),
+            lambda x: random_decomposition(x, 2, seed=1),
+        ],
+        ids=["white_noise_mix", "partial_trace", "partial_transpose", "random_decomposition"],
     )
     @pytest.mark.parametrize("bad", ["x", np.eye(8) / 8], ids=["str", "ndarray"])
     def test_non_state_raises_type_error(self, call, bad):
@@ -174,6 +203,26 @@ class TestPartialOps:
             partial_trace(rho, set())
         with pytest.raises(SubsystemIndexError):
             partial_transpose(rho, [0, 0])
+
+    def test_split_selects_its_first_side(self):
+        rho = ghz_state().density()
+        split = Bipartition((1,), (0, 2))
+        assert np.array_equal(partial_trace(rho, split).matrix, partial_trace(rho, [1]).matrix)
+        assert np.array_equal(partial_transpose(rho, split), partial_transpose(rho, [1]))
+
+    @pytest.mark.parametrize("call", [partial_trace, partial_transpose])
+    def test_split_of_other_party_count(self, call):
+        with pytest.raises(InvalidSplitError):
+            call(bell_state(), Bipartition((0,), (1, 2)))
+        with pytest.raises(InvalidSplitError):
+            call(ghz_state(), Bipartition((0,), (1,)))
+
+    @pytest.mark.parametrize("call", [partial_trace, partial_transpose])
+    @pytest.mark.parametrize("bad", [0, None, 1.5], ids=["int", "none", "float"])
+    def test_selection_that_is_not_iterable(self, call, bad):
+        # partial_trace(bell_state(), 0) raised a bare TypeError.
+        with pytest.raises(SubsystemIndexError, match="not iterable"):
+            call(bell_state(), bad)
 
     def test_bell_partial_transpose_negativity(self):
         pt = partial_transpose(bell_state().density(), {1})
@@ -293,6 +342,10 @@ class TestJsonIO:
         assert isinstance(back, DensityMatrix)
         assert back.dims == (3, 3)
         assert np.max(np.abs(back.matrix - rho.matrix)) < 1e-15
+
+    def test_jsonable_takes_only_a_state(self):
+        with pytest.raises(TypeError):
+            state_to_jsonable("x")
 
     def test_jsonable_shape_discriminates(self):
         flat = state_to_jsonable(bell_state())
