@@ -340,6 +340,11 @@ class TestSharedFamilies:
         assert _same_bits(got.operators, want.operators)
         assert (got.index_map, got.dims, got.split) == (want.index_map, want.dims, want.split)
 
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("split", [0, 1, 2])
+    def test_canonical_triple_stacks_the_split_families(self, d, split):
+        assert _same_bits(canonical_triple(d).operators[split], tripartite_generators(d, split).operators)
+
     @pytest.mark.parametrize("family", ["ghz", "w"])
     def test_example_operators_match_per_operator_reference(self, family):
         got = example_operators(family)
