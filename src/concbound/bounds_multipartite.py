@@ -28,7 +28,7 @@ from .bounds_bipartite import (
     _check_subset,
     _gaps,
 )
-from .generators import GeneratorTriple, canonical_triple, example_operators
+from .generators import _EXAMPLES, GeneratorTriple, canonical_triple, example_operators
 from .numerics import _as_index
 from .states import DensityMatrix, PureState, _check_pure, _check_state, partial_trace
 
@@ -47,12 +47,12 @@ def ctau_pure(psi: PureState) -> float:
 
 def _resolve_triple(rho: DensityMatrix, gen_source) -> GeneratorTriple:
     """The one check of a triple argument: the triple ``gen_source`` gives or
-    names ("canonical", "ghz", "w"), checked against a state of three equal parties."""
+    names ("canonical" or a family of ``_EXAMPLES``), checked against a state of three equal parties."""
     if len(rho.dims) != 3 or len(set(rho.dims)) != 1:
         raise DimensionMismatchError(f"three subsystems of equal dimension required, got dims {rho.dims}")
     if isinstance(gen_source, str):
         src = gen_source.lower()
-        if src not in ("canonical", "ghz", "w"):
+        if src not in ("canonical", *_EXAMPLES):
             raise ParameterRangeError(f"unknown generator source {gen_source!r}")
         gen_source = canonical_triple(rho.dims[0]) if src == "canonical" else example_operators(src)
     if not isinstance(gen_source, GeneratorTriple):

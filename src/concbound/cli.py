@@ -40,7 +40,7 @@ from .bounds_bipartite import (
     wootters_concurrence,
 )
 from .bounds_multipartite import observation2_bound, ctau_pure
-from .generators import Bipartition, bipartite_generators
+from .generators import _EXAMPLES, Bipartition, bipartite_generators
 from .optimizer import (
     OptimizerConfig,
     optimize_bound_bipartite,
@@ -158,49 +158,52 @@ def _make_config(blob: str | None) -> OptimizerConfig:
 
 
 def _obs2_report(rho: DensityMatrix, k: int, cfg: OptimizerConfig, source: str) -> BoundReport:
-    if source in ("ghz", "w"):
+    if source in _EXAMPLES:
         # Example families have one operator per split (k = 1 only) and a
         # known optimum at u = v = w = 1: the evaluation is closed-form exact.
         return observation2_bound(rho, k, {(0,): ([1.0], [1.0], [1.0])}, source)
     return optimize_bound_multipartite(rho, k, cfg, "obs2")
 
 
-# Mode -> (rho, k, optimizer config, obs2 generator source) -> BoundReport; "ppt" has none.
-_REPORTS = {
-    "obs1": lambda rho, k, cfg, source: optimize_bound_bipartite(rho, k, cfg),
-    "obs2": _obs2_report,
-    "obs3": lambda rho, k, cfg, source: optimize_bound_multipartite(rho, k, cfg, "obs3"),
+def _wootters_value(rho: DensityMatrix, k: int) -> float:
+    """The wootters report's bound, bit for bit at half the cost, after the report's check of k."""
+    _check_k(k, bipartite_generators(2, 2).count)
+    return wootters_concurrence(rho) ** 2
+
+
+# Mode -> (the options besides --mode that it reads; its report, (rho, k, optimizer config,
+# obs2 generator source) -> BoundReport, None for ppt; its scan value, (rho, k) -> float, where
+# that bypasses the report). obs2 on an example generator source reads no optimizer config.
+_MODES = {
+    "obs1": ({"k", "optimizer"}, lambda rho, k, cfg, source: optimize_bound_bipartite(rho, k, cfg), None),
+    "obs2": ({"k", "gen_source", "optimizer"}, _obs2_report, None),
+    "obs3": ({"k", "optimizer"}, lambda rho, k, cfg, source: optimize_bound_multipartite(rho, k, cfg, "obs3"), None),
     # The two-qubit family rejects every other state before any output.
-    "wootters": lambda rho, k, cfg, source: replace(observation1_bound(rho, k, {(0,): [1.0]}, bipartite_generators(2, 2)), mode="wootters"),
+    "wootters": ({"k"}, lambda rho, k, cfg, source: replace(observation1_bound(rho, k, {(0,): [1.0]}, bipartite_generators(2, 2)), mode="wootters"), _wootters_value),
+    "ppt": (set(), None, lambda rho, k: max(0.0, -_ppt_summary(rho)["worst"])),
 }
-_MODES = (*_REPORTS, "ppt")
-# Mode -> the options besides --mode that it reads; obs2 on the ghz and w
-# example sources reads no optimizer config.
-_READS = {"obs1": {"k", "optimizer"}, "obs2": {"k", "gen_source", "optimizer"}, "obs3": {"k", "optimizer"}, "wootters": {"k"}, "ppt": set()}
 
 
 def _check_read(args, source: str) -> None:
     """Reject a non-default --k, --gen-source or --optimizer that the mode,
     on generator source ``source``, never reads."""
-    example = args.mode == "obs2" and source in ("ghz", "w")
-    reads = _READS[args.mode] - ({"optimizer"} if example else set())
+    example = args.mode == "obs2" and source in _EXAMPLES
+    reads = _MODES[args.mode][0] - ({"optimizer"} if example else set())
     given = {"k": args.k != 1, "gen_source": getattr(args, "gen_source", "auto") != "auto", "optimizer": args.optimizer is not None}
     unread = [f"--{name.replace('_', '-')}" for name in given if given[name] and name not in reads]
     if unread:
         where = f" on generator source {source}" if example else ""
         raise ParameterRangeError(f"--mode {args.mode}{where} does not read {', '.join(unread)}")
 
-# Scan detectors that bypass the report: "ppt" has none, and the wootters
-# closed form equals its report's bound bit for bit at half the cost.
-_SCAN_SHORTCUTS = {
-    "ppt": lambda rho: max(0.0, -_ppt_summary(rho)["worst"]),
-    "wootters": lambda rho: wootters_concurrence(rho) ** 2,
-}
+
+def _check_tol_detect(tol: float) -> None:
+    """Reject a --tol-detect that is negative, NaN or infinite: below 0 it certifies separable states."""
+    if not 0.0 <= tol < math.inf:
+        raise ParameterRangeError(f"--tol-detect must be finite and nonnegative, got {tol}")
 
 
 def cmd_bound(args, argv) -> int:
-    if not math.isfinite(args.tol_detect):
-        raise ParameterRangeError(f"--tol-detect must be finite, got {args.tol_detect}")
+    _check_tol_detect(args.tol_detect)
     rho, descriptor = parse_state(args.state)
     source = args.gen_source
     if source == "auto":
@@ -208,47 +211,46 @@ def cmd_bound(args, argv) -> int:
     _check_read(args, source)
     cfg = _make_config(args.optimizer)
     ppt = _ppt_summary(rho)
-    rep = _REPORTS[args.mode](rho, args.k, cfg, source) if args.mode in _REPORTS else None
+    report_of = _MODES[args.mode][1]
+    rep = report_of(rho, args.k, cfg, source) if report_of else None
     report = rep.to_dict() if rep is not None else {"mode": "ppt"}
     report["ppt"] = ppt
-    print(f"mode: {report['mode']}")
-    if rep is not None:
-        bound = rep.bound_on_c_squared
-        verdict = "ENTANGLED" if bound > args.tol_detect else "UNDETECTED"
-        print(f"bound_on_c_squared: {_fmt(bound)}")
-        print(f"sqrt_bound: {_fmt(math.sqrt(max(0.0, bound)))}")
-    else:
-        verdict = "ENTANGLED" if ppt["worst"] < -args.tol_detect else "UNDETECTED"
-    print(f"ppt_min_eig ({ppt['worst_split']}): {_fmt(ppt['worst'])}")
-    print(f"verdict: {verdict}")
+    detected = rep.bound_on_c_squared > args.tol_detect if rep is not None else ppt["worst"] < -args.tol_detect
+    verdict = "ENTANGLED" if detected else "UNDETECTED"
     report["verdict"] = verdict
     record = _record(argv, descriptor, report)
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(record + "\n")
+    print(f"mode: {report['mode']}")
+    if rep is not None:
+        print(f"bound_on_c_squared: {_fmt(rep.bound_on_c_squared)}")
+        print(f"sqrt_bound: {_fmt(math.sqrt(max(0.0, rep.bound_on_c_squared)))}")
+    print(f"ppt_min_eig ({ppt['worst_split']}): {_fmt(ppt['worst'])}")
+    print(f"verdict: {verdict}")
     if args.format == "json":
         print(record)
     elif args.format == "csv":
         bound_txt = _fmt(rep.bound_on_c_squared) if rep is not None else ""
         print("mode,bound_on_c_squared,ppt_min_eig_worst_split,verdict")
         print(f"{report['mode']},{bound_txt},{_fmt(ppt['worst'])},{verdict}")
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(record + "\n")
     return 0
 
 
 def cmd_scan(args, argv) -> int:
+    _check_tol_detect(args.tol_detect)
     name, _, rest = args.family.partition(":")
     name, params = name.strip(), _parse_params(rest)
     family = _noise_family(name, params)
-    _check_read(args, _FAMILIES[name][1])
-    if args.mode == "wootters":
-        _check_k(args.k, bipartite_generators(2, 2).count)
+    source = _FAMILIES[name][1]
+    _check_read(args, source)
     lo_txt, _, hi_txt = args.p_range.partition(":")
     p_lo, p_hi = float(lo_txt), float(hi_txt)
     if args.points < 1:
         raise ParameterRangeError(f"--points must be at least 1, got {args.points}")
     cfg = _make_config(args.optimizer)
-    report, source = _REPORTS.get(args.mode), _FAMILIES[name][1]
-    detector = _SCAN_SHORTCUTS.get(args.mode) or (lambda rho: report(rho, args.k, cfg, source).bound_on_c_squared)
+    _, report, value = _MODES[args.mode]
+    detector = (lambda rho: value(rho, args.k)) if value else (lambda rho: report(rho, args.k, cfg, source).bound_on_c_squared)
     # threshold_scan checks every input first; its outcome is printed after the grid.
     try:
         result = threshold_scan(family, detector, p_lo, p_hi, args.tol, args.tol_detect)
@@ -267,23 +269,25 @@ def cmd_scan(args, argv) -> int:
             f" bracket_width={_fmt(result.bracket_width)}"
             f" evaluations={result.evaluations}"
         )
-        print(
+        message = (
             f"threshold: {_fmt(result.threshold)} (bracket {_fmt(result.bracket_width)},"
             f" {result.evaluations} evaluations)"
         )
     else:
         scan_report["scan"] = None
         summary_line = "# threshold=not-detected"
-        print(f"threshold: not detected ({missed})", file=sys.stderr)
+        message = f"threshold: not detected ({missed})"
     lines = ["p,bound,ppt_min_eig_worst_split"]
     for p, bound, ppt in rows:
         lines.append(f"{_fmt(p)},{_fmt(bound)},{_fmt(ppt)}")
     lines.append(summary_line)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    # The record first: a record that cannot be written leaves no CSV.
     if args.record:
         with open(args.record, "w", encoding="utf-8") as fh:
             fh.write(_record(argv, {"source": "family", "family": name, "params": params}, scan_report) + "\n")
+    with open(args.out, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")
+    print(message, file=sys.stdout if result is not None else sys.stderr)
     return 0 if result is not None else 3
 
 
@@ -292,8 +296,8 @@ def _demo_wootters_check() -> list[tuple[str, bool, str]]:
     start = time.perf_counter()
     for i in range(1000):
         rho = random_density((2, 2), i % 4 + 1, seed=i)
-        bound = _REPORTS["wootters"](rho, 1, None, None).bound_on_c_squared
-        worst = max(worst, abs(bound - _SCAN_SHORTCUTS["wootters"](rho)))
+        bound = _MODES["wootters"][1](rho, 1, None, None).bound_on_c_squared
+        worst = max(worst, abs(bound - _wootters_value(rho, 1)))
     dt = time.perf_counter() - start
     ok = worst < 1e-9
     return [("singleton aggregate equals squared two-qubit concurrence on 1000 states", ok, f"worst deviation {worst:.2e} in {dt:.1f}s")]
@@ -303,7 +307,7 @@ def _demo_ghz() -> list[tuple[str, bool, str]]:
     checks = []
     worst = 0.0
     fam = _noise_family("ghz-noise", {})
-    det = lambda rho: _REPORTS["obs2"](rho, 1, None, "ghz").bound_on_c_squared
+    det = lambda rho: _obs2_report(rho, 1, None, "ghz").bound_on_c_squared
     for p in (0.25, 0.5, 0.75, 1.0):
         closed = (0.75 * (5.0 * p - 1.0)) ** 2 / 6.0
         worst = max(worst, abs(det(fam(p)) - closed))
@@ -321,14 +325,14 @@ def _demo_w() -> list[tuple[str, bool, str]]:
     checks = []
     worst = 0.0
     fam = _noise_family("w-noise", {})
-    det = lambda rho: _REPORTS["obs2"](rho, 1, None, "w").bound_on_c_squared
+    det = lambda rho: _obs2_report(rho, 1, None, "w").bound_on_c_squared
     for p in (0.2, 0.35, 0.5, 0.65, 0.8, 1.0):
         closed = (p * (8.0 + rt3) - rt3) ** 2 / 96.0
         worst = max(worst, abs(det(fam(p)) - closed))
     checks.append(("noisy W bound matches its closed form on the p-grid", worst < 1e-9, f"worst deviation {worst:.2e}"))
     res = threshold_scan(fam, det, 0.01, 1.0, 1e-5, 1e-9)
     checks.append(("detection threshold sits at p = 0.17797 within 1e-4", abs(res.threshold - rt3 / (8.0 + rt3)) < 1e-4, f"threshold {_fmt(res.threshold)}"))
-    neg = threshold_scan(fam, _SCAN_SHORTCUTS["ppt"], 0.01, 1.0, 1e-5, 1e-9)
+    neg = threshold_scan(fam, lambda rho: _MODES["ppt"][2](rho, 1), 0.01, 1.0, 1e-5, 1e-9)
     boundary = 3.0 * (8.0 * math.sqrt(2.0) - 3.0) / 119.0
     checks.append(("worst-split transposition eigenvalue changes sign at p = 0.20959", abs(neg.threshold - boundary) < 1e-4, f"threshold {_fmt(neg.threshold)}"))
     rho02 = fam(0.2)
@@ -383,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--mode", choices=_MODES, default="obs1")
     b.add_argument("--k", type=int, default=1, help="subset size for aggregated modes")
     b.add_argument("--optimizer", help="JSON object overriding optimizer fields")
-    b.add_argument("--gen-source", choices=("auto", "canonical", "ghz", "w"), default="auto", help="generator family for obs2")
+    b.add_argument("--gen-source", choices=("auto", "canonical", *_EXAMPLES), default="auto", help="generator family for obs2")
     b.add_argument("--tol-detect", type=float, default=1e-7, help="verdict threshold on the bound")
     b.add_argument("--out", help="write the JSON run record here")
     b.add_argument("--format", choices=("text", "json", "csv"), default="text")

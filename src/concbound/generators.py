@@ -8,8 +8,10 @@ witnesses at the pure-state level.
 
 Tripartite single-versus-pair splits embed a product of a single-party
 generator and a pair-space generator into the three-party ordering.
-The canonical sets order each pair subspace by ascending party index.
-The hand-picked example operators instead use the cyclic conventions
+The canonical sets order each pair subspace by ascending party index;
+``canonical_triple`` stacks the three split families that
+``tripartite_generators`` builds. The hand-picked example operators,
+one family per name in ``_EXAMPLES``, instead use the cyclic conventions
 1|23, 2|31, 3|12 (pair factors in that order); the closed-form noise
 thresholds they reproduce are sensitive to this choice.
 
@@ -32,23 +34,26 @@ from .errors import (
     NonSquareError,
     ParameterRangeError,
 )
-from .numerics import _as_index, _frozen, as_symmetric
+from .numerics import _as_index, as_symmetric
 
 # Pair-factor orderings per single party, 0-based: ascending for the
 # canonical sets, cyclic for the example operators.
 _ASCENDING_PAIRS = {0: (1, 2), 1: (0, 2), 2: (0, 1)}
 _CYCLIC_PAIRS = {0: (1, 2), 1: (2, 0), 2: (0, 1)}
+# Example family -> the index j of its two-qubit pair factor |00><j| - |j><00|.
+_EXAMPLES = {"ghz": 3, "w": 2}
 
 
 def _checked_family(ops, ndim: int) -> np.ndarray:
-    """``_frozen(ops)`` if it is an ndim-axis stack of finite square
-    matrices, each symmetric (S = S^T within 1e-10, as ``as_symmetric``
-    requires). Checked one matrix at a time, so no temporary is the size
-    of the family."""
+    """A read-only copy of ``ops`` (a sequence of arrays is stacked), in its
+    own dtype, if it is an ndim-axis stack of finite square matrices, each
+    symmetric (S = S^T within 1e-10, as ``as_symmetric`` requires). Checked
+    one matrix at a time, so no temporary is the size of the family."""
     try:
-        ops = _frozen(ops)
+        ops = np.array(ops)
     except ValueError:  # numpy's error for matrices of unequal shapes
         raise NonSquareError("operators of unequal shapes") from None
+    ops.setflags(write=False)
     if ops.ndim != ndim or ops.shape[-1] != ops.shape[-2]:
         raise NonSquareError(f"expected a {ndim}-axis stack of square matrices, got shape {ops.shape}")
     for op in ops.reshape((-1,) + ops.shape[-2:]):
@@ -224,33 +229,27 @@ def tripartite_generators(d: int, split) -> GeneratorSet:
 @_cached(4, lambda d=2: (_as_index(d, ParameterRangeError),))
 def canonical_triple(d: int = 2) -> GeneratorTriple:
     """The three canonical split families, index-aligned: the operators of
-    ``tripartite_generators(d, s)`` for s = 0, 1, 2, embedded here from the
-    shared products, so the triple checks each operator once."""
-    products = bipartite_generators(d, d * d).operators
-    return GeneratorTriple(tuple(_embed_single_pair(products, s, *_ASCENDING_PAIRS[s], d) for s in range(3)), "canonical")
+    ``tripartite_generators(d, s)`` stacked for s = 0, 1, 2."""
+    return GeneratorTriple(tuple(tripartite_generators(d, s).operators for s in range(3)), "canonical")
 
 
-# The two example families, "ghz" and "w", in any letter case.
-@_cached(2, lambda family: (str(family).lower(),))
+# The example families of ``_EXAMPLES``, in any letter case.
+@_cached(len(_EXAMPLES), lambda family: (str(family).lower(),))
 def example_operators(family: str) -> GeneratorTriple:
     """Hand-picked one-operator-per-split families for the noisy GHZ and
     W detection examples.
 
-    Each operator is S x L with S = |0><1| - |1><0| on the single qubit.
-    For "ghz" the pair factor is |00><11| - |11><00|, for "w" it is
-    |00><10| - |10><00|. Pair subspaces follow the cyclic orderings
+    Each operator is S x L with S = |0><1| - |1><0| on the single qubit and
+    L = |00><j| - |j><00| on the pair, j from ``_EXAMPLES``: 3 (|11>) for
+    "ghz", 2 (|10>) for "w". Pair subspaces follow the cyclic orderings
     (2,3), (3,1), (1,2); the W closed form depends on this.
     """
-    if family not in ("ghz", "w"):
+    if family not in _EXAMPLES:
         raise ParameterRangeError(f"unknown example family {family!r}")
     single = np.array([[0.0, 1.0], [-1.0, 0.0]])  # |0><1| - |1><0|
     pair_op = np.zeros((4, 4))
-    if family == "ghz":
-        pair_op[0, 3] = 1.0
-        pair_op[3, 0] = -1.0
-    else:
-        pair_op[0, 2] = 1.0
-        pair_op[2, 0] = -1.0
+    j = _EXAMPLES[family]
+    pair_op[0, j], pair_op[j, 0] = 1.0, -1.0
     product = np.kron(single, pair_op)
     ops = [_embed_single_pair(product, s, *_CYCLIC_PAIRS[s], 2) for s in range(3)]
     return GeneratorTriple(tuple(ops), family)

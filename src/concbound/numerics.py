@@ -44,13 +44,6 @@ def _as_index(x, error) -> int:
     raise error(f"{x!r} is not an integer")
 
 
-def _frozen(a) -> np.ndarray:
-    """A read-only copy of ``a`` (a sequence of arrays is stacked), in its own dtype."""
-    out = np.array(a)
-    out.setflags(write=False)
-    return out
-
-
 def require_square(a: np.ndarray) -> np.ndarray:
     """Return ``a`` as a complex square ndarray or raise NonSquareError."""
     a = np.asarray(a, dtype=complex)

@@ -36,7 +36,7 @@ from .bounds_bipartite import (
     _resolve_gens,
 )
 from .bounds_multipartite import _resolve_triple
-from .generators import GeneratorSet
+from .generators import _EXAMPLES, GeneratorSet
 from .states import DensityMatrix, _check_state
 
 DEFAULT_SEED = 1905
@@ -250,15 +250,15 @@ def optimize_bound_multipartite(
     """Optimized tripartite bound.
 
     ``mode`` selects the aggregate: "obs2" for the joint cross-split
-    bound with canonical families, "obs2-ghz" / "obs2-w" for the
-    one-operator example families, "obs3" for the split-wise bound.
+    bound with canonical families, "obs2-<family>" ("obs2-ghz", "obs2-w")
+    for the one-operator example families, "obs3" for the split-wise bound.
     """
     rho = _check_state(rho)
     mode = str(mode).lower()
-    if mode not in ("obs2", "obs2-ghz", "obs2-w", "obs3"):
+    if mode not in ("obs2", "obs3", *(f"obs2-{family}" for family in _EXAMPLES)):
         raise ParameterRangeError(f"unknown mode {mode!r}")
-    # obs2 and obs3 both search the canonical families; obs2-ghz and
-    # obs2-w the example operators.
+    # obs2 and obs3 both search the canonical families; obs2-<family>
+    # the example operators.
     triple = _resolve_triple(rho, mode.partition("-")[2] or "canonical")
     return _optimize_aggregate(rho, mode, k, cfg, triple.operators)
 

@@ -321,16 +321,10 @@ def maximally_mixed(dims) -> DensityMatrix:
     return DensityMatrix(np.eye(d) / d, dims)
 
 
-def _as_generator(seed) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
-
-
 def random_pure(dims, seed) -> PureState:
     """Haar-random pure state, deterministic for a fixed seed."""
     dims = _check_dims(dims)
-    rng = _as_generator(seed)
+    rng = np.random.default_rng(seed)
     d = int(np.prod(dims))
     vec = rng.normal(size=d) + 1j * rng.normal(size=d)
     return PureState(vec / np.linalg.norm(vec), dims)
@@ -343,7 +337,7 @@ def random_density(dims, rank, seed) -> DensityMatrix:
     d = int(np.prod(dims))
     if not 1 <= rank <= d:
         raise ParameterRangeError(f"rank {rank} outside 1..{d}")
-    rng = _as_generator(seed)
+    rng = np.random.default_rng(seed)
     g = rng.normal(size=(d, rank)) + 1j * rng.normal(size=(d, rank))
     m = g @ g.conj().T
     return DensityMatrix(m / np.real(np.trace(m)), dims)
@@ -378,7 +372,7 @@ def random_decomposition(rho: DensityMatrix, m: int, seed) -> Decomposition:
     if seed is None:
         iso = np.eye(m, rank, dtype=complex)
     else:
-        iso = _haar_unitary(_as_generator(seed), m)[:, :rank]
+        iso = _haar_unitary(np.random.default_rng(seed), m)[:, :rank]
     weights = []
     members = []
     for i in range(m):

@@ -179,6 +179,14 @@ class TestBoundCommand:
         rec = json.loads(path.read_text().strip())
         assert rec["report"]["verdict"] == "ENTANGLED"
 
+    def test_unwritable_record_exits_two_before_output(self, tmp_path, capsys):
+        path = tmp_path / "missing" / "record.json"
+        code = main(["bound", "--state", "family:bell-noise,p=1.0", "--mode", "wootters", "--out", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "error:" in captured.err and "Traceback" not in captured.err
+
     def test_csv_format(self, capsys):
         code = main(
             ["bound", "--state", "family:bell-noise,p=1.0", "--mode", "wootters", "--format", "csv"]
@@ -258,7 +266,8 @@ class TestBoundCommand:
         assert captured.out == ""
         assert "error:" in captured.err and "shape" in captured.err and "Traceback" not in captured.err
 
-    @pytest.mark.parametrize("tol", ["nan", "inf", "-inf"])
+    # A negative tolerance would certify separable states: -0.05 read ENTANGLED on the Werner state p = 0.2.
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "-0.05"])
     @pytest.mark.parametrize("mode", ["wootters", "ppt"])
     def test_non_finite_tol_detect_exits_two_before_output(self, mode, tol, capsys):
         code = main(["bound", "--state", "family:bell-noise,p=1", "--mode", mode, f"--tol-detect={tol}"])
@@ -458,6 +467,26 @@ class TestScanCommand:
         threshold = float(lines[-1].split("threshold=")[1].split()[0])
         assert abs(threshold - 0.2095893) < 1e-3
 
+    def test_negative_tol_detect_exits_two_without_csv(self, tmp_path, capsys):
+        # At -0.05 the ppt scan of the Werner family fired at p = 0.1, where the state is separable.
+        out_csv = tmp_path / "x.csv"
+        code = main(["scan", "--family", "bell-noise", "--mode", "ppt", "--p-range", "0.1:0.3", "--tol-detect=-0.05", "--out", str(out_csv)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == "" and not out_csv.exists()
+        assert "error:" in captured.err and "nonnegative" in captured.err
+
+    @pytest.mark.parametrize("unwritable", ["--out", "--record"])
+    def test_unwritable_output_exits_two_before_output(self, unwritable, tmp_path, capsys):
+        paths = {"--out": tmp_path / "x.csv", "--record": tmp_path / "record.json"}
+        paths[unwritable] = tmp_path / "missing" / paths[unwritable].name
+        argv = ["scan", "--family", "bell-noise", "--mode", "wootters", "--p-range", "0.1:1.0"]
+        code = main(argv + [arg for option, path in paths.items() for arg in (option, str(path))])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == "" and not paths["--out"].exists()
+        assert "error:" in captured.err and "Traceback" not in captured.err
+
     def test_zero_points_exits_two_without_csv(self, tmp_path, capsys):
         out_csv = tmp_path / "empty.csv"
         code = main(
@@ -541,7 +570,9 @@ class TestScanCommand:
                 raise RuntimeError("bisection did not terminate")
             return float(rho.matrix[0, 0].real > 0.3)
 
-        monkeypatch.setitem(cli._REPORTS, "obs2", lambda rho, *args: SimpleNamespace(bound_on_c_squared=detector(rho)))
+        reads, _, value = cli._MODES["obs2"]
+        report = lambda rho, *args: SimpleNamespace(bound_on_c_squared=detector(rho))
+        monkeypatch.setitem(cli._MODES, "obs2", (reads, report, value))
         out_csv = tmp_path / "x.csv"
         code = main(
             ["scan", "--family", "ghz-noise", "--mode", "obs2", "--p-range", "0.05:1.0", f"--tol={tol}", "--out", str(out_csv)]
@@ -591,8 +622,8 @@ class TestScanMatchesBound:
         rng = np.random.default_rng(11)
         for i in range(50):
             rho = random_density((2, 2), i % 4 + 1, seed=int(rng.integers(2**31)))
-            report = cli._REPORTS["wootters"](rho, 1, None, None)
-            assert cli._SCAN_SHORTCUTS["wootters"](rho) == report.bound_on_c_squared
+            _, report, value = cli._MODES["wootters"]
+            assert value(rho, 1) == report(rho, 1, None, None).bound_on_c_squared
 
 
 class TestDemoCommand:
