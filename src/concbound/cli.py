@@ -34,7 +34,6 @@ from . import __version__
 from .errors import ParameterRangeError, ThresholdNotDetectedError
 from .bounds_bipartite import (
     BoundReport,
-    _check_k,
     observation1_bound,
     ppt_min_eigenvalue,
     wootters_concurrence,
@@ -43,6 +42,7 @@ from .bounds_multipartite import observation2_bound, ctau_pure
 from .generators import _EXAMPLES, Bipartition, bipartite_generators
 from .optimizer import (
     OptimizerConfig,
+    _check_tol_detect,
     optimize_bound_bipartite,
     optimize_bound_multipartite,
     threshold_scan,
@@ -165,21 +165,16 @@ def _obs2_report(rho: DensityMatrix, k: int, cfg: OptimizerConfig, source: str) 
     return optimize_bound_multipartite(rho, k, cfg, "obs2")
 
 
-def _wootters_value(rho: DensityMatrix, k: int) -> float:
-    """The wootters report's bound, bit for bit at half the cost, after the report's check of k."""
-    _check_k(k, bipartite_generators(2, 2).count)
-    return wootters_concurrence(rho) ** 2
-
-
 # Mode -> (the options besides --mode that it reads; its report, (rho, k, optimizer config,
 # obs2 generator source) -> BoundReport, None for ppt; its scan value, (rho, k) -> float, where
-# that bypasses the report). obs2 on an example generator source reads no optimizer config.
+# that bypasses the report). This is the only check of which options a mode takes: wootters
+# reads none, and obs2 on an example generator source reads only --gen-source.
 _MODES = {
     "obs1": ({"k", "optimizer"}, lambda rho, k, cfg, source: optimize_bound_bipartite(rho, k, cfg), None),
     "obs2": ({"k", "gen_source", "optimizer"}, _obs2_report, None),
     "obs3": ({"k", "optimizer"}, lambda rho, k, cfg, source: optimize_bound_multipartite(rho, k, cfg, "obs3"), None),
     # The two-qubit family rejects every other state before any output.
-    "wootters": ({"k"}, lambda rho, k, cfg, source: replace(observation1_bound(rho, k, {(0,): [1.0]}, bipartite_generators(2, 2)), mode="wootters"), _wootters_value),
+    "wootters": (set(), lambda rho, k, cfg, source: replace(observation1_bound(rho, k, {(0,): [1.0]}, bipartite_generators(2, 2)), mode="wootters"), lambda rho, k: wootters_concurrence(rho) ** 2),
     "ppt": (set(), None, lambda rho, k: max(0.0, -_ppt_summary(rho)["worst"])),
 }
 
@@ -188,18 +183,12 @@ def _check_read(args, source: str) -> None:
     """Reject a non-default --k, --gen-source or --optimizer that the mode,
     on generator source ``source``, never reads."""
     example = args.mode == "obs2" and source in _EXAMPLES
-    reads = _MODES[args.mode][0] - ({"optimizer"} if example else set())
+    reads = _MODES[args.mode][0] - ({"k", "optimizer"} if example else set())
     given = {"k": args.k != 1, "gen_source": getattr(args, "gen_source", "auto") != "auto", "optimizer": args.optimizer is not None}
     unread = [f"--{name.replace('_', '-')}" for name in given if given[name] and name not in reads]
     if unread:
         where = f" on generator source {source}" if example else ""
         raise ParameterRangeError(f"--mode {args.mode}{where} does not read {', '.join(unread)}")
-
-
-def _check_tol_detect(tol: float) -> None:
-    """Reject a --tol-detect that is negative, NaN or infinite: below 0 it certifies separable states."""
-    if not 0.0 <= tol < math.inf:
-        raise ParameterRangeError(f"--tol-detect must be finite and nonnegative, got {tol}")
 
 
 def cmd_bound(args, argv) -> int:
@@ -238,7 +227,6 @@ def cmd_bound(args, argv) -> int:
 
 
 def cmd_scan(args, argv) -> int:
-    _check_tol_detect(args.tol_detect)
     name, _, rest = args.family.partition(":")
     name, params = name.strip(), _parse_params(rest)
     family = _noise_family(name, params)
@@ -281,12 +269,17 @@ def cmd_scan(args, argv) -> int:
     for p, bound, ppt in rows:
         lines.append(f"{_fmt(p)},{_fmt(bound)},{_fmt(ppt)}")
     lines.append(summary_line)
-    # The record first: a record that cannot be written leaves no CSV.
+    # Both or neither: an unwritable record leaves no CSV, an unwritable CSV removes the record.
     if args.record:
         with open(args.record, "w", encoding="utf-8") as fh:
             fh.write(_record(argv, {"source": "family", "family": name, "params": params}, scan_report) + "\n")
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    try:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write("\n".join(lines) + "\n")
+    except OSError:
+        if args.record:
+            os.remove(args.record)
+        raise
     print(message, file=sys.stdout if result is not None else sys.stderr)
     return 0 if result is not None else 3
 
@@ -297,7 +290,7 @@ def _demo_wootters_check() -> list[tuple[str, bool, str]]:
     for i in range(1000):
         rho = random_density((2, 2), i % 4 + 1, seed=i)
         bound = _MODES["wootters"][1](rho, 1, None, None).bound_on_c_squared
-        worst = max(worst, abs(bound - _wootters_value(rho, 1)))
+        worst = max(worst, abs(bound - _MODES["wootters"][2](rho, 1)))
     dt = time.perf_counter() - start
     ok = worst < 1e-9
     return [("singleton aggregate equals squared two-qubit concurrence on 1000 states", ok, f"worst deviation {worst:.2e} in {dt:.1f}s")]
@@ -419,7 +412,7 @@ def main(argv=None) -> int:
         if args.subcommand == "scan":
             return cmd_scan(args, argv)
         return cmd_demo(args, argv)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -239,17 +239,14 @@ def example_operators(family: str) -> GeneratorTriple:
     """Hand-picked one-operator-per-split families for the noisy GHZ and
     W detection examples.
 
-    Each operator is S x L with S = |0><1| - |1><0| on the single qubit and
-    L = |00><j| - |j><00| on the pair, j from ``_EXAMPLES``: 3 (|11>) for
-    "ghz", 2 (|10>) for "w". Pair subspaces follow the cyclic orderings
-    (2,3), (3,1), (1,2); the W closed form depends on this.
+    Each operator is S x L with the rotation generators S = |0><1| - |1><0|
+    on the single qubit and L = |00><j| - |j><00| on the pair, j from
+    ``_EXAMPLES``: 3 (|11>) for "ghz", 2 (|10>) for "w". The (0, j) plane
+    is entry j - 1 of ``so_generators(4)``. Pair subspaces follow the
+    cyclic orderings (2,3), (3,1), (1,2); the W closed form depends on this.
     """
     if family not in _EXAMPLES:
         raise ParameterRangeError(f"unknown example family {family!r}")
-    single = np.array([[0.0, 1.0], [-1.0, 0.0]])  # |0><1| - |1><0|
-    pair_op = np.zeros((4, 4))
-    j = _EXAMPLES[family]
-    pair_op[0, j], pair_op[j, 0] = 1.0, -1.0
-    product = np.kron(single, pair_op)
+    product = np.kron(so_generators(2)[0], so_generators(4)[_EXAMPLES[family] - 1])
     ops = [_embed_single_pair(product, s, *_CYCLIC_PAIRS[s], 2) for s in range(3)]
     return GeneratorTriple(tuple(ops), family)

@@ -263,6 +263,12 @@ def optimize_bound_multipartite(
     return _optimize_aggregate(rho, mode, k, cfg, triple.operators)
 
 
+def _check_tol_detect(tol: float) -> None:
+    """The one check of a detection tolerance: below 0 it certifies separable states."""
+    if not 0.0 <= tol < math.inf:
+        raise ParameterRangeError(f"tol_detect must be finite and nonnegative, got {tol}")
+
+
 def threshold_scan(
     family,
     detector,
@@ -287,7 +293,7 @@ def threshold_scan(
     tol_p : float
         Target bracket size on the parameter, finite and positive.
     tol_detect : float
-        Finite detection tolerance.
+        Detection tolerance, finite and nonnegative.
 
     Returns
     -------
@@ -305,8 +311,9 @@ def threshold_scan(
     """
     # Bisection stops only once the bracket is at most tol_p, which a
     # bracket of adjacent floats never is for tol_p <= 0.
-    if not (math.isfinite(tol_p) and tol_p > 0.0 and math.isfinite(tol_detect)):
-        raise ParameterRangeError(f"need finite tol_p > 0 and finite tol_detect, got {tol_p}, {tol_detect}")
+    _check_tol_detect(tol_detect)
+    if not (math.isfinite(tol_p) and tol_p > 0.0):
+        raise ParameterRangeError(f"need finite tol_p > 0, got {tol_p}")
     p_lo, p_hi = float(p_lo), float(p_hi)
     if not p_lo < p_hi:
         raise ParameterRangeError(f"need p_lo < p_hi, got {p_lo} >= {p_hi}")

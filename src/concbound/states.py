@@ -412,7 +412,9 @@ def state_from_jsonable(data: dict):
     if re.shape != im.shape:
         raise ParameterRangeError(f'"re" has shape {re.shape} but "im" has shape {im.shape}')
     kind = PureState if re.ndim == 1 else DensityMatrix
-    return kind(re + 1j * im, data["dims"])
+    vals = re.astype(complex)
+    vals.imag = im  # not re + 1j * im, which warns on an infinite im before the typed error
+    return kind(vals, data["dims"])
 
 
 def save_state(obj, path) -> None:

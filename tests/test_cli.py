@@ -244,6 +244,41 @@ class TestBoundCommand:
         assert code == 2
         assert "error:" in err and "NaN" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "blob",
+        [
+            '{"dims": [2], "re": [1, 0], "im": [0, Infinity]}',
+            '{"dims": [2], "re": [[0.5, 0], [0, 0.5]], "im": [[0, Infinity], [-Infinity, 0]]}',
+        ],
+        ids=["pure", "density"],
+    )
+    def test_infinite_imaginary_part_exits_two(self, blob, tmp_path, capsys):
+        # No "invalid value" warning from 1j * inf comes before the typed error.
+        path = tmp_path / "inf.json"
+        path.write_text(blob)
+        code = main(["bound", "--state", str(path), "--mode", "ppt"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "error:" in captured.err and "infinite" in captured.err and "Traceback" not in captured.err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # A 2^28 x 2^28 matrix: 512 PiB.
+            ["--state", "family:maximally-mixed,dims=" + "x".join(["2"] * 28), "--mode", "ppt"],
+            # 2^52 restarts on each of the 36 pairs of the nine 3x3 generators.
+            ["--state", "family:horodecki,a=0.2", "--mode", "obs1", "--k", "2", "--optimizer", '{"restarts": 4503599627370496, "iterations": 1}'],
+        ],
+        ids=["state", "restarts"],
+    )
+    def test_unallocatable_input_exits_two(self, argv, capsys):
+        code = main(["bound"] + argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "error:" in captured.err and "Traceback" not in captured.err
+
     @pytest.mark.parametrize("blob", ['{"dims": [2, 2]}', "[1, 2]", '"x"', '{"dims": 2, "re": [1, 0], "im": [0, 0]}'])
     def test_malformed_state_file_exits_two(self, blob, tmp_path, capsys):
         path = tmp_path / "state.json"
@@ -283,7 +318,7 @@ class TestBoundCommand:
         captured = capsys.readouterr()
         assert code == 2
         assert captured.out == ""
-        assert "error:" in captured.err and "k = 7" in captured.err and "Traceback" not in captured.err
+        assert "error:" in captured.err and "does not read --k" in captured.err and "Traceback" not in captured.err
 
     @pytest.mark.parametrize("k", ["7", "2", "0"])
     def test_wootters_rejects_k_other_than_one(self, k, tmp_path, capsys):
@@ -292,14 +327,14 @@ class TestBoundCommand:
         captured = capsys.readouterr()
         assert code == 2
         assert captured.out == ""
-        assert f"k = {k}" in captured.err and "Traceback" not in captured.err
+        assert "does not read --k" in captured.err and "Traceback" not in captured.err
         out_csv = tmp_path / "scan.csv"
         argv = ["scan", "--family", "bell-noise", "--mode", "wootters", "--k", k, "--p-range", "0.1:1.0"]
         code = main(argv + ["--out", str(out_csv)])
         captured = capsys.readouterr()
         assert code == 2
         assert captured.out == "" and not out_csv.exists()
-        assert f"k = {k}" in captured.err and "Traceback" not in captured.err
+        assert "does not read --k" in captured.err and "Traceback" not in captured.err
 
     @pytest.mark.parametrize(
         "state, mode, extra, unread",
@@ -484,7 +519,18 @@ class TestScanCommand:
         code = main(argv + [arg for option, path in paths.items() for arg in (option, str(path))])
         captured = capsys.readouterr()
         assert code == 2
-        assert captured.out == "" and not paths["--out"].exists()
+        # Both outputs or neither: a CSV that cannot be written takes the record with it.
+        assert captured.out == "" and not paths["--out"].exists() and not paths["--record"].exists()
+        assert "error:" in captured.err and "Traceback" not in captured.err
+
+    def test_unallocatable_grid_exits_two(self, tmp_path, capsys):
+        # 2^56 grid rows: 512 PiB of float64, which every OS refuses at once.
+        out_csv = tmp_path / "x.csv"
+        argv = ["scan", "--family", "bell-noise", "--mode", "wootters", "--p-range", "0.1:1.0", "--points", str(2**56)]
+        code = main(argv + ["--out", str(out_csv)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == "" and not out_csv.exists()
         assert "error:" in captured.err and "Traceback" not in captured.err
 
     def test_zero_points_exits_two_without_csv(self, tmp_path, capsys):

@@ -608,7 +608,8 @@ class TestScanTolerances:
 
     @pytest.mark.parametrize(
         "tol_p, tol_detect",
-        [(0.0, 1e-9), (-1.0, 1e-9), (float("nan"), 1e-9), (float("inf"), 1e-9), (1e-4, float("nan")), (1e-4, float("inf"))],
+        # Below 0 a tolerance certifies separable states: -0.05 fired on the Werner state p = 0.1.
+        [(0.0, 1e-9), (-1.0, 1e-9), (float("nan"), 1e-9), (float("inf"), 1e-9), (1e-4, float("nan")), (1e-4, float("inf")), (1e-4, -0.05)],
     )
     def test_rejects_tolerances_before_evaluating(self, tol_p, tol_detect):
         detector, calls = self._bounded_detector()

@@ -363,6 +363,19 @@ class TestJsonIO:
         with pytest.raises(ParameterRangeError, match="shape"):
             state_from_jsonable({**pure, "im": 0.0})
 
+    @pytest.mark.parametrize(
+        "data",
+        [
+            {"dims": [2], "re": [1.0, 0.0], "im": [0.0, float("inf")]},
+            {"dims": [2], "re": [[0.5, 0.0], [0.0, 0.5]], "im": [[0.0, float("inf")], [float("-inf"), 0.0]]},
+        ],
+        ids=["pure", "density"],
+    )
+    def test_infinite_imaginary_part_raises_typed_error(self, data):
+        # The imaginary part is assigned, so 1j * inf warns nowhere first.
+        with pytest.raises(NonFiniteError):
+            state_from_jsonable(data)
+
 
 # Every rank of every listed size, the Horodecki family, noisy W, and a
 # state whose smallest eigenvalue sits inside the clamp window.
