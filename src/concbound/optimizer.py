@@ -12,7 +12,8 @@ reproduces the same report, byte for byte.
 Every searched aggregate, obs1, obs2 and obs3 alike, takes one path,
 ``_optimize_aggregate``: the subset pool, the seed salts and the report
 of (split, subset) entries, whose rows ``bounds_bipartite._entry_rows``
-lays out.
+lays out. The search skips the entries ``_lemma_zero`` proves zero on a
+PPT split, which report delta 0 at all-ones coefficients.
 """
 from __future__ import annotations
 
@@ -20,7 +21,7 @@ import json
 import math
 import time
 from dataclasses import asdict, dataclass, fields
-from itertools import combinations
+from itertools import combinations, compress
 
 import numpy as np
 
@@ -37,7 +38,8 @@ from .bounds_bipartite import (
 )
 from .bounds_multipartite import _resolve_triple
 from .generators import _EXAMPLES, GeneratorSet
-from .states import DensityMatrix, _check_state
+from .numerics import _SUPPORT_CUT
+from .states import DensityMatrix, _check_state, partial_transpose
 
 DEFAULT_SEED = 1905
 
@@ -60,10 +62,9 @@ class OptimizerConfig:
     records them. ``subset_strategy`` picks the subset pool for
     aggregated bounds: "exhaustive" enumerates all size-k subsets,
     "top_singletons" only combines the ``top_count`` generators with
-    the largest single-operator gaps. On PPT states every such gap is
-    zero up to round-off (a generator acts on a two-qubit subspace,
-    where PPT means separable), so "top_singletons" then picks its pool
-    by rounding noise and can miss every detecting subset.
+    the largest gaps: their own at k = 1, and at k >= 2 the largest
+    all-ones gap of a pair holding them, since on a PPT state every
+    single-operator gap is zero by the projection lemma.
     """
 
     restarts: int = 32
@@ -208,25 +209,54 @@ def optimize_u(rho: DensityMatrix, gens: GeneratorSet | None, t_vec, cfg: Optimi
     return coeffs[0], float(deltas[0])
 
 
+def _lemma_zero(rho: DensityMatrix, mode: str, ops: np.ndarray, entries) -> np.ndarray:
+    """Which (split, subset) entries the projection lemma proves zero at every
+    coefficient: if all operators act inside P_A (x) P_B, the lambdas are
+    those of P rho P, which stays PPT, and PPT on 2x3 or 3x2 is separable.
+    So for subsets of two or more in obs1 on two parties or obs3 (split s:
+    party s versus the rest), where rho^Gamma is PSD up to eigvalsh
+    round-off, an entry is zero if the rows and columns where its operators
+    hold nonzero entries span at most 2x3 or 3x2 across its split."""
+    if len(entries[0][1]) < 2 or not (mode == "obs3" or mode == "obs1" and len(rho.dims) == 2):
+        return np.zeros(len(entries), dtype=bool)
+    fams = ops.reshape((-1,) + ops.shape[-3:])
+    ws = [np.linalg.eigvalsh(partial_transpose(rho, (i,))) for i in range(len(fams))]
+    ppt = np.array([w[0] >= -_SUPPORT_CUT * rho.dim * np.abs(w).max() for w in ws])
+    support = ((fams != 0) | (fams.swapaxes(-1, -2) != 0)).any(axis=-1).reshape(fams.shape[:2] + rho.dims)
+    support = np.stack([np.moveaxis(r, 1 + i, 1).reshape(len(r), rho.dims[i], -1) for i, r in enumerate(support)])
+    s, t = (np.array(c) for c in zip(*entries))
+    a, b = (m[s[:, None], t].any(axis=1).sum(axis=1) for m in (support.any(axis=3), support.any(axis=2)))
+    return ppt[s] & (np.minimum(a, b) <= 2) & (np.maximum(a, b) <= 3)
+
+
 def _optimize_aggregate(rho: DensityMatrix, mode: str, k, cfg: OptimizerConfig, ops) -> BoundReport:
     """The searched aggregate of every mode over its stacked families
     ``ops`` (N generators each), framed once for the call: per split a pool
-    of size-k subsets, then one search over all (split, subset) entries. "top_singletons" ranks
-    each split's generators by their all-ones gaps, in one call. Seeds are
-    salted by the subset, by (split,) + subset where a mode has several
-    splits."""
+    of size-k subsets, then one search over all (split, subset) entries but
+    those ``_lemma_zero`` proves zero, kept at delta 0 and all-ones
+    coefficients. "top_singletons" ranks each split's generators in one call
+    by their all-ones gaps at k = 1, at k >= 2 by the largest all-ones gap of
+    a pair holding them (0 for pairs proved zero). Seeds are salted by the
+    subset, by (split,) + subset where a mode has several splits."""
     start, n = time.perf_counter(), ops.shape[-3]
     k, cfg = _check_k(k, n), _check_config(cfg)
     stack, n_splits = rho._frame(ops), len(_AGGREGATES[mode.split("-")[0]][2])
     pools = [list(combinations(range(n), k))] * n_splits
     if cfg.subset_strategy == "top_singletons":
-        rows = _entry_rows(mode, [(s, (i,)) for s in range(n_splits) for i in range(n)], n)
-        for s, g in enumerate(_gaps(stack, rows, np.ones(np.shape(rows))).reshape(n_splits, n)):
+        cands = [(s, t) for s in range(n_splits) for t in combinations(range(n), min(k, 2))]
+        cands = list(compress(cands, ~_lemma_zero(rho, mode, ops, cands)))
+        rows, score = _entry_rows(mode, cands, n), np.zeros((n_splits, n))
+        for (s, t), g in zip(cands, _gaps(stack, rows, np.ones(np.shape(rows)))):
+            score[s, list(t)] = np.maximum(score[s, list(t)], g)
+        for s, g in enumerate(score):
             top = sorted(range(n), key=lambda i: -g[i])[: max(cfg.top_count, k)]
             pools[s] = list(combinations(sorted(top), k))
     entries = [(s, t) for s, pool in enumerate(pools) for t in pool]
     salts = [t if n_splits == 1 else (s,) + t for s, t in entries]
-    coeffs, gaps, _ = _search(stack, _entry_rows(mode, entries, n), salts, cfg)
+    rows, live = np.array(_entry_rows(mode, entries, n)), ~_lemma_zero(rho, mode, ops, entries)
+    coeffs, gaps = np.ones(rows.shape, dtype=complex), np.zeros(len(entries))
+    if live.any():
+        coeffs[live], gaps[live], _ = _search(stack, rows[live], list(compress(salts, live)), cfg)
     return _report(mode, k, n, entries, coeffs, gaps, start, cfg.to_dict())
 
 

@@ -7,7 +7,10 @@ reference:
     PYTHONPATH=src python tests/golden/regen.py
 
 It rewrites ``tests/golden/corpus.json``; ``tests/test_golden.py``
-recomputes every entry and compares it field by field. The header
+recomputes every entry and compares it field by field. With ``--diff`` it
+writes nothing and prints how the recomputed entries depart from the
+committed ones: per report, the bound and each (split, subset) gap that
+moved, with its relative change, and the largest fall of a gap. The header
 records the numpy build, the BLAS and the kernel it picked for the CPU
 that produced the bytes, since another BLAS or kernel may round an SVD
 differently; the test compares only on that environment.
@@ -170,7 +173,64 @@ def corpus() -> dict:
     return {"environment": environment(), "entries": dict(entries())}
 
 
+def _reports(fields: dict) -> dict:
+    """The BoundReport dicts in an entry, by field: a report field, or a JSON
+    line of CLI output that holds one under "report"."""
+    found = {}
+    for field, text in fields.items():
+        for line in text.splitlines():
+            try:
+                doc = json.loads(line)
+            except ValueError:
+                continue
+            doc = doc.get("report", doc) if isinstance(doc, dict) else None
+            if isinstance(doc, dict) and "per_subset" in doc:
+                found[field] = doc
+    return found
+
+
+def _rel(old: float, new: float) -> str:
+    return f"{(new - old) / abs(old):+.3g}" if old else ("0" if new == old else "from 0")
+
+
+def diff(old: dict, new: dict) -> list[str]:
+    """Lines describing how the corpus entries ``new`` depart from ``old``."""
+    out = []
+    for name in sorted(old.keys() | new.keys()):
+        a, b = old.get(name), new.get(name)
+        if a == b:
+            continue
+        if a is None or b is None:
+            out.append(f"{name}: {'new' if a is None else 'gone'}")
+            continue
+        out.append(f"{name}: fields {', '.join(sorted(f for f in a.keys() | b.keys() if a.get(f) != b.get(f)))} differ")
+        ra, rb = _reports(a), _reports(b)
+        for field in sorted(ra.keys() & rb.keys()):
+            x, y = ra[field], rb[field]
+            bx, by = x["bound_on_c_squared"], y["bound_on_c_squared"]
+            out.append(f"  {field}: bound {bx!r} -> {by!r} (relative {_rel(bx, by)})")
+            gx, gy = ({(e.get("split"), tuple(e["subset"])): e["delta"] for e in r["per_subset"]} for r in (x, y))
+            falls = [0.0]
+            for key in sorted(gx.keys() | gy.keys(), key=str):
+                label, dx, dy = f"    {key[0] or ''}{key[1]}", gx.get(key), gy.get(key)
+                if dy is None:
+                    out.append(f"{label}: {dx!r}, gone from the pool")
+                    falls.append(dx)
+                elif dx is None:
+                    out.append(f"{label}: new in the pool, {dy!r}")
+                elif dx != dy:
+                    out.append(f"{label}: {dx!r} -> {dy!r} (relative {_rel(dx, dy)})")
+                    falls.append(dx - dy)
+            out.append(f"    largest fall of a gap: {max(falls)!r}")
+    return out
+
+
 if __name__ == "__main__":
     os.environ.pop("CONCBOUND_SEED", None)
-    CORPUS.write_text(json.dumps(corpus(), indent=1, sort_keys=True) + "\n", encoding="utf-8")
-    print(f"wrote {CORPUS}", file=sys.stderr)
+    fresh = corpus()
+    if sys.argv[1:] == ["--diff"]:
+        committed = json.loads(CORPUS.read_text(encoding="utf-8"))
+        print("\n".join(diff(committed["entries"], fresh["entries"])) or "no entry differs")
+    else:
+        CORPUS.write_text(json.dumps(fresh, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+        print(f"wrote {CORPUS}", file=sys.stderr)

@@ -52,3 +52,26 @@ def test_corpus_reproduces(monkeypatch):
     ]
     failures += [f"{name}: field {field!r} is new" for name in now for field in now[name].keys() - corpus["entries"][name].keys()]
     assert not failures, f"{len(failures)} corpus mismatches on {here}\n" + "\n".join(failures[:20])
+
+
+def test_diff_reads_gaps_per_subset():
+    regen = _regen()
+
+    def entry(deltas, bound):
+        per_subset = [{"subset": list(t), "coefficients": {"u": [[1.0, 0.0]] * len(t)}, "delta": d} for t, d in deltas.items()]
+        report = json.dumps({"bound_on_c_squared": bound, "per_subset": per_subset})
+        return {"report": report, "cli": "mode: obs1\n" + json.dumps({"command": [], "report": json.loads(report)})}
+
+    old = {"same": {"repr": "1.0"}, "moved": entry({(0, 1): 2e-16, (0, 2): 0.5, (1, 2): 0.25}, 0.3125)}
+    new = {"same": {"repr": "1.0"}, "moved": entry({(0, 1): 0.0, (0, 2): 0.5, (0, 3): 0.125}, 0.265625), "added": {"repr": "2.0"}}
+    lines = regen.diff(old, new)
+    assert lines[0] == "added: new"
+    assert lines[1] == "moved: fields cli, report differ"
+    assert lines[2:7] == [
+        "  cli: bound 0.3125 -> 0.265625 (relative -0.15)",
+        "    (0, 1): 2e-16 -> 0.0 (relative -1)",
+        "    (0, 3): new in the pool, 0.125",
+        "    (1, 2): 0.25, gone from the pool",
+        "    largest fall of a gap: 0.25",
+    ]
+    assert lines[7:] == [line.replace("cli:", "report:") for line in lines[2:7]]

@@ -11,7 +11,7 @@ import pytest
 
 from concbound import bounds_bipartite, optimizer
 from concbound.errors import DimensionMismatchError, ParameterRangeError, SubsetSizeError, ThresholdNotDetectedError
-from concbound.bounds_bipartite import delta_k, observation1_bound
+from concbound.bounds_bipartite import delta_k, observation1_bound, ppt_min_eigenvalue
 from concbound.bounds_multipartite import delta_tot_k, observation2_bound, observation3_bound
 from concbound.generators import bipartite_generators, canonical_triple, tripartite_generators
 from concbound.optimizer import (
@@ -506,22 +506,45 @@ class TestOptimizedBipartiteBound:
         assert Counter(e.split for e in rep.per_subset) == {label: per_pool for label in ("1|23", "2|13", "3|12")}
 
     def test_top_singletons_pools_hold_the_largest_gaps(self):
+        # At k = 2 a generator scores the largest all-ones gap of a pair
+        # that holds it; no split of this state is PPT, so no pair is
+        # proved zero.
         cfg = OptimizerConfig(restarts=1, iterations=1, subset_strategy="top_singletons", top_count=3)
-        rho = random_density((2, 2, 2), 3, 5)
+        rho = random_density((2, 2, 2), 3, 2)
+        assert all(ppt_min_eigenvalue(rho, (s,)) < -1e-3 for s in range(3))
 
         def pool(gap):
-            gaps = [gap(i) for i in range(6)]
-            top = sorted(range(6), key=lambda i: -gaps[i])[:3]
-            assert min(gaps[i] for i in top) > max(gaps[i] for i in range(6) if i not in top)  # no tie at the cut
+            pairs = {t: gap(t) for t in combinations(range(6), 2)}
+            score = [max(g for t, g in pairs.items() if i in t) for i in range(6)]
+            top = sorted(range(6), key=lambda i: -score[i])[:3]
+            assert min(score[i] for i in top) > max(score[i] for i in range(6) if i not in top)  # no tie at the cut
             return list(combinations(sorted(top), 2))
 
-        ones = ([1.0], [1.0], [1.0])
-        want = pool(lambda i: delta_tot_k(rho, canonical_triple(2), (i,), ones))
+        ones = ([1.0, 1.0],) * 3
+        want = pool(lambda t: delta_tot_k(rho, canonical_triple(2), t, ones))
         assert [e.subset for e in optimize_bound_multipartite(rho, 2, cfg, "obs2").per_subset] == want
         rep = optimize_bound_multipartite(rho, 2, cfg, "obs3")
         for s, label in enumerate(("1|23", "2|13", "3|12")):
-            want = pool(lambda i: delta_k(rho, tripartite_generators(2, s), (i,), [1.0]))
+            want = pool(lambda t: delta_k(rho, tripartite_generators(2, s), t, [1.0, 1.0]))
             assert [e.subset for e in rep.per_subset if e.split == label] == want
+
+    def test_top_singletons_ranks_single_gaps_at_k1(self):
+        cfg = OptimizerConfig(restarts=1, iterations=1, subset_strategy="top_singletons", top_count=3)
+        rho = random_density((2, 2, 2), 3, 5)
+        for s, label in enumerate(("1|23", "2|13", "3|12")):
+            gaps = [delta_k(rho, tripartite_generators(2, s), (i,), [1.0]) for i in range(6)]
+            top = sorted(range(6), key=lambda i: -gaps[i])[:3]
+            assert min(gaps[i] for i in top) > max(gaps[i] for i in range(6) if i not in top)
+            rep = optimize_bound_multipartite(rho, 1, cfg, "obs3")
+            assert [e.subset for e in rep.per_subset if e.split == label] == [(i,) for i in sorted(top)]
+
+    def test_top_singletons_detects_bound_entanglement(self):
+        # Every single-generator gap of this PPT state is round-off; the
+        # pair scores put the detecting pair (4, 8) in the pool.
+        cfg = OptimizerConfig(restarts=2, iterations=10, subset_strategy="top_singletons", top_count=3)
+        rep = optimize_bound_bipartite(horodecki_state(0.2), 2, cfg)
+        assert (4, 8) in [e.subset for e in rep.per_subset]
+        assert rep.bound_on_c_squared > 1e-7
 
     def test_byte_deterministic_reports(self):
         a = optimize_bound_bipartite(horodecki_state(0.3), 1, FAST)
