@@ -39,7 +39,7 @@ from .errors import (
     NotNormalizedError,
     SubsetSizeError,
 )
-from .generators import Bipartition, GeneratorSet, bipartite_generators
+from .generators import _EXAMPLES, Bipartition, GeneratorSet, bipartite_generators
 from .numerics import _MODULUS, _ROUNDOFF, _as_index, as_symmetric
 from .states import Decomposition, DensityMatrix, PureState, _check_pure, _check_state, partial_trace, partial_transpose
 
@@ -47,14 +47,16 @@ from .states import Decomposition, DensityMatrix, PureState, _check_pure, _check
 # number of rows.
 _BLOCK_ROWS = 512
 
-# Aggregate family -> (w, coefficient names, split labels): the bound is
-# N / (w k^2 binom(N, k)) times the sum of squared subset gaps, each
-# coefficient row splits evenly into the named vectors, and an entry of
-# split s carries the label splits[s].
+# Report mode -> (w, coefficient names, split labels, triple source): the
+# bound is N / (w k^2 binom(N, k)) times the sum of squared subset gaps,
+# each coefficient row splits evenly into the named vectors, an entry of
+# split s carries the label splits[s], and a tripartite search reads the
+# named triple (obs1: none). One obs2-<family> row per example family.
 _AGGREGATES = {
-    "obs1": (1, ("u",), (None,)),
-    "obs2": (6, ("u", "v", "w"), (None,)),
-    "obs3": (2, ("u",), ("1|23", "2|13", "3|12")),
+    "obs1": (1, ("u",), (None,), None),
+    "obs2": (6, ("u", "v", "w"), (None,), "canonical"),
+    "obs3": (2, ("u",), ("1|23", "2|13", "3|12"), "canonical"),
+    **{f"obs2-{family}": (6, ("u", "v", "w"), (None,), family) for family in _EXAMPLES},
 }
 
 
@@ -206,15 +208,14 @@ def _entry_rows(mode: str, entries, n: int) -> list[tuple[int, ...]]:
     each) of (split, subset) entries. A row reads one family per
     coefficient name, starting at the entry's split s: s*N+t for obs1
     (s = 0) and obs3, and t, N+t, 2N+t (u, v, w) for obs2."""
-    blocks = range(len(_AGGREGATES[mode.split("-")[0]][1]))
+    blocks = range(len(_AGGREGATES[mode][1]))
     return [tuple((s + j) * n + i for j in blocks for i in t) for s, t in entries]
 
 
 def _report(mode: str, k: int, n: int, entries, coeffs, gaps, start: float, config=None) -> BoundReport:
     """Aggregate of (split, subset) entries with rows coeffs and gaps; the
-    mode's family ("obs2-w" is "obs2") fixes prefactor, coefficient names
-    and split labels."""
-    weight, names, labels = _AGGREGATES[mode.split("-")[0]]
+    mode's row fixes prefactor, coefficient names and split labels."""
+    weight, names, labels, _ = _AGGREGATES[mode]
     entries = tuple([
         SubsetEntry(t, {name: tuple(c[j * k : j * k + k]) for j, name in enumerate(names)}, d, labels[s])
         for (s, t), c, d in zip(entries, coeffs, gaps.tolist())

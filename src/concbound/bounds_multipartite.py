@@ -17,6 +17,7 @@ Both run on the bipartite gap engine over the stacked families
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 
@@ -121,8 +122,9 @@ def observation2_bound(rho: DensityMatrix, k: int, assignments, gen_source="cano
     """
     rho = _check_state(rho)
     triple = _resolve_triple(rho, gen_source)
-    mode = "obs2" if triple.source == "canonical" else f"obs2-{triple.source}"
-    return _aggregate(rho, mode, k, triple.operators, [assignments], _triple_coefficients)
+    rep = _aggregate(rho, "obs2", k, triple.operators, [assignments], _triple_coefficients)
+    # Any other triple, user-built ones included, is named: "obs2-ghz", "obs2-<source>".
+    return rep if triple.source == "canonical" else replace(rep, mode=f"obs2-{triple.source}")
 
 
 def observation3_bound(rho: DensityMatrix, k: int, assignments) -> BoundReport:

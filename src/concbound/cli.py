@@ -32,12 +32,7 @@ import numpy as np
 
 from . import __version__
 from .errors import ParameterRangeError, ThresholdNotDetectedError
-from .bounds_bipartite import (
-    BoundReport,
-    observation1_bound,
-    ppt_min_eigenvalue,
-    wootters_concurrence,
-)
+from .bounds_bipartite import observation1_bound, ppt_min_eigenvalue, wootters_concurrence
 from .bounds_multipartite import observation2_bound, ctau_pure
 from .generators import _EXAMPLES, Bipartition, bipartite_generators
 from .optimizer import (
@@ -157,51 +152,45 @@ def _make_config(blob: str | None) -> OptimizerConfig:
     return OptimizerConfig.from_dict(user)
 
 
-def _obs2_report(rho: DensityMatrix, k: int, cfg: OptimizerConfig, source: str) -> BoundReport:
-    if source in _EXAMPLES:
-        # Example families have one operator per split (k = 1 only) and a
-        # known optimum at u = v = w = 1: the evaluation is closed-form exact.
-        return observation2_bound(rho, k, {(0,): ([1.0], [1.0], [1.0])}, source)
-    return optimize_bound_multipartite(rho, k, cfg, "obs2")
-
-
-# Mode -> (the options besides --mode that it reads; its report, (rho, k, optimizer config,
-# obs2 generator source) -> BoundReport, None for ppt; its scan value, (rho, k) -> float, where
-# that bypasses the report). This is the only check of which options a mode takes: wootters
-# reads none, and obs2 on an example generator source reads only --gen-source.
+# Report mode -> (the options besides --mode that it reads; its report, (rho, k, optimizer config)
+# -> BoundReport, None for ppt; its scan value, (rho, k) -> float, where that bypasses the report).
+# --mode obs2 on the generator source of an example family picks its row obs2-<family>: the closed
+# form at the known optimum u = v = w = 1 of one operator per split. This is the only check of which
+# options a mode takes: wootters reads none, and obs2-<family> only --gen-source.
 _MODES = {
-    "obs1": ({"k", "optimizer"}, lambda rho, k, cfg, source: optimize_bound_bipartite(rho, k, cfg), None),
-    "obs2": ({"k", "gen_source", "optimizer"}, _obs2_report, None),
-    "obs3": ({"k", "optimizer"}, lambda rho, k, cfg, source: optimize_bound_multipartite(rho, k, cfg, "obs3"), None),
-    # The two-qubit family rejects every other state before any output.
-    "wootters": (set(), lambda rho, k, cfg, source: replace(observation1_bound(rho, k, {(0,): [1.0]}, bipartite_generators(2, 2)), mode="wootters"), lambda rho, k: wootters_concurrence(rho) ** 2),
+    "obs1": ({"k", "optimizer"}, lambda rho, k, cfg: optimize_bound_bipartite(rho, k, cfg), None),
+    "obs2": ({"k", "gen_source", "optimizer"}, lambda rho, k, cfg: optimize_bound_multipartite(rho, k, cfg, "obs2"), None),
+    "obs3": ({"k", "optimizer"}, lambda rho, k, cfg: optimize_bound_multipartite(rho, k, cfg, "obs3"), None),
+    # The two-qubit family rejects every other state before any output. The scan value squares as
+    # c * c, like the report does its gap: c ** 2 differs from that in the last bit on some c.
+    "wootters": (set(), lambda rho, k, cfg: replace(observation1_bound(rho, k, {(0,): [1.0]}, bipartite_generators(2, 2)), mode="wootters"), lambda rho, k: (c := wootters_concurrence(rho)) * c),
     "ppt": (set(), None, lambda rho, k: max(0.0, -_ppt_summary(rho)["worst"])),
+    **{f"obs2-{f}": ({"gen_source"}, lambda rho, k, cfg, f=f: observation2_bound(rho, k, {(0,): ([1.0], [1.0], [1.0])}, f), None) for f in _EXAMPLES},
 }
 
 
-def _check_read(args, source: str) -> None:
-    """Reject a non-default --k, --gen-source or --optimizer that the mode,
-    on generator source ``source``, never reads."""
-    example = args.mode == "obs2" and source in _EXAMPLES
-    reads = _MODES[args.mode][0] - ({"k", "optimizer"} if example else set())
-    given = {"k": args.k != 1, "gen_source": getattr(args, "gen_source", "auto") != "auto", "optimizer": args.optimizer is not None}
-    unread = [f"--{name.replace('_', '-')}" for name in given if given[name] and name not in reads]
+def _pick_mode(args, family: str | None):
+    """The _MODES row that --mode picks on the generator source: --gen-source, whose
+    auto (and scan, which has none) takes the noise family's, else canonical. Rejects
+    a non-default --k, --gen-source or --optimizer that the row never reads."""
+    gen_source = getattr(args, "gen_source", "auto")
+    source = _FAMILIES.get(family, (None, "canonical"))[1] if gen_source == "auto" else gen_source
+    mode = f"{args.mode}-{source}" if f"{args.mode}-{source}" in _MODES else args.mode
+    given = {"k": args.k != 1, "gen_source": gen_source != "auto", "optimizer": args.optimizer is not None}
+    unread = [f"--{name.replace('_', '-')}" for name in given if given[name] and name not in _MODES[mode][0]]
     if unread:
-        where = f" on generator source {source}" if example else ""
+        where = f" on generator source {source}" if mode != args.mode else ""
         raise ParameterRangeError(f"--mode {args.mode}{where} does not read {', '.join(unread)}")
+    return _MODES[mode]
 
 
 def cmd_bound(args, argv) -> int:
     _check_tol_detect(args.tol_detect)
     rho, descriptor = parse_state(args.state)
-    source = args.gen_source
-    if source == "auto":
-        source = _FAMILIES.get(descriptor.get("family"), (None, "canonical"))[1]
-    _check_read(args, source)
+    report_of = _pick_mode(args, descriptor.get("family"))[1]
     cfg = _make_config(args.optimizer)
     ppt = _ppt_summary(rho)
-    report_of = _MODES[args.mode][1]
-    rep = report_of(rho, args.k, cfg, source) if report_of else None
+    rep = report_of(rho, args.k, cfg) if report_of else None
     report = rep.to_dict() if rep is not None else {"mode": "ppt"}
     report["ppt"] = ppt
     detected = rep.bound_on_c_squared > args.tol_detect if rep is not None else ppt["worst"] < -args.tol_detect
@@ -230,15 +219,13 @@ def cmd_scan(args, argv) -> int:
     name, _, rest = args.family.partition(":")
     name, params = name.strip(), _parse_params(rest)
     family = _noise_family(name, params)
-    source = _FAMILIES[name][1]
-    _check_read(args, source)
+    _, report, value = _pick_mode(args, name)
     lo_txt, _, hi_txt = args.p_range.partition(":")
     p_lo, p_hi = float(lo_txt), float(hi_txt)
     if args.points < 1:
         raise ParameterRangeError(f"--points must be at least 1, got {args.points}")
     cfg = _make_config(args.optimizer)
-    _, report, value = _MODES[args.mode]
-    detector = (lambda rho: value(rho, args.k)) if value else (lambda rho: report(rho, args.k, cfg, source).bound_on_c_squared)
+    detector = (lambda rho: value(rho, args.k)) if value else (lambda rho: report(rho, args.k, cfg).bound_on_c_squared)
     # threshold_scan checks every input first; its outcome is printed after the grid.
     try:
         result = threshold_scan(family, detector, p_lo, p_hi, args.tol, args.tol_detect)
@@ -289,7 +276,7 @@ def _demo_wootters_check() -> list[tuple[str, bool, str]]:
     start = time.perf_counter()
     for i in range(1000):
         rho = random_density((2, 2), i % 4 + 1, seed=i)
-        bound = _MODES["wootters"][1](rho, 1, None, None).bound_on_c_squared
+        bound = _MODES["wootters"][1](rho, 1, None).bound_on_c_squared
         worst = max(worst, abs(bound - _MODES["wootters"][2](rho, 1)))
     dt = time.perf_counter() - start
     ok = worst < 1e-9
@@ -300,7 +287,7 @@ def _demo_ghz() -> list[tuple[str, bool, str]]:
     checks = []
     worst = 0.0
     fam = _noise_family("ghz-noise", {})
-    det = lambda rho: _obs2_report(rho, 1, None, "ghz").bound_on_c_squared
+    det = lambda rho: _MODES["obs2-ghz"][1](rho, 1, None).bound_on_c_squared
     for p in (0.25, 0.5, 0.75, 1.0):
         closed = (0.75 * (5.0 * p - 1.0)) ** 2 / 6.0
         worst = max(worst, abs(det(fam(p)) - closed))
@@ -318,7 +305,7 @@ def _demo_w() -> list[tuple[str, bool, str]]:
     checks = []
     worst = 0.0
     fam = _noise_family("w-noise", {})
-    det = lambda rho: _obs2_report(rho, 1, None, "w").bound_on_c_squared
+    det = lambda rho: _MODES["obs2-w"][1](rho, 1, None).bound_on_c_squared
     for p in (0.2, 0.35, 0.5, 0.65, 0.8, 1.0):
         closed = (p * (8.0 + rt3) - rt3) ** 2 / 96.0
         worst = max(worst, abs(det(fam(p)) - closed))
@@ -374,10 +361,12 @@ def build_parser() -> argparse.ArgumentParser:
         description="Certified lower bounds on bipartite and tripartite concurrence.",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
+    # A row obs2-<family> is picked by --gen-source, not named by --mode.
+    modes = [mode for mode in _MODES if "-" not in mode]
 
     b = sub.add_parser("bound", help="evaluate one detector on one state")
     b.add_argument("--state", required=True, help="JSON file or family:<name>,key=value,...")
-    b.add_argument("--mode", choices=_MODES, default="obs1")
+    b.add_argument("--mode", choices=modes, default="obs1")
     b.add_argument("--k", type=int, default=1, help="subset size for aggregated modes")
     b.add_argument("--optimizer", help="JSON object overriding optimizer fields")
     b.add_argument("--gen-source", choices=("auto", "canonical", *_EXAMPLES), default="auto", help="generator family for obs2")
@@ -387,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("scan", help="sweep a noise family and bisect its threshold")
     s.add_argument("--family", required=True, help="ghz-noise | w-noise | bell-noise | horodecki:a=...")
-    s.add_argument("--mode", choices=_MODES, default="obs2")
+    s.add_argument("--mode", choices=modes, default="obs2")
     s.add_argument("--p-range", required=True, help="lo:hi")
     s.add_argument("--tol", type=float, default=1e-4, help="bisection bracket target on p")
     s.add_argument("--tol-detect", type=float, default=1e-9, help="detection tolerance on the bound")

@@ -37,7 +37,7 @@ from .bounds_bipartite import (
     _resolve_gens,
 )
 from .bounds_multipartite import _resolve_triple
-from .generators import _EXAMPLES, GeneratorSet
+from .generators import GeneratorSet
 from .numerics import _SUPPORT_CUT
 from .states import DensityMatrix, _check_state, partial_transpose
 
@@ -240,7 +240,7 @@ def _optimize_aggregate(rho: DensityMatrix, mode: str, k, cfg: OptimizerConfig, 
     subset, by (split,) + subset where a mode has several splits."""
     start, n = time.perf_counter(), ops.shape[-3]
     k, cfg = _check_k(k, n), _check_config(cfg)
-    stack, n_splits = rho._frame(ops), len(_AGGREGATES[mode.split("-")[0]][2])
+    stack, n_splits = rho._frame(ops), len(_AGGREGATES[mode][2])
     pools = [list(combinations(range(n), k))] * n_splits
     if cfg.subset_strategy == "top_singletons":
         cands = [(s, t) for s in range(n_splits) for t in combinations(range(n), min(k, 2))]
@@ -285,12 +285,11 @@ def optimize_bound_multipartite(
     """
     rho = _check_state(rho)
     mode = str(mode).lower()
-    if mode not in ("obs2", "obs3", *(f"obs2-{family}" for family in _EXAMPLES)):
+    # Each tripartite row names the triple it searches; obs1's names none.
+    source = _AGGREGATES.get(mode, (None,) * 4)[3]
+    if source is None:
         raise ParameterRangeError(f"unknown mode {mode!r}")
-    # obs2 and obs3 both search the canonical families; obs2-<family>
-    # the example operators.
-    triple = _resolve_triple(rho, mode.partition("-")[2] or "canonical")
-    return _optimize_aggregate(rho, mode, k, cfg, triple.operators)
+    return _optimize_aggregate(rho, mode, k, cfg, _resolve_triple(rho, source).operators)
 
 
 def _check_tol_detect(tol: float) -> None:

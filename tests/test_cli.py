@@ -616,9 +616,10 @@ class TestScanCommand:
                 raise RuntimeError("bisection did not terminate")
             return float(rho.matrix[0, 0].real > 0.3)
 
-        reads, _, value = cli._MODES["obs2"]
+        # A ghz-noise scan of obs2 reads the row of the family's generator source.
+        reads, _, value = cli._MODES["obs2-ghz"]
         report = lambda rho, *args: SimpleNamespace(bound_on_c_squared=detector(rho))
-        monkeypatch.setitem(cli._MODES, "obs2", (reads, report, value))
+        monkeypatch.setitem(cli._MODES, "obs2-ghz", (reads, report, value))
         out_csv = tmp_path / "x.csv"
         code = main(
             ["scan", "--family", "ghz-noise", "--mode", "obs2", "--p-range", "0.05:1.0", f"--tol={tol}", "--out", str(out_csv)]
@@ -651,6 +652,8 @@ class TestScanMatchesBound:
         "family,state,mode,p_range,points,extra",
         [
             ("bell-noise", "family:bell-noise", "wootters", "0.05:1.0", 7, ()),
+            # c ** 2 read 0.04471744622499991 here, one bit below the report's gap squared.
+            ("bell-noise", "family:bell-noise", "wootters", "0.47431:0.9", 1, ()),
             ("ghz-noise", "family:ghz-noise", "obs2", "0.05:1.0", 5, ()),
             ("w-noise", "family:w-noise", "obs2", "0.05:1.0", 5, ()),
             ("horodecki:a=0.2", "family:horodecki,a=0.2", "obs1", "0.9:1.0", 2, ("--k", "2", "--optimizer", FAST_OPT)),
@@ -669,7 +672,7 @@ class TestScanMatchesBound:
         for i in range(50):
             rho = random_density((2, 2), i % 4 + 1, seed=int(rng.integers(2**31)))
             _, report, value = cli._MODES["wootters"]
-            assert value(rho, 1) == report(rho, 1, None, None).bound_on_c_squared
+            assert value(rho, 1) == report(rho, 1, None).bound_on_c_squared
 
 
 class TestDemoCommand:
