@@ -53,9 +53,10 @@ class OptimizerConfig:
     ``restarts`` counts starting points per subset: the first is the
     deterministic all-ones vector, the rest are seeded random draws.
     Each restart takes at most ``iterations`` steps, each coordinate by
-    its own length: it starts at ``step_initial``, grows after a step
-    that raises the gap and shrinks otherwise, and the restart stops once
-    its largest step is below ``step_final``. One-coefficient subsets (k=1 in obs1 and obs3, or
+    its own length: it starts at ``step_initial``; a kept move, one that
+    raises the gap, grows (x1.5) the steps whose derivative kept its sign
+    and shrinks (x0.3) the rest, a dropped move shrinks all; and the
+    restart stops once its largest step is below ``step_final``. One-coefficient subsets (k=1 in obs1 and obs3, or
     ``optimize_u`` on one index) are not searched: the unit coefficient
     is optimal, so ``restarts``, ``iterations``, ``seed`` and the steps
     do not change those bounds, though the report's ``config`` still
@@ -329,7 +330,10 @@ def threshold_scan(
     ScanResult
         Midpoint threshold with ``bracket_width`` half the final
         bracket: the detector fires at threshold + bracket_width and
-        stays below tolerance at threshold - bracket_width.
+        stays below tolerance at threshold - bracket_width. A bracket
+        of two adjacent floats has no float midpoint: the threshold is
+        then the upper one, the smallest float that fires, and
+        ``bracket_width`` their spacing.
 
     Raises
     ------
@@ -338,8 +342,6 @@ def threshold_scan(
     ThresholdNotDetectedError
         If the detector stays quiet at ``p_hi``.
     """
-    # Bisection stops only once the bracket is at most tol_p, which a
-    # bracket of adjacent floats never is for tol_p <= 0.
     _check_tol_detect(tol_detect)
     if not (math.isfinite(tol_p) and tol_p > 0.0):
         raise ParameterRangeError(f"need finite tol_p > 0, got {tol_p}")
@@ -360,8 +362,12 @@ def threshold_scan(
     if fires(p_lo):
         return ScanResult(p_lo, 0.0, evaluations)
     lo, hi = p_lo, p_hi
+    # Bisection stops once the bracket is at most tol_p, or once no float lies
+    # strictly inside it, where a tol_p below the float spacing ends.
     while hi - lo > tol_p:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            return ScanResult(hi, hi - lo, evaluations)
         if fires(mid):
             hi = mid
         else:

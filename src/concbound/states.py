@@ -400,15 +400,28 @@ def state_to_jsonable(obj) -> dict:
     }
 
 
+def _numbers(data: dict, key: str) -> np.ndarray:
+    """data[key] as floats, if each leaf of its nested lists is a number: a
+    string or a boolean raises, also where numpy would read it as one
+    ([true, 0] as [1, 0])."""
+    todo = [data[key]]
+    while todo:  # no recursion: json.load parses nests deeper than Python recurses
+        leaf = todo.pop()
+        if isinstance(leaf, (list, tuple)):
+            todo.extend(leaf)
+        elif isinstance(leaf, bool) or not isinstance(leaf, (int, float)):
+            raise ParameterRangeError(f'"re" and "im" must hold numbers, got a {type(leaf).__name__} in "{key}"')
+    try:
+        return np.asarray(data[key], dtype=float)
+    except OverflowError:  # an integer beyond the float range
+        raise ParameterRangeError(f'"{key}" holds an integer too large for a float') from None
+
+
 def state_from_jsonable(data: dict):
     """Inverse of state_to_jsonable; the shape of "re" picks the type."""
     if not isinstance(data, dict) or not {"dims", "re", "im"} <= data.keys():
         raise ParameterRangeError('a state is an object with keys "dims", "re" and "im"')
-    try:
-        re = np.asarray(data["re"], dtype=float)
-        im = np.asarray(data["im"], dtype=float)
-    except TypeError:
-        raise ParameterRangeError('"re" and "im" must hold numbers') from None
+    re, im = _numbers(data, "re"), _numbers(data, "im")
     if re.shape != im.shape:
         raise ParameterRangeError(f'"re" has shape {re.shape} but "im" has shape {im.shape}')
     kind = PureState if re.ndim == 1 else DensityMatrix
@@ -426,4 +439,8 @@ def save_state(obj, path) -> None:
 def load_state(path):
     """Read a PureState or DensityMatrix from a JSON file."""
     with open(path, "r", encoding="utf-8") as fh:
-        return state_from_jsonable(json.load(fh))
+        try:
+            data = json.load(fh)
+        except RecursionError:
+            raise ParameterRangeError(f"{path}: JSON nested too deeply") from None
+    return state_from_jsonable(data)

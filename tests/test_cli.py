@@ -320,6 +320,27 @@ class TestBoundCommand:
         assert captured.out == ""
         assert "error:" in captured.err and "does not read --k" in captured.err and "Traceback" not in captured.err
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "[" * 100_000 + "]" * 100_000,
+            # A Bell state written with string amplitudes read ENTANGLED.
+            '{"dims": [2, 2], "re": ["0.7071067811865476", 0, 0, "0.7071067811865476"], "im": [0, 0, 0, 0]}',
+            # |00> with a boolean amplitude read UNDETECTED and exited 0.
+            '{"dims": [2, 2], "re": [true, 0, 0, 0], "im": [0, 0, 0, 0]}',
+            '{"dims": [2], "re": [1' + "0" * 400 + ', 0], "im": [0, 0]}',
+        ],
+        ids=["deep", "strings", "boolean", "huge-integer"],
+    )
+    def test_state_file_that_is_not_numbers_exits_two(self, text, tmp_path, capsys):
+        path = tmp_path / "state.json"
+        path.write_text(text)
+        code = main(["bound", "--state", str(path), "--mode", "wootters"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "error:" in captured.err and "Traceback" not in captured.err
+
     @pytest.mark.parametrize("k", ["7", "2", "0"])
     def test_wootters_rejects_k_other_than_one(self, k, tmp_path, capsys):
         # The two-qubit family holds one operator, for bound and scan alike.
@@ -604,6 +625,24 @@ class TestScanCommand:
         assert code == 0 and "16 evaluations" in printed
         # Three splits for each of 16 bisection points and 5 grid rows.
         assert len(calls) == 3 * (16 + 5)
+
+    def test_tolerance_below_the_float_spacing_exits_zero(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        reads, report, value = cli._MODES["ppt"]
+
+        def bounded(rho, k):
+            # Bounded, so a bisection that never stops fails instead of hanging.
+            calls.append(1)
+            if len(calls) > 500:
+                raise RuntimeError("bisection did not terminate")
+            return value(rho, k)
+
+        monkeypatch.setitem(cli._MODES, "ppt", (reads, report, bounded))
+        out_csv = tmp_path / "x.csv"
+        code = main(["scan", "--family", "bell-noise", "--mode", "ppt", "--p-range", "0.1:1", "--tol", "1e-300", "--out", str(out_csv)])
+        assert code == 0
+        assert capsys.readouterr().out.startswith("threshold: 0.333333334")
+        assert out_csv.read_text().splitlines()[-1].startswith("# threshold=0.333333334")
 
     @pytest.mark.parametrize("tol", ["0", "-1", "nan"])
     def test_bad_tolerance_exits_two_before_the_grid(self, tol, tmp_path, capsys, monkeypatch):

@@ -640,6 +640,16 @@ class TestScanTolerances:
             threshold_scan(ghz_family, detector, 0.01, 1.0, tol_p, tol_detect)
         assert calls == []
 
+    def test_tolerance_below_the_float_spacing_stops_at_adjacent_floats(self):
+        # The midpoint of two adjacent floats is one of them, so the bracket stops shrinking there.
+        detector, calls = self._bounded_detector()
+        res = threshold_scan(ghz_family, detector, 0.01, 1.0, 1e-300, 1e-9)
+        assert res.evaluations == len(calls)
+        # The bracket is the two adjacent floats, the upper one fires and the lower one stays quiet.
+        assert res.threshold - res.bracket_width == math.nextafter(res.threshold, 0.0)
+        assert ghz_detector(ghz_family(res.threshold)) > 1e-9
+        assert ghz_detector(ghz_family(res.threshold - res.bracket_width)) <= 1e-9
+
 
 class TestNonIntegralIndices:
     """k and subset indices are integers: 1.5 is not read as k = 1, nor

@@ -1,5 +1,6 @@
 """Property tests of the parsers and validators: on any input they return
-or raise a ValueError subclass, and they emit no warning."""
+or raise a ValueError subclass, and they emit no warning. A state whose
+"re" or "im" holds a string or a boolean raises ParameterRangeError."""
 from __future__ import annotations
 
 import contextlib
@@ -7,10 +8,12 @@ import io
 import string
 import warnings
 
+import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from concbound.cli import main
+from concbound.errors import ParameterRangeError
 from concbound.numerics import as_hermitian, as_symmetric
 from concbound.states import DensityMatrix, state_from_jsonable
 
@@ -36,6 +39,19 @@ def _state_blobs(draw):
     return {"dims": dims, "re": draw(shaped), "im": draw(shaped)}
 
 
+@st.composite
+def _blobs_with_a_non_number(draw):
+    """A state object whose "re" and "im" (vectors or square matrices of
+    numbers) hold one string or boolean between them, and any "dims"."""
+    n, matrix = draw(st.integers(1, 4)), draw(st.booleans())
+    size = n * n if matrix else n
+    flat = {key: draw(st.lists(st.integers(-3, 3) | FLOATS, min_size=size, max_size=size)) for key in ("re", "im")}
+    flat[draw(st.sampled_from(["re", "im"]))][draw(st.integers(0, size - 1))] = draw(st.booleans() | TEXT)
+    shape = (lambda v: [v[r * n : r * n + n] for r in range(n)]) if matrix else (lambda v: v)
+    dims = draw(st.lists(st.integers(-1, 4), max_size=3) | JSON)
+    return {"dims": dims, "re": shape(flat["re"]), "im": shape(flat["im"])}
+
+
 def _quietly(call, *args):
     """call(*args), with any warning raised as an error and a ValueError swallowed."""
     with warnings.catch_warnings():
@@ -50,6 +66,13 @@ def _quietly(call, *args):
 @given(_state_blobs() | JSON)
 def test_state_from_jsonable_raises_only_value_errors(data):
     _quietly(state_from_jsonable, data)
+
+
+@FAST
+@given(_blobs_with_a_non_number())
+def test_state_from_jsonable_rejects_non_numbers(data):
+    with pytest.raises(ParameterRangeError, match="must hold numbers"):
+        state_from_jsonable(data)
 
 
 @FAST

@@ -502,6 +502,25 @@ class TestNonIntegralIndices:
         with pytest.raises(ParameterRangeError):
             state_from_jsonable(data)
 
+    @pytest.mark.parametrize(
+        "re",
+        [["0.7071067811865476", 0.0], [True, 0], [[0.5, False], [0.0, 0.5]], [[0.5, 0.0], [0.0, "0.5"]], [10**400, 0]],
+        ids=["string", "boolean-in-ints", "boolean-in-matrix", "string-in-matrix", "huge-integer"],
+    )
+    def test_state_from_jsonable_takes_only_numbers(self, re):
+        # numpy reads "0.5" as 0.5 and [true, 0] as [1, 0]; the dims check rejects both already.
+        im = [[0.0, 0.0], [0.0, 0.0]] if isinstance(re[0], list) else [0.0, 0.0]
+        with pytest.raises(ParameterRangeError):
+            state_from_jsonable({"dims": [2], "re": re, "im": im})
+        with pytest.raises(ParameterRangeError):
+            state_from_jsonable({"dims": [2], "re": im, "im": re})
+
+    def test_load_state_rejects_deep_nesting(self, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        with pytest.raises(ParameterRangeError, match="nested too deeply"):
+            load_state(path)
+
     def test_numpy_integers_pass(self):
         two = (np.int64(2), np.int32(2))
         assert PureState(bell_state().amplitudes, two).dims == (2, 2)
