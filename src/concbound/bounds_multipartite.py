@@ -23,6 +23,7 @@ import numpy as np
 
 from .errors import DimensionMismatchError, InvalidSplitError, LengthMismatchError, ParameterRangeError
 from .bounds_bipartite import (
+    _AGGREGATES,
     BoundReport,
     _aggregate,
     _check_coefficients,
@@ -122,9 +123,10 @@ def observation2_bound(rho: DensityMatrix, k: int, assignments, gen_source="cano
     """
     rho = _check_state(rho)
     triple = _resolve_triple(rho, gen_source)
-    rep = _aggregate(rho, "obs2", k, triple.operators, [assignments], _triple_coefficients)
-    # Any other triple, user-built ones included, is named: "obs2-ghz", "obs2-<source>".
-    return rep if triple.source == "canonical" else replace(rep, mode=f"obs2-{triple.source}")
+    mode = "obs2" if triple.source == "canonical" else f"obs2-{triple.source}"
+    rep = _aggregate(rho, mode if mode in _AGGREGATES else "obs2", k, triple.operators, [assignments], _triple_coefficients)
+    # A user-built triple of another source aggregates as obs2 and keeps its name.
+    return rep if rep.mode == mode else replace(rep, mode=mode)
 
 
 def observation3_bound(rho: DensityMatrix, k: int, assignments) -> BoundReport:

@@ -22,7 +22,7 @@ from concbound.bounds_multipartite import (
     observation2_bound,
     observation3_bound,
 )
-from concbound.generators import Bipartition, bipartite_generators, canonical_triple, example_operators
+from concbound.generators import Bipartition, GeneratorTriple, bipartite_generators, canonical_triple, example_operators
 from concbound.states import (
     DensityMatrix,
     ghz_state,
@@ -147,6 +147,14 @@ class TestObservation2:
         assert abs(rep.prefactor - 1.0 / 6.0) < 1e-15
         assert abs(rep.bound_on_c_squared - 1.5) < 1e-12
         assert rep.mode == "obs2-ghz"
+
+    def test_user_built_triple_reports_its_source(self):
+        # A source outside the mode table aggregates as obs2 under its own name.
+        ones = {(0,): ([1.0], [1.0], [1.0])}
+        want = observation2_bound(ghz_state().density(), 1, ones, "ghz")
+        rep = observation2_bound(ghz_state().density(), 1, ones, GeneratorTriple(example_operators("ghz").operators, "custom"))
+        assert rep.mode == "obs2-custom"
+        assert rep.to_dict(include_timing=False) == {**want.to_dict(include_timing=False), "mode": "obs2-custom"}
 
     @pytest.mark.parametrize("p", [0.25, 0.5, 0.75, 1.0])
     def test_noisy_ghz_bound(self, p):

@@ -691,12 +691,12 @@ class TestScanMatchesBound:
         "family,state,mode,p_range,points,extra",
         [
             ("bell-noise", "family:bell-noise", "wootters", "0.05:1.0", 7, ()),
-            # c ** 2 read 0.04471744622499991 here, one bit below the report's gap squared.
-            ("bell-noise", "family:bell-noise", "wootters", "0.47431:0.9", 1, ()),
             ("ghz-noise", "family:ghz-noise", "obs2", "0.05:1.0", 5, ()),
             ("w-noise", "family:w-noise", "obs2", "0.05:1.0", 5, ()),
             ("horodecki:a=0.2", "family:horodecki,a=0.2", "obs1", "0.9:1.0", 2, ("--k", "2", "--optimizer", FAST_OPT)),
             ("w-noise", "family:w-noise", "obs3", "0.5:1.0", 1, ("--optimizer", FAST_OPT)),
+            # c ** 2 read 0.04471744622499991 here, one bit below the report's gap squared.
+            ("bell-noise", "family:bell-noise", "wootters", "0.47431:0.9", 1, ()),
         ],
     )
     def test_scan_rows_equal_bound_reports(self, family, state, mode, p_range, points, extra, tmp_path, capsys, monkeypatch):
