@@ -20,6 +20,7 @@ JSON run record instead.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -218,14 +219,15 @@ def cmd_bound(args, argv) -> int:
 def cmd_scan(args, argv) -> int:
     name, _, rest = args.family.partition(":")
     name, params = name.strip(), _parse_params(rest)
-    family = _noise_family(name, params)
+    # Memoized, so the bisection and the grid share one state and one detector value per p.
+    family = functools.cache(_noise_family(name, params))
     _, report, value = _pick_mode(args, name)
     lo_txt, _, hi_txt = args.p_range.partition(":")
     p_lo, p_hi = float(lo_txt), float(hi_txt)
     if args.points < 1:
         raise ParameterRangeError(f"--points must be at least 1, got {args.points}")
     cfg = _make_config(args.optimizer)
-    detector = (lambda rho: value(rho, args.k)) if value else (lambda rho: report(rho, args.k, cfg).bound_on_c_squared)
+    detector = functools.cache((lambda rho: value(rho, args.k)) if value else (lambda rho: report(rho, args.k, cfg).bound_on_c_squared))
     # threshold_scan checks every input first; its outcome is printed after the grid.
     try:
         result = threshold_scan(family, detector, p_lo, p_hi, args.tol, args.tol_detect)
@@ -391,10 +393,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser = functools.cache(build_parser)  # main's parser, built on its first call
+
+
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         if args.subcommand == "bound":
             return cmd_bound(args, argv)

@@ -113,12 +113,14 @@ class OptimizerConfig:
 
 @dataclass(frozen=True)
 class ScanResult:
-    """Bisection outcome: detection threshold with a certified bracket.
+    """Bisection outcome: detection threshold with a bracket.
 
-    The detector fires (exceeds the detection tolerance) at
-    ``threshold + bracket_width`` and stays quiet at
-    ``threshold - bracket_width``; ``evaluations`` counts detector
-    calls.
+    The detector fired (exceeded the detection tolerance) at the upper
+    end of the final bracket and stayed quiet at the lower one,
+    ``threshold - bracket_width``; between and beyond these evaluated
+    points that holds only for a detector monotone to round-off, which
+    the closed-form obs2-ghz one is not. ``evaluations`` counts
+    detector calls.
     """
 
     threshold: float
@@ -329,11 +331,11 @@ def threshold_scan(
     -------
     ScanResult
         Midpoint threshold with ``bracket_width`` half the final
-        bracket: the detector fires at threshold + bracket_width and
-        stays below tolerance at threshold - bracket_width. A bracket
-        of two adjacent floats has no float midpoint: the threshold is
-        then the upper one, the smallest float that fires, and
-        ``bracket_width`` their spacing.
+        bracket, whose two ends were evaluated: the detector fired at
+        the upper one and stayed below tolerance at the lower one (see
+        ScanResult). A bracket of two adjacent floats has no float
+        midpoint: the threshold is then the upper one, the smallest
+        float that fires, and ``bracket_width`` their spacing.
 
     Raises
     ------

@@ -415,6 +415,8 @@ def _numbers(data: dict, key: str) -> np.ndarray:
         return np.asarray(data[key], dtype=float)
     except OverflowError:  # an integer beyond the float range
         raise ParameterRangeError(f'"{key}" holds an integer too large for a float') from None
+    except ValueError:  # ragged lists, or nested past numpy's 64 dimensions
+        raise ParameterRangeError(f'"{key}" must be a rectangular array of at most 64 dimensions') from None
 
 
 def state_from_jsonable(data: dict):

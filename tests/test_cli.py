@@ -341,6 +341,21 @@ class TestBoundCommand:
         assert captured.out == ""
         assert "error:" in captured.err and "Traceback" not in captured.err
 
+    @pytest.mark.parametrize(
+        "nest",
+        ["[[1], 0]", "[" * 65 + "1" + "]" * 65],
+        ids=["ragged", "past-64-dimensions"],
+    )
+    def test_state_file_that_is_not_an_array_exits_two_with_our_message(self, nest, tmp_path, capsys):
+        # numpy rejects both with a plain ValueError whose text names none of the file's keys.
+        path = tmp_path / "state.json"
+        path.write_text(f'{{"dims": [2], "re": {nest}, "im": {nest}}}')
+        code = main(["bound", "--state", str(path), "--mode", "ppt"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert 'error: "re" must be a rectangular array of at most 64 dimensions' in captured.err
+
     @pytest.mark.parametrize("k", ["7", "2", "0"])
     def test_wootters_rejects_k_other_than_one(self, k, tmp_path, capsys):
         # The two-qubit family holds one operator, for bound and scan alike.
@@ -667,6 +682,43 @@ class TestScanCommand:
         assert "error:" in capsys.readouterr().err
         assert not out_csv.exists()
         assert calls == []
+
+    @pytest.mark.parametrize("mode,row", [("obs2", "obs2-w"), ("ppt", "ppt")])
+    def test_scan_evaluates_each_p_once(self, mode, row, tmp_path, capsys, monkeypatch):
+        built, scored = [], []
+        mix = cli.white_noise_mix
+        monkeypatch.setattr(cli, "white_noise_mix", lambda base, p: built.append(p) or mix(base, p))
+        reads, report, value = cli._MODES[row]
+        spy = lambda f: f and (lambda rho, *args: scored.append(rho) or f(rho, *args))
+        monkeypatch.setitem(cli._MODES, row, (reads, spy(report), spy(value)))
+        code = main(["scan", "--family", "w-noise", "--mode", mode, "--p-range", "0.01:1.0", "--points", "5", "--out", str(tmp_path / "x.csv")])
+        evaluations = int(re.search(r"(\d+) evaluations", capsys.readouterr().out).group(1))
+        assert code == 0
+        # The grid's two ends are the bisection's first two points.
+        assert len(built) == len(set(built)) <= evaluations + 5 - 2
+        assert len(scored) == len(set(map(id, scored))) <= evaluations + 5 - 2
+
+
+class TestParserReuse:
+    """main builds its parser once per process; build_parser still returns a fresh one."""
+
+    def test_main_builds_the_parser_once(self, capsys):
+        cli._parser.cache_clear()
+        for _ in range(2):
+            assert main(["bound", "--state", "family:bell-noise,p=0.9", "--mode", "wootters"]) == 0
+        assert cli._parser.cache_info().misses == 1
+        assert cli.build_parser() is not cli.build_parser()
+
+    @pytest.mark.parametrize("sub", ["bound", "scan", "demo"])
+    def test_help_is_the_fresh_parsers_help(self, sub, capsys):
+        (subparsers,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+        expected = subparsers.choices[sub].format_help()
+        cli._parser.cache_clear()
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exit_info:
+                main([sub, "--help"])
+            assert exit_info.value.code == 0
+            assert capsys.readouterr().out == expected
 
 
 class TestScanMatchesBound:

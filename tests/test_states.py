@@ -1,6 +1,8 @@
 """State container, transform, and reference-family checks."""
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -495,8 +497,11 @@ class TestNonIntegralIndices:
             None,
             {"dims": 2, "re": [1.0, 0.0], "im": [0.0, 0.0]},
             {"dims": [2], "re": {"a": 1.0}, "im": [0.0, 0.0]},
+            # numpy rejects these two with a plain ValueError.
+            {"dims": [2], "re": [[1], 0], "im": [[0], 0]},
+            {"dims": [1], "re": json.loads("[" * 65 + "1" + "]" * 65), "im": json.loads("[" * 65 + "0" + "]" * 65)},
         ],
-        ids=["no-re-im", "no-dims", "list", "string", "null", "int-dims", "dict-re"],
+        ids=["no-re-im", "no-dims", "list", "string", "null", "int-dims", "dict-re", "ragged-re", "re-past-64-dimensions"],
     )
     def test_state_from_jsonable_rejects_malformed(self, data):
         with pytest.raises(ParameterRangeError):
