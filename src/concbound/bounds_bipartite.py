@@ -10,8 +10,8 @@ vanishes on every separable state, and suitably weighted sums of
 squared gaps over generator subsets bound the squared concurrence from
 below. The spectrum is the singular values of A = sqrt(rho) S
 conj(sqrt(rho)), the numerically stable form of the same quantity (the
-eigenvalue route through rho S rho* S^dag is kept as a cross-check),
-read off the rank x rank B = X^dag S conj(X) with A = Q B Q^T on the
+tests keep the eigenvalue route through rho S rho* S^dag as a
+cross-check), read off the rank x rank B = X^dag S conj(X) with A = Q B Q^T on the
 support of rho (``DensityMatrix._frame``). B is linear in S, so every gap
 comes from one function, ``_gaps``: coefficient sums over one stack of B's
 and stacked SVDs, their gradients too. Each call frames, once, exactly the operators its rows
@@ -304,20 +304,6 @@ def lambda_spectrum(rho: DensityMatrix, s_op: np.ndarray) -> np.ndarray:
     rho, s_op = _check_operator(rho, s_op)
     lam = np.linalg.svd(rho._frame(s_op), compute_uv=False)
     return np.concatenate([lam, np.zeros(rho.dim - lam.size)])
-
-
-def lambda_spectrum_product_route(rho: DensityMatrix, s_op: np.ndarray) -> np.ndarray:
-    """Same spectrum through the non-Hermitian product rho S rho* S^dag.
-
-    Square roots of that product's eigenvalues, descending. Less
-    accurate near zero than ``lambda_spectrum``; retained as an
-    independent cross-check of the spectral route.
-    """
-    rho, s_op = _check_operator(rho, s_op)
-    x = rho.matrix @ s_op @ rho.matrix.conj() @ s_op.conj().T
-    ev = np.linalg.eigvals(x)
-    lam = np.sqrt(np.clip(ev.real, 0.0, None))
-    return np.sort(lam)[::-1]
 
 
 def delta_k(rho: DensityMatrix, gens: GeneratorSet | None, t_vec, u) -> float:

@@ -1,6 +1,4 @@
-"""Dense linear-algebra kernels: validated symmetrization, PSD square roots,
-and the symmetric-matrix (Autonne-Takagi) factorization, read off one
-real symmetric eigendecomposition of twice the size.
+"""Dense linear-algebra kernels: validated symmetrization and PSD square roots.
 
 All routines validate their structural preconditions and raise typed
 errors instead of repairing bad input; every input check of the package
@@ -25,7 +23,7 @@ from .errors import (
 
 # Validation tolerances, one per reason; checks raise on ``not dev <= tol``, so NaN fails them. The CLI's
 # --tol-detect defaults and demo pass criteria are user options and reproduction criteria, not these.
-_ROUNDOFF = 1e-10  # float error in a quantity exact in theory: A vs A^dag or A^T per entry, a norm, trace or weight sum vs 1; psd_sqrt clamps at this times max|h| + 1
+_ROUNDOFF = 1e-10  # float error in a quantity exact in theory: A vs A^dag or A^T per entry, a norm, trace or weight sum vs 1; psd_sqrt clamps at this times max|h| + 1; a search row stops at c = 0 once a trial from there reads at most -this times its largest radius
 _EIG_FLOOR = 1e-9  # how far below 0 a state's smallest eigenvalue may lie: eigh's round-off on matrices built in floats
 _RECONSTRUCTION = 1e-9  # per-entry deviation of an ensemble's sum of p |psi><psi| from its state, which sums many products
 _MODULUS = 1e-12  # how far a coefficient's modulus may exceed 1, for vectors rescaled to max modulus 1 in floats
@@ -105,35 +103,3 @@ def psd_sqrt(h: np.ndarray) -> np.ndarray:
         )
     s = (q * np.sqrt(np.clip(w, 0.0, None))) @ q.conj().T
     return 0.5 * (s + s.conj().T)
-
-
-def takagi(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Factor a complex symmetric matrix as Y = V diag(d) V^T.
-
-    Parameters
-    ----------
-    y : ndarray
-        Square matrix, symmetric (Y = Y^T) within 1e-10 per entry.
-
-    Returns
-    -------
-    (v, d) : (ndarray, ndarray)
-        Unitary ``v`` and nonnegative ``d`` in descending order; ``d``
-        equals the singular values of ``y``.
-
-    Notes
-    -----
-    With Y = A + iB, the condition Y conj(v) = sigma v on v = x + iy is
-    the real symmetric eigenproblem [[A, B], [B, -A]] [x; y] = sigma [x; y],
-    whose spectrum is +-sigma: the n largest eigenpairs give d and V.
-    ``eigh`` returns orthonormal vectors within each degenerate eigenspace,
-    so the columns for sigma > 0 are orthonormal as they come. Only the
-    zero eigenspace can hold a dependent pair (v, iv); the QR leaves the
-    other columns as they are up to sign, since (-v)(-v)^T = v v^T, and
-    completes that pair orthonormally, which d = 0 allows.
-    """
-    y = as_symmetric(y)
-    n = y.shape[0]
-    w, x = np.linalg.eigh(np.block([[y.real, y.imag], [y.imag, -y.real]]))
-    v, _ = np.linalg.qr(x[:n, ::-1][:, :n] + 1j * x[n:, ::-1][:, :n])
-    return v, np.clip(w[::-1][:n], 0.0, None)

@@ -7,7 +7,10 @@ trajectory of a call is one row, and each step is one stacked SVD with
 vectors over the live rows, which gives their values and gradients. A
 row never reads another, so blocking the rows changes nothing, and all
 randomness derives from one user-visible seed: the same configuration
-reproduces the same report, byte for byte.
+reproduces the same report, byte for byte. Where a row's value is
+negative, shrinking every radius is a rise, so such rows tend to land
+on the apex c = 0, where the value is 0; once a trial from there fails,
+every later trial is a positive multiple of it, so the row stops.
 
 Every searched aggregate, obs1, obs2 and obs3 alike, takes one path,
 ``_optimize_aggregate``: the subset pool, the seed salts and the report
@@ -38,7 +41,7 @@ from .bounds_bipartite import (
 )
 from .bounds_multipartite import _resolve_triple
 from .generators import GeneratorSet
-from .numerics import _SUPPORT_CUT
+from .numerics import _ROUNDOFF, _SUPPORT_CUT
 from .states import DensityMatrix, _check_state, partial_transpose
 
 DEFAULT_SEED = 1905
@@ -139,7 +142,13 @@ def _ascend(stack: np.ndarray, idx, x, cfg: OptimizerConfig) -> np.ndarray:
     c_s = 0), and a row keeps a move only if its value strictly rises. A
     kept move grows (x1.5) the steps whose derivative kept its sign and
     shrinks (x0.3) the rest, damping zigzags across ridges; a dropped move
-    shrinks all. A row stops once its largest step is below ``step_final``."""
+    shrinks all. A row stops once its largest step is below ``step_final``,
+    or once a trial from the apex (all radii 0, value exactly 0) fails with
+    a value at most -_ROUNDOFF times its largest radius, as a trial at the
+    apex does: there the phase derivatives vanish, and a failed move keeps
+    x and grad and scales every step by 0.3, so the j-th later trial is
+    0.3^j times this one, and by Delta(t c) = t Delta(c) so is its value,
+    which stays below 0 but for a round-off sign flip."""
     m = idx.shape[1]
 
     def climb(rows, xs):
@@ -159,6 +168,8 @@ def _ascend(stack: np.ndarray, idx, x, cfg: OptimizerConfig) -> np.ndarray:
         new, new_grad = climb(live, trial)
         win = new > val[live]
         step[live] *= np.where(win[:, None] & (np.sign(new_grad) == np.sign(grad[live])), 1.5, 0.3)
+        # The apex's value is 0, so a trial at or below -_ROUNDOFF * its radius fails there.
+        step[live[~x[live, :m].any(axis=1) & (new <= -_ROUNDOFF * trial[:, :m].max(axis=1))]] = 0.0
         x[live[win]], val[live[win]], grad[live[win]] = trial[win], new[win], new_grad[win]
     return np.where(val > 0.0, val, 0.0)
 

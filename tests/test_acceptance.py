@@ -20,7 +20,6 @@ from concbound.bounds_bipartite import (
     decomposition_average,
     delta_k,
     lambda_spectrum,
-    lambda_spectrum_product_route,
     observation1_bound,
     ppt_min_eigenvalue,
     wootters_concurrence,
@@ -36,7 +35,6 @@ from concbound.generators import (
     canonical_triple,
     tripartite_generators,
 )
-from concbound.numerics import takagi
 from concbound.optimizer import (
     OptimizerConfig,
     optimize_bound_bipartite,
@@ -53,6 +51,8 @@ from concbound.states import (
     w_state,
     white_noise_mix,
 )
+
+from _reference import lambda_spectrum_product_route, takagi
 
 RT3 = math.sqrt(3.0)
 W_ONSET = RT3 / (8.0 + RT3)

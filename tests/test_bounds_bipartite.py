@@ -27,7 +27,6 @@ from concbound.bounds_bipartite import (
     delta_k,
     delta_total_bound,
     lambda_spectrum,
-    lambda_spectrum_product_route,
     observation1_bound,
     ppt_min_eigenvalue,
     wootters_concurrence,
@@ -44,6 +43,8 @@ from concbound.states import (
     random_pure,
     white_noise_mix,
 )
+
+from _reference import lambda_spectrum_product_route
 
 
 def random_separable(rng, dims, terms):

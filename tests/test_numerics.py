@@ -16,7 +16,9 @@ from concbound.errors import (
     NotPositiveSemidefiniteError,
     NotSymmetricError,
 )
-from concbound.numerics import as_hermitian, as_symmetric, psd_sqrt, takagi
+from concbound.numerics import as_hermitian, as_symmetric, psd_sqrt
+
+from _reference import takagi
 
 
 def random_symmetric(rng: np.random.Generator, n: int) -> np.ndarray:

@@ -402,6 +402,113 @@ class TestLockstepEngine:
             optimize_bound_multipartite(ghz_state().density(), 2, FAST, "obs2-ghz")
 
 
+def _ascend_to_step_final(stack, idx, x, cfg):
+    """``optimizer._ascend`` without the apex stop: a row ends only once
+    its largest step is below ``step_final``, kept verbatim as the oracle
+    the stop must match bit for bit."""
+    m = idx.shape[1]
+
+    def climb(rows, xs):
+        turn = np.exp(1j * xs[:, m:])
+        val, g = bounds_bipartite._gaps(stack, idx[rows], xs[:, :m] * turn, slope=True)
+        g = g * turn
+        return val, np.concatenate([g.real, -xs[:, :m] * g.imag], axis=1)
+
+    val, grad = climb(slice(None), x)
+    step, live = np.full(x.shape, float(cfg.step_initial)), np.arange(len(x))
+    for _ in range(cfg.iterations):
+        live = live[step[live].max(axis=1) >= cfg.step_final]
+        if not live.size:
+            break
+        trial = x[live] + step[live] * np.sign(grad[live])
+        trial[:, :m] = np.clip(trial[:, :m], 0.0, 1.0)
+        new, new_grad = climb(live, trial)
+        win = new > val[live]
+        step[live] *= np.where(win[:, None] & (np.sign(new_grad) == np.sign(grad[live])), 1.5, 0.3)
+        x[live[win]], val[live[win]], grad[live[win]] = trial[win], new[win], new_grad[win]
+    return np.where(val > 0.0, val, 0.0)
+
+
+_PAIRS = list(combinations(range(9), 2))
+_GENS33 = bipartite_generators(3, 3).operators
+
+
+def _w_obs2_k1(p):
+    """Noisy W with the obs2 k=1 rows: one operator per split and subset."""
+    ops = canonical_triple(2).operators
+    n = ops.shape[1]
+    return white_noise_mix(w_state().density(), p), ops, bounds_bipartite._entry_rows("obs2", [(0, (t,)) for t in range(n)], n)
+
+
+# PPT, white-noised and entangled states: (state, operator stack, subsets).
+_APEX_CASES = {
+    "horodecki-0.2": lambda: (horodecki_state(0.2), _GENS33, _PAIRS),
+    "horodecki-0.8": lambda: (horodecki_state(0.8), _GENS33, _PAIRS),
+    "horodecki-0.35-p0.5": lambda: (white_noise_mix(horodecki_state(0.35), 0.5), _GENS33, _PAIRS),
+    "w-p0.13-obs2": lambda: _w_obs2_k1(0.13),
+    "random-pairs": lambda: (random_density((3, 3), 4, seed=1), _GENS33, _PAIRS),
+    "random-triples": lambda: (random_density((3, 3), 4, seed=2), _GENS33, list(combinations(range(9), 3))[::7]),
+}
+
+
+class TestApexStop:
+    """A row at the apex c = 0 (value 0) whose trial failed below
+    -_ROUNDOFF times its radius stops: every later trial is a positive
+    multiple of that one. The search must return what running every row
+    to ``step_final`` returns, bit for bit, with fewer rows on PPT states."""
+
+    BENCH = OptimizerConfig(restarts=2, iterations=20)
+
+    @pytest.mark.parametrize("case", list(_APEX_CASES))
+    def test_search_matches_running_every_row_to_step_final(self, case, monkeypatch):
+        rho, ops, subsets = _APEX_CASES[case]()
+        stack = rho._frame(ops)
+        for cfg in (self.BENCH, OptimizerConfig(restarts=3, iterations=25)):
+            got = optimizer._search(stack, subsets, subsets, cfg)
+            with monkeypatch.context() as patch:
+                patch.setattr(optimizer, "_ascend", _ascend_to_step_final)
+                want = optimizer._search(stack, subsets, subsets, cfg)
+            for a, b in zip(got, want):
+                assert np.array_equal(a, b)
+
+    def test_rows_that_start_at_the_apex(self):
+        # Zero radii on an entangled state: some first trials win and climb
+        # off the apex, the rest fail and stop there.
+        rho = random_density((3, 3), 4, seed=1)
+        stack, rng = rho._frame(_GENS33), np.random.default_rng(0)
+        idx = np.array([(0, 4), (4, 8), (1, 5), (2, 6)] * 3)
+        x = np.concatenate([np.zeros((len(idx), 2)), 2.0 * np.pi * rng.random((len(idx), 2))], axis=1)
+        want_x = x.copy()
+        want = _ascend_to_step_final(stack, idx, want_x, self.BENCH)
+        got = optimizer._ascend(stack, idx, x, self.BENCH)
+        assert np.array_equal(got, want) and np.array_equal(x, want_x)
+        left = x[:, :2].any(axis=1)
+        assert 0 < left.sum() < len(idx)
+        assert np.all(got[left] > 0.0) and np.all(got[~left] == 0.0)
+
+    def _rows_per_search(self, monkeypatch, rho):
+        """Rows handed to ``_gaps`` by one obs1 k=2 search at (2, 20)."""
+        rows = []
+        gaps = optimizer._gaps
+
+        def spy(stack, idx, coeffs, slope=False):
+            rows.append(len(idx))
+            return gaps(stack, idx, coeffs, slope=slope)
+
+        monkeypatch.setattr(optimizer, "_gaps", spy)
+        optimize_bound_bipartite(rho, 2, self.BENCH)
+        return sum(rows)
+
+    @pytest.mark.parametrize("a", [0.2, 0.5, 0.8])
+    def test_fewer_rows_on_ppt_states(self, a, monkeypatch):
+        # Running every row to step_final hands _gaps 419-421 rows here.
+        assert self._rows_per_search(monkeypatch, horodecki_state(a)) <= 300
+
+    def test_fewer_rows_on_a_noisy_ppt_state(self, monkeypatch):
+        # Running every row to step_final hands _gaps 396 rows here.
+        assert self._rows_per_search(monkeypatch, white_noise_mix(horodecki_state(0.35), 0.5)) <= 200
+
+
 class TestSingletonClosedForm:
     """One-operator subsets are answered by the unit coefficient: the gap
     of u*J is |u| times the gap of J, so there is nothing to search."""

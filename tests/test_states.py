@@ -17,7 +17,7 @@ from concbound.errors import (
     ParameterRangeError,
     SubsystemIndexError,
 )
-from concbound.bounds_bipartite import lambda_spectrum, lambda_spectrum_product_route
+from concbound.bounds_bipartite import lambda_spectrum
 from concbound.generators import Bipartition
 from concbound.states import (
     Decomposition,
@@ -39,6 +39,8 @@ from concbound.states import (
     w_state,
     white_noise_mix,
 )
+
+from _reference import lambda_spectrum_product_route
 
 
 class TestContainers:
