@@ -29,7 +29,7 @@ _RECONSTRUCTION = 1e-9  # per-entry deviation of an ensemble's sum of p |psi><ps
 _MODULUS = 1e-12  # how far a coefficient's modulus may exceed 1, for vectors rescaled to max modulus 1 in floats
 _WEIGHT_FLOOR = 1e-14  # ensemble weights below -this are negative; random_decomposition drops members below +this
 # On horodecki_state(0.2), -7.1e-18 and 1.1e-16 fall under a cut of 8.8e-16; the next eigenvalue is 0.077.
-_SUPPORT_CUT = np.finfo(float).eps  # support and PPT cuts per unit of D * max|lambda|: eigh's eigenvalues are exact to about D * eps * max|lambda|
+_SUPPORT_CUT = np.finfo(float).eps  # support, PPT and square-root-ensemble cuts per unit of D * max|lambda|: eigh's eigenvalues are exact to about D * eps * max|lambda|
 
 
 def _as_index(x, error) -> int:

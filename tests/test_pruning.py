@@ -1,9 +1,13 @@
-"""The projection lemma in the search: on a state that is PPT across a split,
-a subset whose operators span at most 2x3 or 3x2 there has gap 0 at every
-coefficient, so the search skips it and reports delta 0 at all-ones
-coefficients. Each skipped entry is checked against a search of its own."""
+"""The zero certificates of the search. The projection lemma: on a state that
+is PPT across a split, a subset whose operators span at most 2x3 or 3x2 there
+has gap 0 at every coefficient. The square-root ensemble sqrt(rho)|j>: a row
+whose operators all average to zero over it has gap 0 at every coefficient,
+since the gap is the infimum of such averages over decompositions. The search
+skips both kinds and reports delta 0 at all-ones coefficients. Each skipped
+entry is checked against a search of its own."""
 from __future__ import annotations
 
+import math
 from collections import Counter
 from itertools import combinations
 
@@ -11,9 +15,12 @@ import numpy as np
 import pytest
 
 from concbound import optimizer
+from concbound.bounds_bipartite import _entry_rows, decomposition_average, delta_k
+from concbound.bounds_multipartite import delta_tot_k
 from concbound.generators import GeneratorSet, bipartite_generators, canonical_triple, tripartite_generators
-from concbound.optimizer import OptimizerConfig, _lemma_zero, optimize_bound_bipartite, optimize_bound_multipartite, optimize_u
-from concbound.states import horodecki_state, random_density, w_state, white_noise_mix
+from concbound.numerics import _WEIGHT_FLOOR, psd_sqrt
+from concbound.optimizer import OptimizerConfig, _proved_zero, optimize_bound_bipartite, optimize_bound_multipartite, optimize_u
+from concbound.states import Decomposition, PureState, ghz_state, horodecki_state, random_density, w_state, white_noise_mix
 
 CFG = OptimizerConfig(restarts=2, iterations=10)
 PAIRS = list(combinations(range(9), 2))
@@ -31,10 +38,18 @@ def _all_ones(entry) -> bool:
     return all(c == 1.0 for vec in entry.coefficients.values() for c in vec)
 
 
+def _searched_rows(monkeypatch) -> list:
+    """Patch the search to record the rows of every call."""
+    searched = []
+    search = optimizer._search
+    monkeypatch.setattr(optimizer, "_search", lambda stack, rows, *a: searched.append(np.asarray(rows).tolist()) or search(stack, rows, *a))
+    return searched
+
+
 @pytest.mark.parametrize("name", STATES)
 def test_obs1_skips_exactly_the_pairs_the_lemma_proves_zero(name):
     rho, n_zero = STATES[name]
-    zero = _lemma_zero(rho, "obs1", bipartite_generators(3, 3).operators, [(0, t) for t in PAIRS])
+    zero = _proved_zero(rho, "obs1", bipartite_generators(3, 3).operators, [(0, t) for t in PAIRS])
     assert zero.sum() == n_zero
     rep = optimize_bound_bipartite(rho, 2, CFG)
     assert [e.subset for e in rep.per_subset] == PAIRS
@@ -53,7 +68,7 @@ def test_obs3_on_noisy_w_skips_twelve_pairs_per_split():
     # index span three of its four levels: 12 of the 15.
     rho = white_noise_mix(w_state().density(), 0.13)
     entries = [(s, t) for s in range(3) for t in combinations(range(6), 2)]
-    zero = _lemma_zero(rho, "obs3", canonical_triple(2).operators, entries)
+    zero = _proved_zero(rho, "obs3", canonical_triple(2).operators, entries)
     assert Counter(s for (s, _), z in zip(entries, zero) if z) == {0: 12, 1: 12, 2: 12}
     rep = optimize_bound_multipartite(rho, 2, CFG, "obs3")
     assert [(("1|23", "2|13", "3|12").index(e.split), e.subset) for e in rep.per_subset] == entries
@@ -67,22 +82,26 @@ def test_supports_are_read_from_the_operators_not_the_index_map(monkeypatch):
     gens = bipartite_generators(3, 3)
     order = np.random.default_rng(3).permutation(gens.count)
     shuffled = GeneratorSet(gens.operators, tuple(gens.index_map[i] for i in order), gens.dims)
-    searched = []
-    search = optimizer._search
-    monkeypatch.setattr(optimizer, "_search", lambda stack, rows, *a: searched.append(rows.tolist()) or search(stack, rows, *a))
+    searched = _searched_rows(monkeypatch)
     rho = horodecki_state(0.5)
     reports = [optimize_bound_bipartite(rho, 2, CFG, g).to_json(include_timing=False) for g in (gens, shuffled)]
     assert reports[0] == reports[1]
-    assert searched[0] == searched[1] and len(searched[0]) == 18
+    assert searched[0] == searched[1] and len(searched[0]) == 12
 
 
-def test_k1_and_obs2_are_never_pruned():
+def test_singletons_are_never_pruned_and_obs2_only_by_the_certificate():
     rho = horodecki_state(0.2)
     ops = bipartite_generators(3, 3).operators
-    assert not _lemma_zero(rho, "obs1", ops, [(0, (i,)) for i in range(9)]).any()
+    singles = [(0, (i,)) for i in range(9)]
+    assert not _proved_zero(rho, "obs1", ops, singles).any()
+    # Generators 1, 2, 3, 5 and 7 average to zero over the ensemble, yet keep their closed form.
+    assert not _proved_zero(rho, "obs1", ops, singles, rho._frame(ops)).any()
     w = white_noise_mix(w_state().density(), 0.13)
     triple = canonical_triple(2).operators
-    assert not _lemma_zero(w, "obs2", triple, [(0, t) for t in combinations(range(6), 2)]).any()
+    assert not _proved_zero(w, "obs2", triple, [(0, t) for t in combinations(range(6), 2)]).any()
+    assert not _proved_zero(w, "obs2", triple, [(0, (i,)) for i in range(6)]).any()
+    singles = [(s, (i,)) for s in range(3) for i in range(6)]
+    assert not _proved_zero(w, "obs3", triple, singles, w._frame(triple)).any()
 
 
 def test_a_ppt_state_on_2x3_searches_nothing(monkeypatch):
@@ -91,3 +110,145 @@ def test_a_ppt_state_on_2x3_searches_nothing(monkeypatch):
     rep = optimize_bound_bipartite(white_noise_mix(random_density((2, 3), 6, seed=4), 0.2), 2, CFG)
     assert len(rep.per_subset) == 3 and rep.bound_on_c_squared == 0.0
     assert all(e.delta == 0.0 and _all_ones(e) for e in rep.per_subset)
+
+
+TRIPLE = canonical_triple(2)
+NOISY = {
+    f"{name}-{p}": (white_noise_mix(pure.density(), p), n_zero)
+    for name, pure, n_zero in (("ghz", ghz_state(), 5), ("w", w_state(), 4))
+    for p in (0.13, 0.9)
+}
+
+
+def _sqrt_ensemble(rho) -> Decomposition:
+    """Members sqrt(rho)|j> / norm with weights <j|rho|j>, dropping weights below the floor."""
+    root, weights = psd_sqrt(rho.matrix), np.diag(rho.matrix).real
+    keep = np.flatnonzero(weights >= _WEIGHT_FLOOR)
+    members = [PureState(root[:, j] / np.linalg.norm(root[:, j]), rho.dims) for j in keep]
+    return Decomposition(rho, weights[keep], members)
+
+
+def _row_operators(mode, ops, s, t):
+    """The operators a (split, subset) entry's row reads, in row order."""
+    return ops.reshape((-1,) + ops.shape[-2:])[list(_entry_rows(mode, [(s, t)], ops.shape[-3])[0])]
+
+
+@pytest.mark.parametrize("name", NOISY)
+def test_obs2_k1_on_noisy_ghz_and_w_searches_only_the_uncertified_triples(name, monkeypatch):
+    rho, n_zero = NOISY[name]
+    entries = [(0, (i,)) for i in range(6)]
+    stack = rho._frame(TRIPLE.operators)
+    zero = _proved_zero(rho, "obs2", TRIPLE.operators, entries, stack)
+    assert zero.sum() == n_zero and not _proved_zero(rho, "obs2", TRIPLE.operators, entries).any()
+    search = optimizer._search
+    searched = _searched_rows(monkeypatch)
+    rep = optimize_bound_multipartite(rho, 1, CFG, "obs2")
+    assert [len(rows) for rows in searched] == [6 - n_zero]
+    assert [e.subset for e in rep.per_subset] == [t for _, t in entries]
+    for (_, t), entry, pruned in zip(entries, rep.per_subset, zero):
+        # A search of the row alone, salted by its subset as the aggregate salts it.
+        delta = search(stack, _entry_rows("obs2", [(0, t)], 6), [t], CFG)[1][0]
+        if pruned:
+            assert entry.delta == 0.0 and _all_ones(entry)
+            assert delta <= 1e-15
+        else:
+            assert np.float64(entry.delta).tobytes() == np.float64(delta).tobytes()
+
+
+@pytest.mark.parametrize("name", [n for n in STATES if n.startswith("horodecki")])
+def test_obs1_k2_searches_twelve_pairs_on_the_horodecki_states(name, monkeypatch):
+    # Generators 1, 2, 3, 5 and 7 average to zero over the square-root
+    # ensemble: their 10 pairs are certified, 4 of them also by the lemma.
+    rho, _ = STATES[name]
+    ops = bipartite_generators(3, 3).operators
+    entries = [(0, t) for t in PAIRS]
+    zero = _proved_zero(rho, "obs1", ops, entries, rho._frame(ops))
+    assert zero.sum() == 24 and (zero & ~_proved_zero(rho, "obs1", ops, entries)).sum() == 6
+    searched = _searched_rows(monkeypatch)
+    rep = optimize_bound_bipartite(rho, 2, CFG)
+    assert [len(rows) for rows in searched] == [12]
+    for entry, pruned in zip(rep.per_subset, zero):
+        _, delta = optimize_u(rho, None, entry.subset, CFG)
+        if pruned:
+            assert entry.delta == 0.0 and _all_ones(entry)
+            assert delta <= 1e-15
+        else:
+            assert np.float64(entry.delta).tobytes() == np.float64(delta).tobytes()
+
+
+SOUNDNESS = {
+    "obs1-horodecki-0.2": (STATES["horodecki-0.2"][0], "obs1", 2),
+    "obs1-horodecki-0.35-noisy": (STATES["horodecki-0.35-noisy"][0], "obs1", 2),
+    "obs2-ghz-0.13": (NOISY["ghz-0.13"][0], "obs2", 1),
+    "obs2-w-0.9": (NOISY["w-0.9"][0], "obs2", 1),
+    "obs2-w-0.13-k2": (NOISY["w-0.13"][0], "obs2", 2),
+    "obs3-w-0.13-k2": (NOISY["w-0.13"][0], "obs3", 2),
+}
+
+
+@pytest.mark.parametrize("name", SOUNDNESS)
+def test_the_square_root_ensemble_bounds_every_gap_and_certifies_the_pruned_rows(name):
+    rho, mode, k = SOUNDNESS[name]
+    ops = bipartite_generators(3, 3).operators if mode == "obs1" else TRIPLE.operators
+    n, n_splits = ops.shape[-3], 3 if mode == "obs3" else 1
+    entries = [(s, t) for s in range(n_splits) for t in combinations(range(n), k)]
+    zero = _proved_zero(rho, mode, ops, entries, rho._frame(ops))
+    lemma = _proved_zero(rho, mode, ops, entries)
+    dec = _sqrt_ensemble(rho)
+    rng = np.random.default_rng(11)
+    sums = []
+    for i, (s, t) in enumerate(entries):
+        row = _row_operators(mode, ops, s, t)
+        sums.append(sum(decomposition_average(dec, op) for op in row))
+        for _ in range(3):
+            c = rng.random(len(row)) * np.exp(2j * np.pi * rng.random(len(row)))
+            average = decomposition_average(dec, np.tensordot(c, row, axes=1))
+            if mode == "obs2":
+                gap = delta_tot_k(rho, TRIPLE, t, c.reshape(3, k))
+            else:
+                gap = delta_k(rho, None if mode == "obs1" else tripartite_generators(2, s), t, c)
+            # Wootters/Uhlmann: every ensemble's average dominates the gap.
+            assert gap <= average + 1e-14
+            if zero[i] and not lemma[i]:
+                assert average <= 1e-15
+    # The pruned rows are the lemma's and exactly those whose operators all average to zero.
+    assert np.array_equal(zero, lemma | (np.array(sums) <= 1e-12))
+
+
+PURE = {
+    "ghz": ghz_state(),
+    "w": w_state(),
+    # sum_j psi_j^2 = 0, so every trace of sqrt(rho) S sqrt(rho)* is 0; only its diagonal's moduli see S.
+    "ghz-phase": PureState((np.eye(8)[0] + 1j * np.eye(8)[7]) / math.sqrt(2.0), (2, 2, 2)),
+    # Nearly a product: one triple's expectations are 2e-4, far above round-off and below 1e-3.
+    "ghz-like-1e-4": PureState(np.eye(8)[0] * math.cos(1e-4) + np.eye(8)[7] * math.sin(1e-4), (2, 2, 2)),
+}
+
+
+@pytest.mark.parametrize("name", PURE)
+def test_on_a_pure_state_the_certificate_is_the_expectation(name):
+    psi = PURE[name]
+    rho = psi.density()
+    dec = _sqrt_ensemble(rho)
+    ops = TRIPLE.operators.reshape(-1, 8, 8)
+    expect = np.array([abs(psi.amplitudes.conj() @ op @ psi.amplitudes.conj()) for op in ops])
+    assert np.allclose([decomposition_average(dec, op) for op in ops], expect, rtol=1e-12, atol=1e-16)
+    entries = [(0, (i,)) for i in range(6)]
+    zero = _proved_zero(rho, "obs2", TRIPLE.operators, entries, rho._frame(TRIPLE.operators))
+    kept = expect.reshape(3, 6).sum(axis=0) > 1e-12
+    assert kept.any() and np.array_equal(zero, ~kept)
+    rep = optimize_bound_multipartite(psi, 1, CFG, "obs2")
+    for entry, keep in zip(rep.per_subset, kept):
+        assert entry.delta > 0.0 if keep else entry.delta == 0.0 and _all_ones(entry)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_random_states_prune_nothing_beyond_the_lemma(seed):
+    cases = [(random_density(dims, rank, seed=seed), "obs1", bipartite_generators(*dims).operators, 2)
+             for dims, rank in (((2, 3), 1 + seed), ((2, 4), 2 + seed), ((3, 3), 4 + seed))]
+    rho = random_density((2, 2, 2), 1 + seed, seed=seed)
+    cases += [(rho, "obs2", TRIPLE.operators, k) for k in (1, 2)]
+    for rho, mode, ops, k in cases:
+        entries = [(0, t) for t in combinations(range(ops.shape[-3]), k)]
+        with_stack = _proved_zero(rho, mode, ops, entries, rho._frame(ops))
+        assert np.array_equal(with_stack, _proved_zero(rho, mode, ops, entries))
