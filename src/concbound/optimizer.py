@@ -15,9 +15,8 @@ every later trial is a positive multiple of it, so the row stops.
 Every searched aggregate, obs1, obs2 and obs3 alike, takes one path,
 ``_optimize_aggregate``: the subset pool, the seed salts and the report
 of (split, subset) entries, whose rows ``bounds_bipartite._entry_rows``
-lays out. The search skips the entries ``_proved_zero`` proves zero at
-every coefficient, by the projection lemma on a PPT split or by the
-square-root ensemble of rho, which report delta 0 at all-ones coefficients.
+lays out. The search skips the entries ``_lemma_zero`` or ``_sqrt_zero``
+proves zero, which report delta 0 at all-ones coefficients.
 """
 from __future__ import annotations
 
@@ -224,33 +223,16 @@ def optimize_u(rho: DensityMatrix, gens: GeneratorSet | None, t_vec, cfg: Optimi
     return coeffs[0], float(deltas[0])
 
 
-def _proved_zero(rho: DensityMatrix, mode: str, ops: np.ndarray, entries, stack=None) -> np.ndarray:
-    """Which (split, subset) entries are proved zero at every coefficient.
-
-    The projection lemma: if all operators act inside P_A (x) P_B, the
-    lambdas are those of P rho P, which stays PPT, and PPT on 2x3 or 3x2 is
-    separable. So for subsets of two or more in obs1 on two parties or obs3
-    (split s: party s versus the rest), where rho^Gamma is PSD up to
-    eigvalsh round-off, an entry is zero if the rows and columns where its
-    operators hold nonzero entries span at most 2x3 or 3x2 across its split.
-
-    With ``stack``, the B stack ``rho._frame(ops)``, also a decomposition:
-    the gap of S is the infimum over ensembles of rho of sum_i p_i
-    |<psi_i|S|psi_i*>| (Wootters; Uhlmann). The square-root ensemble,
-    members sqrt(rho)|j> at weights <j|rho|j>, gives sum_j |A_jj| for
-    A = sqrt(rho) S sqrt(rho)* = X B X^T, X = conj(rho._xc). So with
-    |c_s| <= 1 a row's gap is at most the sum of its operators' d_s =
-    sum_j |(A_s)_jj|, and a row of two or more operators whose sum is within
-    the support cut D * eps * max lambda is zero; a row of one keeps its
-    closed form. For a pure state d_s = |<psi|S_s|psi*>|."""
-    zero = np.zeros(len(entries), dtype=bool)
-    rows = np.array(_entry_rows(mode, entries, ops.shape[-3]))
-    if stack is not None and rows.shape[1] >= 2:
-        x, w = rho._xc.conj(), rho._eigh[0]
-        d = np.abs((x @ stack * x).sum(axis=-1)).sum(axis=-1).ravel()
-        zero = d[rows].sum(axis=1) <= _SUPPORT_CUT * w.size * w[-1]
+def _lemma_zero(rho: DensityMatrix, mode: str, ops: np.ndarray, entries) -> np.ndarray:
+    """Which (split, subset) entries the projection lemma proves zero at every
+    coefficient: if all operators act inside P_A (x) P_B, the lambdas are
+    those of P rho P, which stays PPT, and PPT on 2x3 or 3x2 is separable.
+    So for subsets of two or more in obs1 on two parties or obs3 (split s:
+    party s versus the rest), where rho^Gamma is PSD up to eigvalsh
+    round-off, an entry is zero if the rows and columns where its operators
+    hold nonzero entries span at most 2x3 or 3x2 across its split."""
     if len(entries[0][1]) < 2 or not (mode == "obs3" or mode == "obs1" and len(rho.dims) == 2):
-        return zero
+        return np.zeros(len(entries), dtype=bool)
     fams = ops.reshape((-1,) + ops.shape[-3:])
     ws = [np.linalg.eigvalsh(partial_transpose(rho, (i,))) for i in range(len(fams))]
     ppt = np.array([w[0] >= -_SUPPORT_CUT * rho.dim * np.abs(w).max() for w in ws])
@@ -258,15 +240,33 @@ def _proved_zero(rho: DensityMatrix, mode: str, ops: np.ndarray, entries, stack=
     support = np.stack([np.moveaxis(r, 1 + i, 1).reshape(len(r), rho.dims[i], -1) for i, r in enumerate(support)])
     s, t = (np.array(c) for c in zip(*entries))
     a, b = (m[s[:, None], t].any(axis=1).sum(axis=1) for m in (support.any(axis=3), support.any(axis=2)))
-    return zero | ppt[s] & (np.minimum(a, b) <= 2) & (np.maximum(a, b) <= 3)
+    return ppt[s] & (np.minimum(a, b) <= 2) & (np.maximum(a, b) <= 3)
+
+
+def _sqrt_averages(rho: DensityMatrix, stack: np.ndarray) -> np.ndarray:
+    """Each operator's average over the square-root ensemble sqrt(rho)|j>, weights <j|rho|j>:
+    sum_j |A_jj|, A = sqrt(rho) S sqrt(rho)* = Q B Q^T, Q the support eigenvectors, B in ``stack``."""
+    w, q = rho._eigh
+    x = q[:, w.size - stack.shape[-1] :]
+    return np.abs((x @ stack * x).sum(axis=-1)).sum(axis=-1).ravel()
+
+
+def _sqrt_zero(rho: DensityMatrix, stack: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Which rows of two or more into ``stack`` are zero at every coefficient: the gap of S is the
+    infimum over ensembles of rho of sum_i p_i |<psi_i|S|psi_i*>| (Wootters; Uhlmann), so with |c_s| <= 1
+    a row's is at most the sum of its ``_sqrt_averages``, zero within the support cut per modulus added."""
+    if rows.shape[1] < 2:
+        return np.zeros(len(rows), dtype=bool)
+    w = rho._eigh[0]
+    return _sqrt_averages(rho, stack)[rows].sum(axis=1) <= _SUPPORT_CUT * w.size * w[-1] * rows.shape[1] * w.size
 
 
 def _optimize_aggregate(rho: DensityMatrix, mode: str, k, cfg: OptimizerConfig, ops) -> BoundReport:
     """The searched aggregate of every mode over its stacked families
     ``ops`` (N generators each), framed once for the call: per split a pool
     of size-k subsets, then one search over all (split, subset) entries but
-    those ``_proved_zero`` proves zero, kept at delta 0 and all-ones
-    coefficients. "top_singletons" ranks each split's generators in one call
+    those ``_lemma_zero`` or ``_sqrt_zero`` proves zero, kept at delta 0 and
+    all-ones coefficients. "top_singletons" ranks each split's generators in one call
     by their all-ones gaps at k = 1, at k >= 2 by the largest all-ones gap of
     a pair holding them (0 for pairs proved zero). Seeds are salted by the
     subset, by (split,) + subset where a mode has several splits."""
@@ -276,16 +276,18 @@ def _optimize_aggregate(rho: DensityMatrix, mode: str, k, cfg: OptimizerConfig, 
     pools = [list(combinations(range(n), k))] * n_splits
     if cfg.subset_strategy == "top_singletons":
         cands = [(s, t) for s in range(n_splits) for t in combinations(range(n), min(k, 2))]
-        cands = list(compress(cands, ~_proved_zero(rho, mode, ops, cands, stack)))
-        rows, score = _entry_rows(mode, cands, n), np.zeros((n_splits, n))
-        for (s, t), g in zip(cands, _gaps(stack, rows, np.ones(np.shape(rows)))):
+        rows = np.array(_entry_rows(mode, cands, n))
+        keep = ~(_lemma_zero(rho, mode, ops, cands) | _sqrt_zero(rho, stack, rows))
+        cands, rows, score = list(compress(cands, keep)), rows[keep], np.zeros((n_splits, n))
+        for (s, t), g in zip(cands, _gaps(stack, rows, np.ones(rows.shape))):
             score[s, list(t)] = np.maximum(score[s, list(t)], g)
         for s, g in enumerate(score):
             top = sorted(range(n), key=lambda i: -g[i])[: max(cfg.top_count, k)]
             pools[s] = list(combinations(sorted(top), k))
     entries = [(s, t) for s, pool in enumerate(pools) for t in pool]
     salts = [t if n_splits == 1 else (s,) + t for s, t in entries]
-    rows, live = np.array(_entry_rows(mode, entries, n)), ~_proved_zero(rho, mode, ops, entries, stack)
+    rows = np.array(_entry_rows(mode, entries, n))
+    live = ~(_lemma_zero(rho, mode, ops, entries) | _sqrt_zero(rho, stack, rows))
     coeffs, gaps = np.ones(rows.shape, dtype=complex), np.zeros(len(entries))
     if live.any():
         coeffs[live], gaps[live], _ = _search(stack, rows[live], list(compress(salts, live)), cfg)

@@ -118,7 +118,7 @@ class DensityMatrix:
 
     @cached_property
     def _xc(self) -> np.ndarray:
-        """conj(X) for sqrt(rho) = X X^dag, X = Q D^(1/2) over the eigenpairs
+        """conj(X) for rho = X X^dag, X = Q D^(1/2) over the eigenpairs
         of the constructor's ``eigh`` above the support cut."""
         w, q = self._eigh
         low = np.count_nonzero(w <= _SUPPORT_CUT * w.size * w[-1])  # eigh's w ascends

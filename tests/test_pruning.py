@@ -19,7 +19,15 @@ from concbound.bounds_bipartite import _entry_rows, decomposition_average, delta
 from concbound.bounds_multipartite import delta_tot_k
 from concbound.generators import GeneratorSet, bipartite_generators, canonical_triple, tripartite_generators
 from concbound.numerics import _WEIGHT_FLOOR, psd_sqrt
-from concbound.optimizer import OptimizerConfig, _proved_zero, optimize_bound_bipartite, optimize_bound_multipartite, optimize_u
+from concbound.optimizer import (
+    OptimizerConfig,
+    _lemma_zero,
+    _sqrt_averages,
+    _sqrt_zero,
+    optimize_bound_bipartite,
+    optimize_bound_multipartite,
+    optimize_u,
+)
 from concbound.states import Decomposition, PureState, ghz_state, horodecki_state, random_density, w_state, white_noise_mix
 
 CFG = OptimizerConfig(restarts=2, iterations=10)
@@ -38,18 +46,10 @@ def _all_ones(entry) -> bool:
     return all(c == 1.0 for vec in entry.coefficients.values() for c in vec)
 
 
-def _searched_rows(monkeypatch) -> list:
-    """Patch the search to record the rows of every call."""
-    searched = []
-    search = optimizer._search
-    monkeypatch.setattr(optimizer, "_search", lambda stack, rows, *a: searched.append(np.asarray(rows).tolist()) or search(stack, rows, *a))
-    return searched
-
-
 @pytest.mark.parametrize("name", STATES)
 def test_obs1_skips_exactly_the_pairs_the_lemma_proves_zero(name):
     rho, n_zero = STATES[name]
-    zero = _proved_zero(rho, "obs1", bipartite_generators(3, 3).operators, [(0, t) for t in PAIRS])
+    zero = _lemma_zero(rho, "obs1", bipartite_generators(3, 3).operators, [(0, t) for t in PAIRS])
     assert zero.sum() == n_zero
     rep = optimize_bound_bipartite(rho, 2, CFG)
     assert [e.subset for e in rep.per_subset] == PAIRS
@@ -68,7 +68,7 @@ def test_obs3_on_noisy_w_skips_twelve_pairs_per_split():
     # index span three of its four levels: 12 of the 15.
     rho = white_noise_mix(w_state().density(), 0.13)
     entries = [(s, t) for s in range(3) for t in combinations(range(6), 2)]
-    zero = _proved_zero(rho, "obs3", canonical_triple(2).operators, entries)
+    zero = _lemma_zero(rho, "obs3", canonical_triple(2).operators, entries)
     assert Counter(s for (s, _), z in zip(entries, zero) if z) == {0: 12, 1: 12, 2: 12}
     rep = optimize_bound_multipartite(rho, 2, CFG, "obs3")
     assert [(("1|23", "2|13", "3|12").index(e.split), e.subset) for e in rep.per_subset] == entries
@@ -82,26 +82,22 @@ def test_supports_are_read_from_the_operators_not_the_index_map(monkeypatch):
     gens = bipartite_generators(3, 3)
     order = np.random.default_rng(3).permutation(gens.count)
     shuffled = GeneratorSet(gens.operators, tuple(gens.index_map[i] for i in order), gens.dims)
-    searched = _searched_rows(monkeypatch)
+    searched = []
+    search = optimizer._search
+    monkeypatch.setattr(optimizer, "_search", lambda stack, rows, *a: searched.append(rows.tolist()) or search(stack, rows, *a))
     rho = horodecki_state(0.5)
     reports = [optimize_bound_bipartite(rho, 2, CFG, g).to_json(include_timing=False) for g in (gens, shuffled)]
     assert reports[0] == reports[1]
     assert searched[0] == searched[1] and len(searched[0]) == 12
 
 
-def test_singletons_are_never_pruned_and_obs2_only_by_the_certificate():
+def test_k1_and_obs2_are_never_pruned():
     rho = horodecki_state(0.2)
     ops = bipartite_generators(3, 3).operators
-    singles = [(0, (i,)) for i in range(9)]
-    assert not _proved_zero(rho, "obs1", ops, singles).any()
-    # Generators 1, 2, 3, 5 and 7 average to zero over the ensemble, yet keep their closed form.
-    assert not _proved_zero(rho, "obs1", ops, singles, rho._frame(ops)).any()
+    assert not _lemma_zero(rho, "obs1", ops, [(0, (i,)) for i in range(9)]).any()
     w = white_noise_mix(w_state().density(), 0.13)
     triple = canonical_triple(2).operators
-    assert not _proved_zero(w, "obs2", triple, [(0, t) for t in combinations(range(6), 2)]).any()
-    assert not _proved_zero(w, "obs2", triple, [(0, (i,)) for i in range(6)]).any()
-    singles = [(s, (i,)) for s in range(3) for i in range(6)]
-    assert not _proved_zero(w, "obs3", triple, singles, w._frame(triple)).any()
+    assert not _lemma_zero(w, "obs2", triple, [(0, t) for t in combinations(range(6), 2)]).any()
 
 
 def test_a_ppt_state_on_2x3_searches_nothing(monkeypatch):
@@ -128,9 +124,50 @@ def _sqrt_ensemble(rho) -> Decomposition:
     return Decomposition(rho, weights[keep], members)
 
 
-def _row_operators(mode, ops, s, t):
-    """The operators a (split, subset) entry's row reads, in row order."""
-    return ops.reshape((-1,) + ops.shape[-2:])[list(_entry_rows(mode, [(s, t)], ops.shape[-3])[0])]
+def _rows(mode, ops, entries) -> np.ndarray:
+    return np.array(_entry_rows(mode, entries, ops.shape[-3]))
+
+
+def _proved_zero(rho, mode, ops, entries) -> np.ndarray:
+    """The entries the search skips: the lemma's or the certificate's."""
+    return _lemma_zero(rho, mode, ops, entries) | _sqrt_zero(rho, rho._frame(ops), _rows(mode, ops, entries))
+
+
+def _searched_rows(monkeypatch) -> list:
+    """Patch the search to record the rows of every call."""
+    searched = []
+    search = optimizer._search
+    monkeypatch.setattr(optimizer, "_search", lambda stack, rows, *a: searched.append(np.asarray(rows).tolist()) or search(stack, rows, *a))
+    return searched
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_the_square_root_averages_are_those_of_the_ensemble(seed):
+    # Full rank: the ensemble's root and the support's agree to round-off. Below
+    # full rank, psd_sqrt keeps eigenvalues of order eps that the support cut
+    # drops, whose square roots are of order 1e-8.
+    cases = [(dims, bipartite_generators(*dims).operators) for dims in ((2, 3), (3, 3))]
+    cases.append(((2, 2, 2), TRIPLE.operators))
+    for dims, ops in cases:
+        dim = math.prod(dims)
+        for rank, atol in ((dim, 1e-13), (2 + seed, 1e-7)):
+            rho = random_density(dims, rank, seed=seed)
+            dec = _sqrt_ensemble(rho)
+            expect = [decomposition_average(dec, op) for op in ops.reshape(-1, dim, dim)]
+            assert np.allclose(_sqrt_averages(rho, rho._frame(ops)), expect, rtol=0.0, atol=atol)
+
+
+def test_rows_of_one_are_never_certified():
+    # Generators 1, 2, 3, 5 and 7 average to zero on Horodecki, and several
+    # canonical operators on noisy W, yet singletons keep their closed form.
+    rho = horodecki_state(0.2)
+    ops = bipartite_generators(3, 3).operators
+    assert (_sqrt_averages(rho, rho._frame(ops)) < 1e-15).sum() == 5
+    assert not _sqrt_zero(rho, rho._frame(ops), _rows("obs1", ops, [(0, (i,)) for i in range(9)])).any()
+    w = white_noise_mix(w_state().density(), 0.13)
+    singles = [(s, (i,)) for s in range(3) for i in range(6)]
+    assert (_sqrt_averages(w, w._frame(TRIPLE.operators)) < 1e-15).any()
+    assert not _sqrt_zero(w, w._frame(TRIPLE.operators), _rows("obs3", TRIPLE.operators, singles)).any()
 
 
 @pytest.mark.parametrize("name", NOISY)
@@ -138,8 +175,8 @@ def test_obs2_k1_on_noisy_ghz_and_w_searches_only_the_uncertified_triples(name, 
     rho, n_zero = NOISY[name]
     entries = [(0, (i,)) for i in range(6)]
     stack = rho._frame(TRIPLE.operators)
-    zero = _proved_zero(rho, "obs2", TRIPLE.operators, entries, stack)
-    assert zero.sum() == n_zero and not _proved_zero(rho, "obs2", TRIPLE.operators, entries).any()
+    zero = _proved_zero(rho, "obs2", TRIPLE.operators, entries)
+    assert zero.sum() == n_zero and not _lemma_zero(rho, "obs2", TRIPLE.operators, entries).any()
     search = optimizer._search
     searched = _searched_rows(monkeypatch)
     rep = optimize_bound_multipartite(rho, 1, CFG, "obs2")
@@ -162,8 +199,8 @@ def test_obs1_k2_searches_twelve_pairs_on_the_horodecki_states(name, monkeypatch
     rho, _ = STATES[name]
     ops = bipartite_generators(3, 3).operators
     entries = [(0, t) for t in PAIRS]
-    zero = _proved_zero(rho, "obs1", ops, entries, rho._frame(ops))
-    assert zero.sum() == 24 and (zero & ~_proved_zero(rho, "obs1", ops, entries)).sum() == 6
+    zero = _proved_zero(rho, "obs1", ops, entries)
+    assert zero.sum() == 24 and (zero & ~_lemma_zero(rho, "obs1", ops, entries)).sum() == 6
     searched = _searched_rows(monkeypatch)
     rep = optimize_bound_bipartite(rho, 2, CFG)
     assert [len(rows) for rows in searched] == [12]
@@ -192,13 +229,13 @@ def test_the_square_root_ensemble_bounds_every_gap_and_certifies_the_pruned_rows
     ops = bipartite_generators(3, 3).operators if mode == "obs1" else TRIPLE.operators
     n, n_splits = ops.shape[-3], 3 if mode == "obs3" else 1
     entries = [(s, t) for s in range(n_splits) for t in combinations(range(n), k)]
-    zero = _proved_zero(rho, mode, ops, entries, rho._frame(ops))
-    lemma = _proved_zero(rho, mode, ops, entries)
+    rows = _rows(mode, ops, entries)
+    zero = _sqrt_zero(rho, rho._frame(ops), rows)
     dec = _sqrt_ensemble(rho)
     rng = np.random.default_rng(11)
     sums = []
     for i, (s, t) in enumerate(entries):
-        row = _row_operators(mode, ops, s, t)
+        row = ops.reshape((-1,) + ops.shape[-2:])[rows[i]]
         sums.append(sum(decomposition_average(dec, op) for op in row))
         for _ in range(3):
             c = rng.random(len(row)) * np.exp(2j * np.pi * rng.random(len(row)))
@@ -209,10 +246,10 @@ def test_the_square_root_ensemble_bounds_every_gap_and_certifies_the_pruned_rows
                 gap = delta_k(rho, None if mode == "obs1" else tripartite_generators(2, s), t, c)
             # Wootters/Uhlmann: every ensemble's average dominates the gap.
             assert gap <= average + 1e-14
-            if zero[i] and not lemma[i]:
+            if zero[i]:
                 assert average <= 1e-15
-    # The pruned rows are the lemma's and exactly those whose operators all average to zero.
-    assert np.array_equal(zero, lemma | (np.array(sums) <= 1e-12))
+    # The certified rows are exactly those whose operators all average to zero.
+    assert zero.any() and np.array_equal(zero, np.array(sums) <= 1e-12)
 
 
 PURE = {
@@ -229,12 +266,13 @@ PURE = {
 def test_on_a_pure_state_the_certificate_is_the_expectation(name):
     psi = PURE[name]
     rho = psi.density()
-    dec = _sqrt_ensemble(rho)
     ops = TRIPLE.operators.reshape(-1, 8, 8)
     expect = np.array([abs(psi.amplitudes.conj() @ op @ psi.amplitudes.conj()) for op in ops])
+    assert np.allclose(_sqrt_averages(rho, rho._frame(TRIPLE.operators)), expect, rtol=1e-12, atol=1e-16)
+    dec = _sqrt_ensemble(rho)
     assert np.allclose([decomposition_average(dec, op) for op in ops], expect, rtol=1e-12, atol=1e-16)
     entries = [(0, (i,)) for i in range(6)]
-    zero = _proved_zero(rho, "obs2", TRIPLE.operators, entries, rho._frame(TRIPLE.operators))
+    zero = _sqrt_zero(rho, rho._frame(TRIPLE.operators), _rows("obs2", TRIPLE.operators, entries))
     kept = expect.reshape(3, 6).sum(axis=0) > 1e-12
     assert kept.any() and np.array_equal(zero, ~kept)
     rep = optimize_bound_multipartite(psi, 1, CFG, "obs2")
@@ -243,12 +281,11 @@ def test_on_a_pure_state_the_certificate_is_the_expectation(name):
 
 
 @pytest.mark.parametrize("seed", range(5))
-def test_random_states_prune_nothing_beyond_the_lemma(seed):
+def test_random_states_certify_nothing(seed):
     cases = [(random_density(dims, rank, seed=seed), "obs1", bipartite_generators(*dims).operators, 2)
              for dims, rank in (((2, 3), 1 + seed), ((2, 4), 2 + seed), ((3, 3), 4 + seed))]
     rho = random_density((2, 2, 2), 1 + seed, seed=seed)
     cases += [(rho, "obs2", TRIPLE.operators, k) for k in (1, 2)]
     for rho, mode, ops, k in cases:
-        entries = [(0, t) for t in combinations(range(ops.shape[-3]), k)]
-        with_stack = _proved_zero(rho, mode, ops, entries, rho._frame(ops))
-        assert np.array_equal(with_stack, _proved_zero(rho, mode, ops, entries))
+        rows = _rows(mode, ops, [(0, t) for t in combinations(range(ops.shape[-3]), k)])
+        assert not _sqrt_zero(rho, rho._frame(ops), rows).any()
