@@ -67,8 +67,8 @@ class OptimizerConfig:
     aggregated bounds: "exhaustive" enumerates all size-k subsets,
     "top_singletons" only combines the ``top_count`` generators with
     the largest gaps: their own at k = 1, and at k >= 2 the largest
-    all-ones gap of a pair holding them, since on a PPT state every
-    single-operator gap is zero by the projection lemma.
+    all-ones gap of a pair holding them, since on a PPT state every single
+    gap of a library family is zero by the projection lemma.
     """
 
     restarts: int = 32
@@ -223,24 +223,24 @@ def optimize_u(rho: DensityMatrix, gens: GeneratorSet | None, t_vec, cfg: Optimi
     return coeffs[0], float(deltas[0])
 
 
-def _lemma_zero(rho: DensityMatrix, mode: str, ops: np.ndarray, entries) -> np.ndarray:
-    """Which (split, subset) entries the projection lemma proves zero at every
-    coefficient: if all operators act inside P_A (x) P_B, the lambdas are
-    those of P rho P, which stays PPT, and PPT on 2x3 or 3x2 is separable.
-    So for subsets of two or more in obs1 on two parties or obs3 (split s:
-    party s versus the rest), where rho^Gamma is PSD up to eigvalsh
-    round-off, an entry is zero if the rows and columns where its operators
-    hold nonzero entries span at most 2x3 or 3x2 across its split."""
-    if len(entries[0][1]) < 2 or not (mode == "obs3" or mode == "obs1" and len(rho.dims) == 2):
-        return np.zeros(len(entries), dtype=bool)
-    fams = ops.reshape((-1,) + ops.shape[-3:])
-    ws = [np.linalg.eigvalsh(partial_transpose(rho, (i,))) for i in range(len(fams))]
-    ppt = np.array([w[0] >= -_SUPPORT_CUT * rho.dim * np.abs(w).max() for w in ws])
-    support = ((fams != 0) | (fams.swapaxes(-1, -2) != 0)).any(axis=-1).reshape(fams.shape[:2] + rho.dims)
-    support = np.stack([np.moveaxis(r, 1 + i, 1).reshape(len(r), rho.dims[i], -1) for i, r in enumerate(support)])
-    s, t = (np.array(c) for c in zip(*entries))
-    a, b = (m[s[:, None], t].any(axis=1).sum(axis=1) for m in (support.any(axis=3), support.any(axis=2)))
-    return ppt[s] & (np.minimum(a, b) <= 2) & (np.maximum(a, b) <= 3)
+def _lemma_zero(rho: DensityMatrix, ops: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Which rows of two or more into the stacked families ``ops`` (N each) the projection lemma proves
+    zero at every coefficient. A row qualifies if it reads one family s whose operators all have S^{T_s} = -S
+    (party s transposed), read from the matrices, so <psi|S|psi*> = 0 on product vectors across s versus the
+    rest. Where rho^{T_s} is PSD up to eigvalsh round-off and the row's nonzero rows and columns span at most
+    2x3 or 3x2 across s, its lambdas are those of P rho P, which stays PPT, and PPT on 2x3 or 3x2 is separable."""
+    n, m, zero = ops.shape[-3], len(rho.dims), np.zeros(len(rows), dtype=bool)
+    fams, (f, t) = ops.reshape((-1, n) + rho.dims * 2), np.divmod(rows, n)
+    one = (f == f[:, :1]).all(axis=1) & (rows.shape[1] > 1)  # obs2's rows mix families
+    for s in set(f[one, 0].tolist()):
+        if not np.array_equal(np.swapaxes(fams[s], 1 + s, 1 + s + m), -fams[s]):
+            continue
+        w = np.linalg.eigvalsh(partial_transpose(rho, (s,)))
+        on, nz = one & (f[:, 0] == s), fams[s].reshape(n, rho.dim, rho.dim) != 0
+        support = np.moveaxis((nz.any(axis=1) | nz.any(axis=2)).reshape((n,) + rho.dims), 1 + s, 1).reshape(n, rho.dims[s], -1)
+        a, b = (x[t[on]].any(axis=1).sum(axis=1) for x in (support.any(axis=2), support.any(axis=1)))
+        zero[on] = (w[0] >= -_SUPPORT_CUT * rho.dim * np.abs(w).max()) & (np.minimum(a, b) <= 2) & (np.maximum(a, b) <= 3)
+    return zero
 
 
 def _sqrt_averages(rho: DensityMatrix, stack: np.ndarray) -> np.ndarray:
@@ -277,7 +277,7 @@ def _optimize_aggregate(rho: DensityMatrix, mode: str, k, cfg: OptimizerConfig, 
     if cfg.subset_strategy == "top_singletons":
         cands = [(s, t) for s in range(n_splits) for t in combinations(range(n), min(k, 2))]
         rows = np.array(_entry_rows(mode, cands, n))
-        keep = ~(_lemma_zero(rho, mode, ops, cands) | _sqrt_zero(rho, stack, rows))
+        keep = ~(_lemma_zero(rho, ops, rows) | _sqrt_zero(rho, stack, rows))
         cands, rows, score = list(compress(cands, keep)), rows[keep], np.zeros((n_splits, n))
         for (s, t), g in zip(cands, _gaps(stack, rows, np.ones(rows.shape))):
             score[s, list(t)] = np.maximum(score[s, list(t)], g)
@@ -287,7 +287,7 @@ def _optimize_aggregate(rho: DensityMatrix, mode: str, k, cfg: OptimizerConfig, 
     entries = [(s, t) for s, pool in enumerate(pools) for t in pool]
     salts = [t if n_splits == 1 else (s,) + t for s, t in entries]
     rows = np.array(_entry_rows(mode, entries, n))
-    live = ~(_lemma_zero(rho, mode, ops, entries) | _sqrt_zero(rho, stack, rows))
+    live = ~(_lemma_zero(rho, ops, rows) | _sqrt_zero(rho, stack, rows))
     coeffs, gaps = np.ones(rows.shape, dtype=complex), np.zeros(len(entries))
     if live.any():
         coeffs[live], gaps[live], _ = _search(stack, rows[live], list(compress(salts, live)), cfg)

@@ -1,7 +1,10 @@
 """Reference routines that only the tests read: the Autonne-Takagi
-factorization of a complex symmetric matrix, and the eigenvalue route to
-the lambda spectrum, an independent cross-check of ``lambda_spectrum``."""
+factorization of a complex symmetric matrix, the eigenvalue route to
+the lambda spectrum, an independent cross-check of ``lambda_spectrum``,
+and the three-qubit Shifts UPB state."""
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -54,3 +57,15 @@ def lambda_spectrum_product_route(rho: DensityMatrix, s_op: np.ndarray) -> np.nd
     ev = np.linalg.eigvals(x)
     lam = np.sqrt(np.clip(ev.real, 0.0, None))
     return np.sort(lam)[::-1]
+
+
+def shifts_upb_state() -> DensityMatrix:
+    """(I - sum_i |psi_i><psi_i|) / 4 on three qubits over the Shifts UPB
+    {|0,1,+>, |1,+,0>, |+,0,1>, |-,-,->} (Bennett et al., PRL 82, 5385
+    (1999)): PPT across every split, yet entangled, since no product
+    vector lies in its range."""
+    zero, one = np.eye(2)
+    plus, minus = (zero + one) / math.sqrt(2.0), (zero - one) / math.sqrt(2.0)
+    upb = [(zero, one, plus), (one, plus, zero), (plus, zero, one), (minus, minus, minus)]
+    vecs = [np.kron(np.kron(a, b), c) for a, b, c in upb]
+    return DensityMatrix((np.eye(8) - sum(np.outer(v, v) for v in vecs)) / 4.0, (2, 2, 2))

@@ -1,21 +1,24 @@
-"""The zero certificates of the search. The projection lemma: on a state that
-is PPT across a split, a subset whose operators span at most 2x3 or 3x2 there
-has gap 0 at every coefficient. The square-root ensemble sqrt(rho)|j>: a row
-whose operators all average to zero over it has gap 0 at every coefficient,
-since the gap is the infimum of such averages over decompositions. The search
-skips both kinds and reports delta 0 at all-ones coefficients. Each skipped
-entry is checked against a search of its own."""
+"""The zero certificates of the search. The projection lemma: for a family
+whose operators all satisfy S^{T_A} = -S across a split (A transposed), read
+from the matrices themselves, on a state that is PPT across that split, a
+subset whose operators span at most 2x3 or 3x2 there has gap 0 at every
+coefficient; a family without that premise is never pruned. The square-root
+ensemble sqrt(rho)|j>: a row whose operators all average to zero over it has
+gap 0 at every coefficient, since the gap is the infimum of such averages over
+decompositions. The search skips both kinds and reports delta 0 at all-ones
+coefficients. Each skipped entry is checked against a search of its own."""
 from __future__ import annotations
 
 import math
 from collections import Counter
-from itertools import combinations
+from itertools import combinations, compress
 
 import numpy as np
 import pytest
 
+from _reference import shifts_upb_state
 from concbound import optimizer
-from concbound.bounds_bipartite import _entry_rows, decomposition_average, delta_k
+from concbound.bounds_bipartite import _entry_rows, _gaps, decomposition_average, delta_k
 from concbound.bounds_multipartite import delta_tot_k
 from concbound.generators import GeneratorSet, bipartite_generators, canonical_triple, tripartite_generators
 from concbound.numerics import _WEIGHT_FLOOR, psd_sqrt
@@ -42,6 +45,10 @@ STATES = {
 }
 
 
+def _rows(mode, ops, entries) -> np.ndarray:
+    return np.array(_entry_rows(mode, entries, ops.shape[-3]))
+
+
 def _all_ones(entry) -> bool:
     return all(c == 1.0 for vec in entry.coefficients.values() for c in vec)
 
@@ -49,7 +56,8 @@ def _all_ones(entry) -> bool:
 @pytest.mark.parametrize("name", STATES)
 def test_obs1_skips_exactly_the_pairs_the_lemma_proves_zero(name):
     rho, n_zero = STATES[name]
-    zero = _lemma_zero(rho, "obs1", bipartite_generators(3, 3).operators, [(0, t) for t in PAIRS])
+    ops = bipartite_generators(3, 3).operators
+    zero = _lemma_zero(rho, ops, _rows("obs1", ops, [(0, t) for t in PAIRS]))
     assert zero.sum() == n_zero
     rep = optimize_bound_bipartite(rho, 2, CFG)
     assert [e.subset for e in rep.per_subset] == PAIRS
@@ -68,7 +76,8 @@ def test_obs3_on_noisy_w_skips_twelve_pairs_per_split():
     # index span three of its four levels: 12 of the 15.
     rho = white_noise_mix(w_state().density(), 0.13)
     entries = [(s, t) for s in range(3) for t in combinations(range(6), 2)]
-    zero = _lemma_zero(rho, "obs3", canonical_triple(2).operators, entries)
+    ops = canonical_triple(2).operators
+    zero = _lemma_zero(rho, ops, _rows("obs3", ops, entries))
     assert Counter(s for (s, _), z in zip(entries, zero) if z) == {0: 12, 1: 12, 2: 12}
     rep = optimize_bound_multipartite(rho, 2, CFG, "obs3")
     assert [(("1|23", "2|13", "3|12").index(e.split), e.subset) for e in rep.per_subset] == entries
@@ -94,10 +103,10 @@ def test_supports_are_read_from_the_operators_not_the_index_map(monkeypatch):
 def test_k1_and_obs2_are_never_pruned():
     rho = horodecki_state(0.2)
     ops = bipartite_generators(3, 3).operators
-    assert not _lemma_zero(rho, "obs1", ops, [(0, (i,)) for i in range(9)]).any()
+    assert not _lemma_zero(rho, ops, _rows("obs1", ops, [(0, (i,)) for i in range(9)])).any()
     w = white_noise_mix(w_state().density(), 0.13)
     triple = canonical_triple(2).operators
-    assert not _lemma_zero(w, "obs2", triple, [(0, t) for t in combinations(range(6), 2)]).any()
+    assert not _lemma_zero(w, triple, _rows("obs2", triple, [(0, t) for t in combinations(range(6), 2)])).any()
 
 
 def test_a_ppt_state_on_2x3_searches_nothing(monkeypatch):
@@ -124,13 +133,10 @@ def _sqrt_ensemble(rho) -> Decomposition:
     return Decomposition(rho, weights[keep], members)
 
 
-def _rows(mode, ops, entries) -> np.ndarray:
-    return np.array(_entry_rows(mode, entries, ops.shape[-3]))
-
-
 def _proved_zero(rho, mode, ops, entries) -> np.ndarray:
     """The entries the search skips: the lemma's or the certificate's."""
-    return _lemma_zero(rho, mode, ops, entries) | _sqrt_zero(rho, rho._frame(ops), _rows(mode, ops, entries))
+    rows = _rows(mode, ops, entries)
+    return _lemma_zero(rho, ops, rows) | _sqrt_zero(rho, rho._frame(ops), rows)
 
 
 def _searched_rows(monkeypatch) -> list:
@@ -176,7 +182,7 @@ def test_obs2_k1_on_noisy_ghz_and_w_searches_only_the_uncertified_triples(name, 
     entries = [(0, (i,)) for i in range(6)]
     stack = rho._frame(TRIPLE.operators)
     zero = _proved_zero(rho, "obs2", TRIPLE.operators, entries)
-    assert zero.sum() == n_zero and not _lemma_zero(rho, "obs2", TRIPLE.operators, entries).any()
+    assert zero.sum() == n_zero and not _lemma_zero(rho, TRIPLE.operators, _rows("obs2", TRIPLE.operators, entries)).any()
     search = optimizer._search
     searched = _searched_rows(monkeypatch)
     rep = optimize_bound_multipartite(rho, 1, CFG, "obs2")
@@ -200,7 +206,7 @@ def test_obs1_k2_searches_twelve_pairs_on_the_horodecki_states(name, monkeypatch
     ops = bipartite_generators(3, 3).operators
     entries = [(0, t) for t in PAIRS]
     zero = _proved_zero(rho, "obs1", ops, entries)
-    assert zero.sum() == 24 and (zero & ~_lemma_zero(rho, "obs1", ops, entries)).sum() == 6
+    assert zero.sum() == 24 and (zero & ~_lemma_zero(rho, ops, _rows("obs1", ops, entries))).sum() == 6
     searched = _searched_rows(monkeypatch)
     rep = optimize_bound_bipartite(rho, 2, CFG)
     assert [len(rows) for rows in searched] == [12]
@@ -289,3 +295,104 @@ def test_random_states_certify_nothing(seed):
     for rho, mode, ops, k in cases:
         rows = _rows(mode, ops, [(0, t) for t in combinations(range(ops.shape[-3]), k)])
         assert not _sqrt_zero(rho, rho._frame(ops), rows).any()
+
+
+def _diagonal_family() -> GeneratorSet:
+    """The operators |t><t| on 3x3: symmetric, yet S^{T_A} = S, so the lemma's premise fails."""
+    ops = np.zeros((9, 9, 9))
+    ops[np.arange(9), np.arange(9), np.arange(9)] = 1.0
+    return GeneratorSet(ops, tuple(((0, 1), (0, 1)) for _ in range(9)), (3, 3))
+
+
+def test_a_family_without_the_premise_is_never_pruned_by_the_lemma():
+    # On a PPT state every pair of |t><t| spans at most 2x2, so a lemma that
+    # skipped its premise would prune all 36 pairs and report 0; pair (0, 4)'s
+    # all-ones gap is 0.15.
+    rho, gens = horodecki_state(0.2), _diagonal_family()
+    rep = optimize_bound_bipartite(rho, 2, OptimizerConfig(restarts=2, iterations=20), gens)
+    ones = [delta_k(rho, gens, t, [1.0, 1.0]) for t in PAIRS]
+    assert max(ones) > 0.1 and rep.bound_on_c_squared > 0.0
+    assert all(e.delta >= g for e, g in zip(rep.per_subset, ones))
+    rows = _rows("obs1", gens.operators, [(0, t) for t in PAIRS])
+    assert not _lemma_zero(rho, gens.operators, rows).any()
+    # The premise is computed from the matrices: a copy of the library family still qualifies.
+    library = bipartite_generators(3, 3)
+    copy = GeneratorSet(np.array(library.operators), library.index_map, (3, 3))
+    zero = _lemma_zero(rho, copy.operators, rows)
+    assert zero.sum() == 18 and np.array_equal(zero, _lemma_zero(rho, library.operators, rows))
+
+
+def _factor(rng, d: int, sign: int) -> np.ndarray:
+    """M + sign M^T for M random on one or two random planes, so the supports vary."""
+    m = np.zeros((d, d))
+    for _ in range(rng.integers(1, 3)):
+        i, j = rng.choice(d, 2, replace=False)
+        m[i, j] = rng.standard_normal()
+    return m + sign * m.T
+
+
+def _product_family(dims, n: int, seed: int, sign: int = -1) -> GeneratorSet:
+    """n random products A (x) B, A = M + sign M^T on the first party and B built the same
+    way on the rest. At sign -1, S^{T_A} = A^T (x) B = -S holds bit for bit; at +1,
+    S^{T_A} = S, so the family lacks the lemma's premise."""
+    rng = np.random.default_rng(seed)
+    rest = math.prod(dims[1:])
+    ops = [np.kron(_factor(rng, dims[0], sign), _factor(rng, rest, sign)) for _ in range(n)]
+    return GeneratorSet(ops, tuple(((0, 1), (0, 1)) for _ in range(n)), dims)
+
+
+# PPT inputs, where the lemma fires, next to random rank-deficient ones, where it mostly cannot.
+PPT_INPUTS = {
+    (2, 3): [white_noise_mix(random_density((2, 3), 2, seed=5), 0.3)],
+    (3, 3): [horodecki_state(0.3)],
+    (2, 2, 2): [shifts_upb_state(), white_noise_mix(w_state().density(), 0.15)],
+}
+
+
+def _generic_cases():
+    """(label, state, mode, k, family or None): obs1 k=2 with the library families
+    and random product families, with and without the lemma's premise; on three
+    qubits also obs2 k=1 and obs3 k=2."""
+    cases = []
+    for dims, ppt in PPT_INPUTS.items():
+        if len(dims) == 3:
+            library = {"1|23": tripartite_generators(2, 0), "2|13": tripartite_generators(2, 1)}
+        else:
+            library = {"library": bipartite_generators(*dims)}
+        n = next(iter(library.values())).count
+        for i, rho in enumerate([random_density(dims, rank, seed=rank) for rank in (2, 3)] + ppt):
+            products = {"product": _product_family(dims, n, seed=i), "symmetric": _product_family(dims, n, i, sign=1)}
+            for label, gens in {**library, **products}.items():
+                cases.append((label, rho, "obs1", 2, gens))
+            if len(dims) == 3:
+                cases += [("obs2", rho, "obs2", 1, None), ("obs3", rho, "obs3", 2, None)]
+    return cases
+
+
+def test_on_generic_inputs_every_pruned_entry_is_zero_and_no_entry_is_below_all_ones():
+    lemma_pruned = Counter()
+    for label, rho, mode, k, gens in _generic_cases():
+        if mode == "obs1":
+            ops, rep = gens.operators, optimize_bound_bipartite(rho, k, CFG, gens)
+        else:
+            ops, rep = TRIPLE.operators, optimize_bound_multipartite(rho, k, CFG, mode)
+        n_splits = 3 if mode == "obs3" else 1
+        entries = [(s, t) for s in range(n_splits) for t in combinations(range(ops.shape[-3]), k)]
+        rows, stack = _rows(mode, ops, entries), rho._frame(ops)
+        lemma = _lemma_zero(rho, ops, rows)
+        zero = lemma | _sqrt_zero(rho, stack, rows)
+        lemma_pruned[label] += int(lemma.sum())
+        ones = _gaps(stack, rows, np.ones(rows.shape))
+        deltas = np.array([e.delta for e in rep.per_subset])
+        assert np.all(deltas[~zero] >= ones[~zero])
+        if zero.any():
+            # A search of the pruned rows on their own, apart from the aggregate.
+            alone = optimizer._search(stack, rows[zero], [(s,) + t for s, t in compress(entries, zero)], CFG)[1]
+            assert alone.max() <= 1e-15 and ones[zero].max() <= 1e-15
+            assert np.all(deltas[zero] == 0.0)
+    # obs1 reads its family across party 1 versus the rest: the 1|23 family
+    # prunes 12 of the 15 pairs on the Shifts UPB state and on W at p = 0.15,
+    # while the 2|13 family lacks the premise S^{T_A} = -S there.
+    assert lemma_pruned["1|23"] == 24 and lemma_pruned["2|13"] == 0 and lemma_pruned["obs2"] == 0
+    assert lemma_pruned["library"] > 0 and lemma_pruned["product"] > 0 and lemma_pruned["obs3"] > 0
+    assert lemma_pruned["symmetric"] == 0
