@@ -15,8 +15,8 @@ every later trial is a positive multiple of it, so the row stops.
 Every searched aggregate, obs1, obs2 and obs3 alike, takes one path,
 ``_optimize_aggregate``: the subset pool, the seed salts and the report
 of (split, subset) entries, whose rows ``bounds_bipartite._entry_rows``
-lays out. The search skips the entries ``_lemma_zero`` or ``_sqrt_zero``
-proves zero, which report delta 0 at all-ones coefficients.
+lays out. One triage keeps one-operator rows on their closed form, and
+skips longer rows ``_lemma_zero`` or ``_sqrt_zero`` proves zero (delta 0).
 """
 from __future__ import annotations
 
@@ -224,14 +224,14 @@ def optimize_u(rho: DensityMatrix, gens: GeneratorSet | None, t_vec, cfg: Optimi
 
 
 def _lemma_zero(rho: DensityMatrix, ops: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Which rows of two or more into the stacked families ``ops`` (N each) the projection lemma proves
+    """Which rows into the stacked families ``ops`` (N each), of any length, the projection lemma proves
     zero at every coefficient. A row qualifies if it reads one family s whose operators all have S^{T_s} = -S
     (party s transposed), read from the matrices, so <psi|S|psi*> = 0 on product vectors across s versus the
     rest. Where rho^{T_s} is PSD up to eigvalsh round-off and the row's nonzero rows and columns span at most
     2x3 or 3x2 across s, its lambdas are those of P rho P, which stays PPT, and PPT on 2x3 or 3x2 is separable."""
     n, m, zero = ops.shape[-3], len(rho.dims), np.zeros(len(rows), dtype=bool)
     fams, (f, t) = ops.reshape((-1, n) + rho.dims * 2), np.divmod(rows, n)
-    one = (f == f[:, :1]).all(axis=1) & (rows.shape[1] > 1)  # obs2's rows mix families
+    one = (f == f[:, :1]).all(axis=1)  # obs2's rows mix families
     for s in set(f[one, 0].tolist()):
         if not np.array_equal(np.swapaxes(fams[s], 1 + s, 1 + s + m), -fams[s]):
             continue
@@ -252,32 +252,33 @@ def _sqrt_averages(rho: DensityMatrix, stack: np.ndarray) -> np.ndarray:
 
 
 def _sqrt_zero(rho: DensityMatrix, stack: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Which rows of two or more into ``stack`` are zero at every coefficient: the gap of S is the
+    """Which rows into ``stack``, of any length, are zero at every coefficient: the gap of S is the
     infimum over ensembles of rho of sum_i p_i |<psi_i|S|psi_i*>| (Wootters; Uhlmann), so with |c_s| <= 1
     a row's is at most the sum of its ``_sqrt_averages``, zero within the support cut per modulus added."""
-    if rows.shape[1] < 2:
-        return np.zeros(len(rows), dtype=bool)
     w = rho._eigh[0]
     return _sqrt_averages(rho, stack)[rows].sum(axis=1) <= _SUPPORT_CUT * w.size * w[-1] * rows.shape[1] * w.size
 
 
 def _optimize_aggregate(rho: DensityMatrix, mode: str, k, cfg: OptimizerConfig, ops) -> BoundReport:
-    """The searched aggregate of every mode over its stacked families
-    ``ops`` (N generators each), framed once for the call: per split a pool
-    of size-k subsets, then one search over all (split, subset) entries but
-    those ``_lemma_zero`` or ``_sqrt_zero`` proves zero, kept at delta 0 and
-    all-ones coefficients. "top_singletons" ranks each split's generators in one call
-    by their all-ones gaps at k = 1, at k >= 2 by the largest all-ones gap of
-    a pair holding them (0 for pairs proved zero). Seeds are salted by the
-    subset, by (split,) + subset where a mode has several splits."""
+    """The searched aggregate of every mode over its stacked families ``ops`` (N generators each), framed
+    once for the call: per split a pool of size-k subsets, then one search over the (split, subset) entries
+    ``triage`` keeps, the rest at delta 0 and all-ones coefficients. It keeps all rows of one operator, whose
+    closed form ``_search`` returns round-off and all (a certificate would zero it, moving report bytes), and
+    else those neither ``_lemma_zero`` nor ``_sqrt_zero`` proves zero. "top_singletons" ranks each split's
+    generators by their all-ones gaps at k = 1, at k >= 2 by the largest of a pair holding them (0 for pairs
+    proved zero). Seeds are salted by the subset, by (split,) + subset where a mode has several splits."""
     start, n = time.perf_counter(), ops.shape[-3]
     k, cfg = _check_k(k, n), _check_config(cfg)
     stack, n_splits = rho._frame(ops), len(_AGGREGATES[mode][2])
     pools = [list(combinations(range(n), k))] * n_splits
+
+    def triage(entries):
+        rows = np.array(_entry_rows(mode, entries, n))
+        return rows, np.ones(len(rows), bool) if rows.shape[1] == 1 else ~(_lemma_zero(rho, ops, rows) | _sqrt_zero(rho, stack, rows))
+
     if cfg.subset_strategy == "top_singletons":
         cands = [(s, t) for s in range(n_splits) for t in combinations(range(n), min(k, 2))]
-        rows = np.array(_entry_rows(mode, cands, n))
-        keep = ~(_lemma_zero(rho, ops, rows) | _sqrt_zero(rho, stack, rows))
+        rows, keep = triage(cands)
         cands, rows, score = list(compress(cands, keep)), rows[keep], np.zeros((n_splits, n))
         for (s, t), g in zip(cands, _gaps(stack, rows, np.ones(rows.shape))):
             score[s, list(t)] = np.maximum(score[s, list(t)], g)
@@ -286,8 +287,7 @@ def _optimize_aggregate(rho: DensityMatrix, mode: str, k, cfg: OptimizerConfig, 
             pools[s] = list(combinations(sorted(top), k))
     entries = [(s, t) for s, pool in enumerate(pools) for t in pool]
     salts = [t if n_splits == 1 else (s,) + t for s, t in entries]
-    rows = np.array(_entry_rows(mode, entries, n))
-    live = ~(_lemma_zero(rho, ops, rows) | _sqrt_zero(rho, stack, rows))
+    rows, live = triage(entries)
     coeffs, gaps = np.ones(rows.shape, dtype=complex), np.zeros(len(entries))
     if live.any():
         coeffs[live], gaps[live], _ = _search(stack, rows[live], list(compress(salts, live)), cfg)

@@ -6,9 +6,12 @@ coefficient; a family without that premise is never pruned. The square-root
 ensemble sqrt(rho)|j>: a row whose operators all average to zero over it has
 gap 0 at every coefficient, since the gap is the infimum of such averages over
 decompositions. The search skips both kinds and reports delta 0 at all-ones
-coefficients. Each skipped entry is checked against a search of its own."""
+coefficients. Each skipped entry is checked against a search of its own.
+Both theorems hold for a row of one operator, and are checked there, but the
+search keeps such rows on their closed form without asking either."""
 from __future__ import annotations
 
+import json
 import math
 from collections import Counter
 from itertools import combinations, compress
@@ -18,11 +21,12 @@ import pytest
 
 from _reference import shifts_upb_state
 from concbound import optimizer
-from concbound.bounds_bipartite import _entry_rows, _gaps, decomposition_average, delta_k
-from concbound.bounds_multipartite import delta_tot_k
+from concbound.bounds_bipartite import _entry_rows, _gaps, decomposition_average, delta_k, lambda_spectrum, observation1_bound
+from concbound.bounds_multipartite import delta_tot_k, observation3_bound
 from concbound.generators import GeneratorSet, bipartite_generators, canonical_triple, tripartite_generators
 from concbound.numerics import _WEIGHT_FLOOR, psd_sqrt
 from concbound.optimizer import (
+    _STRATEGIES,
     OptimizerConfig,
     _lemma_zero,
     _sqrt_averages,
@@ -100,13 +104,43 @@ def test_supports_are_read_from_the_operators_not_the_index_map(monkeypatch):
     assert searched[0] == searched[1] and len(searched[0]) == 12
 
 
-def test_k1_and_obs2_are_never_pruned():
+def _all_ones_report(rho, rep):
+    """The fixed-coefficient report on a searched report's subsets at all-ones coefficients."""
+    ones = {}
+    for e in rep.per_subset:
+        ones.setdefault(e.split, {})[e.subset] = [1.0] * rep.k
+    if rep.mode == "obs1":
+        return observation1_bound(rho, rep.k, ones[None])
+    return observation3_bound(rho, rep.k, {("1|23", "2|13", "3|12").index(s): a for s, a in ones.items()})
+
+
+def _k1_keeps_the_closed_form(rho, search, monkeypatch):
+    """k=1 reports, exhaustive and top_singletons, equal their all-ones reports byte for
+    byte, and no row of one enters either certificate."""
+    def longer_rows_only(cert):
+        def checked(rho, ops, rows):
+            assert rows.shape[1] > 1, "a row of one entered a certificate"
+            return cert(rho, ops, rows)
+        return checked
+
+    for name in ("_lemma_zero", "_sqrt_zero"):
+        monkeypatch.setattr(optimizer, name, longer_rows_only(getattr(optimizer, name)))
+    for strategy in _STRATEGIES:
+        rep = search(rho, OptimizerConfig(restarts=2, iterations=10, subset_strategy=strategy, top_count=3))
+        assert json.dumps({**rep.to_dict(False), "config": None}, sort_keys=True) == _all_ones_report(rho, rep).to_json(False)
+
+
+def test_k1_and_obs2_are_never_pruned(monkeypatch):
+    # The lemma holds on a row of one: it marks all nine singletons of the PPT
+    # Horodecki state, whose closed forms read round-off (1.1e-16 at generator 0),
+    # yet the search keeps them. obs2's rows mix families, so the lemma never reads them.
     rho = horodecki_state(0.2)
     ops = bipartite_generators(3, 3).operators
-    assert not _lemma_zero(rho, ops, _rows("obs1", ops, [(0, (i,)) for i in range(9)])).any()
+    assert _lemma_zero(rho, ops, _rows("obs1", ops, [(0, (i,)) for i in range(9)])).all()
     w = white_noise_mix(w_state().density(), 0.13)
     triple = canonical_triple(2).operators
     assert not _lemma_zero(w, triple, _rows("obs2", triple, [(0, t) for t in combinations(range(6), 2)])).any()
+    _k1_keeps_the_closed_form(rho, lambda r, cfg: optimize_bound_bipartite(r, 1, cfg), monkeypatch)
 
 
 def test_a_ppt_state_on_2x3_searches_nothing(monkeypatch):
@@ -163,17 +197,56 @@ def test_the_square_root_averages_are_those_of_the_ensemble(seed):
             assert np.allclose(_sqrt_averages(rho, rho._frame(ops)), expect, rtol=0.0, atol=atol)
 
 
-def test_rows_of_one_are_never_certified():
+def test_rows_of_one_are_never_certified(monkeypatch):
     # Generators 1, 2, 3, 5 and 7 average to zero on Horodecki, and several
-    # canonical operators on noisy W, yet singletons keep their closed form.
+    # canonical operators on noisy W, so the certificate marks their rows of
+    # one, yet the search keeps every singleton on its closed form.
     rho = horodecki_state(0.2)
     ops = bipartite_generators(3, 3).operators
     assert (_sqrt_averages(rho, rho._frame(ops)) < 1e-15).sum() == 5
-    assert not _sqrt_zero(rho, rho._frame(ops), _rows("obs1", ops, [(0, (i,)) for i in range(9)])).any()
+    assert _sqrt_zero(rho, rho._frame(ops), _rows("obs1", ops, [(0, (i,)) for i in range(9)])).sum() == 5
     w = white_noise_mix(w_state().density(), 0.13)
     singles = [(s, (i,)) for s in range(3) for i in range(6)]
     assert (_sqrt_averages(w, w._frame(TRIPLE.operators)) < 1e-15).any()
-    assert not _sqrt_zero(w, w._frame(TRIPLE.operators), _rows("obs3", TRIPLE.operators, singles)).any()
+    assert _sqrt_zero(w, w._frame(TRIPLE.operators), _rows("obs3", TRIPLE.operators, singles)).any()
+    _k1_keeps_the_closed_form(rho, lambda r, cfg: optimize_bound_bipartite(r, 1, cfg), monkeypatch)
+    _k1_keeps_the_closed_form(w, lambda r, cfg: optimize_bound_multipartite(r, 1, cfg, "obs3"), monkeypatch)
+
+
+def _single_cases():
+    """(kind, state, mode, stacked families): structured states where the
+    certificates mark rows of one, and random states where they mark none."""
+    h33, h23 = bipartite_generators(3, 3).operators, bipartite_generators(2, 3).operators
+    cases = [("structured", white_noise_mix(horodecki_state(a), p), "obs1", h33) for a in (0.2, 0.5, 0.8) for p in (1.0, 0.6)]
+    cases += [("structured", white_noise_mix(pure.density(), p), "obs3", TRIPLE.operators)
+              for pure in (ghz_state(), w_state()) for p in (1.0, 0.5, 0.15)]
+    cases += [("structured", shifts_upb_state(), "obs3", TRIPLE.operators),
+              ("structured", shifts_upb_state(), "obs1", tripartite_generators(2, 0).operators)]
+    for seed in range(8):
+        cases += [("random", random_density((2, 3), 1 + seed % 6, seed=seed), "obs1", h23),
+                  ("random", random_density((3, 3), 1 + seed, seed=seed), "obs1", h33),
+                  ("random", random_density((2, 2, 2), 1 + seed, seed=seed), "obs3", TRIPLE.operators)]
+    return cases
+
+
+def test_both_certificates_are_sound_on_rows_of_one():
+    # Each certificate states a theorem that holds for a row of any length. Over
+    # these 426 rows the lemma marks 114 and the certificate 111, none on the 24
+    # random states; the largest gap among the marked rows reads 2.2e-16.
+    marked = Counter()
+    for kind, rho, mode, ops in _single_cases():
+        n, n_splits = ops.shape[-3], 3 if mode == "obs3" else 1
+        rows, stack = _rows(mode, ops, [(s, (i,)) for s in range(n_splits) for i in range(n)]), rho._frame(ops)
+        lemma, sqrt = _lemma_zero(rho, ops, rows), _sqrt_zero(rho, stack, rows)
+        marked[kind, "lemma"] += int(lemma.sum())
+        marked[kind, "sqrt"] += int(sqrt.sum())
+        # The unit coefficient is optimal for one operator, so its closed form is
+        # the row's gap; the eigenvalue route of lambda_spectrum checks it apart.
+        assert np.all(_gaps(stack, rows, np.ones(rows.shape))[lemma | sqrt] <= 1e-15)
+        for op in ops.reshape((-1,) + ops.shape[-2:])[rows[lemma | sqrt, 0]]:
+            lam = lambda_spectrum(rho, op)
+            assert 2.0 * lam[0] - lam.sum() <= 1e-15
+    assert marked == {("structured", "lemma"): 114, ("structured", "sqrt"): 111, ("random", "lemma"): 0, ("random", "sqrt"): 0}
 
 
 @pytest.mark.parametrize("name", NOISY)
@@ -350,9 +423,9 @@ PPT_INPUTS = {
 
 
 def _generic_cases():
-    """(label, state, mode, k, family or None): obs1 k=2 with the library families
-    and random product families, with and without the lemma's premise; on three
-    qubits also obs2 k=1 and obs3 k=2."""
+    """(label, state, mode, k, family or None): obs1 at k = 1, 2 with the library
+    families and random product families, with and without the lemma's premise;
+    on three qubits also obs2 k=1 and obs3 at k = 1, 2."""
     cases = []
     for dims, ppt in PPT_INPUTS.items():
         if len(dims) == 3:
@@ -363,14 +436,14 @@ def _generic_cases():
         for i, rho in enumerate([random_density(dims, rank, seed=rank) for rank in (2, 3)] + ppt):
             products = {"product": _product_family(dims, n, seed=i), "symmetric": _product_family(dims, n, i, sign=1)}
             for label, gens in {**library, **products}.items():
-                cases.append((label, rho, "obs1", 2, gens))
+                cases += [(label, rho, "obs1", k, gens) for k in (1, 2)]
             if len(dims) == 3:
-                cases += [("obs2", rho, "obs2", 1, None), ("obs3", rho, "obs3", 2, None)]
+                cases += [("obs2", rho, "obs2", 1, None)] + [("obs3", rho, "obs3", k, None) for k in (1, 2)]
     return cases
 
 
 def test_on_generic_inputs_every_pruned_entry_is_zero_and_no_entry_is_below_all_ones():
-    lemma_pruned = Counter()
+    lemma_marked = Counter()
     for label, rho, mode, k, gens in _generic_cases():
         if mode == "obs1":
             ops, rep = gens.operators, optimize_bound_bipartite(rho, k, CFG, gens)
@@ -381,18 +454,25 @@ def test_on_generic_inputs_every_pruned_entry_is_zero_and_no_entry_is_below_all_
         rows, stack = _rows(mode, ops, entries), rho._frame(ops)
         lemma = _lemma_zero(rho, ops, rows)
         zero = lemma | _sqrt_zero(rho, stack, rows)
-        lemma_pruned[label] += int(lemma.sum())
+        lemma_marked[label, k] += int(lemma.sum())
         ones = _gaps(stack, rows, np.ones(rows.shape))
         deltas = np.array([e.delta for e in rep.per_subset])
         assert np.all(deltas[~zero] >= ones[~zero])
         if zero.any():
-            # A search of the pruned rows on their own, apart from the aggregate.
+            # A search of the marked rows on their own, apart from the aggregate.
             alone = optimizer._search(stack, rows[zero], [(s,) + t for s, t in compress(entries, zero)], CFG)[1]
             assert alone.max() <= 1e-15 and ones[zero].max() <= 1e-15
+        if rows.shape[1] > 1:
             assert np.all(deltas[zero] == 0.0)
+        else:
+            # Rows of one are searched whatever a certificate says: their closed form, round-off and all.
+            assert np.array_equal(deltas, ones)
     # obs1 reads its family across party 1 versus the rest: the 1|23 family
     # prunes 12 of the 15 pairs on the Shifts UPB state and on W at p = 0.15,
     # while the 2|13 family lacks the premise S^{T_A} = -S there.
-    assert lemma_pruned["1|23"] == 24 and lemma_pruned["2|13"] == 0 and lemma_pruned["obs2"] == 0
-    assert lemma_pruned["library"] > 0 and lemma_pruned["product"] > 0 and lemma_pruned["obs3"] > 0
-    assert lemma_pruned["symmetric"] == 0
+    assert lemma_marked["1|23", 2] == 24 and lemma_marked["2|13", 2] == 0 and lemma_marked["obs2", 1] == 0
+    assert lemma_marked["library", 2] > 0 and lemma_marked["product", 2] > 0 and lemma_marked["obs3", 2] > 0
+    assert lemma_marked["symmetric", 2] == 0
+    # On the same inputs the lemma marks rows of one as well, which the search keeps.
+    assert min(lemma_marked[label, 1] for label in ("1|23", "library", "product", "obs3")) > 0
+    assert lemma_marked["2|13", 1] == 0 and lemma_marked["symmetric", 1] == 0
