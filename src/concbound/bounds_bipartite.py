@@ -12,11 +12,11 @@ below. The spectrum is the singular values of A = sqrt(rho) S
 conj(sqrt(rho)), the numerically stable form of the same quantity (the
 tests keep the eigenvalue route through rho S rho* S^dag as a
 cross-check), read off the rank x rank B = X^dag S conj(X) with A = Q B Q^T on the
-support of rho (``DensityMatrix._frame``). B is linear in S, so every gap
-comes from one function, ``_gaps``: coefficient sums over one stack of B's
-and stacked SVDs, their gradients too. Each call frames, once, exactly the operators its rows
-read: a search or a whole-family gap its family, a fixed aggregate the
-distinct operators of its entries, a single subset its own.
+support of rho (``DensityMatrix._frame``). B is linear in S, so every gap comes from
+one kernel, ``_gap_kernel``: sums over gathered B's and one stacked SVD, gradients
+too, fed blocks of rows by ``_gaps`` and the search's ascent. Each call frames, once,
+exactly the operators its rows read: a search or a whole-family gap its family, a
+fixed aggregate the distinct operators of its entries, a single subset its own.
 Every aggregate, the tripartite and optimized ones included, is a list of
 (split, subset) entries: one layout function, ``_entry_rows``, maps them
 to rows of the stacked families, and one report builder, ``_report``,
@@ -174,30 +174,31 @@ def _check_operator(rho, s_op) -> tuple[DensityMatrix, np.ndarray]:
     return rho, s_op
 
 
+def _gap_kernel(parts: np.ndarray, coeffs: np.ndarray, slope: bool = False):
+    """The gap engine: gap of sum_s coeffs[i, s] * parts[i, s] for each row i
+    of gathered operators ``parts`` (n, m, r*r), one stacked SVD. With
+    ``slope``, the unclipped 2 sigma_1 - sum sigma and its gradient g_s =
+    <U diag(1, -1, ..., -1) V^H, B_s>: the value moves by Re(sum_s g_s dc_s)."""
+    r = math.isqrt(parts.shape[-1])
+    b = (coeffs[:, None, :] @ parts).reshape(-1, r, r)
+    if slope:
+        u, lam, vh = np.linalg.svd(b)
+        u[..., 1:] *= -1.0
+        grad = (parts @ (u @ vh).reshape(len(b), -1, 1).conj())[..., 0]
+    else:
+        lam = np.linalg.svd(b, compute_uv=False)
+    gap = 2.0 * lam[:, 0] - lam.sum(axis=-1)
+    return (gap, grad) if slope else np.where(gap > 0.0, gap, 0.0)
+
+
 def _gaps(stack: np.ndarray, rows, coeffs, slope: bool = False):
-    """The gap engine: gap of sum_s coeffs[i, s] * stack[rows[i, s]] for
-    each row i of equal-length index tuples into the B stack ``stack``
-    (``DensityMatrix._frame`` of some operators), whose leading axes
-    flatten to one index: (3, N, r, r) reads as (3N, r, r); one stacked SVD
-    per block of rows. With ``slope``, the unclipped 2 sigma_1 - sum sigma
-    instead, and its gradient g_s = <U diag(1, -1, ..., -1) V^H, B_s>: the
-    value moves by Re(sum_s g_s dc_s)."""
-    r = stack.shape[-1]
-    flat = stack.reshape(-1, r * r)
-    rows = np.asarray(rows, dtype=np.intp)
-    coeffs = np.asarray(coeffs, dtype=complex)
-    blocks = []
-    for lo in range(0, len(rows), _BLOCK_ROWS):
-        parts = flat[rows[lo : lo + _BLOCK_ROWS]]
-        b = (coeffs[lo : lo + _BLOCK_ROWS, None, :] @ parts).reshape(-1, r, r)
-        if slope:
-            u, lam, vh = np.linalg.svd(b)
-            u[..., 1:] *= -1.0
-            grad = (parts @ (u @ vh).reshape(len(b), -1, 1).conj())[..., 0]
-        else:
-            lam = np.linalg.svd(b, compute_uv=False)
-        gap = 2.0 * lam[:, 0] - np.sum(lam, axis=-1)
-        blocks.append((gap, grad) if slope else np.where(gap > 0.0, gap, 0.0))
+    """``_gap_kernel`` of each row of equal-length index tuples into the B
+    stack ``stack`` (``DensityMatrix._frame`` of some operators), whose
+    leading axes flatten to one index: (3, N, r, r) reads as (3N, r, r);
+    one kernel call per block of rows."""
+    flat, n = stack.reshape(-1, stack.shape[-1] ** 2), _BLOCK_ROWS
+    rows, coeffs = np.asarray(rows, dtype=np.intp), np.asarray(coeffs, dtype=complex)
+    blocks = [_gap_kernel(flat[rows[lo : lo + n]], coeffs[lo : lo + n], slope) for lo in range(0, len(rows), n)]
     if slope:
         return tuple(np.concatenate(col) for col in zip(*blocks))
     return blocks[0] if len(blocks) == 1 else np.concatenate([np.zeros(0), *blocks])

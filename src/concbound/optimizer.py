@@ -1,16 +1,16 @@
 """Coefficient search, subset aggregation, and threshold scans.
 
-The gap delta is piecewise smooth in the coefficient moduli and phases,
-and every evaluation is a valid lower bound, so a seeded multi-restart
-sign-gradient ascent may stop anywhere. Every (subset, restart)
-trajectory of a call is one row, and each step is one stacked SVD with
-vectors over the live rows, which gives their values and gradients. A
-row never reads another, so blocking the rows changes nothing, and all
-randomness derives from one user-visible seed: the same configuration
-reproduces the same report, byte for byte. Where a row's value is
-negative, shrinking every radius is a rise, so such rows tend to land
-on the apex c = 0, where the value is 0; once a trial from there fails,
-every later trial is a positive multiple of it, so the row stops.
+The gap delta is piecewise smooth in the coefficient moduli and phases, and
+every evaluation is a valid lower bound, so a seeded multi-restart
+sign-gradient ascent may stop anywhere. Every (subset, restart) trajectory of
+a call is one row; rows run in blocks of up to 512, each to its end, and each
+step is one stacked SVD with vectors over a block's live rows, which gives
+their values and gradients. A row never reads another, so blocking the rows
+changes nothing, and all randomness derives from one user-visible seed: the
+same configuration reproduces the same report, byte for byte. Where a row's
+value is negative, shrinking every radius is a rise, so such rows tend to land
+on the apex c = 0, where the value is 0; once a trial from there fails, every
+later trial is a positive multiple of it, so the row stops.
 
 Every searched aggregate, obs1, obs2 and obs3 alike, takes one path,
 ``_optimize_aggregate``: the subset pool, the seed salts and the report
@@ -28,6 +28,7 @@ from itertools import combinations, compress
 
 import numpy as np
 
+from . import bounds_bipartite
 from .errors import ParameterRangeError, ThresholdNotDetectedError
 from .bounds_bipartite import (
     _AGGREGATES,
@@ -98,7 +99,7 @@ class OptimizerConfig:
             raise ParameterRangeError("top_count must be at least 1")
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True)
@@ -141,37 +142,45 @@ def _ascend(stack: np.ndarray, idx, x, cfg: OptimizerConfig) -> np.ndarray:
     its derivative's sign, radii clip to [0, 1] (exactly onto optima at
     c_s = 0), and a row keeps a move only if its value strictly rises. A
     kept move grows (x1.5) the steps whose derivative kept its sign and
-    shrinks (x0.3) the rest, damping zigzags across ridges; a dropped move
-    shrinks all. A row stops once its largest step is below ``step_final``,
-    or once a trial from the apex (all radii 0, value exactly 0) fails with
-    a value at most -_ROUNDOFF times its largest radius, as a trial at the
-    apex does: there the phase derivatives vanish, and a failed move keeps
-    x and grad and scales every step by 0.3, so the j-th later trial is
-    0.3^j times this one, and by Delta(t c) = t Delta(c) so is its value,
-    which stays below 0 but for a round-off sign flip."""
-    m = idx.shape[1]
+    shrinks (x0.3) the rest, damping zigzags; a dropped move shrinks all. A
+    row stops once its largest step is below ``step_final``, or once a trial
+    from the apex (radii 0, value 0, phase derivatives 0) fails with a value
+    at most -_ROUNDOFF times its largest radius: a failed move keeps x and
+    the gradient and scales every step by 0.3, so the j-th later trial is
+    0.3^j times this one, and by Delta(t c) = t Delta(c) so is its value.
+    Rows run in blocks of ``_BLOCK_ROWS``, each to its end, on compact arrays
+    of its live rows, gathered once and shrunk (x written back) as rows retire."""
+    m, block, out = idx.shape[1], bounds_bipartite._BLOCK_ROWS, np.empty(len(x))
 
-    def climb(rows, xs):
+    def climb(parts, xs):
         turn = np.exp(1j * xs[:, m:])
-        val, g = _gaps(stack, idx[rows], xs[:, :m] * turn, slope=True)
-        g = g * turn
-        return val, np.concatenate([g.real, -xs[:, :m] * g.imag], axis=1)
+        val, g = bounds_bipartite._gap_kernel(parts, xs[:, :m] * turn, slope=True)
+        g *= turn
+        return val, np.sign(np.concatenate([g.real, -xs[:, :m] * g.imag], axis=1))
 
-    val, grad = climb(slice(None), x)
-    step, live = np.full(x.shape, float(cfg.step_initial)), np.arange(len(x))
-    for _ in range(cfg.iterations):
-        live = live[step[live].max(axis=1) >= cfg.step_final]
-        if not live.size:
-            break
-        trial = x[live] + step[live] * np.sign(grad[live])
-        trial[:, :m] = np.clip(trial[:, :m], 0.0, 1.0)
-        new, new_grad = climb(live, trial)
-        win = new > val[live]
-        step[live] *= np.where(win[:, None] & (np.sign(new_grad) == np.sign(grad[live])), 1.5, 0.3)
-        # The apex's value is 0, so a trial at or below -_ROUNDOFF * its radius fails there.
-        step[live[~x[live, :m].any(axis=1) & (new <= -_ROUNDOFF * trial[:, :m].max(axis=1))]] = 0.0
-        x[live[win]], val[live[win]], grad[live[win]] = trial[win], new[win], new_grad[win]
-    return np.where(val > 0.0, val, 0.0)
+    for pos in np.split(np.arange(len(x)), range(block, len(x), block)):
+        parts, xs = stack.reshape(-1, stack.shape[-1] ** 2)[idx[pos]], x[pos]
+        (val, sign), step = climb(parts, xs), np.full(xs.shape, float(cfg.step_initial))
+        for _ in range(cfg.iterations):
+            keep = step.max(axis=1) >= cfg.step_final
+            if not keep.all():
+                x[pos[~keep]], out[pos[~keep]] = xs[~keep], val[~keep]
+                pos, parts, xs, val, sign, step = (a[keep] for a in (pos, parts, xs, val, sign, step))
+                if not pos.size:
+                    break
+            trial = sign * step + xs
+            np.maximum(trial[:, :m], 0.0, out=trial[:, :m])
+            np.minimum(trial[:, :m], 1.0, out=trial[:, :m])
+            new, new_sign = climb(parts, trial)
+            win = new > val
+            step *= np.where(win[:, None] & (new_sign == sign), 1.5, 0.3)
+            # The apex's value is 0, so a trial at or below -_ROUNDOFF * its radius fails there.
+            step[~xs[:, :m].any(axis=1) & (new <= -_ROUNDOFF * trial[:, :m].max(axis=1))] = 0.0
+            np.copyto(xs, trial, where=win[:, None])
+            np.copyto(sign, new_sign, where=win[:, None])
+            np.copyto(val, new, where=win)
+        x[pos], out[pos] = xs, val
+    return np.where(out > 0.0, out, 0.0)
 
 
 def _search(stack: np.ndarray, subsets, salts, cfg: OptimizerConfig):

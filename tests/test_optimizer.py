@@ -474,10 +474,7 @@ class TestApexStop:
     def test_rows_that_start_at_the_apex(self):
         # Zero radii on an entangled state: some first trials win and climb
         # off the apex, the rest fail and stop there.
-        rho = random_density((3, 3), 4, seed=1)
-        stack, rng = rho._frame(_GENS33), np.random.default_rng(0)
-        idx = np.array([(0, 4), (4, 8), (1, 5), (2, 6)] * 3)
-        x = np.concatenate([np.zeros((len(idx), 2)), 2.0 * np.pi * rng.random((len(idx), 2))], axis=1)
+        stack, idx, x = _apex_start_rows()
         want_x = x.copy()
         want = _ascend_to_step_final(stack, idx, want_x, self.BENCH)
         got = optimizer._ascend(stack, idx, x, self.BENCH)
@@ -487,27 +484,97 @@ class TestApexStop:
         assert np.all(got[left] > 0.0) and np.all(got[~left] == 0.0)
 
     def _rows_per_search(self, monkeypatch, rho):
-        """Rows handed to ``_gaps`` by one obs1 k=2 search at (2, 20)."""
-        rows = []
-        gaps = optimizer._gaps
-
-        def spy(stack, idx, coeffs, slope=False):
-            rows.append(len(idx))
-            return gaps(stack, idx, coeffs, slope=slope)
-
-        monkeypatch.setattr(optimizer, "_gaps", spy)
-        optimize_bound_bipartite(rho, 2, self.BENCH)
-        return sum(rows)
+        """Rows handed to the gap kernel, which the ascent and ``_gaps`` both
+        call, by one obs1 k=2 search at (2, 20)."""
+        return sum(_kernel_rows(monkeypatch, lambda: optimize_bound_bipartite(rho, 2, self.BENCH)))
 
     @pytest.mark.parametrize("a", [0.2, 0.5, 0.8])
     def test_fewer_rows_on_ppt_states(self, a, monkeypatch):
-        # The stop hands _gaps 213, 189 and 209 rows here; running every row
-        # to step_final hands it 287, 285 and 289.
+        # The stop hands the kernel 213, 189 and 209 rows here; running every
+        # row to step_final hands it 287, 285 and 289.
         assert self._rows_per_search(monkeypatch, horodecki_state(a)) <= 250
 
     def test_fewer_rows_on_a_noisy_ppt_state(self, monkeypatch):
-        # The stop hands _gaps 110 rows here; running every row to step_final hands it 265.
+        # The stop hands the kernel 110 rows here; running every row to step_final hands it 265.
         assert self._rows_per_search(monkeypatch, white_noise_mix(horodecki_state(0.35), 0.5)) <= 200
+
+
+def _kernel_rows(monkeypatch, run) -> list[int]:
+    """Rows per ``bounds_bipartite._gap_kernel`` call while ``run()`` runs."""
+    rows, kernel = [], bounds_bipartite._gap_kernel
+
+    def spy(parts, coeffs, slope=False):
+        rows.append(len(parts))
+        return kernel(parts, coeffs, slope)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(bounds_bipartite, "_gap_kernel", spy)
+        run()
+    return rows
+
+
+def _apex_start_rows():
+    """Pair rows at zero radii on an entangled state: (stack, idx, x)."""
+    rho, rng = random_density((3, 3), 4, seed=1), np.random.default_rng(0)
+    idx = np.array([(0, 4), (4, 8), (1, 5), (2, 6)] * 3)
+    x = np.concatenate([np.zeros((len(idx), 2)), 2.0 * np.pi * rng.random((len(idx), 2))], axis=1)
+    return rho._frame(_GENS33), idx, x
+
+
+def _horodecki_pair_rows():
+    """Every pair of Horodecki a=0.2, twice: from all ones and from a draw (stack, idx, x).
+    Only (4, 8) detects; the rest end at 0, at the apex or by their steps."""
+    rng = np.random.default_rng(0)
+    idx = np.repeat(_PAIRS, 2, axis=0)
+    x = np.concatenate([rng.random((len(idx), 2)), 2.0 * np.pi * rng.random((len(idx), 2))], axis=1)
+    x[::2] = np.repeat([1.0, 0.0], 2)
+    return horodecki_state(0.2)._frame(_GENS33), idx, x
+
+
+class TestBlockedAscent:
+    """The ascent runs its rows in blocks of ``_BLOCK_ROWS``, each to its end
+    on compact arrays that shrink as rows retire, writing retired rows' x
+    back: any block size returns the values and leaves the x of running
+    every row to ``step_final``, bit for bit."""
+
+    CFG = OptimizerConfig(restarts=2, iterations=20)
+
+    @staticmethod
+    def _steps_per_row(monkeypatch, stack, idx, x, cfg):
+        """Steps each row runs, by running it alone: kernel calls less the first."""
+        def alone(i):
+            return lambda: optimizer._ascend(stack, idx[i : i + 1], x[i : i + 1].copy(), cfg)
+
+        return [len(_kernel_rows(monkeypatch, alone(i))) - 1 for i in range(len(idx))]
+
+    @pytest.mark.parametrize("rows", [_horodecki_pair_rows, _apex_start_rows])
+    def test_blocks_of_three_match_one_block_and_the_oracle(self, rows, monkeypatch):
+        stack, idx, x = rows()
+        steps = np.array(self._steps_per_row(monkeypatch, stack, idx, x, self.CFG))
+        # Rows of one block retire at different steps.
+        assert any(len(set(steps[lo : lo + 3].tolist())) > 1 for lo in range(0, len(steps), 3))
+        want_x = x.copy()
+        want = _ascend_to_step_final(stack, idx, want_x, self.CFG)
+        for block in (512, 3):
+            monkeypatch.setattr(bounds_bipartite, "_BLOCK_ROWS", block)
+            got_x = x.copy()
+            got = optimizer._ascend(stack, idx, got_x, self.CFG)
+            assert got.tobytes() == want.tobytes()
+            assert got_x.tobytes() == want_x.tobytes()
+        assert not np.array_equal(want_x, x)
+
+    def test_a_block_whose_rows_all_stop_early(self, monkeypatch):
+        # Rows 45-47 of the Horodecki rows, one block of three: (3, 5) from a
+        # draw, (3, 6) from all ones and from a draw. None starts at the apex,
+        # and all three stop there after 3 steps, so the block ends long before
+        # iterations and each x it leaves was written back on retiring. The test
+        # above checks these rows bit for bit at blocks of three.
+        stack, idx, x = _horodecki_pair_rows()
+        assert idx[45:48].tolist() == [[3, 5], [3, 6], [3, 6]] and x[45:48, :2].all()
+        assert self._steps_per_row(monkeypatch, stack, idx[45:48], x[45:48], self.CFG) == [3, 3, 3]
+        monkeypatch.setattr(bounds_bipartite, "_BLOCK_ROWS", 3)
+        optimizer._ascend(stack, idx, x, self.CFG)
+        assert not x[45:48, :2].any()
 
 
 class TestSingletonClosedForm:
