@@ -146,7 +146,7 @@ def _check_subset(t_vec, n: int) -> tuple[int, ...]:
 
 def _check_coefficients(u, size: int, cap: float = 1.0 + _MODULUS) -> np.ndarray:
     u = np.asarray(u, dtype=complex).reshape(-1)
-    worst = float(np.max(np.abs(u))) if u.size else 0.0
+    worst = float(np.abs(u).max()) if u.size else 0.0
     # The largest modulus is NaN or infinite exactly when an entry is.
     if not math.isfinite(worst):
         raise NonFiniteError("coefficients must be finite")
@@ -214,12 +214,12 @@ def _entry_rows(mode: str, entries, n: int) -> list[tuple[int, ...]]:
 
 
 def _report(mode: str, k: int, n: int, entries, coeffs, gaps, start: float, config=None) -> BoundReport:
-    """Aggregate of (split, subset) entries with rows coeffs and gaps; the
-    mode's row fixes prefactor, coefficient names and split labels."""
+    """Aggregate of (split, subset) entries with the rows of the array coeffs
+    and gaps; the mode's row fixes prefactor, coefficient names and split labels."""
     weight, names, labels, _ = _AGGREGATES[mode]
     entries = tuple([
         SubsetEntry(t, {name: tuple(c[j * k : j * k + k]) for j, name in enumerate(names)}, d, labels[s])
-        for (s, t), c, d in zip(entries, coeffs, gaps.tolist())
+        for (s, t), c, d in zip(entries, coeffs.tolist(), gaps.tolist())
     ])
     prefactor = n / (weight * k * k * math.comb(n, k))
     return BoundReport(
@@ -249,7 +249,7 @@ def _aggregate(rho: DensityMatrix, mode: str, k, ops, per_split, coefficients=_c
                 raise SubsetSizeError(f"subset {t} does not have size k = {k}")
             entries.append((s, t))
             coeffs.append(coefficients(assignments[t_vec], k))
-    slot = {}
+    coeffs, slot = np.asarray(coeffs, dtype=complex), {}
     rows = [tuple(slot.setdefault(i, len(slot)) for i in row) for row in _entry_rows(mode, entries, n)]
     gaps = _gaps(rho._frame(ops.reshape((-1,) + ops.shape[-2:])[list(slot)]), rows, coeffs)
     return _report(mode, k, n, entries, coeffs, gaps, start)
@@ -409,6 +409,11 @@ def ppt_min_eigenvalue(rho: DensityMatrix, split) -> float:
     transposed) or an iterable of subsystem indices. Negative values
     certify entanglement across the split; nonnegative values are silent.
     """
-    pt = partial_transpose(rho, split)
-    return float(np.linalg.eigvalsh(pt)[0])
+    return float(_pt_spectra(rho, (split,))[0, 0])
+
+
+def _pt_spectra(rho: DensityMatrix, splits) -> np.ndarray:
+    """Row i: the ascending eigenvalues of ``partial_transpose(rho, s)`` for the i-th split s of ``splits``,
+    all from one stacked ``eigvalsh``, which gives each matrix the bits of its own call."""
+    return np.linalg.eigvalsh([partial_transpose(rho, s) for s in splits])
 

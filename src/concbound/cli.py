@@ -33,7 +33,7 @@ import numpy as np
 
 from . import __version__
 from .errors import ParameterRangeError, ThresholdNotDetectedError
-from .bounds_bipartite import observation1_bound, ppt_min_eigenvalue, wootters_concurrence
+from .bounds_bipartite import _pt_spectra, observation1_bound, wootters_concurrence
 from .bounds_multipartite import observation2_bound, ctau_pure
 from .generators import _EXAMPLES, Bipartition, bipartite_generators
 from .optimizer import (
@@ -136,11 +136,13 @@ def parse_state(text: str) -> tuple[DensityMatrix, dict]:
     return rho, {"source": "file", "path": text, "dims": list(rho.dims)}
 
 
+# n -> {label: split}, built once per n: one party versus the rest; two parties have only the one split.
+_splits = functools.cache(lambda n: {s.label: s for s in (Bipartition.single(i, n) for i in range(1 if n == 2 else n))})
+
+
 def _ppt_summary(rho: DensityMatrix) -> dict:
-    n = len(rho.dims)
-    # One party versus the rest; two parties have only the one split.
-    splits = [Bipartition.single(i, n) for i in range(1 if n == 2 else n)]
-    vals = {s.label: ppt_min_eigenvalue(rho, s) for s in splits}
+    splits = _splits(len(rho.dims))
+    vals = dict(zip(splits, _pt_spectra(rho, splits.values())[:, 0].tolist()))
     worst_label = min(vals, key=vals.get)
     return {"per_split": vals, "worst": vals[worst_label], "worst_split": worst_label}
 

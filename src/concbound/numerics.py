@@ -9,6 +9,7 @@ full-matrix root ``psd_sqrt``.
 """
 from __future__ import annotations
 
+import math
 import operator
 
 import numpy as np
@@ -61,14 +62,15 @@ def _symmetrized(a, partner, error, name: str) -> np.ndarray:
     """
     a = require_square(a)
     with np.errstate(invalid="ignore", over="ignore"):
-        dev = np.max(np.abs(a - partner(a))) if a.size else 0.0
-        mean = 0.5 * (a + partner(a))
+        b = partner(a)
+        dev = np.abs(a - b).max() if a.size else 0.0
+        mean = 0.5 * (a + b)
         total = np.abs(mean).sum()
-    if not np.isfinite(dev):
+    if not math.isfinite(dev):
         raise NonFiniteError(f"max |A - {name}| = {dev!r}: NaN, infinite or overflowing entries")
     if not dev <= _ROUNDOFF:
         raise error(f"max |A - {name}| = {dev:.3e} exceeds tol {_ROUNDOFF:.3e}")
-    if not np.isfinite(total):
+    if not math.isfinite(total):
         raise NonFiniteError(f"sum of |entries| = {total!r}: overflowing entries")
     return mean
 

@@ -37,13 +37,14 @@ from .bounds_bipartite import (
     _check_subset,
     _entry_rows,
     _gaps,
+    _pt_spectra,
     _report,
     _resolve_gens,
 )
 from .bounds_multipartite import _resolve_triple
 from .generators import GeneratorSet
 from .numerics import _ROUNDOFF, _SUPPORT_CUT
-from .states import DensityMatrix, _check_state, partial_transpose
+from .states import DensityMatrix, _check_state
 
 DEFAULT_SEED = 1905
 
@@ -55,21 +56,21 @@ class OptimizerConfig:
     """Search knobs for the coefficient optimizer.
 
     ``restarts`` counts starting points per subset: the first is the
-    deterministic all-ones vector, the rest are seeded random draws.
-    Each restart takes at most ``iterations`` steps, each coordinate by
-    its own length: it starts at ``step_initial``; a kept move, one that
-    raises the gap, grows (x1.5) the steps whose derivative kept its sign
-    and shrinks (x0.3) the rest, a dropped move shrinks all; and the
-    restart stops once its largest step is below ``step_final``. One-coefficient subsets (k=1 in obs1 and obs3, or
-    ``optimize_u`` on one index) are not searched: the unit coefficient
-    is optimal, so ``restarts``, ``iterations``, ``seed`` and the steps
-    do not change those bounds, though the report's ``config`` still
-    records them. ``subset_strategy`` picks the subset pool for
+    deterministic all-ones vector, the rest are seeded random draws. Each
+    restart takes at most ``iterations`` steps, each coordinate by its own
+    length: it starts at ``step_initial``; a kept move, one that raises the
+    gap, grows (x1.5) the steps whose derivative kept its sign and shrinks
+    (x0.3) the rest, a dropped move shrinks all; and the restart stops once
+    its largest step is below ``step_final``. One-coefficient subsets (k=1
+    in obs1 and obs3, or ``optimize_u`` on one index) are not searched: the
+    unit coefficient is optimal, so ``restarts``, ``iterations``, ``seed``
+    and the steps do not change those bounds, though the report's ``config``
+    still records them. ``subset_strategy`` picks the subset pool for
     aggregated bounds: "exhaustive" enumerates all size-k subsets,
-    "top_singletons" only combines the ``top_count`` generators with
-    the largest gaps: their own at k = 1, and at k >= 2 the largest
-    all-ones gap of a pair holding them, since on a PPT state every single
-    gap of a library family is zero by the projection lemma.
+    "top_singletons" only combines the ``top_count`` generators with the
+    largest gaps: their own at k = 1, and at k >= 2 the largest all-ones gap
+    of a pair holding them, since on a PPT state every single gap of a
+    library family is zero by the projection lemma.
     """
 
     restarts: int = 32
@@ -244,7 +245,7 @@ def _lemma_zero(rho: DensityMatrix, ops: np.ndarray, rows: np.ndarray) -> np.nda
     for s in set(f[one, 0].tolist()):
         if not np.array_equal(np.swapaxes(fams[s], 1 + s, 1 + s + m), -fams[s]):
             continue
-        w = np.linalg.eigvalsh(partial_transpose(rho, (s,)))
+        w = _pt_spectra(rho, [(s,)])[0]
         on, nz = one & (f[:, 0] == s), fams[s].reshape(n, rho.dim, rho.dim) != 0
         support = np.moveaxis((nz.any(axis=1) | nz.any(axis=2)).reshape((n,) + rho.dims), 1 + s, 1).reshape(n, rho.dims[s], -1)
         a, b = (x[t[on]].any(axis=1).sum(axis=1) for x in (support.any(axis=2), support.any(axis=1)))

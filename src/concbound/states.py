@@ -59,7 +59,7 @@ class PureState:
     def __init__(self, amplitudes, dims):
         self.dims = _check_dims(dims)
         vec = np.asarray(amplitudes, dtype=complex).reshape(-1)
-        if vec.size != int(np.prod(self.dims)):
+        if vec.size != math.prod(self.dims):
             raise ParameterRangeError(
                 f"vector length {vec.size} does not match dims {self.dims}"
             )
@@ -97,12 +97,12 @@ class DensityMatrix:
     def __init__(self, matrix, dims):
         self.dims = _check_dims(dims)
         mat = require_square(matrix)
-        if mat.shape[0] != int(np.prod(self.dims)):
+        if mat.shape[0] != math.prod(self.dims):
             raise ParameterRangeError(
                 f"matrix size {mat.shape[0]} does not match dims {self.dims}"
             )
         mat = as_hermitian(mat)
-        tr = complex(np.trace(mat))
+        tr = complex(mat.trace())
         if not abs(tr - 1.0) <= _ROUNDOFF:
             raise NotNormalizedError(f"trace {tr!r} deviates from 1 beyond {_ROUNDOFF:g}")
         w, q = np.linalg.eigh(mat)
@@ -181,7 +181,7 @@ class Decomposition:
         acc = np.zeros_like(state.matrix)
         for p, psi in zip(weights, members):
             acc = acc + p * np.outer(psi.amplitudes, psi.amplitudes.conj())
-        dev = float(np.max(np.abs(acc - state.matrix)))
+        dev = float(np.abs(acc - state.matrix).max())
         if not dev <= _RECONSTRUCTION:
             raise ParameterRangeError(
                 f"ensemble reproduces the state only to {dev:.3e}"
@@ -195,21 +195,21 @@ class Decomposition:
 
 
 def _check_subsystems(selection, n_parts: int) -> tuple[int, ...]:
-    """The one check of a subsystem selection: distinct indices in 0..n_parts-1,
-    or a Bipartition of n_parts parties, which selects its first side."""
+    """The one check of a subsystem selection: distinct indices in 0..n_parts-1, or a Bipartition of n_parts parties,
+    which selects its first side; its sides partition 0..n_parts-1, so only that side's entries need to be ints."""
     if isinstance(selection, Bipartition):
         if len(selection.side_a) + len(selection.side_b) != n_parts:
             raise InvalidSplitError(f"split {selection.label} versus a state of {n_parts} parties")
-        selection = selection.side_a
+        return tuple([_as_index(i, SubsystemIndexError) for i in selection.side_a])
     try:
-        idx = tuple(_as_index(i, SubsystemIndexError) for i in selection)
+        idx = tuple([_as_index(i, SubsystemIndexError) for i in selection])
     except TypeError:
         raise SubsystemIndexError(f"subsystem selection {selection!r} is not iterable") from None
     if len(idx) == 0:
         raise SubsystemIndexError("empty subsystem selection")
     if len(set(idx)) != len(idx):
         raise SubsystemIndexError(f"duplicate subsystem index in {idx}")
-    if any(i < 0 or i >= n_parts for i in idx):
+    if min(idx) < 0 or max(idx) >= n_parts:
         raise SubsystemIndexError(f"subsystem index out of range in {idx}")
     return idx
 
@@ -238,7 +238,7 @@ def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
         tensor = np.trace(tensor, axis1=ax, axis2=ax + len(cur))
         cur.pop(ax)
     new_dims = tuple(rho.dims[i] for i in keep)
-    d = int(np.prod(new_dims))
+    d = math.prod(new_dims)
     return DensityMatrix(tensor.reshape(d, d), new_dims)
 
 
@@ -254,7 +254,7 @@ def partial_transpose(rho: DensityMatrix, part) -> np.ndarray:
     part = _check_subsystems(part, n)
     tensor = rho.matrix.reshape(rho.dims + rho.dims)
     for i in part:
-        tensor = np.swapaxes(tensor, i, i + n)
+        tensor = tensor.swapaxes(i, i + n)
     return np.ascontiguousarray(tensor.reshape(rho.dim, rho.dim))
 
 
@@ -317,7 +317,7 @@ def white_noise_mix(rho: DensityMatrix, p: float) -> DensityMatrix:
 def maximally_mixed(dims) -> DensityMatrix:
     """I/d on the given subsystem dimensions."""
     dims = _check_dims(dims)
-    d = int(np.prod(dims))
+    d = math.prod(dims)
     return DensityMatrix(np.eye(d) / d, dims)
 
 
@@ -325,7 +325,7 @@ def random_pure(dims, seed) -> PureState:
     """Haar-random pure state, deterministic for a fixed seed."""
     dims = _check_dims(dims)
     rng = np.random.default_rng(seed)
-    d = int(np.prod(dims))
+    d = math.prod(dims)
     vec = rng.normal(size=d) + 1j * rng.normal(size=d)
     return PureState(vec / np.linalg.norm(vec), dims)
 
@@ -334,7 +334,7 @@ def random_density(dims, rank, seed) -> DensityMatrix:
     """Random mixed state of the given rank (Ginibre construction)."""
     dims = _check_dims(dims)
     rank = _as_index(rank, ParameterRangeError)
-    d = int(np.prod(dims))
+    d = math.prod(dims)
     if not 1 <= rank <= d:
         raise ParameterRangeError(f"rank {rank} outside 1..{d}")
     rng = np.random.default_rng(seed)

@@ -21,6 +21,7 @@ from concbound.errors import (
 )
 from concbound.bounds_bipartite import (
     BoundReport,
+    _pt_spectra,
     concurrence_pure,
     concurrence_pure_sumrule,
     decomposition_average,
@@ -36,11 +37,14 @@ from concbound.optimizer import OptimizerConfig, optimize_bound_bipartite, optim
 from concbound.states import (
     DensityMatrix,
     bell_state,
+    ghz_state,
     horodecki_state,
     maximally_mixed,
+    partial_transpose,
     random_decomposition,
     random_density,
     random_pure,
+    w_state,
     white_noise_mix,
 )
 
@@ -376,6 +380,26 @@ class TestPptMinEigenvalue:
         rho = horodecki_state(a)
         for part in ({0}, {1}):
             assert ppt_min_eigenvalue(rho, part) > -1e-12
+
+    # Every rank of each shape, the PPT-entangled Horodecki states, and noisy GHZ and W on both sides of p = 0.2.
+    _SPECTRA_STATES = {
+        **{f"{'x'.join(map(str, dims))}-rank{r}": lambda dims=dims, r=r: random_density(dims, r, seed=r) for dims in ((2, 2), (2, 3), (3, 3), (2, 2, 2)) for r in range(1, math.prod(dims) + 1)},
+        **{f"horodecki-{a}": lambda a=a: horodecki_state(a) for a in (0.2, 0.5, 0.8)},
+        **{f"{name}-{p}": lambda pure=pure, p=p: white_noise_mix(pure(), p) for name, pure in (("ghz", ghz_state), ("w", w_state)) for p in (0.2, 0.9)},
+    }
+
+    @pytest.mark.parametrize("name", _SPECTRA_STATES)
+    def test_stacked_spectra_carry_the_bits_of_one_call_per_split(self, name):
+        rho = self._SPECTRA_STATES[name]()
+        # Every nonempty proper subset of the parties, as an index tuple and as a Bipartition.
+        n = len(rho.dims)
+        parts = [c for size in range(1, n) for c in combinations(range(n), size)]
+        splits = parts + [Bipartition(c, tuple(i for i in range(n) if i not in c)) for c in parts]
+        rows = _pt_spectra(rho, splits)
+        assert rows.shape == (len(splits), rho.dim)
+        for row, split in zip(rows, splits):
+            assert row.tobytes() == np.linalg.eigvalsh(partial_transpose(rho, split)).tobytes()
+            assert ppt_min_eigenvalue(rho, split) == row[0]
 
     def test_split_of_other_party_count(self):
         # A three-party split on a two-party state used to read -0.5.

@@ -14,7 +14,7 @@ import pytest
 from concbound import cli
 from concbound.cli import _fmt, _make_config, main, parse_state
 from concbound.optimizer import DEFAULT_SEED, OptimizerConfig
-from concbound.states import DensityMatrix, save_state, random_density
+from concbound.states import DensityMatrix, bell_state, save_state, random_density, white_noise_mix
 
 FAST_OPT = '{"restarts": 2, "iterations": 10}'
 
@@ -627,19 +627,33 @@ class TestScanCommand:
 
     def test_ppt_scan_evaluates_each_grid_row_once(self, tmp_path, capsys, monkeypatch):
         calls = []
-        ppt = cli.ppt_min_eigenvalue
+        spectra = cli._pt_spectra
 
-        def spy(rho, split):
-            calls.append(split)
-            return ppt(rho, split)
+        def spy(rho, splits):
+            calls.append([s.label for s in splits])
+            return spectra(rho, splits)
 
-        monkeypatch.setattr(cli, "ppt_min_eigenvalue", spy)
+        monkeypatch.setattr(cli, "_pt_spectra", spy)
         out_csv = tmp_path / "ppt.csv"
         code = main(["scan", "--family", "w-noise", "--mode", "ppt", "--p-range", "0.01:1.0", "--points", "5", "--out", str(out_csv)])
         printed = capsys.readouterr().out
         assert code == 0 and "16 evaluations" in printed
-        # Three splits for each of 16 bisection points and 5 grid rows.
-        assert len(calls) == 3 * (16 + 5)
+        # One stacked call of three splits for each of 16 bisection points and 5 grid rows.
+        assert calls == [["1|23", "2|13", "3|12"]] * (16 + 5)
+
+    def test_ppt_summary_of_two_parties_reads_the_one_split(self, monkeypatch):
+        calls = []
+        spectra = cli._pt_spectra
+
+        def spy(rho, splits):
+            calls.append([s.label for s in splits])
+            return spectra(rho, splits)
+
+        monkeypatch.setattr(cli, "_pt_spectra", spy)
+        summary = cli._ppt_summary(white_noise_mix(bell_state(), 0.9))
+        assert calls == [["1|2"]] and list(summary["per_split"]) == ["1|2"] and summary["worst_split"] == "1|2"
+        # The Werner state's transpose has the eigenvalue (1 - 3p)/4.
+        assert summary["worst"] == summary["per_split"]["1|2"] == pytest.approx(-0.425, abs=1e-12)
 
     def test_tolerance_below_the_float_spacing_exits_zero(self, tmp_path, capsys, monkeypatch):
         calls = []

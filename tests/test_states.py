@@ -56,6 +56,13 @@ class TestContainers:
         assert psi.amplitudes[5] == 1.0
         assert psi.dim == 8
 
+    def test_sizes_are_exact_where_an_int64_product_wraps(self):
+        # 2**32 * 2**32 wraps to 0 in int64, which an empty input would match.
+        with pytest.raises(ParameterRangeError, match="does not match dims"):
+            PureState(np.zeros(0), (2**32, 2**32))
+        with pytest.raises(ParameterRangeError, match="does not match dims"):
+            DensityMatrix(np.zeros((0, 0)), (2**32, 2**32))
+
     def test_density_rejects_non_hermitian(self):
         m = np.diag([0.5, 0.5]).astype(complex)
         m[0, 1] = 1e-3
@@ -213,6 +220,17 @@ class TestPartialOps:
         split = Bipartition((1,), (0, 2))
         assert np.array_equal(partial_trace(rho, split).matrix, partial_trace(rho, [1]).matrix)
         assert np.array_equal(partial_transpose(rho, split), partial_transpose(rho, [1]))
+        pair = Bipartition((2, 0), (1,))
+        assert np.array_equal(partial_trace(rho, pair).matrix, partial_trace(rho, [0, 2]).matrix)
+        assert np.array_equal(partial_transpose(rho, pair), partial_transpose(rho, [0, 2]))
+
+    @pytest.mark.parametrize("call", [partial_trace, partial_transpose])
+    def test_split_of_non_integer_parties(self, call):
+        # Bipartition compares its sides as sets, where True == 1 and 1.0 == 1.
+        with pytest.raises(SubsystemIndexError, match="not an integer"):
+            call(bell_state(), Bipartition((True,), (0,)))
+        with pytest.raises(SubsystemIndexError, match="not an integer"):
+            call(ghz_state(), Bipartition((1.0,), (0, 2)))
 
     @pytest.mark.parametrize("call", [partial_trace, partial_transpose])
     def test_split_of_other_party_count(self, call):
