@@ -13,8 +13,8 @@ conj(sqrt(rho)), the numerically stable form of the same quantity (the
 tests keep the eigenvalue route through rho S rho* S^dag as a
 cross-check), read off the rank x rank B = X^dag S conj(X) with A = Q B Q^T on the
 support of rho (``DensityMatrix._frame``). B is linear in S, so every gap comes from
-one kernel, ``_gap_kernel``: sums over gathered B's and one stacked SVD, gradients
-too, fed blocks of rows by ``_gaps`` and the search's ascent. Each call frames, once,
+one kernel, ``_gap_kernel``: sums over gathered B's and one stacked SVD. ``_gaps`` feeds
+it blocks of rows for values, the search's ascent for gradients. Each call frames, once,
 exactly the operators its rows read: a search or a whole-family gap its family, a
 fixed aggregate the distinct operators of its entries, a single subset its own.
 Every aggregate, the tripartite and optimized ones included, is a list of
@@ -55,7 +55,7 @@ _BLOCK_ROWS = 512
 _AGGREGATES = {
     "obs1": (1, ("u",), (None,), None),
     "obs2": (6, ("u", "v", "w"), (None,), "canonical"),
-    "obs3": (2, ("u",), ("1|23", "2|13", "3|12"), "canonical"),
+    "obs3": (2, ("u",), tuple(Bipartition.single(s, 3).label for s in range(3)), "canonical"),
     **{f"obs2-{family}": (6, ("u", "v", "w"), (None,), family) for family in _EXAMPLES},
 }
 
@@ -191,16 +191,14 @@ def _gap_kernel(parts: np.ndarray, coeffs: np.ndarray, slope: bool = False):
     return (gap, grad) if slope else np.where(gap > 0.0, gap, 0.0)
 
 
-def _gaps(stack: np.ndarray, rows, coeffs, slope: bool = False):
+def _gaps(stack: np.ndarray, rows, coeffs):
     """``_gap_kernel`` of each row of equal-length index tuples into the B
     stack ``stack`` (``DensityMatrix._frame`` of some operators), whose
     leading axes flatten to one index: (3, N, r, r) reads as (3N, r, r);
     one kernel call per block of rows."""
     flat, n = stack.reshape(-1, stack.shape[-1] ** 2), _BLOCK_ROWS
     rows, coeffs = np.asarray(rows, dtype=np.intp), np.asarray(coeffs, dtype=complex)
-    blocks = [_gap_kernel(flat[rows[lo : lo + n]], coeffs[lo : lo + n], slope) for lo in range(0, len(rows), n)]
-    if slope:
-        return tuple(np.concatenate(col) for col in zip(*blocks))
+    blocks = [_gap_kernel(flat[rows[lo : lo + n]], coeffs[lo : lo + n]) for lo in range(0, len(rows), n)]
     return blocks[0] if len(blocks) == 1 else np.concatenate([np.zeros(0), *blocks])
 
 

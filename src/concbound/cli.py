@@ -140,6 +140,7 @@ def parse_state(text: str) -> tuple[DensityMatrix, dict]:
 _splits = functools.cache(lambda n: {s.label: s for s in (Bipartition.single(i, n) for i in range(1 if n == 2 else n))})
 
 
+@functools.lru_cache(maxsize=1)  # a ppt value and its grid column read one state in turn; the dict is shared, read only
 def _ppt_summary(rho: DensityMatrix) -> dict:
     splits = _splits(len(rho.dims))
     vals = dict(zip(splits, _pt_spectra(rho, splits.values())[:, 0].tolist()))
@@ -190,14 +191,14 @@ def _pick_mode(args, family: str | None):
 def cmd_bound(args, argv) -> int:
     _check_tol_detect(args.tol_detect)
     rho, descriptor = parse_state(args.state)
-    report_of = _pick_mode(args, descriptor.get("family"))[1]
+    _, report_of, value_of = _pick_mode(args, descriptor.get("family"))
     cfg = _make_config(args.optimizer)
     ppt = _ppt_summary(rho)
     rep = report_of(rho, args.k, cfg) if report_of else None
-    report = rep.to_dict() if rep is not None else {"mode": "ppt"}
+    report = rep.to_dict() if rep is not None else {"mode": args.mode}
     report["ppt"] = ppt
-    detected = rep.bound_on_c_squared > args.tol_detect if rep is not None else ppt["worst"] < -args.tol_detect
-    verdict = "ENTANGLED" if detected else "UNDETECTED"
+    value = rep.bound_on_c_squared if rep is not None else value_of(rho, args.k)
+    verdict = "ENTANGLED" if value > args.tol_detect else "UNDETECTED"
     report["verdict"] = verdict
     record = _record(argv, descriptor, report)
     if args.out:
@@ -238,8 +239,7 @@ def cmd_scan(args, argv) -> int:
     rows = []
     for p in np.linspace(p_lo, p_hi, args.points):
         rho = family(float(p))
-        ppt = _ppt_summary(rho)["worst"]  # a ppt row's detector reads it too
-        rows.append((float(p), max(0.0, -ppt) if args.mode == "ppt" else float(detector(rho)), ppt))
+        rows.append((float(p), float(detector(rho)), _ppt_summary(rho)["worst"]))
     scan_report: dict = {"family": name, "params": params, "mode": args.mode, "rows": [list(r) for r in rows]}
     if result is not None:
         scan_report["scan"] = result.to_dict()

@@ -151,6 +151,31 @@ class TestBoundCommand:
         assert code == 0
         assert "verdict: UNDETECTED" in out
 
+    @pytest.mark.parametrize(
+        "tol_of,verdict",
+        [
+            (lambda edge: edge, "UNDETECTED"),
+            (lambda edge: np.nextafter(edge, 1.0), "UNDETECTED"),
+            (lambda edge: np.nextafter(edge, 0.0), "ENTANGLED"),
+            (lambda edge: 0.0, "ENTANGLED"),
+        ],
+    )
+    def test_ppt_verdict_at_its_tolerance_edge(self, tol_of, verdict, capsys):
+        # The ppt verdict fires exactly when --tol-detect lies below -w, w the worst-split eigenvalue.
+        argv = ["bound", "--state", "family:bell-noise,p=0.5", "--mode", "ppt"]
+        assert main(argv + ["--format", "json"]) == 0
+        worst = json.loads(capsys.readouterr().out.splitlines()[-1])["report"]["ppt"]["worst"]
+        assert worst == pytest.approx(-0.125, abs=1e-12)
+        tol = f"--tol-detect={float(tol_of(-worst))!r}"
+        for fmt in ("text", "json", "csv"):
+            assert main(argv + [tol, "--format", fmt]) == 0
+            out = capsys.readouterr().out.splitlines()
+            assert f"verdict: {verdict}" in out
+            if fmt == "json":
+                assert json.loads(out[-1])["report"]["verdict"] == verdict
+            if fmt == "csv":
+                assert out[-1] == f"ppt,,{_fmt(worst)},{verdict}"
+
     def test_wootters_mode(self, capsys):
         code = main(["bound", "--state", "family:bell-noise,p=1.0", "--mode", "wootters"])
         out = capsys.readouterr().out

@@ -11,7 +11,14 @@ import pytest
 
 from concbound import bounds_bipartite, optimizer
 from concbound.errors import DimensionMismatchError, ParameterRangeError, SubsetSizeError, ThresholdNotDetectedError
-from concbound.bounds_bipartite import delta_k, observation1_bound, ppt_min_eigenvalue
+from concbound.bounds_bipartite import (
+    delta_k,
+    delta_total_bound,
+    lambda_spectrum,
+    observation1_bound,
+    ppt_min_eigenvalue,
+    wootters_concurrence,
+)
 from concbound.bounds_multipartite import delta_tot_k, observation2_bound, observation3_bound
 from concbound.generators import bipartite_generators, canonical_triple, tripartite_generators
 from concbound.optimizer import (
@@ -351,7 +358,7 @@ class TestLockstepEngine:
         for rho, ops in cases:
             stack, m, h = rho._frame(ops), len(ops), 1e-6
             c = rng.random(m) * np.exp(2j * np.pi * rng.random(m))
-            val, grad = bounds_bipartite._gaps(stack, [range(m)], [c], slope=True)
+            val, grad = bounds_bipartite._gap_kernel(stack.reshape(1, m, -1), c[None], slope=True)
             assert val[0] == pytest.approx(_raw_value(np.tensordot(c, stack, axes=1)), abs=1e-12)
             for s in range(m):
                 for unit, want in ((1.0, grad[0, s].real), (1j, -grad[0, s].imag)):
@@ -406,11 +413,11 @@ def _ascend_to_step_final(stack, idx, x, cfg):
     """``optimizer._ascend`` without the apex stop: a row ends only once
     its largest step is below ``step_final``, kept verbatim as the oracle
     the stop must match bit for bit."""
-    m = idx.shape[1]
+    m, flat = idx.shape[1], stack.reshape(-1, stack.shape[-1] ** 2)
 
     def climb(rows, xs):
         turn = np.exp(1j * xs[:, m:])
-        val, g = bounds_bipartite._gaps(stack, idx[rows], xs[:, :m] * turn, slope=True)
+        val, g = bounds_bipartite._gap_kernel(flat[idx[rows]], xs[:, :m] * turn, slope=True)
         g = g * turn
         return val, np.concatenate([g.real, -xs[:, :m] * g.imag], axis=1)
 
@@ -511,6 +518,55 @@ def _kernel_rows(monkeypatch, run) -> list[int]:
         patch.setattr(bounds_bipartite, "_gap_kernel", spy)
         run()
     return rows
+
+
+def _svd_sites(monkeypatch, run) -> tuple[int, int]:
+    """(SVD calls inside a ``bounds_bipartite._gap_kernel`` call, SVD calls
+    outside one) while ``run()`` runs."""
+    depth, sites, svd, kernel = [0], [0, 0], np.linalg.svd, bounds_bipartite._gap_kernel
+
+    def kernel_spy(*args, **kwargs):
+        depth[0] += 1
+        try:
+            return kernel(*args, **kwargs)
+        finally:
+            depth[0] -= 1
+
+    def svd_spy(*args, **kwargs):
+        sites[depth[0] == 0] += 1
+        return svd(*args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(bounds_bipartite, "_gap_kernel", kernel_spy)
+        patch.setattr(np.linalg, "svd", svd_spy)
+        run()
+    return sites[0], sites[1]
+
+
+class TestOneGapEngine:
+    """Every gap, searched or at fixed coefficients, takes its singular
+    values inside ``_gap_kernel``; ``lambda_spectrum``, which returns a
+    spectrum and not a gap, takes the one SVD outside it."""
+
+    CALLS = {
+        "obs1 k=2 search": lambda: optimize_bound_bipartite(horodecki_state(0.2), 2, OptimizerConfig(restarts=2, iterations=20)),
+        "obs2 k=1 search": lambda: optimize_bound_multipartite(w_family(0.9), 1, OptimizerConfig(restarts=2, iterations=25), "obs2"),
+        "observation1_bound": lambda: observation1_bound(horodecki_state(0.2), 2, {(4, 8): [1.0, 1j], (0, 1): [0.5, 1.0]}),
+        "observation2_bound": lambda: observation2_bound(w_family(0.9), 1, {(0,): ([1.0], [1.0], [1.0])}, "w"),
+        "delta_k": lambda: delta_k(horodecki_state(0.2), None, (4, 8), [1.0, 1.0]),
+        "delta_tot_k": lambda: delta_tot_k(w_family(0.9), canonical_triple(2), (0, 1), ([1.0, 0.5], [1j, 1.0], [1.0, 1.0])),
+        "delta_total_bound": lambda: delta_total_bound(horodecki_state(0.2), None, np.full(9, 1.0 / 3.0)),
+        "wootters_concurrence": lambda: wootters_concurrence(white_noise_mix(bell_state().density(), 0.9)),
+    }
+
+    @pytest.mark.parametrize("name", CALLS)
+    def test_every_gap_takes_its_svd_in_the_kernel(self, name, monkeypatch):
+        inside, outside = _svd_sites(monkeypatch, self.CALLS[name])
+        assert inside > 0 and outside == 0
+
+    def test_lambda_spectrum_is_the_one_svd_outside_the_kernel(self, monkeypatch):
+        s_op = bipartite_generators(3, 3).operators[4]
+        assert _svd_sites(monkeypatch, lambda: lambda_spectrum(horodecki_state(0.2), s_op)) == (0, 1)
 
 
 def _apex_start_rows():
