@@ -32,6 +32,15 @@ GOLDEN_SCANS = {
         "1,1.5,-0.5\n"
         "# threshold=0.199829101563 bracket_width=0.0004638671875 evaluations=12\n"
     ),
+    ("w-noise", "obs2"): (
+        "p,bound,ppt_min_eig_worst_split\n"
+        "0.05,0,0.0951797739604\n"
+        "0.2875,0.011835127377,-0.0464662997274\n"
+        "0.525,0.11881241956,-0.188112373415\n"
+        "0.7625,0.337089599324,-0.329758447103\n"
+        "1,0.666666666667,-0.471404520791\n"
+        "# threshold=0.177563476563 bracket_width=0.0004638671875 evaluations=12\n"
+    ),
     ("w-noise", "ppt"): (
         "p,bound,ppt_min_eig_worst_split\n"
         "0.05,0,0.0951797739604\n"
