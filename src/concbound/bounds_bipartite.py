@@ -19,8 +19,8 @@ exactly the operators its rows read: a search or a whole-family gap its family, 
 fixed aggregate the distinct operators of its entries, a single subset its own.
 Every aggregate, the tripartite and optimized ones included, is a list of
 (split, subset) entries: one layout function, ``_entry_rows``, maps them
-to rows of the stacked families, and one report builder, ``_report``,
-takes a prefactor times the sum of squared entry gaps.
+to rows of the stacked families, and ``_weigh`` takes a prefactor times the sum
+of squared entry gaps, for ``_report`` and for scan values that skip the report.
 """
 from __future__ import annotations
 
@@ -192,13 +192,13 @@ def _gap_kernel(parts: np.ndarray, coeffs: np.ndarray, slope: bool = False):
 
 
 def _gaps(stack: np.ndarray, rows, coeffs):
-    """``_gap_kernel`` of each row of equal-length index tuples into the B
-    stack ``stack`` (``DensityMatrix._frame`` of some operators), whose
-    leading axes flatten to one index: (3, N, r, r) reads as (3N, r, r);
-    one kernel call per block of rows."""
-    flat, n = stack.reshape(-1, stack.shape[-1] ** 2), _BLOCK_ROWS
-    rows, coeffs = np.asarray(rows, dtype=np.intp), np.asarray(coeffs, dtype=complex)
-    blocks = [_gap_kernel(flat[rows[lo : lo + n]], coeffs[lo : lo + n]) for lo in range(0, len(rows), n)]
+    """``_gap_kernel`` of each row of equal-length index tuples into the B stack ``stack``
+    (``DensityMatrix._frame`` of some operators), whose leading axes flatten to one index:
+    (3, N, r, r) reads as (3N, r, r); one kernel call per block of rows. ``rows`` None: row i
+    reads the i-th m operators, m its coefficients, so its parts are a view, not a gather."""
+    flat, n, coeffs = stack.reshape(-1, stack.shape[-1] ** 2), _BLOCK_ROWS, np.asarray(coeffs, dtype=complex)
+    runs = flat.reshape(*coeffs.shape, flat.shape[-1]) if rows is None else np.asarray(rows, dtype=np.intp)
+    blocks = [_gap_kernel(runs[lo : lo + n] if rows is None else flat[runs[lo : lo + n]], coeffs[lo : lo + n]) for lo in range(0, len(coeffs), n)]
     return blocks[0] if len(blocks) == 1 else np.concatenate([np.zeros(0), *blocks])
 
 
@@ -211,17 +211,23 @@ def _entry_rows(mode: str, entries, n: int) -> list[tuple[int, ...]]:
     return [tuple((s + j) * n + i for j in blocks for i in t) for s, t in entries]
 
 
+def _weigh(mode: str, k: int, n: int, deltas) -> tuple[float, float]:
+    """A mode's prefactor N / (w k^2 binom(N, k)) and its bound, the prefactor times the sum of squared gaps ``deltas``."""
+    prefactor = n / (_AGGREGATES[mode][0] * k * k * math.comb(n, k))
+    return prefactor, prefactor * math.fsum(d * d for d in deltas)
+
+
 def _report(mode: str, k: int, n: int, entries, coeffs, gaps, start: float, config=None) -> BoundReport:
     """Aggregate of (split, subset) entries with the rows of the array coeffs
     and gaps; the mode's row fixes prefactor, coefficient names and split labels."""
-    weight, names, labels, _ = _AGGREGATES[mode]
+    _, names, labels, _ = _AGGREGATES[mode]
     entries = tuple([
         SubsetEntry(t, {name: tuple(c[j * k : j * k + k]) for j, name in enumerate(names)}, d, labels[s])
         for (s, t), c, d in zip(entries, coeffs.tolist(), gaps.tolist())
     ])
-    prefactor = n / (weight * k * k * math.comb(n, k))
+    prefactor, bound = _weigh(mode, k, n, (e.delta for e in entries))
     return BoundReport(
-        bound_on_c_squared=prefactor * math.fsum(e.delta * e.delta for e in entries),
+        bound_on_c_squared=bound,
         per_subset=entries,
         k=k,
         n_generators=n,
@@ -249,7 +255,8 @@ def _aggregate(rho: DensityMatrix, mode: str, k, ops, per_split, coefficients=_c
             coeffs.append(coefficients(assignments[t_vec], k))
     coeffs, slot = np.asarray(coeffs, dtype=complex), {}
     rows = [tuple(slot.setdefault(i, len(slot)) for i in row) for row in _entry_rows(mode, entries, n)]
-    gaps = _gaps(rho._frame(ops.reshape((-1,) + ops.shape[-2:])[list(slot)]), rows, coeffs)
+    # Rows that read each framed operator once read them in order: _gaps takes them as a view.
+    gaps = _gaps(rho._frame(ops.reshape((-1,) + ops.shape[-2:])[list(slot)]), rows if len(slot) < coeffs.size else None, coeffs)
     return _report(mode, k, n, entries, coeffs, gaps, start)
 
 
@@ -327,7 +334,7 @@ def delta_k(rho: DensityMatrix, gens: GeneratorSet | None, t_vec, u) -> float:
     gens = _resolve_gens(rho, gens)
     t = _check_subset(t_vec, gens.count)
     u = _check_coefficients(u, len(t))
-    return float(_gaps(rho._frame(gens.operators[list(t)]), [range(len(t))], [u])[0])
+    return float(_gaps(rho._frame(gens.operators[list(t)]), None, [u])[0])
 
 
 def observation1_bound(rho: DensityMatrix, k: int, assignments, gens: GeneratorSet | None = None) -> BoundReport:
@@ -362,7 +369,7 @@ def wootters_concurrence(rho: DensityMatrix) -> float:
     rho = _check_state(rho)
     if tuple(rho.dims) != (2, 2):
         raise DimensionMismatchError(f"two-qubit state required, got dims {rho.dims}")
-    return float(_gaps(rho._frame(bipartite_generators(2, 2).operators), [(0,)], [(1.0,)])[0])
+    return float(_gaps(rho._frame(bipartite_generators(2, 2).operators), None, [(1.0,)])[0])
 
 
 def delta_total_bound(rho: DensityMatrix, gens: GeneratorSet | None, u_full) -> float:
@@ -380,7 +387,7 @@ def delta_total_bound(rho: DensityMatrix, gens: GeneratorSet | None, u_full) -> 
     nrm = math.sqrt(np.vdot(u, u).real)
     if not abs(nrm - 1.0) <= _ROUNDOFF:
         raise NotNormalizedError(f"coefficient norm {nrm!r} deviates from 1")
-    return float(_gaps(rho._frame(gens.operators), [range(gens.count)], [u])[0])
+    return float(_gaps(rho._frame(gens.operators), None, [u])[0])
 
 
 def decomposition_average(dec: Decomposition, s_op: np.ndarray) -> float:

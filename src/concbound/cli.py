@@ -26,6 +26,7 @@ import math
 import os
 import sys
 import time
+import weakref
 from dataclasses import replace
 from datetime import datetime, timezone
 
@@ -33,8 +34,8 @@ import numpy as np
 
 from . import __version__
 from .errors import ParameterRangeError, ThresholdNotDetectedError
-from .bounds_bipartite import _pt_spectra, observation1_bound, wootters_concurrence
-from .bounds_multipartite import observation2_bound, ctau_pure
+from .bounds_bipartite import _pt_spectra, _weigh, observation1_bound, wootters_concurrence
+from .bounds_multipartite import _fixed_value, observation2_bound, ctau_pure
 from .generators import _EXAMPLES, Bipartition, bipartite_generators
 from .optimizer import (
     OptimizerConfig,
@@ -140,12 +141,16 @@ def parse_state(text: str) -> tuple[DensityMatrix, dict]:
 _splits = functools.cache(lambda n: {s.label: s for s in (Bipartition.single(i, n) for i in range(1 if n == 2 else n))})
 
 
-@functools.lru_cache(maxsize=1)  # a ppt value and its grid column read one state in turn; the dict is shared, read only
+_ppt_summaries = weakref.WeakKeyDictionary()  # state -> its PPT summary while it lives; shared, read only
+
+
 def _ppt_summary(rho: DensityMatrix) -> dict:
-    splits = _splits(len(rho.dims))
-    vals = dict(zip(splits, _pt_spectra(rho, splits.values())[:, 0].tolist()))
-    worst_label = min(vals, key=vals.get)
-    return {"per_split": vals, "worst": vals[worst_label], "worst_split": worst_label}
+    if rho not in _ppt_summaries:
+        splits = _splits(len(rho.dims))
+        vals = dict(zip(splits, _pt_spectra(rho, splits.values())[:, 0].tolist()))
+        worst_label = min(vals, key=vals.get)
+        _ppt_summaries[rho] = {"per_split": vals, "worst": vals[worst_label], "worst_split": worst_label}
+    return _ppt_summaries[rho]
 
 
 def _make_config(blob: str | None) -> OptimizerConfig:
@@ -158,18 +163,18 @@ def _make_config(blob: str | None) -> OptimizerConfig:
 
 # Report mode -> (the options besides --mode that it reads; its report, (rho, k, optimizer config)
 # -> BoundReport, None for ppt; its scan value, (rho, k) -> float, where that bypasses the report).
-# --mode obs2 on the generator source of an example family picks its row obs2-<family>: the closed
-# form at the known optimum u = v = w = 1 of one operator per split. This is the only check of which
-# options a mode takes: wootters reads none, and obs2-<family> only --gen-source.
+# --mode obs2 on the generator source of an example family picks its row obs2-<family>: the closed form at
+# the known optimum u = v = w = 1 of one operator per split, which answers scan from the gap engine, with no
+# report. This is the only check of which options a mode takes: wootters reads none, obs2-<family> only --gen-source.
+_UNIT = ([1.0], [1.0], [1.0])
 _MODES = {
     "obs1": ({"k", "optimizer"}, lambda rho, k, cfg: optimize_bound_bipartite(rho, k, cfg), None),
     "obs2": ({"k", "gen_source", "optimizer"}, lambda rho, k, cfg: optimize_bound_multipartite(rho, k, cfg, "obs2"), None),
     "obs3": ({"k", "optimizer"}, lambda rho, k, cfg: optimize_bound_multipartite(rho, k, cfg, "obs3"), None),
-    # The two-qubit family rejects every other state before any output. The scan value squares as
-    # c * c, like the report does its gap: c ** 2 differs from that in the last bit on some c.
-    "wootters": (set(), lambda rho, k, cfg: replace(observation1_bound(rho, k, {(0,): [1.0]}, bipartite_generators(2, 2)), mode="wootters"), lambda rho, k: (c := wootters_concurrence(rho)) * c),
+    # The two-qubit family rejects every other state before any output. Scan values weigh gaps as reports do.
+    "wootters": (set(), lambda rho, k, cfg: replace(observation1_bound(rho, k, {(0,): [1.0]}, bipartite_generators(2, 2)), mode="wootters"), lambda rho, k: _weigh("obs1", 1, 1, [wootters_concurrence(rho)])[1]),
     "ppt": (set(), None, lambda rho, k: max(0.0, -_ppt_summary(rho)["worst"])),
-    **{f"obs2-{f}": ({"gen_source"}, lambda rho, k, cfg, f=f: observation2_bound(rho, k, {(0,): ([1.0], [1.0], [1.0])}, f), None) for f in _EXAMPLES},
+    **{f"obs2-{f}": ({"gen_source"}, lambda rho, k, cfg, f=f: observation2_bound(rho, k, {(0,): _UNIT}, f), _fixed_value(_UNIT, f)) for f in _EXAMPLES},
 }
 
 

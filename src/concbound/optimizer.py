@@ -198,10 +198,9 @@ def _search(stack: np.ndarray, subsets, salts, cfg: OptimizerConfig):
         deltas = _gaps(stack, idx, coeffs)
         return coeffs, deltas, np.repeat(deltas[:, None], cfg.restarts, axis=1)
     x = np.tile(np.repeat([1.0, 0.0], m), (n_sub, cfg.restarts, 1))
-    for p, salt in enumerate(salts):
-        for restart in range(1, cfg.restarts):
-            rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(restart,) + tuple(salt)))
-            x[p, restart] = np.concatenate([rng.random(m), 2.0 * np.pi * rng.random(m)])
+    # default_rng(SeedSequence(seed, spawn_key=(j,) + salt)).random's 2m doubles, (next64 >> 11) * 2^-53 on PCG64.
+    raw = [np.random.PCG64(np.random.SeedSequence(cfg.seed, spawn_key=(j,) + tuple(salt))).random_raw(2 * m) for salt in salts for j in range(1, cfg.restarts)]
+    x[:, 1:] = (np.array(raw, dtype=np.uint64).reshape(n_sub, -1, 2 * m) >> 11) * np.repeat([2.0**-53, 2.0 * np.pi * 2.0**-53], m)
     val = _ascend(stack, np.repeat(idx, cfg.restarts, axis=0), x.reshape(-1, 2 * m), cfg).reshape(n_sub, -1)
     # argmax keeps the first of equal gaps, like a strict '>' over restarts;
     # where none is positive, the all-ones start is as good (delta 0).

@@ -6,7 +6,6 @@ import json
 import re
 from dataclasses import fields
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -672,8 +671,16 @@ class TestScanCommand:
         code = main(["scan", "--family", "w-noise", "--mode", "ppt", "--p-range", "0.01:1.0", "--points", "5", "--out", str(out_csv)])
         printed = capsys.readouterr().out
         assert code == 0 and "16 evaluations" in printed
-        # One stacked call of three splits for each of 16 bisection points and 5 grid rows.
-        assert calls == [["1|23", "2|13", "3|12"]] * (16 + 5)
+        # One stacked call of three splits per distinct state: 16 bisection points and the 5 grid rows,
+        # 4 of which (p_lo, p_hi, 0.505 and 0.2575) the bisection visited.
+        assert calls == [["1|23", "2|13", "3|12"]] * (16 + 5 - 4)
+
+    def test_ppt_bound_reads_one_summary(self, capsys, monkeypatch):
+        calls = []
+        spectra = cli._pt_spectra
+        monkeypatch.setattr(cli, "_pt_spectra", lambda rho, splits: calls.append(1) or spectra(rho, splits))
+        assert main(["bound", "--state", "family:w-noise,p=0.5", "--mode", "ppt"]) == 0
+        assert "verdict: ENTANGLED" in capsys.readouterr().out and calls == [1]
 
     def test_ppt_summary_of_two_parties_reads_the_one_split(self, monkeypatch):
         calls = []
@@ -718,10 +725,9 @@ class TestScanCommand:
                 raise RuntimeError("bisection did not terminate")
             return float(rho.matrix[0, 0].real > 0.3)
 
-        # A ghz-noise scan of obs2 reads the row of the family's generator source.
-        reads, _, value = cli._MODES["obs2-ghz"]
-        report = lambda rho, *args: SimpleNamespace(bound_on_c_squared=detector(rho))
-        monkeypatch.setitem(cli._MODES, "obs2-ghz", (reads, report, value))
+        # A ghz-noise scan of obs2 reads the scan value of the family's generator source's row.
+        reads, report, _ = cli._MODES["obs2-ghz"]
+        monkeypatch.setitem(cli._MODES, "obs2-ghz", (reads, report, lambda rho, k: detector(rho)))
         out_csv = tmp_path / "x.csv"
         code = main(
             ["scan", "--family", "ghz-noise", "--mode", "obs2", "--p-range", "0.05:1.0", f"--tol={tol}", "--out", str(out_csv)]
@@ -736,15 +742,16 @@ class TestScanCommand:
         built, scored = [], []
         mix = cli.white_noise_mix
         monkeypatch.setattr(cli, "white_noise_mix", lambda base, p: built.append(p) or mix(base, p))
+        # Both rows answer scan from their scan value, not from a report.
         reads, report, value = cli._MODES[row]
-        spy = lambda f: f and (lambda rho, *args: scored.append(rho) or f(rho, *args))
-        monkeypatch.setitem(cli._MODES, row, (reads, spy(report), spy(value)))
+        spy = lambda rho, k: scored.append(rho) or value(rho, k)
+        monkeypatch.setitem(cli._MODES, row, (reads, report, spy))
         code = main(["scan", "--family", "w-noise", "--mode", mode, "--p-range", "0.01:1.0", "--points", "5", "--out", str(tmp_path / "x.csv")])
         evaluations = int(re.search(r"(\d+) evaluations", capsys.readouterr().out).group(1))
         assert code == 0
         # The grid's two ends are the bisection's first two points.
         assert len(built) == len(set(built)) <= evaluations + 5 - 2
-        assert len(scored) == len(set(map(id, scored))) <= evaluations + 5 - 2
+        assert evaluations <= len(scored) == len(set(map(id, scored))) <= evaluations + 5 - 2
 
 
 class TestParserReuse:
@@ -805,6 +812,17 @@ class TestScanMatchesBound:
         assert len(rows) == points
         for p, bound, _ in rows:
             assert self._bound(f"{state},p={p!r}", mode, capsys, *extra) == bound
+
+    # The noise family each row with both a report and a scan value is checked on.
+    FAMILY_OF = {"obs2-ghz": "ghz-noise", "obs2-w": "w-noise", "wootters": "bell-noise"}
+
+    @pytest.mark.parametrize("row", [row for row, (_, report, value) in cli._MODES.items() if report and value])
+    def test_scan_value_is_the_report_bound_bit_for_bit(self, row):
+        _, report, value = cli._MODES[row]
+        at = cli._noise_family(self.FAMILY_OF[row], {})
+        for p in np.linspace(0.0, 1.0, 101):
+            rho = at(float(p))
+            assert value(rho, 1) == report(rho, 1, None).bound_on_c_squared, p
 
     def test_wootters_closed_form_is_the_report_bound(self):
         rng = np.random.default_rng(11)

@@ -22,6 +22,7 @@ from concbound.bounds_bipartite import (
 from concbound.bounds_multipartite import delta_tot_k, observation2_bound, observation3_bound
 from concbound.generators import bipartite_generators, canonical_triple, tripartite_generators
 from concbound.optimizer import (
+    DEFAULT_SEED,
     OptimizerConfig,
     ScanResult,
     optimize_bound_bipartite,
@@ -279,6 +280,28 @@ def _raw_value(b):
     """2 sigma_1 - sum sigma of one matrix, unclipped."""
     lam = np.linalg.svd(b, compute_uv=False)
     return 2.0 * lam[0] - lam.sum()
+
+
+class TestSeededStarts:
+    """The search's seeded starts are ``default_rng(SeedSequence(...)).random``'s
+    draws, bit for bit, though read off raw PCG64 streams."""
+
+    @pytest.mark.parametrize("m", range(2, 10))
+    def test_starts_are_the_generators_draws(self, m, monkeypatch):
+        starts, ascend = [], optimizer._ascend
+        monkeypatch.setattr(optimizer, "_ascend", lambda stack, idx, x, cfg: starts.append(x.copy()) or ascend(stack, idx, x, cfg))
+        rho = random_density((4, 4), 16, seed=m)
+        stack = rho._frame(bipartite_generators(4, 4).operators[: m + 1])
+        subsets, salts = [tuple(range(m)), tuple(range(1, m + 1))], [(m, 0, 7), (2,)]
+        for seed in (0, DEFAULT_SEED, 2**64 - 1):
+            optimizer._search(stack, subsets, salts, OptimizerConfig(restarts=4, iterations=1, seed=seed))
+            want = [np.repeat([1.0, 0.0], m)]
+            for salt in salts:
+                for restart in range(1, 4):
+                    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(restart,) + salt))
+                    want.append(np.concatenate([rng.random(m), 2.0 * np.pi * rng.random(m)]))
+            want = np.array([want[0], *want[1:4], want[0], *want[4:]])
+            assert starts.pop().tobytes() == want.tobytes()
 
 
 class TestLockstepEngine:
