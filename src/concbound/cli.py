@@ -139,9 +139,8 @@ def parse_state(text: str) -> tuple[DensityMatrix, dict]:
 
 # n -> {label: split}, built once per n: one party versus the rest; two parties have only the one split.
 _splits = functools.cache(lambda n: {s.label: s for s in (Bipartition.single(i, n) for i in range(1 if n == 2 else n))})
-
-
-_ppt_summaries = weakref.WeakKeyDictionary()  # state -> its PPT summary while it lives; shared, read only
+# state -> its PPT summary while the state lives, so a scan's bisection and grid share it; shared, read only.
+_ppt_summaries = weakref.WeakKeyDictionary()
 
 
 def _ppt_summary(rho: DensityMatrix) -> dict:

@@ -198,7 +198,8 @@ def _search(stack: np.ndarray, subsets, salts, cfg: OptimizerConfig):
         deltas = _gaps(stack, idx, coeffs)
         return coeffs, deltas, np.repeat(deltas[:, None], cfg.restarts, axis=1)
     x = np.tile(np.repeat([1.0, 0.0], m), (n_sub, cfg.restarts, 1))
-    # default_rng(SeedSequence(seed, spawn_key=(j,) + salt)).random's 2m doubles, (next64 >> 11) * 2^-53 on PCG64.
+    # Restart j starts at default_rng(SeedSequence(seed, spawn_key=(j,) + salt)).random's 2m doubles, bit for bit:
+    # (next64 >> 11) * 2^-53 on PCG64, and k * (2 pi * 2^-53) rounds the same product as 2 pi * (k * 2^-53).
     raw = [np.random.PCG64(np.random.SeedSequence(cfg.seed, spawn_key=(j,) + tuple(salt))).random_raw(2 * m) for salt in salts for j in range(1, cfg.restarts)]
     x[:, 1:] = (np.array(raw, dtype=np.uint64).reshape(n_sub, -1, 2 * m) >> 11) * np.repeat([2.0**-53, 2.0 * np.pi * 2.0**-53], m)
     val = _ascend(stack, np.repeat(idx, cfg.restarts, axis=0), x.reshape(-1, 2 * m), cfg).reshape(n_sub, -1)
