@@ -41,7 +41,7 @@ from .errors import (
 )
 from .generators import _EXAMPLES, Bipartition, GeneratorSet, bipartite_generators
 from .numerics import _MODULUS, _ROUNDOFF, _as_index, as_symmetric
-from .states import Decomposition, DensityMatrix, PureState, _check_pure, _check_state, partial_trace, partial_transpose
+from .states import Decomposition, DensityMatrix, PureState, _check_pure, _check_state, _pt_spectra, partial_trace
 
 # Most gap matrices per SVD call: caps the engine's memory whatever the
 # number of rows.
@@ -415,10 +415,4 @@ def ppt_min_eigenvalue(rho: DensityMatrix, split) -> float:
     certify entanglement across the split; nonnegative values are silent.
     """
     return float(_pt_spectra(rho, (split,))[0, 0])
-
-
-def _pt_spectra(rho: DensityMatrix, splits) -> np.ndarray:
-    """Row i: the ascending eigenvalues of ``partial_transpose(rho, s)`` for the i-th split s of ``splits``,
-    all from one stacked ``eigvalsh``, which gives each matrix the bits of its own call."""
-    return np.linalg.eigvalsh([partial_transpose(rho, s) for s in splits])
 

@@ -26,7 +26,6 @@ import math
 import os
 import sys
 import time
-import weakref
 from dataclasses import replace
 from datetime import datetime, timezone
 
@@ -34,7 +33,7 @@ import numpy as np
 
 from . import __version__
 from .errors import ParameterRangeError, ThresholdNotDetectedError
-from .bounds_bipartite import _pt_spectra, _weigh, observation1_bound, wootters_concurrence
+from .bounds_bipartite import _weigh, observation1_bound, wootters_concurrence
 from .bounds_multipartite import _fixed_value, observation2_bound, ctau_pure
 from .generators import _EXAMPLES, Bipartition, bipartite_generators
 from .optimizer import (
@@ -137,19 +136,13 @@ def parse_state(text: str) -> tuple[DensityMatrix, dict]:
     return rho, {"source": "file", "path": text, "dims": list(rho.dims)}
 
 
-# n -> {label: split}, built once per n: one party versus the rest; two parties have only the one split.
-_splits = functools.cache(lambda n: {s.label: s for s in (Bipartition.single(i, n) for i in range(1 if n == 2 else n))})
-# state -> its PPT summary while the state lives, so a scan's bisection and grid share it; shared, read only.
-_ppt_summaries = weakref.WeakKeyDictionary()
+_labels = functools.cache(lambda n: [Bipartition.single(s, n).label for s in range(n)])  # n -> label of party s's split
 
 
 def _ppt_summary(rho: DensityMatrix) -> dict:
-    if rho not in _ppt_summaries:
-        splits = _splits(len(rho.dims))
-        vals = dict(zip(splits, _pt_spectra(rho, splits.values())[:, 0].tolist()))
-        worst_label = min(vals, key=vals.get)
-        _ppt_summaries[rho] = {"per_split": vals, "worst": vals[worst_label], "worst_split": worst_label}
-    return _ppt_summaries[rho]
+    vals = dict(zip(_labels(len(rho.dims)), rho._pt[:, 0].tolist()))  # one split per row of rho._pt
+    worst_label = min(vals, key=vals.get)
+    return {"per_split": vals, "worst": vals[worst_label], "worst_split": worst_label}
 
 
 def _make_config(blob: str | None) -> OptimizerConfig:
@@ -226,24 +219,25 @@ def cmd_bound(args, argv) -> int:
 def cmd_scan(args, argv) -> int:
     name, _, rest = args.family.partition(":")
     name, params = name.strip(), _parse_params(rest)
-    # Memoized, so the bisection and the grid share one state and one detector value per p.
-    family = functools.cache(_noise_family(name, params))
+    family = _noise_family(name, params)
     _, report, value = _pick_mode(args, name)
     lo_txt, _, hi_txt = args.p_range.partition(":")
     p_lo, p_hi = float(lo_txt), float(hi_txt)
     if args.points < 1:
         raise ParameterRangeError(f"--points must be at least 1, got {args.points}")
     cfg = _make_config(args.optimizer)
-    detector = functools.cache((lambda rho: value(rho, args.k)) if value else (lambda rho: report(rho, args.k, cfg).bound_on_c_squared))
+    detector = (lambda rho: value(rho, args.k)) if value else (lambda rho: report(rho, args.k, cfg).bound_on_c_squared)
+    # The bisection's points (state, value) by p, which it never repeats: the grid reuses them and keeps no other state.
+    visited, point = {}, lambda p: (rho := family(p), detector(rho))
     # threshold_scan checks every input first; its outcome is printed after the grid.
     try:
-        result = threshold_scan(family, detector, p_lo, p_hi, args.tol, args.tol_detect)
+        result = threshold_scan(lambda p: visited.setdefault(p, point(p)), lambda pt: pt[1], p_lo, p_hi, args.tol, args.tol_detect)
     except ThresholdNotDetectedError as exc:
         result, missed = None, exc
     rows = []
     for p in np.linspace(p_lo, p_hi, args.points):
-        rho = family(float(p))
-        rows.append((float(p), float(detector(rho)), _ppt_summary(rho)["worst"]))
+        rho, bound = visited.get(float(p)) or point(float(p))
+        rows.append((float(p), float(bound), _ppt_summary(rho)["worst"]))
     scan_report: dict = {"family": name, "params": params, "mode": args.mode, "rows": [list(r) for r in rows]}
     if result is not None:
         scan_report["scan"] = result.to_dict()

@@ -37,7 +37,6 @@ from .bounds_bipartite import (
     _check_subset,
     _entry_rows,
     _gaps,
-    _pt_spectra,
     _report,
     _resolve_gens,
 )
@@ -245,7 +244,7 @@ def _lemma_zero(rho: DensityMatrix, ops: np.ndarray, rows: np.ndarray) -> np.nda
     for s in set(f[one, 0].tolist()):
         if not np.array_equal(np.swapaxes(fams[s], 1 + s, 1 + s + m), -fams[s]):
             continue
-        w = _pt_spectra(rho, [(s,)])[0]
+        w = rho._pt[s]
         on, nz = one & (f[:, 0] == s), fams[s].reshape(n, rho.dim, rho.dim) != 0
         support = np.moveaxis((nz.any(axis=1) | nz.any(axis=2)).reshape((n,) + rho.dims), 1 + s, 1).reshape(n, rho.dims[s], -1)
         a, b = (x[t[on]].any(axis=1).sum(axis=1) for x in (support.any(axis=2), support.any(axis=1)))
@@ -355,9 +354,9 @@ def threshold_scan(
     Parameters
     ----------
     family : callable
-        p -> DensityMatrix along a one-parameter family.
+        p -> state along a one-parameter family: a DensityMatrix, or anything the detector reads.
     detector : callable
-        DensityMatrix -> float; "fires" means the value exceeds
+        state -> float; "fires" means the value exceeds
         ``tol_detect``. Assumed monotone across the scanned range.
     p_lo, p_hi : float
         Scan interval. The detector must fire at ``p_hi``; if it

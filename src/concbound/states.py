@@ -5,9 +5,9 @@ dimensions (d1, d2, d3) the basis ket |i j k> maps to the flat index
 i*d2*d3 + j*d3 + k, matching a C-order reshape of the coefficient
 tensor. All containers validate on construction and reject bad input
 rather than repairing it, within the tolerances of the table in
-``numerics``. A DensityMatrix eigendecomposes itself once
-and reads the support factor of its root off that decomposition; it
-keeps no gap matrices, so each bound frames only the operators it reads.
+``numerics``. A DensityMatrix eigendecomposes itself once, reads the support
+factor of its root off that decomposition, and on first use keeps the spectra
+of its single-party partial transposes; it keeps no gap matrices.
 
 State JSON format: ``{"dims": [...], "re": ..., "im": ...}`` where
 ``re``/``im`` are flat lists for a pure state and row-major nested
@@ -125,6 +125,13 @@ class DensityMatrix:
         xc = q[:, low:] * np.sqrt(w[low:])
         np.conjugate(xc, out=xc).setflags(write=False)
         return xc
+
+    @cached_property
+    def _pt(self) -> np.ndarray:
+        """Row s: the ascending spectrum of rho with party s transposed, for each s (s = 0 alone on two parties); read only."""
+        w = _pt_spectra(self, [(s,) for s in range(1 if len(self.dims) == 2 else len(self.dims))])
+        w.setflags(write=False)
+        return w
 
     def _frame(self, ops: np.ndarray) -> np.ndarray:
         """B = X^dag S conj(X) for each S of the (..., D, D) stack ``ops``,
@@ -256,6 +263,12 @@ def partial_transpose(rho: DensityMatrix, part) -> np.ndarray:
     for i in part:
         tensor = tensor.swapaxes(i, i + n)
     return np.ascontiguousarray(tensor.reshape(rho.dim, rho.dim))
+
+
+def _pt_spectra(rho: DensityMatrix, splits) -> np.ndarray:
+    """Row i: the ascending eigenvalues of ``partial_transpose(rho, s)`` for the i-th split s of ``splits``,
+    all from one stacked ``eigvalsh``, which gives each matrix the bits of its own call."""
+    return np.linalg.eigvalsh([partial_transpose(rho, s) for s in splits])
 
 
 def bell_state() -> PureState:

@@ -1,7 +1,7 @@
 """Reference routines that only the tests read: the Autonne-Takagi
 factorization of a complex symmetric matrix, the eigenvalue route to
 the lambda spectrum, an independent cross-check of ``lambda_spectrum``,
-and the three-qubit Shifts UPB state."""
+and two bound entangled UPB states: three-qubit Shifts and two-qutrit Tiles."""
 from __future__ import annotations
 
 import math
@@ -69,3 +69,16 @@ def shifts_upb_state() -> DensityMatrix:
     upb = [(zero, one, plus), (one, plus, zero), (plus, zero, one), (minus, minus, minus)]
     vecs = [np.kron(np.kron(a, b), c) for a, b, c in upb]
     return DensityMatrix((np.eye(8) - sum(np.outer(v, v) for v in vecs)) / 4.0, (2, 2, 2))
+
+
+def tiles_upb_state() -> DensityMatrix:
+    """(I - sum_i |psi_i><psi_i|) / 4 on two qutrits over the Tiles UPB
+    {|0>(|0>-|1>), (|0>-|1>)|2>, |2>(|1>-|2>), (|1>-|2>)|0>, (|0>+|1>+|2>)^(x2)},
+    each normalized (Bennett et al., PRL 82, 5385 (1999)): PPT, yet
+    entangled, since no product vector lies in its range."""
+    e0, e1, e2 = np.eye(3)
+    stopper = (e0 + e1 + e2) / math.sqrt(3.0)
+    upb = [(e0, (e0 - e1) / math.sqrt(2.0)), ((e0 - e1) / math.sqrt(2.0), e2), (e2, (e1 - e2) / math.sqrt(2.0)),
+           ((e1 - e2) / math.sqrt(2.0), e0), (stopper, stopper)]
+    vecs = [np.kron(a, b) for a, b in upb]
+    return DensityMatrix((np.eye(9) - sum(np.outer(v, v) for v in vecs)) / 4.0, (3, 3))

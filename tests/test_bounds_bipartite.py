@@ -21,7 +21,6 @@ from concbound.errors import (
 )
 from concbound.bounds_bipartite import (
     BoundReport,
-    _pt_spectra,
     concurrence_pure,
     concurrence_pure_sumrule,
     decomposition_average,
@@ -36,6 +35,7 @@ from concbound.generators import Bipartition, bipartite_generators, canonical_tr
 from concbound.optimizer import OptimizerConfig, optimize_bound_bipartite, optimize_u
 from concbound.states import (
     DensityMatrix,
+    _pt_spectra,
     bell_state,
     ghz_state,
     horodecki_state,
@@ -400,6 +400,19 @@ class TestPptMinEigenvalue:
         for row, split in zip(rows, splits):
             assert row.tobytes() == np.linalg.eigvalsh(partial_transpose(rho, split)).tobytes()
             assert ppt_min_eigenvalue(rho, split) == row[0]
+
+    @pytest.mark.parametrize("name", _SPECTRA_STATES)
+    def test_cached_rows_are_each_partys_spectrum_read_only(self, name):
+        rho = self._SPECTRA_STATES[name]()
+        rows = rho._pt
+        # Every party, but party 0 alone on two parties.
+        assert rows.shape == (1 if len(rho.dims) == 2 else len(rho.dims), rho.dim)
+        for s, row in enumerate(rows):
+            assert row.tobytes() == np.linalg.eigvalsh(partial_transpose(rho, (s,))).tobytes()
+            assert ppt_min_eigenvalue(rho, (s,)) == row[0]
+        assert rho._pt is rows and not rows.flags.writeable
+        with pytest.raises(ValueError):
+            rows[0, 0] = 0.0
 
     def test_split_of_other_party_count(self):
         # A three-party split on a two-party state used to read -0.5.

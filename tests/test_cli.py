@@ -2,15 +2,17 @@
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import re
+import weakref
 from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from concbound import cli
+from concbound import cli, states
 from concbound.cli import _fmt, _make_config, main, parse_state
 from concbound.optimizer import DEFAULT_SEED, OptimizerConfig
 from concbound.states import DensityMatrix, bell_state, save_state, random_density, white_noise_mix
@@ -660,39 +662,47 @@ class TestScanCommand:
 
     def test_ppt_scan_evaluates_each_grid_row_once(self, tmp_path, capsys, monkeypatch):
         calls = []
-        spectra = cli._pt_spectra
+        spectra = states._pt_spectra
 
         def spy(rho, splits):
-            calls.append([s.label for s in splits])
+            calls.append(list(splits))
             return spectra(rho, splits)
 
-        monkeypatch.setattr(cli, "_pt_spectra", spy)
+        monkeypatch.setattr(states, "_pt_spectra", spy)
         out_csv = tmp_path / "ppt.csv"
         code = main(["scan", "--family", "w-noise", "--mode", "ppt", "--p-range", "0.01:1.0", "--points", "5", "--out", str(out_csv)])
         printed = capsys.readouterr().out
         assert code == 0 and "16 evaluations" in printed
-        # One stacked call of three splits per distinct state: 16 bisection points and the 5 grid rows,
-        # 4 of which (p_lo, p_hi, 0.505 and 0.2575) the bisection visited.
-        assert calls == [["1|23", "2|13", "3|12"]] * (16 + 5 - 4)
+        # One stacked call of the three single-party transposes per distinct state: 16 bisection points and
+        # the 5 grid rows, 4 of which (p_lo, p_hi, 0.505 and 0.2575) the bisection visited.
+        assert calls == [[(0,), (1,), (2,)]] * (16 + 5 - 4)
 
     def test_ppt_bound_reads_one_summary(self, capsys, monkeypatch):
         calls = []
-        spectra = cli._pt_spectra
-        monkeypatch.setattr(cli, "_pt_spectra", lambda rho, splits: calls.append(1) or spectra(rho, splits))
+        spectra = states._pt_spectra
+        monkeypatch.setattr(states, "_pt_spectra", lambda rho, splits: calls.append(1) or spectra(rho, splits))
         assert main(["bound", "--state", "family:w-noise,p=0.5", "--mode", "ppt"]) == 0
         assert "verdict: ENTANGLED" in capsys.readouterr().out and calls == [1]
 
+    def test_searched_bound_and_its_summary_share_one_transpose_spectrum(self, capsys, monkeypatch):
+        # The projection lemma of the k=2 search and the printed PPT summary read the same cached row.
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(np.shape(a)) or eigvalsh(a))
+        assert main(["bound", "--state", "family:horodecki,a=0.2", "--mode", "obs1", "--k", "2", "--optimizer", FAST_OPT]) == 0
+        assert "verdict: ENTANGLED" in capsys.readouterr().out and calls == [(1, 9, 9)]
+
     def test_ppt_summary_of_two_parties_reads_the_one_split(self, monkeypatch):
         calls = []
-        spectra = cli._pt_spectra
+        spectra = states._pt_spectra
 
         def spy(rho, splits):
-            calls.append([s.label for s in splits])
+            calls.append(list(splits))
             return spectra(rho, splits)
 
-        monkeypatch.setattr(cli, "_pt_spectra", spy)
+        monkeypatch.setattr(states, "_pt_spectra", spy)
         summary = cli._ppt_summary(white_noise_mix(bell_state(), 0.9))
-        assert calls == [["1|2"]] and list(summary["per_split"]) == ["1|2"] and summary["worst_split"] == "1|2"
+        assert calls == [[(0,)]] and list(summary["per_split"]) == ["1|2"] and summary["worst_split"] == "1|2"
         # The Werner state's transpose has the eigenvalue (1 - 3p)/4.
         assert summary["worst"] == summary["per_split"]["1|2"] == pytest.approx(-0.425, abs=1e-12)
 
@@ -752,6 +762,24 @@ class TestScanCommand:
         # The grid's two ends are the bisection's first two points.
         assert len(built) == len(set(built)) <= evaluations + 5 - 2
         assert evaluations <= len(scored) == len(set(map(id, scored))) <= evaluations + 5 - 2
+
+    def test_scan_keeps_only_the_states_its_bisection_evaluated(self, tmp_path, capsys, monkeypatch):
+        built, alive = [], []
+        mix = cli.white_noise_mix
+        monkeypatch.setattr(cli, "white_noise_mix", lambda base, p: (rho := mix(base, p), built.append(weakref.ref(rho)))[0])
+        summary = cli._ppt_summary
+
+        def spy(rho):
+            gc.collect()
+            alive.append(sum(ref() is not None for ref in built))
+            return summary(rho)
+
+        # obs2 on ghz-noise reads the PPT summary of each grid row, and of nothing else.
+        monkeypatch.setattr(cli, "_ppt_summary", spy)
+        code = main(["scan", "--family", "ghz-noise", "--mode", "obs2", "--p-range", "0.01:1.0", "--points", "201", "--out", str(tmp_path / "x.csv")])
+        evaluations = int(re.search(r"(\d+) evaluations", capsys.readouterr().out).group(1))
+        assert code == 0 and len(alive) == 201 and len(built) > 201
+        assert alive[-1] <= evaluations
 
 
 class TestParserReuse:

@@ -9,7 +9,9 @@ in a window of states that stay PPT.
 (b) A bipartite criterion stronger than the known ones on some families: on
 the PPT Horodecki states obs1 beats the Chen-Albeverio-Fei bound (PRL 95,
 040504 (2005)), which combines PPT with realignment, and near a = 0.2 it
-detects noisy states that realignment misses.
+detects noisy states that realignment misses. On the two-qutrit Tiles UPB
+state (Bennett et al., PRL 82, 5385 (1999)) obs1 beats it at k = 4, where
+k <= 2 stays silent in the computational frame.
 
 Next to each threshold stands the measured value it guards and the margin
 between them."""
@@ -18,13 +20,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from _reference import shifts_upb_state
+from _reference import shifts_upb_state, tiles_upb_state
 from concbound.bounds_bipartite import ppt_min_eigenvalue
 from concbound.optimizer import OptimizerConfig, optimize_bound_bipartite, optimize_bound_multipartite, threshold_scan
 from concbound.states import horodecki_state, white_noise_mix
 
 CFG = OptimizerConfig(restarts=2, iterations=25)
 CFG_OBS1 = OptimizerConfig(restarts=2, iterations=20)
+CFG_TILES = OptimizerConfig(restarts=8, iterations=100)
 
 
 @pytest.mark.parametrize("party", range(3))
@@ -97,3 +100,17 @@ def test_obs1_detects_a_noisy_horodecki_state_that_realignment_misses():
     assert realigned < 1.0 and pt - 1.0 <= 1e-12
     # Measured 6.6e-6: 1e-6 leaves a factor of 6.6.
     assert optimize_bound_bipartite(rho, 2, CFG_OBS1).bound_on_c_squared > 1e-6
+
+
+@pytest.mark.parametrize("k", (1, 2))
+def test_obs1_up_to_pairs_is_silent_on_the_tiles_upb_state(k):
+    # Measured 1.1e-31 (k=1) and 2.1e-32 (k=2) in the computational frame: 1e-20 leaves a margin of 1e11.
+    assert optimize_bound_bipartite(tiles_upb_state(), k, CFG_OBS1).bound_on_c_squared <= 1e-20
+
+
+def test_obs1_beats_caf_on_the_tiles_upb_state_at_k4():
+    rho = tiles_upb_state()
+    # Measured -1.4e-16 on both splits, round-off: 1e-12 leaves a margin of 7e3.
+    assert min(ppt_min_eigenvalue(rho, (party,)) for party in (0, 1)) >= -1e-12
+    # obs1 k=4 at (8, 100) measures 5.03e-3 against CAF^2 = 2.547e-3, 1.98x: 1.5 leaves a margin of 1.32.
+    assert optimize_bound_bipartite(rho, 4, CFG_TILES).bound_on_c_squared > 1.5 * _caf_squared(rho)
