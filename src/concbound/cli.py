@@ -234,40 +234,35 @@ def cmd_scan(args, argv) -> int:
         result = threshold_scan(lambda p: visited.setdefault(p, point(p)), lambda pt: pt[1], p_lo, p_hi, args.tol, args.tol_detect)
     except ThresholdNotDetectedError as exc:
         result, missed = None, exc
-    rows = []
-    for p in np.linspace(p_lo, p_hi, args.points):
-        rho, bound = visited.get(float(p)) or point(float(p))
-        rows.append((float(p), float(bound), _ppt_summary(rho)["worst"]))
-    scan_report: dict = {"family": name, "params": params, "mode": args.mode, "rows": [list(r) for r in rows]}
+    grid = np.linspace(p_lo, p_hi, args.points)
     if result is not None:
-        scan_report["scan"] = result.to_dict()
-        summary_line = (
-            f"# threshold={_fmt(result.threshold)}"
-            f" bracket_width={_fmt(result.bracket_width)}"
-            f" evaluations={result.evaluations}"
-        )
-        message = (
-            f"threshold: {_fmt(result.threshold)} (bracket {_fmt(result.bracket_width)},"
-            f" {result.evaluations} evaluations)"
-        )
+        thr, width, n = _fmt(result.threshold), _fmt(result.bracket_width), result.evaluations
+        summary_line, message = f"# threshold={thr} bracket_width={width} evaluations={n}", f"threshold: {thr} (bracket {width}, {n} evaluations)"
     else:
-        scan_report["scan"] = None
-        summary_line = "# threshold=not-detected"
-        message = f"threshold: not detected ({missed})"
-    lines = ["p,bound,ppt_min_eig_worst_split"]
-    for p, bound, ppt in rows:
-        lines.append(f"{_fmt(p)},{_fmt(bound)},{_fmt(ppt)}")
-    lines.append(summary_line)
-    # Both or neither: an unwritable record leaves no CSV, an unwritable CSV removes the record.
-    if args.record:
-        with open(args.record, "w", encoding="utf-8") as fh:
-            fh.write(_record(argv, {"source": "family", "family": name, "params": params}, scan_report) + "\n")
+        summary_line, message = "# threshold=not-detected", f"threshold: not detected ({missed})"
+    # Both or neither: the record opens first, a failure removes what is open; CSV lines are written as scored.
+    rows, opened = [], []
     try:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
-    except OSError:
-        if args.record:
-            os.remove(args.record)
+        for path in filter(None, (args.record, args.out)):
+            opened.append(open(path, "w", encoding="utf-8"))
+        *record, csv = opened
+        csv.write("p,bound,ppt_min_eig_worst_split\n")
+        for p in map(float, grid):
+            rho, bound = visited.get(p) or point(p)
+            row = [p, float(bound), _ppt_summary(rho)["worst"]]
+            csv.write(",".join(map(_fmt, row)) + "\n")
+            if record:
+                rows.append(row)
+        csv.write(summary_line + "\n")
+        if record:
+            scan_report = {"family": name, "params": params, "mode": args.mode, "rows": rows, "scan": result and result.to_dict()}
+            record[0].write(_record(argv, {"source": "family", "family": name, "params": params}, scan_report) + "\n")
+        for fh in opened:
+            fh.close()
+    except BaseException:
+        for fh in opened:
+            fh.close()
+            os.remove(fh.name)
         raise
     print(message, file=sys.stdout if result is not None else sys.stderr)
     return 0 if result is not None else 3

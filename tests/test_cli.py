@@ -706,6 +706,38 @@ class TestScanCommand:
         # The Werner state's transpose has the eigenvalue (1 - 3p)/4.
         assert summary["worst"] == summary["per_split"]["1|2"] == pytest.approx(-0.425, abs=1e-12)
 
+    @pytest.mark.parametrize("family,mode", [("w-noise", "ppt"), ("w-noise", "obs2"), ("ghz-noise", "obs2"), ("bell-noise", "wootters")])
+    def test_scan_eigendecomposes_the_base_and_each_state_it_frames(self, family, mode, tmp_path, capsys, monkeypatch):
+        calls, built = [], set()
+        eigh, mix = np.linalg.eigh, cli.white_noise_mix
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(np.shape(a)) or eigh(a))
+        monkeypatch.setattr(cli, "white_noise_mix", lambda base, p: built.add(p) or mix(base, p))
+        argv = ["scan", "--family", family, "--mode", mode, "--p-range", "0.01:1.0", "--tol", "1e-4", "--points", "5"]
+        assert main(argv + ["--out", str(tmp_path / "x.csv")]) == 0
+        capsys.readouterr()
+        # The base state validates itself with one eigh. A mixture is not re-checked: the PPT spectra read its
+        # matrix alone, and only the gap engine's support factor decomposes it, once per distinct state.
+        assert len(calls) == (1 if mode == "ppt" else 1 + len(built)) and len(built) >= 17
+
+    def test_grid_failure_leaves_neither_output(self, tmp_path, capsys):
+        # Not detected at p_hi, so the bisection never reads p_lo; the grid's first row rejects it after both
+        # files are open, and the scan removes them.
+        out_csv, record = tmp_path / "x.csv", tmp_path / "r.json"
+        argv = ["scan", "--family", "bell-noise", "--mode", "wootters", "--p-range=-0.5:0.2", "--out", str(out_csv)]
+        assert main(argv + ["--record", str(record)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "outside [0, 1]" in captured.err
+        assert not out_csv.exists() and not record.exists()
+
+    def test_record_leaves_the_csv_bytes_alone(self, tmp_path, capsys):
+        argv = ["scan", "--family", "w-noise", "--mode", "ppt", "--p-range", "0.01:1.0", "--points", "7"]
+        assert main(argv + ["--out", str(tmp_path / "a.csv")]) == 0
+        assert main(argv + ["--out", str(tmp_path / "b.csv"), "--record", str(tmp_path / "r.json")]) == 0
+        capsys.readouterr()
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+        rows = json.loads((tmp_path / "r.json").read_text())["report"]["rows"]
+        assert [",".join(map(_fmt, row)) for row in rows] == (tmp_path / "a.csv").read_text().splitlines()[1:-1]
+
     def test_tolerance_below_the_float_spacing_exits_zero(self, tmp_path, capsys, monkeypatch):
         calls = []
         reads, report, value = cli._MODES["ppt"]

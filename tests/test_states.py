@@ -5,6 +5,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from concbound.errors import (
     DecompositionSizeError,
@@ -448,6 +449,74 @@ class TestRootFromConstructor:
         assert rho._xc is xc
         with pytest.raises(ValueError):
             xc[0, 0] = 1.0
+
+
+# The bases of the white-noise families and of the random states a mix may take, and a p grid with both ends,
+# the smallest normal-range weight and the four analytic thresholds of the scanned families.
+MIX_BASES = {
+    "bell": bell_state,
+    "ghz": ghz_state,
+    "w": w_state,
+    **{f"horodecki-{a}": lambda a=a: horodecki_state(a) for a in (0.1, 0.2, 0.5, 0.8, 1.0)},
+    **{f"2x2-seed{i}": lambda i=i: random_density((2, 2), i % 4 + 1, seed=i) for i in range(9)},
+    "3x3": lambda: random_density((3, 3), 4, seed=1),
+    "2x2x2": lambda: random_density((2, 2, 2), 3, seed=2),
+}
+MIX_WEIGHTS = [*np.linspace(0.0, 1.0, 101).tolist(), 1e-300, 0.2, np.sqrt(3) / (8 + np.sqrt(3)), 3 * (8 * np.sqrt(2) - 3) / 119, 1 / 3]
+
+
+def _validated_mix(base, p: float) -> DensityMatrix:
+    """The mixture as the validating constructor builds it."""
+    rho = base.density() if isinstance(base, PureState) else base
+    return DensityMatrix(p * rho.matrix + (1 - p) * np.eye(rho.dim) / rho.dim, rho.dims)
+
+
+def _same_bytes(a: DensityMatrix, b: DensityMatrix) -> bool:
+    """Matrix, eigendecomposition, support factor and partial-transpose spectra agree bit for bit (signed zeros too)."""
+    pairs = [(a.matrix, b.matrix), *zip(a._eigh, b._eigh), (a._xc, b._xc), (a._pt, b._pt)]
+    return a.dims == b.dims and all(x.tobytes() == y.tobytes() for x, y in pairs)
+
+
+class TestDerivedMix:
+    """white_noise_mix checks only the trace of its mixture and decomposes it on first read; every bit of the
+    state equals what the validating constructor makes of the same matrix."""
+
+    @pytest.mark.parametrize("name", MIX_BASES)
+    def test_mix_is_the_validated_state_bit_for_bit(self, name):
+        base = MIX_BASES[name]()
+        assert all(_same_bytes(white_noise_mix(base, p), _validated_mix(base, p)) for p in MIX_WEIGHTS)
+
+    @given(st.sampled_from([(2, 2), (2, 3), (3, 3), (2, 2, 2)]), st.integers(1, 9), st.integers(0, 2**32 - 1), st.floats(0.0, 1.0))
+    @settings(max_examples=60, deadline=None, database=None)
+    def test_mix_of_a_random_state_is_the_validated_state(self, dims, rank, seed, p):
+        base = random_density(dims, min(rank, int(np.prod(dims))), seed=seed)
+        assert _same_bytes(white_noise_mix(base, p), _validated_mix(base, p))
+
+    def test_mix_decomposes_on_first_read_only(self, monkeypatch):
+        base = w_state().density()
+        calls = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(np.shape(a)) or eigh(a))
+        rho = white_noise_mix(base, 0.5)
+        assert rho._pt.shape == (3, 8) and calls == []  # the transpose spectra read only the matrix
+        assert rho._xc.shape == (8, 8) and rho._eigh is rho._eigh
+        assert calls == [(8, 8)]
+
+    def test_mix_matrix_is_read_only(self):
+        rho = white_noise_mix(ghz_state(), 0.3)
+        assert not rho.matrix.flags.writeable
+        with pytest.raises(ValueError):
+            rho.matrix[0, 0] = 1.0
+
+    @pytest.mark.parametrize("p", [-1e-12, 1.0 + 1e-12, float("nan"), -np.inf])
+    def test_mix_weight_outside_the_unit_interval_raises(self, p):
+        with pytest.raises(ParameterRangeError):
+            white_noise_mix(bell_state(), p)
+
+    def test_mix_takes_a_state_only(self):
+        with pytest.raises(TypeError):
+            white_noise_mix(np.eye(4) / 4, 0.5)
+        assert white_noise_mix(bell_state(), 0.5).matrix.tobytes() == white_noise_mix(bell_state().density(), 0.5).matrix.tobytes()
 
 
 class TestNonIntegralIndices:
