@@ -41,7 +41,7 @@ from .errors import (
 )
 from .generators import _EXAMPLES, Bipartition, GeneratorSet, bipartite_generators
 from .numerics import _MODULUS, _ROUNDOFF, _as_index, as_symmetric
-from .states import Decomposition, DensityMatrix, PureState, _check_pure, _check_state, _check_subsystems, _pt_spectra, partial_trace
+from .states import Decomposition, DensityMatrix, PureState, _check_pure, _check_state, _pt_spectra, partial_trace
 
 # Most gap matrices per SVD call: caps the engine's memory whatever the
 # number of rows.
@@ -414,8 +414,5 @@ def ppt_min_eigenvalue(rho: DensityMatrix, split) -> float:
     transposed) or an iterable of subsystem indices. Negative values
     certify entanglement across the split; nonnegative values are silent.
     """
-    state = _check_state(rho)
-    side = _check_subsystems(split, len(state.dims))
-    cached = state is rho and len(side) == 1 and (len(rho.dims) > 2 or side == (0,))  # a row of a kept state's _pt
-    return float(state._pt[side[0], 0] if cached else _pt_spectra(state, (split,))[0, 0])
+    return float(_pt_spectra(rho, (split,))[0, 0])
 

@@ -234,35 +234,38 @@ def cmd_scan(args, argv) -> int:
         result = threshold_scan(lambda p: visited.setdefault(p, point(p)), lambda pt: pt[1], p_lo, p_hi, args.tol, args.tol_detect)
     except ThresholdNotDetectedError as exc:
         result, missed = None, exc
-    grid = np.linspace(p_lo, p_hi, args.points)
+    rows, lines = [], ["p,bound,ppt_min_eig_worst_split"]
+    for p in map(float, np.linspace(p_lo, p_hi, args.points)):
+        rho, bound = visited.get(p) or point(p)
+        row = [p, float(bound), _ppt_summary(rho)["worst"]]
+        lines.append(",".join(map(_fmt, row)))
+        if args.record:  # the record's rows; a scan without one keeps only the CSV lines
+            rows.append(row)
     if result is not None:
-        thr, width, n = _fmt(result.threshold), _fmt(result.bracket_width), result.evaluations
-        summary_line, message = f"# threshold={thr} bracket_width={width} evaluations={n}", f"threshold: {thr} (bracket {width}, {n} evaluations)"
+        summary_line = (
+            f"# threshold={_fmt(result.threshold)}"
+            f" bracket_width={_fmt(result.bracket_width)}"
+            f" evaluations={result.evaluations}"
+        )
+        message = (
+            f"threshold: {_fmt(result.threshold)} (bracket {_fmt(result.bracket_width)},"
+            f" {result.evaluations} evaluations)"
+        )
     else:
-        summary_line, message = "# threshold=not-detected", f"threshold: not detected ({missed})"
-    # Both or neither: the record opens first, a failure removes what is open; CSV lines are written as scored.
-    rows, opened = [], []
+        summary_line = "# threshold=not-detected"
+        message = f"threshold: not detected ({missed})"
+    lines.append(summary_line)
+    # Both or neither: an unwritable record leaves no CSV, an unwritable CSV removes the record.
+    if args.record:
+        scan_report = {"family": name, "params": params, "mode": args.mode, "rows": rows, "scan": result and result.to_dict()}
+        with open(args.record, "w", encoding="utf-8") as fh:
+            fh.write(_record(argv, {"source": "family", "family": name, "params": params}, scan_report) + "\n")
     try:
-        for path in filter(None, (args.record, args.out)):
-            opened.append(open(path, "w", encoding="utf-8"))
-        *record, csv = opened
-        csv.write("p,bound,ppt_min_eig_worst_split\n")
-        for p in map(float, grid):
-            rho, bound = visited.get(p) or point(p)
-            row = [p, float(bound), _ppt_summary(rho)["worst"]]
-            csv.write(",".join(map(_fmt, row)) + "\n")
-            if record:
-                rows.append(row)
-        csv.write(summary_line + "\n")
-        if record:
-            scan_report = {"family": name, "params": params, "mode": args.mode, "rows": rows, "scan": result and result.to_dict()}
-            record[0].write(_record(argv, {"source": "family", "family": name, "params": params}, scan_report) + "\n")
-        for fh in opened:
-            fh.close()
-    except BaseException:
-        for fh in opened:
-            fh.close()
-            os.remove(fh.name)
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write("\n".join(lines) + "\n")
+    except OSError:
+        if args.record:
+            os.remove(args.record)
         raise
     print(message, file=sys.stdout if result is not None else sys.stderr)
     return 0 if result is not None else 3

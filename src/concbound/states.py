@@ -5,10 +5,9 @@ dimensions (d1, d2, d3) the basis ket |i j k> maps to the flat index
 i*d2*d3 + j*d3 + k, matching a C-order reshape of the coefficient
 tensor. All containers validate on construction and reject bad input
 rather than repairing it, within the tolerances of the table in
-``numerics``. A DensityMatrix eigendecomposes itself once, reads the support
-factor of its root off that decomposition, and on first use keeps the spectra
-of its single-party partial transposes; it keeps no gap matrices. A white-noise
-mix of a validated state is not re-checked and eigendecomposes on first read.
+``numerics``. A DensityMatrix eigendecomposes itself once (a white-noise mix,
+not re-checked, on first read), reads its root's support factor off that, and
+keeps its single-party partial-transpose spectra on first use; no gap matrices.
 
 State JSON format: ``{"dims": [...], "re": ..., "im": ...}`` where
 ``re``/``im`` are flat lists for a pure state and row-major nested
@@ -43,13 +42,6 @@ def _check_dims(dims) -> tuple[int, ...]:
     if len(dims) == 0 or any(d < 1 for d in dims):
         raise ParameterRangeError(f"invalid subsystem dimensions {dims}")
     return dims
-
-
-def _check_trace(mat: np.ndarray) -> np.ndarray:
-    tr = complex(mat.trace())
-    if not abs(tr - 1.0) <= _ROUNDOFF:
-        raise NotNormalizedError(f"trace {tr!r} deviates from 1 beyond {_ROUNDOFF:g}")
-    return mat
 
 
 class PureState:
@@ -103,35 +95,36 @@ class DensityMatrix:
     """
 
     def __init__(self, matrix, dims):
-        self.dims = _check_dims(dims)
+        dims = _check_dims(dims)
         mat = require_square(matrix)
-        if mat.shape[0] != math.prod(self.dims):
+        if mat.shape[0] != math.prod(dims):
             raise ParameterRangeError(
-                f"matrix size {mat.shape[0]} does not match dims {self.dims}"
+                f"matrix size {mat.shape[0]} does not match dims {dims}"
             )
-        mat = _check_trace(as_hermitian(mat))
-        w, q = np.linalg.eigh(mat)
+        self._adopt(as_hermitian(mat), dims)
+        w, q = self._eigh = np.linalg.eigh(self.matrix)  # fills the cached property below
         if not w[0] >= -_EIG_FLOOR:
             raise NotPositiveSemidefiniteError(f"minimum eigenvalue {w[0]:.3e}")
-        self.matrix = mat
-        self.matrix.setflags(write=False)
-        self._eigh = (w, q)  # fills the cached property below
 
     @classmethod
     def _derived(cls, matrix: np.ndarray, dims: tuple[int, ...]) -> "DensityMatrix":
-        """The state of ``matrix``, which its maker proves valid on ``dims``: kept read-only as given, unchecked."""
-        rho = cls.__new__(cls)
-        rho.dims, rho.matrix = dims, matrix
-        matrix.setflags(write=False)
-        return rho
+        """The state of ``matrix``, which its maker proves Hermitian and PSD on ``dims``; only its trace is checked."""
+        return cls.__new__(cls)._adopt(matrix, dims)
+
+    def _adopt(self, mat: np.ndarray, dims: tuple[int, ...]) -> "DensityMatrix":
+        tr = complex(mat.trace())
+        if not abs(tr - 1.0) <= _ROUNDOFF:
+            raise NotNormalizedError(f"trace {tr!r} deviates from 1 beyond {_ROUNDOFF:g}")
+        self.dims, self.matrix = dims, mat
+        mat.setflags(write=False)
+        return self
 
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
 
     @cached_property
-    def _eigh(self) -> tuple[np.ndarray, np.ndarray]:
-        """``eigh(matrix)``: ascending eigenvalues and their eigenvectors."""
+    def _eigh(self) -> tuple[np.ndarray, np.ndarray]:  # ascending eigenvalues, eigenvectors
         return np.linalg.eigh(self.matrix)
 
     @cached_property
@@ -335,16 +328,15 @@ def horodecki_state(a: float) -> DensityMatrix:
 
 def white_noise_mix(rho: DensityMatrix, p: float) -> DensityMatrix:
     """Convex mixture p*rho + (1-p)*I/d with the maximally mixed state;
-    ``rho`` is a DensityMatrix or PureState. Only the mixture's trace is checked: p*M + (1-p)*I/d is
-    Hermitian bit for bit when M is, and its least eigenvalue p*lambda_min(M) + (1-p)/d >= -1e-9 when M's
-    is. It eigendecomposes on first read, to the bits the validating constructor keeps for the same matrix."""
+    ``rho`` is a DensityMatrix or PureState. Only its trace is checked: it is
+    Hermitian bit for bit, and PSD (p*lambda_min(rho) + (1-p)/d >= -1e-9), when rho is."""
     rho = _check_state(rho)
     p = float(p)
     if not 0.0 <= p <= 1.0:
         raise ParameterRangeError(f"mixing weight p = {p!r} outside [0, 1]")
     d = rho.dim
     mixed = p * rho.matrix + (1.0 - p) * np.eye(d) / d
-    return DensityMatrix._derived(_check_trace(mixed), rho.dims)
+    return DensityMatrix._derived(mixed, rho.dims)
 
 
 def maximally_mixed(dims) -> DensityMatrix:

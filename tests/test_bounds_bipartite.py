@@ -414,31 +414,6 @@ class TestPptMinEigenvalue:
         with pytest.raises(ValueError):
             rows[0, 0] = 0.0
 
-    def test_single_party_splits_read_one_stacked_call(self, monkeypatch):
-        rho = random_density((2, 2, 2), 4, seed=3)
-        calls = []
-        eigvalsh = np.linalg.eigvalsh
-        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(np.shape(a)) or eigvalsh(a))
-        worst = [ppt_min_eigenvalue(rho, Bipartition.single(i, 3)) for i in range(3)]
-        assert calls == [(3, 8, 8)] and worst == rho._pt[:, 0].tolist()
-        # Two transposed parties are no row of the cache, nor is party 1 of two, and a PureState's density matrix
-        # does not outlive the call: their own call each.
-        ppt_min_eigenvalue(rho, (0, 2))
-        ppt_min_eigenvalue(bell_state().density(), (1,))
-        ppt_min_eigenvalue(ghz_state(), (0,))
-        assert calls == [(3, 8, 8), (1, 8, 8), (1, 4, 4), (1, 8, 8)]
-
-    @pytest.mark.parametrize("seed", [1, 2, 3])
-    def test_cached_and_own_calls_agree_bit_for_bit(self, seed):
-        for dims in ((2, 3), (2, 2, 2)):
-            rho = random_density(dims, seed + 2, seed=seed)
-            n = len(dims)
-            for side in [c for size in range(1, n) for c in combinations(range(n), size)]:
-                own = _pt_spectra(rho, (side,))[0, 0]
-                split = Bipartition(side, tuple(i for i in range(n) if i not in side))
-                assert ppt_min_eigenvalue(rho, side) == ppt_min_eigenvalue(rho, split) == own
-                assert np.float64(ppt_min_eigenvalue(rho, side)).tobytes() == own.tobytes()
-
     def test_split_of_other_party_count(self):
         # A three-party split on a two-party state used to read -0.5.
         with pytest.raises(InvalidSplitError):

@@ -719,15 +719,37 @@ class TestScanCommand:
         # matrix alone, and only the gap engine's support factor decomposes it, once per distinct state.
         assert len(calls) == (1 if mode == "ppt" else 1 + len(built)) and len(built) >= 17
 
-    def test_grid_failure_leaves_neither_output(self, tmp_path, capsys):
-        # Not detected at p_hi, so the bisection never reads p_lo; the grid's first row rejects it after both
-        # files are open, and the scan removes them.
+    @pytest.mark.parametrize("existing", [False, True])
+    def test_grid_failure_writes_no_output(self, existing, tmp_path, capsys):
+        # Not detected at p_hi, so the bisection never reads p_lo; the grid's first row rejects it before
+        # either file is opened, so earlier outputs at those paths keep their bytes.
         out_csv, record = tmp_path / "x.csv", tmp_path / "r.json"
+        if existing:
+            out_csv.write_text("earlier scan\n")
+            record.write_text("earlier record\n")
         argv = ["scan", "--family", "bell-noise", "--mode", "wootters", "--p-range=-0.5:0.2", "--out", str(out_csv)]
         assert main(argv + ["--record", str(record)]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and "outside [0, 1]" in captured.err
-        assert not out_csv.exists() and not record.exists()
+        if existing:
+            assert out_csv.read_text() == "earlier scan\n" and record.read_text() == "earlier record\n"
+        else:
+            assert not out_csv.exists() and not record.exists()
+
+    def test_interrupted_grid_keeps_earlier_outputs(self, tmp_path, capsys, monkeypatch):
+        # The wootters bisection never reads the PPT summary; the grid's first row does, and is interrupted.
+        out_csv, record = tmp_path / "x.csv", tmp_path / "r.json"
+        out_csv.write_text("earlier scan\n")
+        record.write_text("earlier record\n")
+
+        def interrupt(rho):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "_ppt_summary", interrupt)
+        argv = ["scan", "--family", "bell-noise", "--mode", "wootters", "--p-range", "0.01:1.0", "--out", str(out_csv)]
+        with pytest.raises(KeyboardInterrupt):
+            main(argv + ["--record", str(record)])
+        assert out_csv.read_text() == "earlier scan\n" and record.read_text() == "earlier record\n"
 
     def test_record_leaves_the_csv_bytes_alone(self, tmp_path, capsys):
         argv = ["scan", "--family", "w-noise", "--mode", "ppt", "--p-range", "0.01:1.0", "--points", "7"]
