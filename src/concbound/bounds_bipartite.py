@@ -367,9 +367,7 @@ def observation1_bound(rho: DensityMatrix, k: int, assignments, gens: GeneratorS
 def wootters_concurrence(rho: DensityMatrix) -> float:
     """Exact two-qubit concurrence max(0, lambda_1 - lambda_2 - lambda_3 - lambda_4)."""
     rho = _check_state(rho)
-    if tuple(rho.dims) != (2, 2):
-        raise DimensionMismatchError(f"two-qubit state required, got dims {rho.dims}")
-    return float(_gaps(rho._frame(bipartite_generators(2, 2).operators), None, [(1.0,)])[0])
+    return float(_gaps(rho._frame(_resolve_gens(rho, bipartite_generators(2, 2)).operators), None, [(1.0,)])[0])
 
 
 def delta_total_bound(rho: DensityMatrix, gens: GeneratorSet | None, u_full) -> float:

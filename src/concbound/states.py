@@ -3,10 +3,10 @@
 Composite systems use the row-major index convention: for subsystem
 dimensions (d1, d2, d3) the basis ket |i j k> maps to the flat index
 i*d2*d3 + j*d3 + k, matching a C-order reshape of the coefficient
-tensor. All containers validate on construction and reject bad input
-rather than repairing it, within the tolerances of the table in
-``numerics``. A DensityMatrix eigendecomposes itself once (a white-noise mix,
-not re-checked, on first read), reads its root's support factor off that, and
+tensor. Outside input is checked where it enters: the constructors reject bad
+input rather than repairing it, within the tolerances of ``numerics``; every
+state the library builds takes ``DensityMatrix._derived``, which checks only the trace.
+A DensityMatrix eigendecomposes itself once, on first read, reads its root's support factor off that, and
 keeps its single-party partial-transpose spectra on first use; no gap matrices.
 
 State JSON format: ``{"dims": [...], "re": ..., "im": ...}`` where
@@ -78,7 +78,7 @@ class PureState:
 
     def density(self) -> "DensityMatrix":
         """Rank-one density matrix |psi><psi| on the same subsystems."""
-        return DensityMatrix(np.outer(self.amplitudes, self.amplitudes.conj()), self.dims)
+        return DensityMatrix._derived(as_hermitian(np.outer(self.amplitudes, self.amplitudes.conj())), self.dims)
 
 
 class DensityMatrix:
@@ -108,7 +108,8 @@ class DensityMatrix:
 
     @classmethod
     def _derived(cls, matrix: np.ndarray, dims: tuple[int, ...]) -> "DensityMatrix":
-        """The state of ``matrix``, which its maker proves Hermitian and PSD on ``dims``; only its trace is checked."""
+        """The state of ``matrix`` on ``dims``, which the library built from checked states: only its trace is checked.
+        ``matrix`` is what the constructor would store (``as_hermitian`` leaves it as it is) and PSD by construction."""
         return cls.__new__(cls)._adopt(matrix, dims)
 
     def _adopt(self, mat: np.ndarray, dims: tuple[int, ...]) -> "DensityMatrix":
@@ -245,7 +246,7 @@ def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
     Returns
     -------
     DensityMatrix
-        Reduced state on the retained subsystems.
+        Reduced state on the retained subsystems, not re-checked: it inherits its parent's round-off, which can sum below -1e-9.
     """
     rho = _check_state(rho)
     n = len(rho.dims)
@@ -257,7 +258,7 @@ def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
         cur.pop(ax)
     new_dims = tuple(rho.dims[i] for i in keep)
     d = math.prod(new_dims)
-    return DensityMatrix(tensor.reshape(d, d), new_dims)
+    return DensityMatrix._derived(tensor.reshape(d, d), new_dims)
 
 
 def partial_transpose(rho: DensityMatrix, part) -> np.ndarray:
@@ -323,7 +324,7 @@ def horodecki_state(a: float) -> DensityMatrix:
     m[6, 6] = m[8, 8] = (1.0 + a) / 2.0
     m[6, 8] = m[8, 6] = math.sqrt(1.0 - a * a) / 2.0
     m /= 8.0 * a + 1.0
-    return DensityMatrix(m, (3, 3))
+    return DensityMatrix._derived(m, (3, 3))
 
 
 def white_noise_mix(rho: DensityMatrix, p: float) -> DensityMatrix:
@@ -343,7 +344,7 @@ def maximally_mixed(dims) -> DensityMatrix:
     """I/d on the given subsystem dimensions."""
     dims = _check_dims(dims)
     d = math.prod(dims)
-    return DensityMatrix(np.eye(d) / d, dims)
+    return DensityMatrix._derived(np.eye(d, dtype=complex) / d, dims)
 
 
 def random_pure(dims, seed) -> PureState:
@@ -365,7 +366,7 @@ def random_density(dims, rank, seed) -> DensityMatrix:
     rng = np.random.default_rng(seed)
     g = rng.normal(size=(d, rank)) + 1j * rng.normal(size=(d, rank))
     m = g @ g.conj().T
-    return DensityMatrix(m / np.real(np.trace(m)), dims)
+    return DensityMatrix._derived(as_hermitian(m / np.real(np.trace(m))), dims)
 
 
 def _haar_unitary(rng: np.random.Generator, n: int) -> np.ndarray:

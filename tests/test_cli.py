@@ -407,6 +407,16 @@ class TestBoundCommand:
         assert captured.out == "" and not out_csv.exists()
         assert "does not read --k" in captured.err and "Traceback" not in captured.err
 
+    def test_wootters_rejects_two_qutrits_with_one_message(self, tmp_path, capsys):
+        # bound and scan reach the same check, so they print the same line.
+        out_csv = tmp_path / "scan.csv"
+        scan = ["scan", "--family", "horodecki:a=0.2", "--mode", "wootters", "--p-range", "0.1:1.0", "--out", str(out_csv)]
+        for argv in (["bound", "--state", "family:horodecki,a=0.2", "--mode", "wootters"], scan):
+            assert main(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.out == "" and captured.err == "error: state dims (3, 3) versus generator dims (2, 2)\n"
+        assert not out_csv.exists()
+
     @pytest.mark.parametrize(
         "state, mode, extra, unread",
         [
@@ -715,9 +725,9 @@ class TestScanCommand:
         argv = ["scan", "--family", family, "--mode", mode, "--p-range", "0.01:1.0", "--tol", "1e-4", "--points", "5"]
         assert main(argv + ["--out", str(tmp_path / "x.csv")]) == 0
         capsys.readouterr()
-        # The base state validates itself with one eigh. A mixture is not re-checked: the PPT spectra read its
-        # matrix alone, and only the gap engine's support factor decomposes it, once per distinct state.
-        assert len(calls) == (1 if mode == "ppt" else 1 + len(built)) and len(built) >= 17
+        # No state the library builds is checked again, so the base is never decomposed: the PPT spectra read a
+        # mixture's matrix alone, and only the gap engine's support factor decomposes it, once per distinct state.
+        assert len(calls) == (0 if mode == "ppt" else len(built)) and len(built) >= 17
 
     @pytest.mark.parametrize("existing", [False, True])
     def test_grid_failure_writes_no_output(self, existing, tmp_path, capsys):

@@ -18,7 +18,10 @@ from concbound.errors import (
     ParameterRangeError,
     SubsystemIndexError,
 )
-from concbound.bounds_bipartite import lambda_spectrum
+from concbound import cli
+from concbound.bounds_bipartite import concurrence_pure, lambda_spectrum, observation1_bound, ppt_min_eigenvalue, wootters_concurrence
+from concbound.bounds_multipartite import ctau_pure
+from concbound.optimizer import OptimizerConfig, optimize_bound_bipartite, optimize_bound_multipartite, threshold_scan
 from concbound.generators import Bipartition
 from concbound.states import (
     Decomposition,
@@ -246,6 +249,14 @@ class TestPartialOps:
         # partial_trace(bell_state(), 0) raised a bare TypeError.
         with pytest.raises(SubsystemIndexError, match="not iterable"):
             call(bell_state(), bad)
+
+    def test_reduced_state_inherits_its_parents_round_off(self):
+        # Three eigenvalues at -0.9e-9 pass the constructor's floor and sum to -2.7e-9 in the reduced state,
+        # which the library built and so does not re-check.
+        diag = np.array([-0.9e-9] * 3 + [(1 + 2.7e-9) / 6] * 6)
+        red = partial_trace(DensityMatrix(np.diag(diag), (3, 3)), [0])
+        assert red.dims == (3,) and red.matrix[0, 0].real == pytest.approx(-2.7e-9, rel=1e-6)
+        assert red._eigh[0][0] < -1e-9
 
     def test_bell_partial_transpose_negativity(self):
         pt = partial_transpose(bell_state().density(), {1})
@@ -517,6 +528,140 @@ class TestDerivedMix:
         with pytest.raises(TypeError):
             white_noise_mix(np.eye(4) / 4, 0.5)
         assert white_noise_mix(bell_state(), 0.5).matrix.tobytes() == white_noise_mix(bell_state().density(), 0.5).matrix.tobytes()
+
+
+def _ginibre(dims, rank, seed) -> np.ndarray:
+    """The matrix random_density hands on, before the validating constructor symmetrizes it."""
+    rng = np.random.default_rng(seed)
+    d = int(np.prod(dims))
+    g = rng.normal(size=(d, rank)) + 1j * rng.normal(size=(d, rank))
+    m = g @ g.conj().T
+    return m / np.real(np.trace(m))
+
+
+def _outer(psi: PureState) -> np.ndarray:
+    return np.outer(psi.amplitudes, psi.amplitudes.conj())
+
+
+# Builder -> (the state it builds, the raw matrix the validating constructor would be handed for it); a raw of
+# None means the built matrix itself, which must then be a matrix the constructor keeps as it is.
+DERIVED_BUILDS = {
+    **{name: (lambda f=f: f().density(), lambda f=f: _outer(f())) for name, f in [("bell", bell_state), ("ghz", ghz_state), ("w", w_state)]},
+    **{f"random-pure-{i}": (lambda i=i: random_pure((2, 3), seed=i).density(), lambda i=i: _outer(random_pure((2, 3), seed=i))) for i in range(3)},
+    **{f"horodecki-{a}": (lambda a=a: horodecki_state(a), None) for a in (0.0, 0.1, 0.2, 0.5, 0.8, 1.0)},
+    **{f"mixed-{d}": (lambda d=d: maximally_mixed(d), lambda d=d: np.eye(int(np.prod(d))) / np.prod(d)) for d in [(1,), (2, 3), (2, 2, 2)]},
+    **{f"random-density-{i}": (lambda i=i: random_density((3, 3), i + 1, seed=i), lambda i=i: _ginibre((3, 3), i + 1, i)) for i in range(3)},
+    "trace-ghz-01": (lambda: partial_trace(ghz_state(), [0, 1]), None),
+    "trace-w-2": (lambda: partial_trace(w_state(), [2]), None),
+    "trace-horodecki-1": (lambda: partial_trace(horodecki_state(0.3), [1]), None),
+    "trace-random-02": (lambda: partial_trace(random_density((2, 2, 3), 5, seed=3), [0, 2]), None),
+    "trace-keeps-all": (lambda: partial_trace(random_density((2, 3), 2, seed=4), [0, 1]), None),
+}
+
+
+class TestDerivedBuilders:
+    """Every state the library builds takes ``_derived`` with exactly the matrix the validating constructor would
+    store, so each is that state bit for bit, and none is decomposed before it is read."""
+
+    @pytest.mark.parametrize("name", DERIVED_BUILDS)
+    def test_builder_is_the_validated_state_bit_for_bit(self, name):
+        build, raw = DERIVED_BUILDS[name]
+        rho = build()
+        assert _same_bytes(rho, DensityMatrix(rho.matrix if raw is None else raw(), rho.dims))
+        assert not rho.matrix.flags.writeable
+
+    @given(st.sampled_from([(2, 2), (2, 3), (3, 3), (2, 2, 2)]), st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None, database=None)
+    def test_density_of_a_random_pure_state_is_the_validated_state(self, dims, seed):
+        psi = random_pure(dims, seed)
+        assert _same_bytes(psi.density(), DensityMatrix(_outer(psi), dims))
+
+    @given(st.sampled_from([(2, 2), (2, 3), (3, 3), (2, 2, 2)]), st.integers(1, 9), st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None, database=None)
+    def test_random_state_and_its_reductions_are_validated_states(self, dims, rank, seed):
+        rank = min(rank, int(np.prod(dims)))
+        rho = random_density(dims, rank, seed)
+        assert _same_bytes(rho, DensityMatrix(_ginibre(dims, rank, seed), dims))
+        for keep in [[i] for i in range(len(dims))] + [[0, len(dims) - 1]]:
+            red = partial_trace(rho, keep)
+            assert _same_bytes(red, DensityMatrix(red.matrix, red.dims))
+
+    def _eigh_calls(self, monkeypatch) -> list:
+        calls, eigh = [], np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(np.shape(a)) or eigh(a))
+        return calls
+
+    def test_builders_decompose_on_first_read_only(self, monkeypatch):
+        calls = self._eigh_calls(monkeypatch)
+        built = [build() for build, _ in DERIVED_BUILDS.values()]
+        assert calls == []
+        assert all(rho._eigh is rho._eigh for rho in built) and len(calls) == len(built)
+
+    def test_ppt_of_a_pure_state_decomposes_nothing(self, monkeypatch):
+        calls = self._eigh_calls(monkeypatch)
+        worst = [ppt_min_eigenvalue(ghz_state(), (s,)) for s in range(3)]
+        assert calls == [] and worst == pytest.approx([-0.5] * 3)
+
+    def test_noisy_ghz_searches_decompose_the_mixture_alone(self, monkeypatch):
+        calls = self._eigh_calls(monkeypatch)
+        rho = white_noise_mix(ghz_state(), 0.9)
+        cfg = OptimizerConfig(restarts=2, iterations=25)
+        for mode in ("obs2", "obs3"):
+            optimize_bound_multipartite(rho, 1, cfg, mode)
+        assert calls == [(8, 8)]
+
+
+class TestBoundary:
+    """Only outside input reaches the validating constructor: a state the library builds, and every bound and
+    search on it, never does, and loading a state file checks it once."""
+
+    @pytest.fixture
+    def inits(self, monkeypatch) -> list:
+        calls, init = [], DensityMatrix.__init__
+        monkeypatch.setattr(DensityMatrix, "__init__", lambda self, matrix, dims: calls.append(np.shape(matrix)) or init(self, matrix, dims))
+        return calls
+
+    def test_library_states_and_their_bounds_skip_the_constructor(self, inits):
+        cfg = OptimizerConfig(restarts=2, iterations=10)
+        noisy_ghz = white_noise_mix(ghz_state(), 0.9)
+        for build, _ in DERIVED_BUILDS.values():
+            build()
+        random_decomposition(random_density((2, 3), 2, seed=2), 3, seed=1)
+        optimize_bound_bipartite(horodecki_state(0.2), 2, cfg)
+        optimize_bound_bipartite(random_pure((2, 3), seed=1), 1, cfg)
+        observation1_bound(bell_state(), 1, {(0,): [1.0]})
+        wootters_concurrence(white_noise_mix(bell_state(), 0.5))
+        concurrence_pure(bell_state())
+        ctau_pure(w_state())
+        [ppt_min_eigenvalue(ghz_state(), (s,)) for s in range(3)]
+        for mode in ("obs2", "obs2-ghz", "obs3"):
+            optimize_bound_multipartite(noisy_ghz, 1, cfg, mode)
+        threshold_scan(lambda p: white_noise_mix(bell_state(), p), wootters_concurrence, 0.0, 1.0, tol_p=1e-3)
+        assert inits == []
+
+    def test_cli_on_family_descriptors_skips_the_constructor(self, inits, tmp_path, capsys):
+        fast = ["--optimizer", '{"restarts": 2, "iterations": 10}']
+        runs = [
+            ["bound", "--state", "family:horodecki,a=0.2", "--mode", "obs1", *fast],
+            ["bound", "--state", "family:ghz-noise,p=0.9", "--mode", "obs2"],
+            ["bound", "--state", "family:ghz-noise,p=0.9", "--mode", "obs3", *fast],
+            ["bound", "--state", "family:maximally-mixed,dims=2x3", "--mode", "ppt"],
+            ["scan", "--family", "w-noise", "--mode", "ppt", "--p-range", "0.01:1.0", "--out", str(tmp_path / "w.csv")],
+            ["scan", "--family", "bell-noise", "--mode", "wootters", "--p-range", "0.01:1.0", "--out", str(tmp_path / "b.csv")],
+            *[["demo", scenario] for scenario in cli._DEMOS],
+        ]
+        for argv in runs:
+            assert cli.main(argv) == 0
+        capsys.readouterr()
+        assert inits == []
+
+    def test_loading_a_state_is_the_one_check(self, inits, tmp_path, capsys):
+        path = tmp_path / "rho.json"
+        save_state(horodecki_state(0.5), path)
+        assert isinstance(load_state(path), DensityMatrix) and inits == [(9, 9)]
+        assert cli.main(["bound", "--state", str(path), "--mode", "ppt"]) == 0
+        capsys.readouterr()
+        assert inits == [(9, 9)] * 2
 
 
 class TestNonIntegralIndices:
