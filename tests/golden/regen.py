@@ -68,9 +68,12 @@ CLI_RUNS = {
     "bound/w-obs3-k2": ["bound", "--state", "family:w-noise,p=0.5", "--mode", "obs3", "--k", "2", "--optimizer", FAST_JSON],
     "bound/ghz-obs2-csv": ["bound", "--state", "family:ghz-noise,p=0.5", "--mode", "obs2", "--format", "csv"],
     "bound/horodecki-ppt": ["bound", "--state", "family:horodecki,a=0.5", "--mode", "ppt"],
+    "bound/bell-wootters-json": ["bound", "--state", "family:bell-noise,p=0.8", "--mode", "wootters", "--format", "json"],
+    "bound/w-obs2-json": ["bound", "--state", "family:w-noise,p=0.5", "--mode", "obs2", "--format", "json"],
     "scan/bell-obs1": ["scan", "--family", "bell-noise", "--mode", "obs1", "--p-range", "0.05:1.0", "--points", "4", "--tol", "1e-2"],
     "scan/ghz-obs2": ["scan", "--family", "ghz-noise", "--mode", "obs2", "--p-range", "0.01:1.0", "--points", "5", "--tol", "1e-4"],
     "scan/w-obs2": ["scan", "--family", "w-noise", "--mode", "obs2", "--p-range", "0.01:1.0", "--points", "5", "--tol", "1e-4"],
+    "scan/bell-wootters": ["scan", "--family", "bell-noise", "--mode", "wootters", "--p-range", "0.05:1.0", "--points", "5", "--tol", "1e-4"],
     "scan/w-obs3": ["scan", "--family", "w-noise", "--mode", "obs3", "--p-range", "0.05:1.0", "--points", "4", "--tol", "1e-2", "--optimizer", FAST_JSON],
     "scan/horodecki-ppt-undetected": ["scan", "--family", "horodecki:a=0.5", "--mode", "ppt", "--p-range", "0.5:1.0", "--points", "3", "--tol", "1e-2"],
 }
