@@ -20,7 +20,7 @@ fixed aggregate the distinct operators of its entries, a single subset its own.
 Every aggregate, the tripartite and optimized ones included, is a list of
 (split, subset) entries: one layout function, ``_entry_rows``, maps them
 to rows of the stacked families, and ``_weigh`` takes a prefactor times the sum
-of squared entry gaps, for ``_report`` and for scan values that skip the report.
+of squared entry gaps, for ``_report`` and for ``_fixed``'s scan values, which share its gaps.
 """
 from __future__ import annotations
 
@@ -51,9 +51,10 @@ _BLOCK_ROWS = 512
 # bound is N / (w k^2 binom(N, k)) times the sum of squared subset gaps,
 # each coefficient row splits evenly into the named vectors, an entry of
 # split s carries the label splits[s], and a tripartite search reads the
-# named triple (obs1: none). One obs2-<family> row per example family.
+# named triple (obs1, wootters: none). One obs2-<family> row per example family.
 _AGGREGATES = {
     "obs1": (1, ("u",), (None,), None),
+    "wootters": (1, ("u",), (None,), None),
     "obs2": (6, ("u", "v", "w"), (None,), "canonical"),
     "obs3": (2, ("u",), tuple(Bipartition.single(s, 3).label for s in range(3)), "canonical"),
     **{f"obs2-{family}": (6, ("u", "v", "w"), (None,), family) for family in _EXAMPLES},
@@ -258,6 +259,18 @@ def _aggregate(rho: DensityMatrix, mode: str, k, ops, per_split, coefficients=_c
     # Rows that read each framed operator once read them in order: _gaps takes them as a view.
     gaps = _gaps(rho._frame(ops.reshape((-1,) + ops.shape[-2:])[list(slot)]), rows if len(slot) < coeffs.size else None, coeffs)
     return _report(mode, k, n, entries, coeffs, gaps, start)
+
+
+def _fixed(mode: str, ops_of, row):
+    """The report, (rho, k, cfg) -> BoundReport, and scan value, (rho, k) -> float, of one entry at the coefficient row ``row``
+    (checked once, here) over operator 0 of each split ``ops_of(rho)``, k and cfg unread: a call checks rho and takes one ``_gaps``."""
+    row = _check_coefficients(row, len(row))[None]
+    gaps = lambda rho: _gaps((rho := _check_state(rho))._frame(ops_of(rho)), None, row)
+
+    def report(rho, k=None, cfg=None) -> BoundReport:
+        start = time.perf_counter()
+        return _report(mode, 1, 1, [(0, (0,))], row, gaps(rho), start)
+    return report, lambda rho, k=None: _weigh(mode, 1, 1, gaps(rho))[1]
 
 
 def concurrence_pure(psi: PureState, split: Bipartition | None = None) -> float:

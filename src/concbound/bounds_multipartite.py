@@ -29,7 +29,6 @@ from .bounds_bipartite import (
     _check_coefficients,
     _check_subset,
     _gaps,
-    _weigh,
 )
 from .generators import _EXAMPLES, GeneratorTriple, canonical_triple, example_operators
 from .numerics import _as_index
@@ -128,17 +127,6 @@ def observation2_bound(rho: DensityMatrix, k: int, assignments, gen_source="cano
     rep = _aggregate(rho, mode if mode in _AGGREGATES else "obs2", k, triple.operators, [assignments], _triple_coefficients)
     # A user-built triple of another source aggregates as obs2 and keeps its name.
     return rep if rep.mode == mode else replace(rep, mode=mode)
-
-
-def _fixed_value(x, family: str):
-    """rho, k -> ``observation2_bound(rho, 1, {(0,): x}, family).bound_on_c_squared``, bit for bit, without the report,
-    on a one-operator family of ``_EXAMPLES``: x is checked once, here, and a call checks rho and takes one ``_gaps``."""
-    row, mode = _triple_coefficients(x, 1)[None], f"obs2-{family}"
-    def value(rho: DensityMatrix, k=None) -> float:  # k is not read
-        rho = _check_state(rho)
-        ops = _resolve_triple(rho, family).operators
-        return _weigh(mode, 1, 1, _gaps(rho._frame(ops.reshape((-1,) + ops.shape[-2:])), None, row).tolist())[1]
-    return value
 
 
 def observation3_bound(rho: DensityMatrix, k: int, assignments) -> BoundReport:

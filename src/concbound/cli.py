@@ -26,15 +26,14 @@ import math
 import os
 import sys
 import time
-from dataclasses import replace
 from datetime import datetime, timezone
 
 import numpy as np
 
 from . import __version__
 from .errors import ParameterRangeError, ThresholdNotDetectedError
-from .bounds_bipartite import _weigh, observation1_bound, wootters_concurrence
-from .bounds_multipartite import _fixed_value, observation2_bound, ctau_pure
+from .bounds_bipartite import _fixed, _resolve_gens, observation1_bound, wootters_concurrence
+from .bounds_multipartite import _resolve_triple, ctau_pure
 from .generators import _EXAMPLES, Bipartition, bipartite_generators
 from .optimizer import (
     OptimizerConfig,
@@ -153,20 +152,17 @@ def _make_config(blob: str | None) -> OptimizerConfig:
     return OptimizerConfig.from_dict(user)
 
 
-# Report mode -> (the options besides --mode that it reads; its report, (rho, k, optimizer config)
-# -> BoundReport, None for ppt; its scan value, (rho, k) -> float, where that bypasses the report).
-# --mode obs2 on the generator source of an example family picks its row obs2-<family>: the closed form at
-# the known optimum u = v = w = 1 of one operator per split, which answers scan from the gap engine, with no
-# report. This is the only check of which options a mode takes: wootters reads none, obs2-<family> only --gen-source.
-_UNIT = ([1.0], [1.0], [1.0])
+# Report mode -> (the options besides --mode that it reads; its report, (rho, k, optimizer config) -> BoundReport, None for ppt;
+# its scan value, (rho, k) -> float, where that skips the report). The closed forms wootters (two qubits: any other state fails before
+# output) and obs2-<family> (--mode obs2 on an example family's generator source, at its optimum u = v = w = 1) take both from one gap
+# call of ``_fixed``. This is the only check of which options a mode takes: wootters reads none, obs2-<family> only --gen-source.
 _MODES = {
     "obs1": ({"k", "optimizer"}, lambda rho, k, cfg: optimize_bound_bipartite(rho, k, cfg), None),
     "obs2": ({"k", "gen_source", "optimizer"}, lambda rho, k, cfg: optimize_bound_multipartite(rho, k, cfg, "obs2"), None),
     "obs3": ({"k", "optimizer"}, lambda rho, k, cfg: optimize_bound_multipartite(rho, k, cfg, "obs3"), None),
-    # The two-qubit family rejects every other state before any output. Scan values weigh gaps as reports do.
-    "wootters": (set(), lambda rho, k, cfg: replace(observation1_bound(rho, k, {(0,): [1.0]}, bipartite_generators(2, 2)), mode="wootters"), lambda rho, k: _weigh("obs1", 1, 1, [wootters_concurrence(rho)])[1]),
+    "wootters": (set(), *_fixed("wootters", lambda rho: _resolve_gens(rho, bipartite_generators(2, 2)).operators, [1.0])),
     "ppt": (set(), None, lambda rho, k: max(0.0, -_ppt_summary(rho)["worst"])),
-    **{f"obs2-{f}": ({"gen_source"}, lambda rho, k, cfg, f=f: observation2_bound(rho, k, {(0,): _UNIT}, f), _fixed_value(_UNIT, f)) for f in _EXAMPLES},
+    **{f"obs2-{f}": ({"gen_source"}, *_fixed(f"obs2-{f}", lambda rho, f=f: _resolve_triple(rho, f).operators[:, 0], [1.0] * 3)) for f in _EXAMPLES},
 }
 
 
@@ -272,12 +268,11 @@ def cmd_scan(args, argv) -> int:
 
 
 def _demo_wootters_check() -> list[tuple[str, bool, str]]:
-    worst = 0.0
-    start = time.perf_counter()
+    worst, gens, start = 0.0, bipartite_generators(2, 2), time.perf_counter()
     for i in range(1000):
         rho = random_density((2, 2), i % 4 + 1, seed=i)
-        bound = _MODES["wootters"][1](rho, 1, None).bound_on_c_squared
-        worst = max(worst, abs(bound - _MODES["wootters"][2](rho, 1)))
+        c = wootters_concurrence(rho)
+        worst = max(worst, abs(observation1_bound(rho, 1, {(0,): [1.0]}, gens).bound_on_c_squared - c * c))
     dt = time.perf_counter() - start
     ok = worst < 1e-9
     return [("singleton aggregate equals squared two-qubit concurrence on 1000 states", ok, f"worst deviation {worst:.2e} in {dt:.1f}s")]

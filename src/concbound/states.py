@@ -50,8 +50,8 @@ class PureState:
     Parameters
     ----------
     amplitudes : array_like
-        Flat coefficient vector of length prod(dims), finite, unit norm
-        within 1e-10.
+        Flat coefficient vector of length prod(dims), finite, with
+        <psi|psi> (the trace of ``density()``) within 1e-10 of 1.
     dims : sequence of int
         Subsystem dimensions.
     """
@@ -63,12 +63,12 @@ class PureState:
             raise ParameterRangeError(
                 f"vector length {vec.size} does not match dims {self.dims}"
             )
-        # vdot overflows to inf silently, where np.linalg.norm warns first.
-        norm = math.sqrt(np.vdot(vec, vec).real)
-        if not math.isfinite(norm):
-            raise NonFiniteError(f"amplitude norm {norm!r}: NaN, infinite or overflowing entries")
-        if not abs(norm - 1.0) <= _ROUNDOFF:
-            raise NotNormalizedError(f"norm {norm!r} deviates from 1 beyond {_ROUNDOFF:g}")
+        # <psi|psi>, the trace density() checks. vdot overflows to inf silently, where np.linalg.norm warns first.
+        square = float(np.vdot(vec, vec).real)
+        if not math.isfinite(square):
+            raise NonFiniteError(f"squared amplitude norm {square!r}: NaN, infinite or overflowing entries")
+        if not abs(square - 1.0) <= _ROUNDOFF:
+            raise NotNormalizedError(f"squared norm {square!r} deviates from 1 beyond {_ROUNDOFF:g}")
         self.amplitudes = vec
         self.amplitudes.setflags(write=False)
 

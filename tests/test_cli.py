@@ -6,13 +6,16 @@ import gc
 import json
 import re
 import weakref
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from concbound import cli, states
+from concbound import bounds_bipartite, bounds_multipartite, cli, states
+from concbound.bounds_bipartite import observation1_bound
+from concbound.bounds_multipartite import observation2_bound
+from concbound.generators import bipartite_generators
 from concbound.cli import _fmt, _make_config, main, parse_state
 from concbound.optimizer import DEFAULT_SEED, OptimizerConfig
 from concbound.states import DensityMatrix, bell_state, save_state, random_density, white_noise_mix
@@ -907,21 +910,42 @@ class TestScanMatchesBound:
 
     # The noise family each row with both a report and a scan value is checked on.
     FAMILY_OF = {"obs2-ghz": "ghz-noise", "obs2-w": "w-noise", "wootters": "bell-noise"}
+    FIXED = [row for row, (_, report, value) in cli._MODES.items() if report and value]
 
-    @pytest.mark.parametrize("row", [row for row, (_, report, value) in cli._MODES.items() if report and value])
-    def test_scan_value_is_the_report_bound_bit_for_bit(self, row):
+    @staticmethod
+    def _assert_public_aggregate(row, rho):
+        """The row's scan value and report bytes are the public aggregate's at its fixed coefficients."""
+        if row == "wootters":
+            want = replace(observation1_bound(rho, 1, {(0,): [1.0]}, bipartite_generators(2, 2)), mode="wootters")
+        else:
+            want = observation2_bound(rho, 1, {(0,): ([1.0],) * 3}, row.removeprefix("obs2-"))
         _, report, value = cli._MODES[row]
+        assert value(rho, 1) == want.bound_on_c_squared
+        assert report(rho, 1, None).to_json(include_timing=False) == want.to_json(include_timing=False)
+
+    @pytest.mark.parametrize("row", FIXED)
+    def test_scan_value_is_the_report_bound_bit_for_bit(self, row):
         at = cli._noise_family(self.FAMILY_OF[row], {})
         for p in np.linspace(0.0, 1.0, 101):
-            rho = at(float(p))
-            assert value(rho, 1) == report(rho, 1, None).bound_on_c_squared, p
+            self._assert_public_aggregate(row, at(float(p)))
 
     def test_wootters_closed_form_is_the_report_bound(self):
         rng = np.random.default_rng(11)
         for i in range(50):
-            rho = random_density((2, 2), i % 4 + 1, seed=int(rng.integers(2**31)))
-            _, report, value = cli._MODES["wootters"]
-            assert value(rho, 1) == report(rho, 1, None).bound_on_c_squared
+            self._assert_public_aggregate("wootters", random_density((2, 2), i % 4 + 1, seed=int(rng.integers(2**31))))
+
+    @pytest.mark.parametrize("row", FIXED)
+    def test_fixed_row_takes_one_kernel_call_and_no_aggregate(self, row, monkeypatch):
+        kernel_calls, kernel = [], bounds_bipartite._gap_kernel
+        monkeypatch.setattr(bounds_bipartite, "_gap_kernel", lambda *a, **kw: kernel_calls.append(1) or kernel(*a, **kw))
+        for module in (bounds_bipartite, bounds_multipartite):
+            monkeypatch.setattr(module, "_aggregate", lambda *a, **kw: pytest.fail("a fixed row went through _aggregate"))
+        _, report, value = cli._MODES[row]
+        rho = cli._noise_family(self.FAMILY_OF[row], {})(0.7)
+        report(rho, 1, None)
+        assert len(kernel_calls) == 1
+        value(rho, 1)
+        assert len(kernel_calls) == 2
 
 
 class TestDemoCommand:

@@ -52,6 +52,14 @@ class TestContainers:
         with pytest.raises(NotNormalizedError):
             PureState([1.0, 1.0], (2,))
 
+    def test_pure_norm_check_reads_the_trace_of_its_density(self):
+        # Norm 1 + 0.9e-10 is within 1e-10 of 1, but <psi|psi> = 1 + 1.8e-10, the trace
+        # density() checks, is not: the vector fails where it is built, not at every bound.
+        with pytest.raises(NotNormalizedError):
+            PureState([1 + 0.9e-10, 0, 0, 0], (2, 2))
+        psi = PureState([1 + 0.4e-10, 0, 0, 0], (2, 2))
+        assert wootters_concurrence(psi) == 0.0 and ppt_min_eigenvalue(psi, (0,)) >= 0.0
+
     def test_pure_index_convention(self):
         # |1 0 1> on (2, 2, 2) sits at flat index 1*4 + 0*2 + 1 = 5.
         vec = np.zeros(8)

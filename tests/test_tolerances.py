@@ -3,6 +3,7 @@ call that reads it: an input just inside passes, one just outside raises.
 A change to any tolerance value fails here, not only in its docstring."""
 from __future__ import annotations
 
+import math
 
 import numpy as np
 import pytest
@@ -44,7 +45,8 @@ def _eigenvalue(x):
 
 
 def _pure_norm(x):
-    PureState((1.0 + x) * KET[0], (2, 2))
+    # <psi|psi> = 1 + x, the trace of the state's density matrix.
+    PureState(math.sqrt(1.0 + x) * KET[0], (2, 2))
 
 
 def _weight_sum(x):
