@@ -20,7 +20,7 @@ fixed aggregate the distinct operators of its entries, a single subset its own.
 Every aggregate, the tripartite and optimized ones included, is a list of
 (split, subset) entries: one layout function, ``_entry_rows``, maps them
 to rows of the stacked families, and ``_weigh`` takes a prefactor times the sum
-of squared entry gaps, for ``_report`` and for ``_fixed``'s scan values, which share its gaps.
+of squared entry gaps, for ``_report`` and for ``_fixed``'s scan values, which weigh the gaps of a report's one ``_gaps`` call.
 """
 from __future__ import annotations
 
