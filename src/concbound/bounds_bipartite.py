@@ -44,7 +44,7 @@ from .numerics import _MODULUS, _ROUNDOFF, _as_index, as_symmetric
 from .states import Decomposition, DensityMatrix, PureState, _check_pure, _check_state, _pt_spectra, partial_trace
 
 # Most gap matrices per SVD call: caps the engine's memory whatever the
-# number of rows.
+# number of rows (an ascent block holds whole subsets, at least one).
 _BLOCK_ROWS = 512
 
 # Report mode -> (w, coefficient names, split labels, triple source): the

@@ -3,14 +3,16 @@
 The gap delta is piecewise smooth in the coefficient moduli and phases, and
 every evaluation is a valid lower bound, so a seeded multi-restart
 sign-gradient ascent may stop anywhere. Every (subset, restart) trajectory of
-a call is one row; rows run in blocks of up to 512, each to its end, and each
-step is one stacked SVD with vectors over a block's live rows, which gives
-their values and gradients. A row never reads another, so blocking the rows
-changes nothing, and all randomness derives from one user-visible seed: the
-same configuration reproduces the same report, byte for byte. Where a row's
-value is negative, shrinking every radius is a rise, so such rows tend to land
-on the apex c = 0, where the value is 0; once a trial from there fails, every
-later trial is a positive multiple of it, so the row stops.
+a call is one row; rows run in blocks of whole subsets, up to 512 rows where a
+subset fits, each to its end, and each step is one stacked SVD with vectors
+over a block's live rows, which gives their values and gradients. Only the
+rows of one subset read each other (they race, and trailing ones retire), so
+blocking the rows changes nothing, and all randomness derives from one
+user-visible seed: the same configuration reproduces the same report, byte
+for byte. Where a row's value is negative, shrinking every radius is a rise,
+so such rows tend to land on the apex c = 0, where the value is 0; once a
+trial from there fails, every later trial is a positive multiple of it, so
+the row stops.
 
 Every searched aggregate, obs1, obs2 and obs3 alike, takes one path,
 ``_optimize_aggregate``: the subset pool, the seed salts and the report
@@ -60,16 +62,19 @@ class OptimizerConfig:
     length: it starts at ``step_initial``; a kept move, one that raises the
     gap, grows (x1.5) the steps whose derivative kept its sign and shrinks
     (x0.3) the rest, a dropped move shrinks all; and the restart stops once
-    its largest step is below ``step_final``. One-coefficient subsets (k=1
-    in obs1 and obs3, or ``optimize_u`` on one index) are not searched: the
-    unit coefficient is optimal, so ``restarts``, ``iterations``, ``seed``
-    and the steps do not change those bounds, though the report's ``config``
-    still records them. ``subset_strategy`` picks the subset pool for
-    aggregated bounds: "exhaustive" enumerates all size-k subsets,
-    "top_singletons" only combines the ``top_count`` generators with the
-    largest gaps: their own at k = 1, and at k >= 2 the largest all-ones gap
-    of a pair holding them, since on a PPT state every single gap of a
-    library family is zero by the projection lemma.
+    its largest step is below ``step_final``. From step max(10, iterations
+    // 4) on, the restarts of a subset race: only restart 0, never retired,
+    and the ceil(restarts / 2) best by current value keep climbing.
+    One-coefficient subsets (k=1 in obs1 and obs3, or ``optimize_u`` on one
+    index) are not searched: the unit coefficient is optimal, so
+    ``restarts``, ``iterations``, ``seed`` and the steps do not change those
+    bounds, though the report's ``config`` still records them.
+    ``subset_strategy`` picks the subset pool for aggregated bounds:
+    "exhaustive" enumerates all size-k subsets, "top_singletons" only
+    combines the ``top_count`` generators with the largest gaps: their own
+    at k = 1, and at k >= 2 the largest all-ones gap of a pair holding them,
+    since on a PPT state every single gap of a library family is zero by the
+    projection lemma.
     """
 
     restarts: int = 32
@@ -135,22 +140,28 @@ class ScanResult:
         return asdict(self)
 
 
-def _ascend(stack: np.ndarray, idx, x, cfg: OptimizerConfig) -> np.ndarray:
-    """Projected sign-gradient ascent of the unclipped 2 sigma_1 - sum sigma
-    on rows x = (radii, phases) over the B matrices stack[idx]: updates x in
-    place, returns its gaps. Each coordinate steps by its own length along
-    its derivative's sign, radii clip to [0, 1] (exactly onto optima at
-    c_s = 0), and a row keeps a move only if its value strictly rises. A
-    kept move grows (x1.5) the steps whose derivative kept its sign and
-    shrinks (x0.3) the rest, damping zigzags; a dropped move shrinks all. A
-    row stops once its largest step is below ``step_final``, or once a trial
-    from the apex (radii 0, value 0, phase derivatives 0) fails with a value
-    at most -_ROUNDOFF times its largest radius: a failed move keeps x and
-    the gradient and scales every step by 0.3, so the j-th later trial is
-    0.3^j times this one, and by Delta(t c) = t Delta(c) so is its value.
-    Rows run in blocks of ``_BLOCK_ROWS``, each to its end, on compact arrays
-    of its live rows, gathered once and shrunk (x written back) as rows retire."""
-    m, block, out = idx.shape[1], bounds_bipartite._BLOCK_ROWS, np.empty(len(x))
+def _ascend(stack: np.ndarray, idx, x, cfg: OptimizerConfig, group: int) -> np.ndarray:
+    """Projected sign-gradient ascent of the unclipped 2 sigma_1 - sum sigma on
+    rows x = (radii, phases) over the B matrices stack[idx]: updates x in
+    place, returns its gaps. Each coordinate steps by its own length along its
+    derivative's sign, radii clip to [0, 1] (exactly onto optima at c_s = 0),
+    and a row keeps a move only if its value strictly rises. A kept move grows
+    (x1.5) the steps whose derivative kept its sign and shrinks (x0.3) the
+    rest, damping zigzags; a dropped move shrinks all. A row stops once its
+    largest step is below ``step_final``, or once a trial from the apex (radii
+    0, value 0, phase derivatives 0) fails with a value at most -_ROUNDOFF
+    times its largest radius: a failed move keeps x and the gradient and scales
+    every step by 0.3, so the j-th later trial is 0.3^j times this one, and by
+    Delta(t c) = t Delta(c) so is its value. Each run of ``group`` rows is one
+    subset's restarts, restart 0 first; from step T = max(10, iterations // 4)
+    on, after every step, a subset keeps restart 0 and its ceil(group / 2) best
+    rows by current value (a retired row at its final value, ties to the lower
+    restart) and retires the rest. Rows run in blocks of the most whole subsets
+    in ``_BLOCK_ROWS`` rows (one at the least), each to its end, on compact
+    arrays of its live rows, gathered once and shrunk (x written back) as rows
+    retire."""
+    m, out, race = idx.shape[1], np.empty(len(x)), max(10, cfg.iterations // 4)
+    block = max(group, bounds_bipartite._BLOCK_ROWS // group * group)
 
     def climb(parts, xs):
         turn = np.exp(1j * xs[:, m:])
@@ -158,11 +169,16 @@ def _ascend(stack: np.ndarray, idx, x, cfg: OptimizerConfig) -> np.ndarray:
         g *= turn
         return val, np.sign(np.concatenate([g.real, -xs[:, :m] * g.imag], axis=1))
 
-    for pos in np.split(np.arange(len(x)), range(block, len(x), block)):
+    for lo in range(0, len(x), block):
+        pos = np.arange(lo, min(lo + block, len(x)))
         parts, xs = stack.reshape(-1, stack.shape[-1] ** 2)[idx[pos]], x[pos]
         (val, sign), step = climb(parts, xs), np.full(xs.shape, float(cfg.step_initial))
-        for _ in range(cfg.iterations):
+        for it in range(cfg.iterations):
             keep = step.max(axis=1) >= cfg.step_final
+            if it >= race:
+                out[pos] = val
+                rank = np.argsort(np.argsort(-out[lo : lo + block].reshape(-1, group), axis=1, kind="stable"), axis=1)
+                keep &= ((rank < -(-group // 2)) | (np.arange(group) == 0)).ravel()[pos - lo]
             if not keep.all():
                 x[pos[~keep]], out[pos[~keep]] = xs[~keep], val[~keep]
                 pos, parts, xs, val, sign, step = (a[keep] for a in (pos, parts, xs, val, sign, step))
@@ -186,10 +202,12 @@ def _ascend(stack: np.ndarray, idx, x, cfg: OptimizerConfig) -> np.ndarray:
 def _search(stack: np.ndarray, subsets, salts, cfg: OptimizerConfig):
     """Multi-restart ascent for every subset (equal-length index tuples into
     the B stack ``stack``) at once. Restart 0 starts at all ones, restart j
-    at a draw seeded by (j,) + salt. Returns coefficients (a row per
-    subset, max modulus 1), their gaps, and per subset the nondecreasing
-    best gap after each restart. One-operator subsets skip the search: the
-    gap of uJ is |u|·Delta(J), so u = 1 is optimal."""
+    at a draw seeded by (j,) + salt, and the restarts of a subset race
+    (``_ascend``; restart 0 is never retired). Returns coefficients (a row
+    per subset, max modulus 1), their gaps, and per subset the nondecreasing
+    best gap after each restart, a retired one at its value at retirement.
+    One-operator subsets skip the search: the gap of uJ is |u|·Delta(J), so
+    u = 1 is optimal."""
     idx = np.asarray(subsets, dtype=np.intp)
     n_sub, m = idx.shape
     if m == 1:
@@ -201,7 +219,7 @@ def _search(stack: np.ndarray, subsets, salts, cfg: OptimizerConfig):
     # (next64 >> 11) * 2^-53 on PCG64, and k * (2 pi * 2^-53) rounds the same product as 2 pi * (k * 2^-53).
     raw = [np.random.PCG64(np.random.SeedSequence(cfg.seed, spawn_key=(j,) + tuple(salt))).random_raw(2 * m) for salt in salts for j in range(1, cfg.restarts)]
     x[:, 1:] = (np.array(raw, dtype=np.uint64).reshape(n_sub, -1, 2 * m) >> 11) * np.repeat([2.0**-53, 2.0 * np.pi * 2.0**-53], m)
-    val = _ascend(stack, np.repeat(idx, cfg.restarts, axis=0), x.reshape(-1, 2 * m), cfg).reshape(n_sub, -1)
+    val = _ascend(stack, np.repeat(idx, cfg.restarts, axis=0), x.reshape(-1, 2 * m), cfg, cfg.restarts).reshape(n_sub, -1)
     # argmax keeps the first of equal gaps, like a strict '>' over restarts;
     # where none is positive, the all-ones start is as good (delta 0).
     best = x[np.arange(n_sub), np.argmax(val, axis=1)]

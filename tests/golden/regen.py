@@ -26,6 +26,7 @@ import platform
 import re
 import sys
 import tempfile
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -39,6 +40,7 @@ from concbound import (
     delta_k,
     delta_tot_k,
     delta_total_bound,
+    example_operators,
     ghz_state,
     horodecki_state,
     lambda_spectrum,
@@ -50,11 +52,12 @@ from concbound import (
     optimize_u,
     random_density,
     random_pure,
+    tripartite_generators,
     w_state,
     white_noise_mix,
     wootters_concurrence,
 )
-from concbound.cli import main
+from concbound.cli import main, parse_state
 
 CORPUS = Path(__file__).resolve().parent / "corpus.json"
 
@@ -128,34 +131,66 @@ def _report(rep) -> dict:
     return {"report": rep.to_json(include_timing=False)}
 
 
-def entries():
-    """(name, {field: text}) for every corpus entry, in a fixed order."""
+# The JSON bound records of CLI_RUNS: run -> (the report's mode, the family
+# its gaps are taken over); the state is the one its --state names.
+CLI_REPORTS = {
+    "bound/horodecki-obs1-k2-json": ("obs1", lambda: bipartite_generators(3, 3)),
+    "bound/bell-wootters-json": ("wootters", lambda: bipartite_generators(2, 2)),
+    "bound/w-obs2-json": ("obs2-w", lambda: example_operators("w")),
+}
+
+
+def reports():
+    """(name, state, mode, family, make) for every report entry: make()
+    builds the report, of ``mode`` on ``state``, whose gaps are those of
+    ``family``: a GeneratorSet, a GeneratorTriple, or (obs3) a GeneratorSet
+    per split label."""
     fast = OptimizerConfig(**FAST)
     top = OptimizerConfig(**FAST, subset_strategy="top_singletons", top_count=4)
+    gens, triple = bipartite_generators(3, 3), canonical_triple(2)
+    splits = {g.split: g for g in (tripartite_generators(2, s) for s in range(3))}
     for a in (0.2, 0.8):
         for p in (1.0, 0.6):
             rho = white_noise_mix(horodecki_state(a), p)
             for k in (1, 2):
                 for pool, cfg in (("exhaustive", fast), ("top_singletons", top)):
-                    yield f"obs1/a={a}/p={p}/k={k}/{pool}", _report(optimize_bound_bipartite(rho, k, cfg))
-    for mode in ("obs2", "obs3"):
+                    yield f"obs1/a={a}/p={p}/k={k}/{pool}", rho, "obs1", gens, partial(optimize_bound_bipartite, rho, k, cfg)
+    for mode, family in (("obs2", triple), ("obs3", splits)):
         for name, state in (("ghz", ghz_state), ("w", w_state)):
             for p in (1.0, 0.5):
                 rho = white_noise_mix(state().density(), p)
                 for k in (1, 2):
-                    yield f"{mode}/{name}/p={p}/k={k}", _report(optimize_bound_multipartite(rho, k, fast, mode))
+                    yield f"{mode}/{name}/p={p}/k={k}", rho, mode, family, partial(optimize_bound_multipartite, rho, k, fast, mode)
+
+    rho = horodecki_state(0.2)
+    w_mix = white_noise_mix(w_state().density(), 0.5)
+    yield "fixed/obs1", rho, "obs1", gens, partial(observation1_bound, rho, 2, {(4, 8): [0.5333, 1.0], (0, 1): [1.0, 1j]})
+    yield "fixed/obs2", w_mix, "obs2", triple, partial(observation2_bound, w_mix, 1, {(0,): ([1.0], [1.0], [1.0]), (5,): ([1j], [0.5], [1.0])})
+    yield "fixed/obs2-w", w_mix, "obs2-w", example_operators("w"), partial(observation2_bound, w_mix, 1, {(0,): ([1.0], [1.0], [1.0])}, "w")
+    yield "fixed/obs3", w_mix, "obs3", splits, partial(observation3_bound, w_mix, 1, {0: {(0,): [1.0]}, 2: {(3,): [0.5j]}})
+    yield "empty/obs1", rho, "obs1", gens, partial(observation1_bound, rho, 2, {})
+    yield "empty/obs2", w_mix, "obs2", triple, partial(observation2_bound, w_mix, 2, {})
+    yield "empty/obs3", w_mix, "obs3", splits, partial(observation3_bound, w_mix, 1, {})
+
+
+def replays():
+    """(name, field, state, mode, family) for every report the corpus
+    prints, ``reports()``'s and those in the JSON records of CLI_REPORTS."""
+    for name, rho, mode, family, _ in reports():
+        yield name, "report", rho, mode, family
+    for run, (mode, family) in CLI_REPORTS.items():
+        argv = CLI_RUNS[run]
+        yield f"cli/{run}", "stdout", parse_state(argv[argv.index("--state") + 1])[0], mode, family()
+
+
+def entries():
+    """(name, {field: text}) for every corpus entry, in a fixed order."""
+    for name, _, _, _, make in reports():
+        yield name, _report(make())
 
     rho = horodecki_state(0.2)
     gens = bipartite_generators(3, 3)
     w_mix = white_noise_mix(w_state().density(), 0.5)
-    yield "fixed/obs1", _report(observation1_bound(rho, 2, {(4, 8): [0.5333, 1.0], (0, 1): [1.0, 1j]}))
-    yield "fixed/obs2", _report(observation2_bound(w_mix, 1, {(0,): ([1.0], [1.0], [1.0]), (5,): ([1j], [0.5], [1.0])}))
-    yield "fixed/obs2-w", _report(observation2_bound(w_mix, 1, {(0,): ([1.0], [1.0], [1.0])}, "w"))
-    yield "fixed/obs3", _report(observation3_bound(w_mix, 1, {0: {(0,): [1.0]}, 2: {(3,): [0.5j]}}))
-    yield "empty/obs1", _report(observation1_bound(rho, 2, {}))
-    yield "empty/obs2", _report(observation2_bound(w_mix, 2, {}))
-    yield "empty/obs3", _report(observation3_bound(w_mix, 1, {}))
-
     yield "repr/delta_k", {"repr": repr(delta_k(rho, gens, (4, 8), [0.5333, 1.0]))}
     yield "repr/delta_tot_k", {"repr": repr(delta_tot_k(w_mix, canonical_triple(2), (0, 5), ([1.0, 0.5], [1j, 1.0], [1.0, -1.0])))}
     yield "repr/optimize_u", {"repr": repr(optimize_u(rho, gens, (4, 8), OptimizerConfig(**FAST)))}

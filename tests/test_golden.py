@@ -5,7 +5,9 @@ The corpus is written by ``tests/golden/regen.py`` on the reference
 commit, and its bytes hold only on the build named in its header:
 another numpy, BLAS or BLAS kernel may round differently. The test
 therefore skips on any other environment, and a mismatch names the
-entry, the field and the first differing line.
+entry, the field and the first differing line. A second tier runs on
+every build: each printed gap replays from its printed coefficients
+through the public gap functions, which does not rerun the search.
 """
 from __future__ import annotations
 
@@ -14,6 +16,8 @@ import json
 from pathlib import Path
 
 import pytest
+
+from concbound import BoundReport, GeneratorTriple, SubsetEntry, delta_k, delta_tot_k
 
 REGEN = Path(__file__).resolve().parent / "golden" / "regen.py"
 
@@ -75,3 +79,36 @@ def test_diff_reads_gaps_per_subset():
         "    largest fall of a gap: 0.25",
     ]
     assert lines[7:] == [line.replace("cli:", "report:") for line in lines[2:7]]
+
+
+def _replay(rho, family, entry) -> float:
+    """An entry's gap from its printed coefficients, through ``delta_k`` or ``delta_tot_k``."""
+    coeffs = {name: [complex(*c) for c in vec] for name, vec in entry["coefficients"].items()}
+    family = family[entry["split"]] if isinstance(family, dict) else family
+    if isinstance(family, GeneratorTriple):
+        return delta_tot_k(rho, family, entry["subset"], (coeffs["u"], coeffs["v"], coeffs["w"]))
+    return delta_k(rho, family, entry["subset"], coeffs["u"])
+
+
+def test_printed_gaps_replay_from_printed_coefficients():
+    # Runs on every build: bit for bit on the corpus's own, and elsewhere within
+    # 1e-13 relative on gaps above 1e-12 and 1e-15 absolute below, the round-off
+    # another BLAS kernel adds to one SVD.
+    regen = _regen()
+    corpus = json.loads(regen.CORPUS.read_text(encoding="utf-8"))
+    native = regen.environment() == corpus["environment"]
+    replays = list(regen.replays())
+    assert {name for name, fields in corpus["entries"].items() if regen._reports(fields)} == {r[0] for r in replays}
+    failures, gaps = [], 0
+    for name, field, rho, mode, family in replays:
+        doc = regen._reports(corpus["entries"][name])[field]
+        entries = tuple(SubsetEntry(tuple(e["subset"]), {}, e["delta"], e.get("split")) for e in doc["per_subset"])
+        report = BoundReport(doc["bound_on_c_squared"], entries, doc["k"], doc["n_generators"], doc["prefactor"], doc["mode"], 0.0)
+        assert doc["mode"] == mode and report.recompute() == report.bound_on_c_squared, name
+        for e in doc["per_subset"]:
+            got, want = _replay(rho, family, e), e["delta"]
+            close = abs(got - want) <= (1e-13 * abs(want) if abs(want) > 1e-12 else 1e-15)
+            if not (got.hex() == want.hex() if native else close):
+                failures.append(f"{name} {e.get('split') or ''}{tuple(e['subset'])}: printed {want!r}, replayed {got!r}")
+            gaps += 1
+    assert gaps > 550 and not failures, f"{len(failures)} of {gaps} gaps do not replay\n" + "\n".join(failures[:20])

@@ -262,7 +262,7 @@ def _one_row_at_a_time(rho, ops, cfg, salt):
         if restart:
             rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(restart,) + salt))
             x[0] = np.concatenate([rng.random(m), 2.0 * np.pi * rng.random(m)])
-        val = float(optimizer._ascend(stack, np.arange(m)[None, :], x, cfg)[0])
+        val = float(optimizer._ascend(stack, np.arange(m)[None, :], x, cfg, 1)[0])
         if val > best_val:
             best, best_val = x[0], val
         trace.append(best_val)
@@ -289,7 +289,7 @@ class TestSeededStarts:
     @pytest.mark.parametrize("m", range(2, 10))
     def test_starts_are_the_generators_draws(self, m, monkeypatch):
         starts, ascend = [], optimizer._ascend
-        monkeypatch.setattr(optimizer, "_ascend", lambda stack, idx, x, cfg: starts.append(x.copy()) or ascend(stack, idx, x, cfg))
+        monkeypatch.setattr(optimizer, "_ascend", lambda stack, idx, x, cfg, group: starts.append(x.copy()) or ascend(stack, idx, x, cfg, group))
         rho = random_density((4, 4), 16, seed=m)
         stack = rho._frame(bipartite_generators(4, 4).operators[: m + 1])
         subsets, salts = [tuple(range(m)), tuple(range(1, m + 1))], [(m, 0, 7), (2,)]
@@ -306,10 +306,11 @@ class TestSeededStarts:
 
 class TestLockstepEngine:
     """Every (subset, restart) trajectory of a search climbs in lockstep
-    as one row, and no row reads another: the batch reproduces
-    trajectories run one at a time, bit for bit. The retired coordinate
-    descent is the floor: where the budget does not limit the result,
-    the gradient search is never below it."""
+    as one row. Until a subset's restarts race (after 10 steps at the
+    least, see ``TestRace``) no row reads another, so up to 10 iterations
+    the batch reproduces trajectories run one at a time, bit for bit. The
+    retired coordinate descent is the floor: where the budget does not
+    limit the result, the gradient search is never below it."""
 
     GENS = bipartite_generators(3, 3)
 
@@ -341,9 +342,12 @@ class TestLockstepEngine:
         # The obs2 k=1 subset (0,) of noisy W: m = 3, one operator per split.
         rho = white_noise_mix(w_state().density(), 0.5)
         ops = np.stack([tripartite_generators(2, s).operators[0] for s in range(3)])
-        for cfg in (OptimizerConfig(restarts=3, iterations=7), OptimizerConfig(restarts=2, iterations=20)):
+        # Restarts run one at a time do not race, so the two agree bit for bit
+        # only up to 10 iterations; the floor holds at every budget.
+        for cfg in (OptimizerConfig(restarts=3, iterations=7), OptimizerConfig(restarts=2, iterations=10), OptimizerConfig(restarts=2, iterations=20)):
             got = _search_one(rho, ops, cfg, (0,))
-            _assert_bitwise_equal(got, _one_row_at_a_time(rho, ops, cfg, (0,)))
+            if cfg.iterations <= 10:
+                _assert_bitwise_equal(got, _one_row_at_a_time(rho, ops, cfg, (0,)))
             floor = _reference_descent(rho, ops, cfg, (0,))[1]
             assert floor > 0.5
             assert got[1] >= floor * (1.0 - 1e-12)
@@ -432,10 +436,20 @@ class TestLockstepEngine:
             optimize_bound_multipartite(ghz_state().density(), 2, FAST, "obs2-ghz")
 
 
-def _ascend_to_step_final(stack, idx, x, cfg):
-    """``optimizer._ascend`` without the apex stop: a row ends only once
-    its largest step is below ``step_final``, kept verbatim as the oracle
-    the stop must match bit for bit."""
+_ASCEND = optimizer._ascend
+
+
+def _ascend_unraced(stack, idx, x, cfg, group):
+    """``optimizer._ascend`` with every row its own one-restart subset, so no row races."""
+    return _ASCEND(stack, idx, x, cfg, 1)
+
+
+def _ascend_to_step_final(stack, idx, x, cfg, group=1, history=None):
+    """``optimizer._ascend`` without the apex stop and without the race (every
+    row is its own one-restart subset, whatever ``group``): a row ends only
+    once its largest step is below ``step_final``, kept verbatim as the oracle
+    the stop must match bit for bit. A list ``history`` gets (values, x) at
+    the start and after each step that runs."""
     m, flat = idx.shape[1], stack.reshape(-1, stack.shape[-1] ** 2)
 
     def climb(rows, xs):
@@ -447,6 +461,8 @@ def _ascend_to_step_final(stack, idx, x, cfg):
     val, grad = climb(slice(None), x)
     step, live = np.full(x.shape, float(cfg.step_initial)), np.arange(len(x))
     for _ in range(cfg.iterations):
+        if history is not None:
+            history.append((val.copy(), x.copy()))
         live = live[step[live].max(axis=1) >= cfg.step_final]
         if not live.size:
             break
@@ -456,6 +472,8 @@ def _ascend_to_step_final(stack, idx, x, cfg):
         win = new > val[live]
         step[live] *= np.where(win[:, None] & (np.sign(new_grad) == np.sign(grad[live])), 1.5, 0.3)
         x[live[win]], val[live[win]], grad[live[win]] = trial[win], new[win], new_grad[win]
+    if history is not None:
+        history.append((val.copy(), x.copy()))
     return np.where(val > 0.0, val, 0.0)
 
 
@@ -491,10 +509,15 @@ class TestApexStop:
 
     @pytest.mark.parametrize("case", list(_APEX_CASES))
     def test_search_matches_running_every_row_to_step_final(self, case, monkeypatch):
+        # The oracle does not race, so the search runs with every row its own
+        # one-restart subset, and as it is at (2, 10), where no race starts.
         rho, ops, subsets = _APEX_CASES[case]()
         stack = rho._frame(ops)
-        for cfg in (self.BENCH, OptimizerConfig(restarts=3, iterations=25)):
-            got = optimizer._search(stack, subsets, subsets, cfg)
+        for cfg in (self.BENCH, OptimizerConfig(restarts=3, iterations=25), OptimizerConfig(restarts=2, iterations=10)):
+            with monkeypatch.context() as patch:
+                if cfg.iterations > 10:
+                    patch.setattr(optimizer, "_ascend", _ascend_unraced)
+                got = optimizer._search(stack, subsets, subsets, cfg)
             with monkeypatch.context() as patch:
                 patch.setattr(optimizer, "_ascend", _ascend_to_step_final)
                 want = optimizer._search(stack, subsets, subsets, cfg)
@@ -507,7 +530,7 @@ class TestApexStop:
         stack, idx, x = _apex_start_rows()
         want_x = x.copy()
         want = _ascend_to_step_final(stack, idx, want_x, self.BENCH)
-        got = optimizer._ascend(stack, idx, x, self.BENCH)
+        got = optimizer._ascend(stack, idx, x, self.BENCH, 1)
         assert np.array_equal(got, want) and np.array_equal(x, want_x)
         left = x[:, :2].any(axis=1)
         assert 0 < left.sum() < len(idx)
@@ -613,8 +636,9 @@ def _horodecki_pair_rows():
 class TestBlockedAscent:
     """The ascent runs its rows in blocks of ``_BLOCK_ROWS``, each to its end
     on compact arrays that shrink as rows retire, writing retired rows' x
-    back: any block size returns the values and leaves the x of running
-    every row to ``step_final``, bit for bit."""
+    back: with the rows taken as one-restart subsets, which never race, any
+    block size returns the values and leaves the x of running every row to
+    ``step_final``, bit for bit."""
 
     CFG = OptimizerConfig(restarts=2, iterations=20)
 
@@ -622,7 +646,7 @@ class TestBlockedAscent:
     def _steps_per_row(monkeypatch, stack, idx, x, cfg):
         """Steps each row runs, by running it alone: kernel calls less the first."""
         def alone(i):
-            return lambda: optimizer._ascend(stack, idx[i : i + 1], x[i : i + 1].copy(), cfg)
+            return lambda: optimizer._ascend(stack, idx[i : i + 1], x[i : i + 1].copy(), cfg, 1)
 
         return [len(_kernel_rows(monkeypatch, alone(i))) - 1 for i in range(len(idx))]
 
@@ -637,7 +661,7 @@ class TestBlockedAscent:
         for block in (512, 3):
             monkeypatch.setattr(bounds_bipartite, "_BLOCK_ROWS", block)
             got_x = x.copy()
-            got = optimizer._ascend(stack, idx, got_x, self.CFG)
+            got = optimizer._ascend(stack, idx, got_x, self.CFG, 1)
             assert got.tobytes() == want.tobytes()
             assert got_x.tobytes() == want_x.tobytes()
         assert not np.array_equal(want_x, x)
@@ -652,8 +676,133 @@ class TestBlockedAscent:
         assert idx[45:48].tolist() == [[3, 5], [3, 6], [3, 6]] and x[45:48, :2].all()
         assert self._steps_per_row(monkeypatch, stack, idx[45:48], x[45:48], self.CFG) == [3, 3, 3]
         monkeypatch.setattr(bounds_bipartite, "_BLOCK_ROWS", 3)
-        optimizer._ascend(stack, idx, x, self.CFG)
+        optimizer._ascend(stack, idx, x, self.CFG, 1)
         assert not x[45:48, :2].any()
+
+
+def _raced_rows(rho, ops, subsets, restarts, seed=0):
+    """Subset-major rows of ``restarts`` restarts per subset, restart 0 at all
+    ones and the rest at draws of ``seed``: (stack, idx, x)."""
+    m, rng = len(subsets[0]), np.random.default_rng(seed)
+    idx = np.repeat(np.array(subsets), restarts, axis=0)
+    x = np.concatenate([rng.random((len(idx), m)), 2.0 * np.pi * rng.random((len(idx), m))], axis=1)
+    x[::restarts] = np.repeat([1.0, 0.0], m)
+    return rho._frame(ops), idx, x
+
+
+# Rows where the race cuts restarts that would still climb: ((stack, idx, x), config).
+_RACE_CASES = {
+    "random-pairs": lambda: (_raced_rows(random_density((3, 3), 4, seed=1), _GENS33, _PAIRS, 4), OptimizerConfig(restarts=4, iterations=30)),
+    "random-triples": lambda: (
+        _raced_rows(random_density((3, 3), 4, seed=2), _GENS33, list(combinations(range(9), 3))[::7], 3),
+        OptimizerConfig(restarts=3, iterations=40),
+    ),
+    "w-p0.9-obs2": lambda: (_raced_rows(*_w_obs2_k1(0.9), 2), OptimizerConfig(restarts=2, iterations=25)),
+}
+
+
+def _race_by_hand(stack, idx, x, cfg):
+    """The race replayed on rows that climb alone: each row's history run to
+    ``step_final`` by ``_ascend_to_step_final``; then, at each step t from
+    T = max(10, iterations // 4) on, every subset keeps restart 0 and its
+    ceil(R / 2) best rows, each by its value at step t or, once cut, at its
+    cut, ties to the lower restart, and cuts the rest. Returns the values
+    and x the rows end with, and every row's value alone after each step."""
+    history, group = [], cfg.restarts
+    _ascend_to_step_final(stack, idx, x.copy(), cfg, history=history)
+    history += history[-1:] * (cfg.iterations + 1 - len(history))
+    vals, xs = (np.array(h) for h in zip(*history))
+    cut, rows = np.full(len(x), cfg.iterations), np.arange(len(x))
+    for t in range(max(10, cfg.iterations // 4), cfg.iterations):
+        now = vals[np.minimum(cut, t), rows]
+        for lo in range(0, len(x), group):
+            lead = sorted(range(lo, lo + group), key=lambda r: (-now[r], r))[: -(-group // 2)]
+            for r in range(lo + 1, lo + group):
+                if r not in lead and cut[r] == cfg.iterations:
+                    cut[r] = t
+    end = vals[cut, rows]
+    return np.where(end > 0.0, end, 0.0), xs[cut, rows], vals
+
+
+class TestRace:
+    """The restarts of one subset race: from step T = max(10, iterations // 4)
+    on, after every step, a subset keeps restart 0 and its ceil(R / 2) best
+    rows by current value (a row already out by its final value, ties to the
+    lower restart), and the rest retire with x and value written back.
+    Blocks hold whole subsets, so the rule reads one subset's rows alone."""
+
+    @pytest.mark.parametrize("case", list(_RACE_CASES))
+    @pytest.mark.parametrize("block", [3, 512])
+    def test_ascent_cuts_the_rows_the_rule_names(self, case, block, monkeypatch):
+        # So no row among its subset's top ceil(R / 2) at a step is cut there.
+        (stack, idx, x), cfg = _RACE_CASES[case]()
+        want, want_x, alone = _race_by_hand(stack, idx, x, cfg)
+        monkeypatch.setattr(bounds_bipartite, "_BLOCK_ROWS", block)
+        got = optimizer._ascend(stack, idx, x, cfg, cfg.restarts)
+        assert got.tobytes() == want.tobytes() and x.tobytes() == want_x.tobytes()
+        # Some cut rows would have climbed further alone.
+        assert (got < np.where(alone[-1] > 0.0, alone[-1], 0.0)).any()
+
+    @pytest.mark.parametrize("case", list(_RACE_CASES))
+    def test_restart_zero_never_retires(self, case):
+        (stack, idx, x), cfg = _RACE_CASES[case]()
+        raced, lone = x.copy(), x.copy()
+        got = optimizer._ascend(stack, idx, raced, cfg, cfg.restarts)
+        want = optimizer._ascend(stack, idx, lone, cfg, 1)
+        r = cfg.restarts
+        assert got[::r].tobytes() == want[::r].tobytes() and raced[::r].tobytes() == lone[::r].tobytes()
+        assert not np.array_equal(raced, lone)
+
+    @pytest.mark.parametrize("case", list(_RACE_CASES))
+    def test_a_subset_climbs_with_at_most_half_its_restarts_and_restart_zero(self, case, monkeypatch):
+        (stack, idx, x), cfg = _RACE_CASES[case]()
+        r = cfg.restarts
+        rows = _kernel_rows(monkeypatch, lambda: optimizer._ascend(stack, idx[:r], x[:r].copy(), cfg, r))
+        # Call 0 scores the starts, and call t + 1 takes step t.
+        assert max(rows[1 + max(10, cfg.iterations // 4) :], default=0) <= -(-r // 2) + 1
+
+    @pytest.mark.parametrize("block", [3, 512])
+    def test_batched_search_matches_one_subset_at_a_time(self, block, monkeypatch):
+        monkeypatch.setattr(bounds_bipartite, "_BLOCK_ROWS", block)
+        for case, cfg in (("random-pairs", OptimizerConfig(restarts=4, iterations=30)), ("random-triples", OptimizerConfig(restarts=4, iterations=40))):
+            rho, ops, subsets = _APEX_CASES[case]()
+            stack = rho._frame(ops)
+            got = optimizer._search(stack, subsets, subsets, cfg)
+            for i, t in enumerate(subsets):
+                want = optimizer._search(stack, [t], [t], cfg)
+                assert all(a[i].tobytes() == b[0].tobytes() for a, b in zip(got, want))
+            # The race moved some subset's search.
+            with monkeypatch.context() as patch:
+                patch.setattr(optimizer, "_ascend", _ascend_unraced)
+                assert not np.array_equal(optimizer._search(stack, subsets, subsets, cfg)[2], got[2])
+
+    @pytest.mark.parametrize("k, restarts", [(2, 4), (3, 3)])
+    def test_bound_is_at_least_the_all_ones_aggregate(self, k, restarts):
+        cfg = OptimizerConfig(restarts=restarts, iterations=30)
+        for seed in range(3):
+            rho = random_density((3, 3), 4, seed=seed)
+            ones = {t: [1.0] * k for t in combinations(range(9), k)}
+            assert optimize_bound_bipartite(rho, k, cfg).bound_on_c_squared >= observation1_bound(rho, k, ones).bound_on_c_squared
+        rho = w_family(0.5)
+        ones = {t: ([1.0] * k,) * 3 for t in combinations(range(6), k)}
+        assert optimize_bound_multipartite(rho, k, cfg).bound_on_c_squared >= observation2_bound(rho, k, ones).bound_on_c_squared
+
+    @pytest.mark.parametrize("restarts, iterations", [(2, 10), (4, 10), (3, 7)])
+    def test_no_race_up_to_ten_iterations(self, restarts, iterations, monkeypatch):
+        # So every report searched at (2, 10), the corpus's config, stays as it was before the race.
+        cfg = OptimizerConfig(restarts=restarts, iterations=iterations)
+        rho3 = w_family(0.9)
+
+        def reports():
+            return (
+                optimize_bound_bipartite(random_density((3, 3), 4, seed=1), 2, cfg).to_json(include_timing=False),
+                optimize_bound_bipartite(horodecki_state(0.2), 3, cfg).to_json(include_timing=False),
+                optimize_bound_multipartite(rho3, 1, cfg, "obs2").to_json(include_timing=False),
+            )
+
+        raced = reports()
+        monkeypatch.setattr(optimizer, "_ascend", _ascend_unraced)
+        assert reports() == raced
 
 
 class TestSingletonClosedForm:
