@@ -12,7 +12,7 @@ user-visible seed: the same configuration reproduces the same report, byte
 for byte. Where a row's value is negative, shrinking every radius is a rise,
 so such rows tend to land on the apex c = 0, where the value is 0; once a
 trial from there fails, every later trial is a positive multiple of it, so
-the row stops.
+the row stops, as does a row whose clipped trial is its own point.
 
 Every searched aggregate, obs1, obs2 and obs3 alike, takes one path,
 ``_optimize_aggregate``: the subset pool, the seed salts and the report
@@ -26,6 +26,7 @@ import json
 import math
 import time
 from dataclasses import asdict, dataclass, fields
+from functools import lru_cache
 from itertools import combinations, compress
 
 import numpy as np
@@ -62,9 +63,10 @@ class OptimizerConfig:
     length: it starts at ``step_initial``; a kept move, one that raises the
     gap, grows (x1.5) the steps whose derivative kept its sign and shrinks
     (x0.3) the rest, a dropped move shrinks all; and the restart stops once
-    its largest step is below ``step_final``. From step max(10, iterations
-    // 4) on, the restarts of a subset race: only restart 0, never retired,
-    and the ceil(restarts / 2) best by current value keep climbing.
+    its largest step is below ``step_final`` or its clipped trial is its
+    point. From step max(10, iterations // 4) on, the restarts of a subset
+    race: only restart 0, never retired, and the ceil(restarts / 2) best by
+    current value, none stalled (``_ascend``), keep climbing.
     One-coefficient subsets (k=1 in obs1 and obs3, or ``optimize_u`` on one
     index) are not searched: the unit coefficient is optimal, so
     ``restarts``, ``iterations``, ``seed`` and the steps do not change those
@@ -148,18 +150,21 @@ def _ascend(stack: np.ndarray, idx, x, cfg: OptimizerConfig, group: int) -> np.n
     and a row keeps a move only if its value strictly rises. A kept move grows
     (x1.5) the steps whose derivative kept its sign and shrinks (x0.3) the
     rest, damping zigzags; a dropped move shrinks all. A row stops once its
-    largest step is below ``step_final``, or once a trial from the apex (radii
-    0, value 0, phase derivatives 0) fails with a value at most -_ROUNDOFF
-    times its largest radius: a failed move keeps x and the gradient and scales
-    every step by 0.3, so the j-th later trial is 0.3^j times this one, and by
-    Delta(t c) = t Delta(c) so is its value. Each run of ``group`` rows is one
-    subset's restarts, restart 0 first; from step T = max(10, iterations // 4)
-    on, after every step, a subset keeps restart 0 and its ceil(group / 2) best
-    rows by current value (a retired row at its final value, ties to the lower
-    restart) and retires the rest. Rows run in blocks of the most whole subsets
-    in ``_BLOCK_ROWS`` rows (one at the least), each to its end, on compact
-    arrays of its live rows, gathered once and shrunk (x written back) as rows
-    retire."""
+    largest step is below ``step_final``; once its clipped trial is its point,
+    which, as any shorter step's would, scores its own value and leaves x; or
+    once a trial from the apex (radii 0, value 0, phase derivatives 0) fails
+    with a value at most -_ROUNDOFF times its largest radius: a failed move
+    keeps x and the gradient and scales every step by 0.3, so the j-th later
+    trial is 0.3^j times this one, and by Delta(t c) = t Delta(c) so is its
+    value. Each run of ``group`` rows is one subset's restarts, restart 0
+    first; from step T = max(10, iterations // 4) on, after every step, a
+    subset keeps restart 0 and its ceil(group / 2) best rows by current value
+    (a retired row at its final value, ties to the lower restart) and retires
+    the rest, and any other restart that stalls, its clipped trial moving no
+    coordinate by ``step_final`` (a step at a clip bound may grow forever).
+    Rows run in blocks of the most whole subsets in ``_BLOCK_ROWS`` rows (one
+    at the least), each to its end, on compact arrays of its live rows,
+    gathered once and shrunk (x written back) as rows retire."""
     m, out, race = idx.shape[1], np.empty(len(x)), max(10, cfg.iterations // 4)
     block = max(group, bounds_bipartite._BLOCK_ROWS // group * group)
 
@@ -174,24 +179,26 @@ def _ascend(stack: np.ndarray, idx, x, cfg: OptimizerConfig, group: int) -> np.n
         parts, xs = stack.reshape(-1, stack.shape[-1] ** 2)[idx[pos]], x[pos]
         (val, sign), step = climb(parts, xs), np.full(xs.shape, float(cfg.step_initial))
         for it in range(cfg.iterations):
-            keep = step.max(axis=1) >= cfg.step_final
-            if it >= race:
-                out[pos] = val
-                rank = np.argsort(np.argsort(-out[lo : lo + block].reshape(-1, group), axis=1, kind="stable"), axis=1)
-                keep &= ((rank < -(-group // 2)) | (np.arange(group) == 0)).ravel()[pos - lo]
-            if not keep.all():
-                x[pos[~keep]], out[pos[~keep]] = xs[~keep], val[~keep]
-                pos, parts, xs, val, sign, step = (a[keep] for a in (pos, parts, xs, val, sign, step))
-                if not pos.size:
-                    break
             trial = sign * step + xs
             np.maximum(trial[:, :m], 0.0, out=trial[:, :m])
             np.minimum(trial[:, :m], 1.0, out=trial[:, :m])
+            move = np.abs(trial - xs).max(axis=1)
+            keep = (step.max(axis=1) >= cfg.step_final) & (move > 0.0)
+            if it >= race:
+                out[pos] = val
+                rank = np.argsort(np.argsort(-out[lo : lo + block].reshape(-1, group), axis=1, kind="stable"), axis=1)
+                keep &= ((rank.ravel()[pos - lo] < -(-group // 2)) & (move >= cfg.step_final)) | (pos % group == 0)
+            if not keep.all():
+                x[pos[~keep]], out[pos[~keep]] = xs[~keep], val[~keep]
+                pos, parts, xs, val, sign, step, trial = (a[keep] for a in (pos, parts, xs, val, sign, step, trial))
+                if not pos.size:
+                    break
             new, new_sign = climb(parts, trial)
             win = new > val
             step *= np.where(win[:, None] & (new_sign == sign), 1.5, 0.3)
             # The apex's value is 0, so a trial at or below -_ROUNDOFF * its radius fails there.
-            step[~xs[:, :m].any(axis=1) & (new <= -_ROUNDOFF * trial[:, :m].max(axis=1))] = 0.0
+            if (apex := ~xs[:, :m].any(axis=1)).any():
+                step[apex & (new <= -_ROUNDOFF * trial[:, :m].max(axis=1))] = 0.0
             np.copyto(xs, trial, where=win[:, None])
             np.copyto(sign, new_sign, where=win[:, None])
             np.copyto(val, new, where=win)
@@ -199,13 +206,21 @@ def _ascend(stack: np.ndarray, idx, x, cfg: OptimizerConfig, group: int) -> np.n
     return np.where(out > 0.0, out, 0.0)
 
 
+@lru_cache(maxsize=2**14)
+def _draw(seed: int, spawn_key: tuple, n: int) -> np.ndarray:
+    """PCG64(SeedSequence(seed, spawn_key)).random_raw(n), read-only, for 2^14 keys at most."""
+    raw = np.random.PCG64(np.random.SeedSequence(seed, spawn_key=spawn_key)).random_raw(n)
+    raw.flags.writeable = False
+    return raw
+
+
 def _search(stack: np.ndarray, subsets, salts, cfg: OptimizerConfig):
     """Multi-restart ascent for every subset (equal-length index tuples into
     the B stack ``stack``) at once. Restart 0 starts at all ones, restart j
-    at a draw seeded by (j,) + salt, and the restarts of a subset race
-    (``_ascend``; restart 0 is never retired). Returns coefficients (a row
-    per subset, max modulus 1), their gaps, and per subset the nondecreasing
-    best gap after each restart, a retired one at its value at retirement.
+    at a draw seeded by (j,) + salt (``_draw``), and the restarts of a subset
+    race and stall (``_ascend``; restart 0 does neither). Returns coefficients
+    (a row per subset, max modulus 1), their gaps, and per subset the
+    nondecreasing best gap after each restart, a retired one at its last value.
     One-operator subsets skip the search: the gap of uJ is |u|·Delta(J), so
     u = 1 is optimal."""
     idx = np.asarray(subsets, dtype=np.intp)
@@ -217,7 +232,7 @@ def _search(stack: np.ndarray, subsets, salts, cfg: OptimizerConfig):
     x = np.tile(np.repeat([1.0, 0.0], m), (n_sub, cfg.restarts, 1))
     # Restart j starts at default_rng(SeedSequence(seed, spawn_key=(j,) + salt)).random's 2m doubles, bit for bit:
     # (next64 >> 11) * 2^-53 on PCG64, and k * (2 pi * 2^-53) rounds the same product as 2 pi * (k * 2^-53).
-    raw = [np.random.PCG64(np.random.SeedSequence(cfg.seed, spawn_key=(j,) + tuple(salt))).random_raw(2 * m) for salt in salts for j in range(1, cfg.restarts)]
+    raw = [_draw(cfg.seed, (j,) + tuple(salt), 2 * m) for salt in salts for j in range(1, cfg.restarts)]
     x[:, 1:] = (np.array(raw, dtype=np.uint64).reshape(n_sub, -1, 2 * m) >> 11) * np.repeat([2.0**-53, 2.0 * np.pi * 2.0**-53], m)
     val = _ascend(stack, np.repeat(idx, cfg.restarts, axis=0), x.reshape(-1, 2 * m), cfg, cfg.restarts).reshape(n_sub, -1)
     # argmax keeps the first of equal gaps, like a strict '>' over restarts;

@@ -303,6 +303,27 @@ class TestSeededStarts:
             want = np.array([want[0], *want[1:4], want[0], *want[4:]])
             assert starts.pop().tobytes() == want.tobytes()
 
+    def test_draws_are_memoized_read_only_and_bounded(self):
+        for seed, key in ((0, (1,)), (DEFAULT_SEED, (3, 0, 4)), (2**64 - 1, (31, 2, 7, 8)), (7, (1, np.int64(5)))):
+            raw = optimizer._draw(seed, key, 6)
+            want = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key)).random(6)
+            assert ((raw >> 11) * 2.0**-53).tobytes() == want.tobytes()
+            assert optimizer._draw(seed, key, 6) is raw and not raw.flags.writeable
+            with pytest.raises(ValueError):
+                raw[0] = 0
+        assert 0 < optimizer._draw.cache_info().maxsize <= 2**14
+
+    def test_a_repeated_search_seeds_no_sequence(self, monkeypatch):
+        seeded, sequence = [], np.random.SeedSequence
+        monkeypatch.setattr(np.random, "SeedSequence", lambda *args, **kwargs: seeded.append(args) or sequence(*args, **kwargs))
+        stack = random_density((3, 3), 4, seed=1)._frame(_GENS33)
+        # A seed no other test searches with, so the first search draws afresh.
+        cfg = OptimizerConfig(restarts=3, iterations=2, seed=3_141_592)
+        first = optimizer._search(stack, _PAIRS[:5], _PAIRS[:5], cfg)
+        assert len(seeded) == 10
+        again = optimizer._search(stack, _PAIRS[:5], _PAIRS[:5], cfg)
+        assert len(seeded) == 10 and all(a.tobytes() == b.tobytes() for a, b in zip(first, again))
+
 
 class TestLockstepEngine:
     """Every (subset, restart) trajectory of a search climbs in lockstep
@@ -445,11 +466,13 @@ def _ascend_unraced(stack, idx, x, cfg, group):
 
 
 def _ascend_to_step_final(stack, idx, x, cfg, group=1, history=None):
-    """``optimizer._ascend`` without the apex stop and without the race (every
-    row is its own one-restart subset, whatever ``group``): a row ends only
-    once its largest step is below ``step_final``, kept verbatim as the oracle
-    the stop must match bit for bit. A list ``history`` gets (values, x) at
-    the start and after each step that runs."""
+    """``optimizer._ascend`` without the apex stop, without the stop on a trial
+    that cannot move its row, and without the race and the stall (every row is
+    its own one-restart subset, whatever ``group``): a row ends only once its
+    largest step is below ``step_final``, kept verbatim as the oracle the stops
+    must match bit for bit. A list ``history`` gets (values, x, moves) at the
+    start and after each step that runs, a row's move being how far its next
+    clipped trial moves its farthest coordinate."""
     m, flat = idx.shape[1], stack.reshape(-1, stack.shape[-1] ** 2)
 
     def climb(rows, xs):
@@ -458,11 +481,16 @@ def _ascend_to_step_final(stack, idx, x, cfg, group=1, history=None):
         g = g * turn
         return val, np.concatenate([g.real, -xs[:, :m] * g.imag], axis=1)
 
+    def record():
+        if history is not None:
+            trial = x + step * np.sign(grad)
+            trial[:, :m] = np.clip(trial[:, :m], 0.0, 1.0)
+            history.append((val.copy(), x.copy(), np.abs(trial - x).max(axis=1)))
+
     val, grad = climb(slice(None), x)
     step, live = np.full(x.shape, float(cfg.step_initial)), np.arange(len(x))
     for _ in range(cfg.iterations):
-        if history is not None:
-            history.append((val.copy(), x.copy()))
+        record()
         live = live[step[live].max(axis=1) >= cfg.step_final]
         if not live.size:
             break
@@ -472,8 +500,7 @@ def _ascend_to_step_final(stack, idx, x, cfg, group=1, history=None):
         win = new > val[live]
         step[live] *= np.where(win[:, None] & (np.sign(new_grad) == np.sign(grad[live])), 1.5, 0.3)
         x[live[win]], val[live[win]], grad[live[win]] = trial[win], new[win], new_grad[win]
-    if history is not None:
-        history.append((val.copy(), x.copy()))
+    record()
     return np.where(val > 0.0, val, 0.0)
 
 
@@ -536,6 +563,24 @@ class TestApexStop:
         assert 0 < left.sum() < len(idx)
         assert np.all(got[left] > 0.0) and np.all(got[~left] == 0.0)
 
+    @pytest.mark.parametrize("family, rows, oracle_rows", [(w_family, 24, 70), (ghz_family, 12, 35)])
+    def test_a_row_whose_trial_cannot_move_it_retires_at_once(self, family, rows, oracle_rows, monkeypatch):
+        # On noisy W and GHZ at p = 0.9, restart 0 of each obs2 k=1 search sits
+        # at the all-ones optimum: its radii are pinned at 1 and its phase
+        # derivatives are exactly 0, so its clipped trial is its own point. It
+        # retires there; run to step_final, it scores its own value until its
+        # steps shrink below step_final, and ends with the same x and value.
+        # The oracle also runs every row without the apex stop and the race.
+        cfg = OptimizerConfig(restarts=2, iterations=25)
+
+        def search():
+            return optimize_bound_multipartite(family(0.9), 1, cfg, "obs2").to_json(include_timing=False)
+
+        got, got_rows = _ascent_rows(monkeypatch, optimizer._ascend, search)
+        want, want_rows = _ascent_rows(monkeypatch, _ascend_to_step_final, search)
+        assert got == want
+        assert (got_rows, want_rows) == (rows, oracle_rows)
+
     def _rows_per_search(self, monkeypatch, rho):
         """Rows handed to the gap kernel, which the ascent and ``_gaps`` both
         call, by one obs1 k=2 search at (2, 20)."""
@@ -564,6 +609,20 @@ def _kernel_rows(monkeypatch, run) -> list[int]:
         patch.setattr(bounds_bipartite, "_gap_kernel", spy)
         run()
     return rows
+
+
+def _ascent_rows(monkeypatch, ascend, run):
+    """(``run()``, rows handed to the gap kernel by ``ascend`` standing in for ``optimizer._ascend``)."""
+    rows = []
+
+    def counted(*args):
+        out = []
+        rows.extend(_kernel_rows(monkeypatch, lambda: out.append(ascend(*args))))
+        return out[0]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(optimizer, "_ascend", counted)
+        return run(), sum(rows)
 
 
 def _svd_sites(monkeypatch, run) -> tuple[int, int]:
@@ -669,12 +728,15 @@ class TestBlockedAscent:
     def test_a_block_whose_rows_all_stop_early(self, monkeypatch):
         # Rows 45-47 of the Horodecki rows, one block of three: (3, 5) from a
         # draw, (3, 6) from all ones and from a draw. None starts at the apex,
-        # and all three stop there after 3 steps, so the block ends long before
-        # iterations and each x it leaves was written back on retiring. The test
-        # above checks these rows bit for bit at blocks of three.
+        # and all three stop there, so the block ends long before iterations
+        # and each x it leaves was written back on retiring. The rows from a
+        # draw stop after 3 steps, on a failed trial from the apex; the row from
+        # all ones reaches the apex in 2 steps with a trial that cannot move it,
+        # and stops before scoring that trial. The test above checks these rows
+        # bit for bit at blocks of three.
         stack, idx, x = _horodecki_pair_rows()
         assert idx[45:48].tolist() == [[3, 5], [3, 6], [3, 6]] and x[45:48, :2].all()
-        assert self._steps_per_row(monkeypatch, stack, idx[45:48], x[45:48], self.CFG) == [3, 3, 3]
+        assert self._steps_per_row(monkeypatch, stack, idx[45:48], x[45:48], self.CFG) == [3, 2, 3]
         monkeypatch.setattr(bounds_bipartite, "_BLOCK_ROWS", 3)
         optimizer._ascend(stack, idx, x, self.CFG, 1)
         assert not x[45:48, :2].any()
@@ -701,24 +763,26 @@ _RACE_CASES = {
 }
 
 
-def _race_by_hand(stack, idx, x, cfg):
-    """The race replayed on rows that climb alone: each row's history run to
-    ``step_final`` by ``_ascend_to_step_final``; then, at each step t from
-    T = max(10, iterations // 4) on, every subset keeps restart 0 and its
-    ceil(R / 2) best rows, each by its value at step t or, once cut, at its
-    cut, ties to the lower restart, and cuts the rest. Returns the values
-    and x the rows end with, and every row's value alone after each step."""
+def _race_by_hand(stack, idx, x, cfg, stall=True):
+    """The race and the stall replayed on rows that climb alone: each row's
+    history run to ``step_final`` by ``_ascend_to_step_final``; then, at each
+    step t from T = max(10, iterations // 4) on, every subset keeps restart 0
+    and its ceil(R / 2) best rows, each by its value at step t or, once cut,
+    at its cut, ties to the lower restart, and cuts the rest, and also every
+    row but restart 0 whose next trial moves no coordinate by ``step_final``.
+    Returns the values and x the rows end with, and every row's value alone
+    after each step. ``stall`` False replays the race alone."""
     history, group = [], cfg.restarts
     _ascend_to_step_final(stack, idx, x.copy(), cfg, history=history)
     history += history[-1:] * (cfg.iterations + 1 - len(history))
-    vals, xs = (np.array(h) for h in zip(*history))
+    vals, xs, moves = (np.array(h) for h in zip(*history))
     cut, rows = np.full(len(x), cfg.iterations), np.arange(len(x))
     for t in range(max(10, cfg.iterations // 4), cfg.iterations):
         now = vals[np.minimum(cut, t), rows]
         for lo in range(0, len(x), group):
             lead = sorted(range(lo, lo + group), key=lambda r: (-now[r], r))[: -(-group // 2)]
             for r in range(lo + 1, lo + group):
-                if r not in lead and cut[r] == cfg.iterations:
+                if (r not in lead or stall and moves[t, r] < cfg.step_final) and cut[r] == cfg.iterations:
                     cut[r] = t
     end = vals[cut, rows]
     return np.where(end > 0.0, end, 0.0), xs[cut, rows], vals
@@ -728,8 +792,10 @@ class TestRace:
     """The restarts of one subset race: from step T = max(10, iterations // 4)
     on, after every step, a subset keeps restart 0 and its ceil(R / 2) best
     rows by current value (a row already out by its final value, ties to the
-    lower restart), and the rest retire with x and value written back.
-    Blocks hold whole subsets, so the rule reads one subset's rows alone."""
+    lower restart), and the rest retire with x and value written back; so
+    does every restart but 0 that stalls, its clipped trial moving no
+    coordinate by ``step_final``. Blocks hold whole subsets, so the rule
+    reads one subset's rows alone."""
 
     @pytest.mark.parametrize("case", list(_RACE_CASES))
     @pytest.mark.parametrize("block", [3, 512])
@@ -742,6 +808,15 @@ class TestRace:
         assert got.tobytes() == want.tobytes() and x.tobytes() == want_x.tobytes()
         # Some cut rows would have climbed further alone.
         assert (got < np.where(alone[-1] > 0.0, alone[-1], 0.0)).any()
+
+    @pytest.mark.parametrize("case", ["random-pairs", "random-triples"])
+    def test_a_stalled_restart_retires_where_the_race_keeps_it(self, case):
+        # From T on, a restart other than 0 whose clipped trial moves no
+        # coordinate by step_final retires, though it leads its subset.
+        (stack, idx, x), cfg = _RACE_CASES[case]()
+        raced = _race_by_hand(stack, idx, x, cfg, stall=False)[0]
+        got = optimizer._ascend(stack, idx, x, cfg, cfg.restarts)
+        assert got.tobytes() != raced.tobytes()
 
     @pytest.mark.parametrize("case", list(_RACE_CASES))
     def test_restart_zero_never_retires(self, case):
