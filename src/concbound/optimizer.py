@@ -66,7 +66,7 @@ class OptimizerConfig:
     its largest step is below ``step_final`` or its clipped trial is its
     point. From step max(10, iterations // 4) on, the restarts of a subset
     race: only restart 0, never retired, and the ceil(restarts / 2) best by
-    current value, none stalled (``_ascend``), keep climbing.
+    current value keep climbing.
     One-coefficient subsets (k=1 in obs1 and obs3, or ``optimize_u`` on one
     index) are not searched: the unit coefficient is optimal, so
     ``restarts``, ``iterations``, ``seed`` and the steps do not change those
@@ -160,11 +160,9 @@ def _ascend(stack: np.ndarray, idx, x, cfg: OptimizerConfig, group: int) -> np.n
     first; from step T = max(10, iterations // 4) on, after every step, a
     subset keeps restart 0 and its ceil(group / 2) best rows by current value
     (a retired row at its final value, ties to the lower restart) and retires
-    the rest, and any other restart that stalls, its clipped trial moving no
-    coordinate by ``step_final`` (a step at a clip bound may grow forever).
-    Rows run in blocks of the most whole subsets in ``_BLOCK_ROWS`` rows (one
-    at the least), each to its end, on compact arrays of its live rows,
-    gathered once and shrunk (x written back) as rows retire."""
+    the rest. Rows run in blocks of the most whole subsets in ``_BLOCK_ROWS``
+    rows (one at the least), each to its end, on compact arrays of its live
+    rows, gathered once and shrunk (x written back) as rows retire."""
     m, out, race = idx.shape[1], np.empty(len(x)), max(10, cfg.iterations // 4)
     block = max(group, bounds_bipartite._BLOCK_ROWS // group * group)
 
@@ -182,12 +180,11 @@ def _ascend(stack: np.ndarray, idx, x, cfg: OptimizerConfig, group: int) -> np.n
             trial = sign * step + xs
             np.maximum(trial[:, :m], 0.0, out=trial[:, :m])
             np.minimum(trial[:, :m], 1.0, out=trial[:, :m])
-            move = np.abs(trial - xs).max(axis=1)
-            keep = (step.max(axis=1) >= cfg.step_final) & (move > 0.0)
+            keep = (step.max(axis=1) >= cfg.step_final) & (trial != xs).any(axis=1)
             if it >= race:
                 out[pos] = val
                 rank = np.argsort(np.argsort(-out[lo : lo + block].reshape(-1, group), axis=1, kind="stable"), axis=1)
-                keep &= ((rank.ravel()[pos - lo] < -(-group // 2)) & (move >= cfg.step_final)) | (pos % group == 0)
+                keep &= ((rank < -(-group // 2)) | (np.arange(group) == 0)).ravel()[pos - lo]
             if not keep.all():
                 x[pos[~keep]], out[pos[~keep]] = xs[~keep], val[~keep]
                 pos, parts, xs, val, sign, step, trial = (a[keep] for a in (pos, parts, xs, val, sign, step, trial))
@@ -218,9 +215,10 @@ def _search(stack: np.ndarray, subsets, salts, cfg: OptimizerConfig):
     """Multi-restart ascent for every subset (equal-length index tuples into
     the B stack ``stack``) at once. Restart 0 starts at all ones, restart j
     at a draw seeded by (j,) + salt (``_draw``), and the restarts of a subset
-    race and stall (``_ascend``; restart 0 does neither). Returns coefficients
+    race (``_ascend``; restart 0 is never retired). Returns coefficients
     (a row per subset, max modulus 1), their gaps, and per subset the
-    nondecreasing best gap after each restart, a retired one at its last value.
+    nondecreasing best gap after each restart, a retired one at its value at
+    retirement.
     One-operator subsets skip the search: the gap of uJ is |u|·Delta(J), so
     u = 1 is optimal."""
     idx = np.asarray(subsets, dtype=np.intp)

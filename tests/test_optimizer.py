@@ -467,12 +467,11 @@ def _ascend_unraced(stack, idx, x, cfg, group):
 
 def _ascend_to_step_final(stack, idx, x, cfg, group=1, history=None):
     """``optimizer._ascend`` without the apex stop, without the stop on a trial
-    that cannot move its row, and without the race and the stall (every row is
-    its own one-restart subset, whatever ``group``): a row ends only once its
-    largest step is below ``step_final``, kept verbatim as the oracle the stops
-    must match bit for bit. A list ``history`` gets (values, x, moves) at the
-    start and after each step that runs, a row's move being how far its next
-    clipped trial moves its farthest coordinate."""
+    that cannot move its row, and without the race (every row is its own
+    one-restart subset, whatever ``group``): a row ends only once its largest
+    step is below ``step_final``, kept verbatim as the oracle the stops must
+    match bit for bit. A list ``history`` gets (values, x) at the start and
+    after each step that runs."""
     m, flat = idx.shape[1], stack.reshape(-1, stack.shape[-1] ** 2)
 
     def climb(rows, xs):
@@ -481,16 +480,11 @@ def _ascend_to_step_final(stack, idx, x, cfg, group=1, history=None):
         g = g * turn
         return val, np.concatenate([g.real, -xs[:, :m] * g.imag], axis=1)
 
-    def record():
-        if history is not None:
-            trial = x + step * np.sign(grad)
-            trial[:, :m] = np.clip(trial[:, :m], 0.0, 1.0)
-            history.append((val.copy(), x.copy(), np.abs(trial - x).max(axis=1)))
-
     val, grad = climb(slice(None), x)
     step, live = np.full(x.shape, float(cfg.step_initial)), np.arange(len(x))
     for _ in range(cfg.iterations):
-        record()
+        if history is not None:
+            history.append((val.copy(), x.copy()))
         live = live[step[live].max(axis=1) >= cfg.step_final]
         if not live.size:
             break
@@ -500,7 +494,8 @@ def _ascend_to_step_final(stack, idx, x, cfg, group=1, history=None):
         win = new > val[live]
         step[live] *= np.where(win[:, None] & (np.sign(new_grad) == np.sign(grad[live])), 1.5, 0.3)
         x[live[win]], val[live[win]], grad[live[win]] = trial[win], new[win], new_grad[win]
-    record()
+    if history is not None:
+        history.append((val.copy(), x.copy()))
     return np.where(val > 0.0, val, 0.0)
 
 
@@ -763,26 +758,24 @@ _RACE_CASES = {
 }
 
 
-def _race_by_hand(stack, idx, x, cfg, stall=True):
-    """The race and the stall replayed on rows that climb alone: each row's
-    history run to ``step_final`` by ``_ascend_to_step_final``; then, at each
-    step t from T = max(10, iterations // 4) on, every subset keeps restart 0
-    and its ceil(R / 2) best rows, each by its value at step t or, once cut,
-    at its cut, ties to the lower restart, and cuts the rest, and also every
-    row but restart 0 whose next trial moves no coordinate by ``step_final``.
-    Returns the values and x the rows end with, and every row's value alone
-    after each step. ``stall`` False replays the race alone."""
+def _race_by_hand(stack, idx, x, cfg):
+    """The race replayed on rows that climb alone: each row's history run to
+    ``step_final`` by ``_ascend_to_step_final``; then, at each step t from
+    T = max(10, iterations // 4) on, every subset keeps restart 0 and its
+    ceil(R / 2) best rows, each by its value at step t or, once cut, at its
+    cut, ties to the lower restart, and cuts the rest. Returns the values
+    and x the rows end with, and every row's value alone after each step."""
     history, group = [], cfg.restarts
     _ascend_to_step_final(stack, idx, x.copy(), cfg, history=history)
     history += history[-1:] * (cfg.iterations + 1 - len(history))
-    vals, xs, moves = (np.array(h) for h in zip(*history))
+    vals, xs = (np.array(h) for h in zip(*history))
     cut, rows = np.full(len(x), cfg.iterations), np.arange(len(x))
     for t in range(max(10, cfg.iterations // 4), cfg.iterations):
         now = vals[np.minimum(cut, t), rows]
         for lo in range(0, len(x), group):
             lead = sorted(range(lo, lo + group), key=lambda r: (-now[r], r))[: -(-group // 2)]
             for r in range(lo + 1, lo + group):
-                if (r not in lead or stall and moves[t, r] < cfg.step_final) and cut[r] == cfg.iterations:
+                if r not in lead and cut[r] == cfg.iterations:
                     cut[r] = t
     end = vals[cut, rows]
     return np.where(end > 0.0, end, 0.0), xs[cut, rows], vals
@@ -792,10 +785,8 @@ class TestRace:
     """The restarts of one subset race: from step T = max(10, iterations // 4)
     on, after every step, a subset keeps restart 0 and its ceil(R / 2) best
     rows by current value (a row already out by its final value, ties to the
-    lower restart), and the rest retire with x and value written back; so
-    does every restart but 0 that stalls, its clipped trial moving no
-    coordinate by ``step_final``. Blocks hold whole subsets, so the rule
-    reads one subset's rows alone."""
+    lower restart), and the rest retire with x and value written back.
+    Blocks hold whole subsets, so the rule reads one subset's rows alone."""
 
     @pytest.mark.parametrize("case", list(_RACE_CASES))
     @pytest.mark.parametrize("block", [3, 512])
@@ -808,15 +799,6 @@ class TestRace:
         assert got.tobytes() == want.tobytes() and x.tobytes() == want_x.tobytes()
         # Some cut rows would have climbed further alone.
         assert (got < np.where(alone[-1] > 0.0, alone[-1], 0.0)).any()
-
-    @pytest.mark.parametrize("case", ["random-pairs", "random-triples"])
-    def test_a_stalled_restart_retires_where_the_race_keeps_it(self, case):
-        # From T on, a restart other than 0 whose clipped trial moves no
-        # coordinate by step_final retires, though it leads its subset.
-        (stack, idx, x), cfg = _RACE_CASES[case]()
-        raced = _race_by_hand(stack, idx, x, cfg, stall=False)[0]
-        got = optimizer._ascend(stack, idx, x, cfg, cfg.restarts)
-        assert got.tobytes() != raced.tobytes()
 
     @pytest.mark.parametrize("case", list(_RACE_CASES))
     def test_restart_zero_never_retires(self, case):
