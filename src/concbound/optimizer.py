@@ -2,17 +2,13 @@
 
 The gap delta is piecewise smooth in the coefficient moduli and phases, and
 every evaluation is a valid lower bound, so a seeded multi-restart
-sign-gradient ascent may stop anywhere. Every (subset, restart) trajectory of
-a call is one row; rows run in blocks of whole subsets, up to 512 rows where a
-subset fits, each to its end, and each step is one stacked SVD with vectors
-over a block's live rows, which gives their values and gradients. Only the
-rows of one subset read each other (they race, and trailing ones retire), so
-blocking the rows changes nothing, and all randomness derives from one
-user-visible seed: the same configuration reproduces the same report, byte
-for byte. Where a row's value is negative, shrinking every radius is a rise,
-so such rows tend to land on the apex c = 0, where the value is 0; once a
-trial from there fails, every later trial is a positive multiple of it, so
-the row stops, as does a row whose clipped trial is its own point.
+sign-gradient ascent may stop anywhere. ``_search`` runs it for every subset
+of a call at once, each (subset, restart) trajectory one row of ``_ascend``;
+``_ascend`` and ``OptimizerConfig`` state its step, stop and race rules.
+Only the rows of one subset read each other, so blocking the rows changes
+nothing, and all randomness derives from one user-visible seed
+(``_start``): the same configuration reproduces the same report, byte for
+byte.
 
 Every searched aggregate, obs1, obs2 and obs3 alike, takes one path,
 ``_optimize_aggregate``: the subset pool, the seed salts and the report
@@ -58,15 +54,19 @@ class OptimizerConfig:
     """Search knobs for the coefficient optimizer.
 
     ``restarts`` counts starting points per subset: the first is the
-    deterministic all-ones vector, the rest are seeded random draws. Each
-    restart takes at most ``iterations`` steps, each coordinate by its own
-    length: it starts at ``step_initial``; a kept move, one that raises the
-    gap, grows (x1.5) the steps whose derivative kept its sign and shrinks
-    (x0.3) the rest, a dropped move shrinks all; and the restart stops once
-    its largest step is below ``step_final`` or its clipped trial is its
-    point. From step max(10, iterations // 4) on, the restarts of a subset
-    race: only restart 0, never retired, and the ceil(restarts / 2) best by
-    current value keep climbing.
+    deterministic all-ones vector, and restart j >= 1 of a subset of m
+    coefficients starts at radii u and phases 2 pi v, with (u, v) =
+    ``default_rng(SeedSequence(seed, spawn_key=(j,) + salt)).random(2m)``,
+    the salt being the subset's indices, led by its split's index where a
+    mode has several splits. Each restart takes at most ``iterations``
+    steps, each coordinate by its own length: it starts at
+    ``step_initial``; a kept move, one that raises the gap, grows (x1.5) the
+    steps whose derivative kept its sign and shrinks (x0.3) the rest, a
+    dropped move shrinks all; and the restart stops once its largest step is
+    below ``step_final`` or its clipped trial is its point. From step
+    max(10, iterations // 4) on, the restarts of a subset race: only
+    restart 0, never retired, and the ceil(restarts / 2) best by current
+    value keep climbing.
     One-coefficient subsets (k=1 in obs1 and obs3, or ``optimize_u`` on one
     index) are not searched: the unit coefficient is optimal, so
     ``restarts``, ``iterations``, ``seed`` and the steps do not change those
@@ -178,8 +178,7 @@ def _ascend(stack: np.ndarray, idx, x, cfg: OptimizerConfig, group: int) -> np.n
         (val, sign), step = climb(parts, xs), np.full(xs.shape, float(cfg.step_initial))
         for it in range(cfg.iterations):
             trial = sign * step + xs
-            np.maximum(trial[:, :m], 0.0, out=trial[:, :m])
-            np.minimum(trial[:, :m], 1.0, out=trial[:, :m])
+            np.clip(trial[:, :m], 0.0, 1.0, out=trial[:, :m])
             keep = (step.max(axis=1) >= cfg.step_final) & (trial != xs).any(axis=1)
             if it >= race:
                 out[pos] = val
@@ -204,18 +203,20 @@ def _ascend(stack: np.ndarray, idx, x, cfg: OptimizerConfig, group: int) -> np.n
 
 
 @lru_cache(maxsize=2**14)
-def _draw(seed: int, spawn_key: tuple, n: int) -> np.ndarray:
-    """PCG64(SeedSequence(seed, spawn_key)).random_raw(n), read-only, for 2^14 keys at most."""
-    raw = np.random.PCG64(np.random.SeedSequence(seed, spawn_key=spawn_key)).random_raw(n)
-    raw.flags.writeable = False
-    return raw
+def _start(seed: int, spawn_key: tuple, m: int) -> np.ndarray:
+    """The start at radii u and phases 2 pi v, (u, v) = default_rng(SeedSequence(seed, spawn_key)).random(2m);
+    read-only, for 2^14 keys at most."""
+    x = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=spawn_key)).random(2 * m)
+    x[m:] *= 2.0 * np.pi
+    x.flags.writeable = False
+    return x
 
 
 def _search(stack: np.ndarray, subsets, salts, cfg: OptimizerConfig):
     """Multi-restart ascent for every subset (equal-length index tuples into
     the B stack ``stack``) at once. Restart 0 starts at all ones, restart j
-    at a draw seeded by (j,) + salt (``_draw``), and the restarts of a subset
-    race (``_ascend``; restart 0 is never retired). Returns coefficients
+    at ``_start`` seeded by (j,) + salt, and the restarts of a subset race
+    (``_ascend``; restart 0 is never retired). Returns coefficients
     (a row per subset, max modulus 1), their gaps, and per subset the
     nondecreasing best gap after each restart, a retired one at its value at
     retirement.
@@ -228,10 +229,8 @@ def _search(stack: np.ndarray, subsets, salts, cfg: OptimizerConfig):
         deltas = _gaps(stack, idx, coeffs)
         return coeffs, deltas, np.repeat(deltas[:, None], cfg.restarts, axis=1)
     x = np.tile(np.repeat([1.0, 0.0], m), (n_sub, cfg.restarts, 1))
-    # Restart j starts at default_rng(SeedSequence(seed, spawn_key=(j,) + salt)).random's 2m doubles, bit for bit:
-    # (next64 >> 11) * 2^-53 on PCG64, and k * (2 pi * 2^-53) rounds the same product as 2 pi * (k * 2^-53).
-    raw = [_draw(cfg.seed, (j,) + tuple(salt), 2 * m) for salt in salts for j in range(1, cfg.restarts)]
-    x[:, 1:] = (np.array(raw, dtype=np.uint64).reshape(n_sub, -1, 2 * m) >> 11) * np.repeat([2.0**-53, 2.0 * np.pi * 2.0**-53], m)
+    starts = [_start(cfg.seed, (j,) + tuple(salt), m) for salt in salts for j in range(1, cfg.restarts)]
+    x[:, 1:] = np.reshape(starts, (n_sub, -1, 2 * m))
     val = _ascend(stack, np.repeat(idx, cfg.restarts, axis=0), x.reshape(-1, 2 * m), cfg, cfg.restarts).reshape(n_sub, -1)
     # argmax keeps the first of equal gaps, like a strict '>' over restarts;
     # where none is positive, the all-ones start is as good (delta 0).

@@ -102,7 +102,7 @@ class DensityMatrix:
                 f"matrix size {mat.shape[0]} does not match dims {dims}"
             )
         self._adopt(as_hermitian(mat), dims)
-        w, q = self._eigh = np.linalg.eigh(self.matrix)  # fills the cached property below
+        w = self._eigh[0]
         if not w[0] >= -_EIG_FLOOR:
             raise NotPositiveSemidefiniteError(f"minimum eigenvalue {w[0]:.3e}")
 

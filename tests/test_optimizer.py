@@ -284,7 +284,7 @@ def _raw_value(b):
 
 class TestSeededStarts:
     """The search's seeded starts are ``default_rng(SeedSequence(...)).random``'s
-    draws, bit for bit, though read off raw PCG64 streams."""
+    draws, bit for bit."""
 
     @pytest.mark.parametrize("m", range(2, 10))
     def test_starts_are_the_generators_draws(self, m, monkeypatch):
@@ -305,13 +305,14 @@ class TestSeededStarts:
 
     def test_draws_are_memoized_read_only_and_bounded(self):
         for seed, key in ((0, (1,)), (DEFAULT_SEED, (3, 0, 4)), (2**64 - 1, (31, 2, 7, 8)), (7, (1, np.int64(5)))):
-            raw = optimizer._draw(seed, key, 6)
-            want = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key)).random(6)
-            assert ((raw >> 11) * 2.0**-53).tobytes() == want.tobytes()
-            assert optimizer._draw(seed, key, 6) is raw and not raw.flags.writeable
+            start = optimizer._start(seed, key, 3)
+            u, v = np.split(np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key)).random(6), 2)
+            want = np.concatenate([u, 2.0 * np.pi * v])
+            assert start.tobytes() == want.tobytes()
+            assert optimizer._start(seed, key, 3) is start and not start.flags.writeable
             with pytest.raises(ValueError):
-                raw[0] = 0
-        assert 0 < optimizer._draw.cache_info().maxsize <= 2**14
+                start[0] = 0
+        assert 0 < optimizer._start.cache_info().maxsize <= 2**14
 
     def test_a_repeated_search_seeds_no_sequence(self, monkeypatch):
         seeded, sequence = [], np.random.SeedSequence
