@@ -31,7 +31,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import __version__
-from .errors import ParameterRangeError, ThresholdNotDetectedError
+from .errors import ParameterRangeError, ThresholdNotDetectedError, _parse_json
 from .bounds_bipartite import _fixed, _resolve_gens, observation1_bound, wootters_concurrence
 from .bounds_multipartite import _resolve_triple, ctau_pure
 from .generators import _EXAMPLES, Bipartition, bipartite_generators
@@ -145,7 +145,7 @@ def _ppt_summary(rho: DensityMatrix) -> dict:
 
 
 def _make_config(blob: str | None) -> OptimizerConfig:
-    user = json.loads(blob) if blob else {}
+    user = _parse_json(json.loads, blob, "--optimizer") if blob else {}
     env = os.environ.get("CONCBOUND_SEED")
     if env is not None and isinstance(user, dict):
         user = {"seed": int(env), **user}

@@ -1,4 +1,4 @@
-"""Exception types raised by validation and search routines."""
+"""Exception types raised by validation and search routines, and the JSON parse that raises one for too deep a nest."""
 
 
 class NonSquareError(ValueError):
@@ -63,3 +63,11 @@ class NotNormalizedError(ValueError):
 
 class ThresholdNotDetectedError(RuntimeError):
     """Scan detector fails at the upper end of the parameter range."""
+
+
+def _parse_json(parse, source, where: str):
+    """``parse(source)`` with ``json.load`` or ``json.loads``; a nest deeper than Python recurses raises ParameterRangeError."""
+    try:
+        return parse(source)
+    except RecursionError:
+        raise ParameterRangeError(f"{where}: JSON nested too deeply") from None

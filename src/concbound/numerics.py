@@ -76,12 +76,13 @@ def _symmetrized(a, partner, error, name: str) -> np.ndarray:
 
 
 def as_hermitian(a: np.ndarray) -> np.ndarray:
-    """Validate Hermiticity within 1e-10 per entry and return the symmetrized matrix.
-
-    Symmetrization only strips floating-point asymmetry below that;
-    larger deviations raise NotHermitianError.
-    """
+    """Validate Hermiticity within 1e-10 per entry and return ``_hermitian_mean(A)``; larger deviations raise NotHermitianError."""
     return _symmetrized(a, lambda m: m.conj().T, NotHermitianError, "A^dag")
+
+
+def _hermitian_mean(a: np.ndarray) -> np.ndarray:
+    """(A + A^dag)/2 of a complex square A, unchecked: bit for bit what ``as_hermitian`` returns for an A it accepts."""
+    return 0.5 * (a + a.conj().T)
 
 
 def as_symmetric(a: np.ndarray) -> np.ndarray:
@@ -100,8 +101,5 @@ def psd_sqrt(h: np.ndarray) -> np.ndarray:
     tol = _ROUNDOFF * (float(np.max(np.abs(h), initial=0.0)) + 1.0)
     w, q = np.linalg.eigh(h)
     if w.size and not w[0] >= -tol:
-        raise NotPositiveSemidefiniteError(
-            f"minimum eigenvalue {w[0]:.3e} below -tol = {-tol:.3e}"
-        )
-    s = (q * np.sqrt(np.clip(w, 0.0, None))) @ q.conj().T
-    return 0.5 * (s + s.conj().T)
+        raise NotPositiveSemidefiniteError(f"minimum eigenvalue {w[0]:.3e} below -tol = {-tol:.3e}")
+    return _hermitian_mean((q * np.sqrt(np.clip(w, 0.0, None))) @ q.conj().T)

@@ -28,7 +28,7 @@ from itertools import combinations, compress
 import numpy as np
 
 from . import bounds_bipartite
-from .errors import ParameterRangeError, ThresholdNotDetectedError
+from .errors import ParameterRangeError, ThresholdNotDetectedError, _parse_json
 from .bounds_bipartite import (
     _AGGREGATES,
     BoundReport,
@@ -119,7 +119,7 @@ class OptimizerConfig:
 
     @classmethod
     def from_json(cls, blob: str) -> "OptimizerConfig":
-        return cls.from_dict(json.loads(blob))
+        return cls.from_dict(_parse_json(json.loads, blob, "optimizer config"))
 
 
 @dataclass(frozen=True)

@@ -4,8 +4,9 @@ Composite systems use the row-major index convention: for subsystem
 dimensions (d1, d2, d3) the basis ket |i j k> maps to the flat index
 i*d2*d3 + j*d3 + k, matching a C-order reshape of the coefficient
 tensor. Outside input is checked where it enters: the constructors reject bad
-input rather than repairing it, within the tolerances of ``numerics``; every
-state the library builds takes ``DensityMatrix._derived``, which checks only the trace.
+input rather than repairing it, within the tolerances of ``numerics``; of all the ways to a state, only the DensityMatrix
+constructor runs ``as_hermitian``. Every state the library builds takes ``DensityMatrix._derived``, which checks only the trace;
+``PureState.density()`` and ``random_density`` hand it the Hermitian mean of their own matrix, unchecked.
 A DensityMatrix eigendecomposes itself once, on first read, reads its root's support factor off that, and
 keeps its single-party partial-transpose spectra on first use; no gap matrices.
 
@@ -29,9 +30,10 @@ from .errors import (
     NotPositiveSemidefiniteError,
     ParameterRangeError,
     SubsystemIndexError,
+    _parse_json,
 )
 from .generators import Bipartition
-from .numerics import _EIG_FLOOR, _RECONSTRUCTION, _ROUNDOFF, _SUPPORT_CUT, _WEIGHT_FLOOR, _as_index, as_hermitian, require_square
+from .numerics import _EIG_FLOOR, _RECONSTRUCTION, _ROUNDOFF, _SUPPORT_CUT, _WEIGHT_FLOOR, _as_index, _hermitian_mean, as_hermitian, require_square
 
 
 def _check_dims(dims) -> tuple[int, ...]:
@@ -60,9 +62,7 @@ class PureState:
         self.dims = _check_dims(dims)
         vec = np.asarray(amplitudes, dtype=complex).reshape(-1)
         if vec.size != math.prod(self.dims):
-            raise ParameterRangeError(
-                f"vector length {vec.size} does not match dims {self.dims}"
-            )
+            raise ParameterRangeError(f"vector length {vec.size} does not match dims {self.dims}")
         # <psi|psi>, the trace density() checks. vdot overflows to inf silently, where np.linalg.norm warns first.
         square = float(np.vdot(vec, vec).real)
         if not math.isfinite(square):
@@ -78,7 +78,7 @@ class PureState:
 
     def density(self) -> "DensityMatrix":
         """Rank-one density matrix |psi><psi| on the same subsystems."""
-        return DensityMatrix._derived(as_hermitian(np.outer(self.amplitudes, self.amplitudes.conj())), self.dims)
+        return DensityMatrix._derived(_hermitian_mean(np.outer(self.amplitudes, self.amplitudes.conj())), self.dims)
 
 
 class DensityMatrix:
@@ -98,9 +98,7 @@ class DensityMatrix:
         dims = _check_dims(dims)
         mat = require_square(matrix)
         if mat.shape[0] != math.prod(dims):
-            raise ParameterRangeError(
-                f"matrix size {mat.shape[0]} does not match dims {dims}"
-            )
+            raise ParameterRangeError(f"matrix size {mat.shape[0]} does not match dims {dims}")
         self._adopt(as_hermitian(mat), dims)
         w = self._eigh[0]
         if not w[0] >= -_EIG_FLOOR:
@@ -109,7 +107,8 @@ class DensityMatrix:
     @classmethod
     def _derived(cls, matrix: np.ndarray, dims: tuple[int, ...]) -> "DensityMatrix":
         """The state of ``matrix`` on ``dims``, which the library built from checked states: only its trace is checked.
-        ``matrix`` is what the constructor would store (``as_hermitian`` leaves it as it is) and PSD by construction."""
+        ``matrix`` is PSD by construction and is what the constructor would store: a matrix ``as_hermitian`` keeps as it is,
+        or the Hermitian mean (``_hermitian_mean``, unchecked) that ``PureState.density()`` and ``random_density`` take of theirs."""
         return cls.__new__(cls)._adopt(matrix, dims)
 
     def _adopt(self, mat: np.ndarray, dims: tuple[int, ...]) -> "DensityMatrix":
@@ -202,9 +201,7 @@ class Decomposition:
             acc = acc + p * np.outer(psi.amplitudes, psi.amplitudes.conj())
         dev = float(np.abs(acc - state.matrix).max())
         if not dev <= _RECONSTRUCTION:
-            raise ParameterRangeError(
-                f"ensemble reproduces the state only to {dev:.3e}"
-            )
+            raise ParameterRangeError(f"ensemble reproduces the state only to {dev:.3e}")
         self.state = state
         self.weights = weights
         self.members = members
@@ -366,7 +363,7 @@ def random_density(dims, rank, seed) -> DensityMatrix:
     rng = np.random.default_rng(seed)
     g = rng.normal(size=(d, rank)) + 1j * rng.normal(size=(d, rank))
     m = g @ g.conj().T
-    return DensityMatrix._derived(as_hermitian(m / np.real(np.trace(m))), dims)
+    return DensityMatrix._derived(_hermitian_mean(m / np.real(np.trace(m))), dims)
 
 
 def _haar_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -467,8 +464,5 @@ def save_state(obj, path) -> None:
 def load_state(path):
     """Read a PureState or DensityMatrix from a JSON file."""
     with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except RecursionError:
-            raise ParameterRangeError(f"{path}: JSON nested too deeply") from None
+        data = _parse_json(json.load, fh, path)
     return state_from_jsonable(data)

@@ -443,12 +443,16 @@ class TestBoundCommand:
         assert code == 0
         assert "verdict: ENTANGLED" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("blob", ['{"foo": 1}', "[1]", '{"restarts": 1.5}'])
-    def test_bad_optimizer_json_exits_two(self, blob, capsys):
-        code = main(["bound", "--state", "family:horodecki,a=0.5", "--mode", "obs1", "--optimizer", blob])
-        err = capsys.readouterr().err
-        assert code == 2
-        assert "error:" in err and "Traceback" not in err
+    @pytest.mark.parametrize("blob", ['{"foo": 1}', "[1]", '{"restarts": 1.5}', pytest.param("[" * 5000 + "]" * 5000, id="nested-5000")])
+    def test_bad_optimizer_json_exits_two(self, blob, tmp_path, capsys):
+        """On bound and on scan; a nest deeper than Python recurses is one more bad blob, not a RecursionError."""
+        scan = ["scan", "--family", "bell-noise", "--mode", "obs1", "--p-range", "0.1:1", "--out", str(tmp_path / "scan.csv")]
+        for argv in (["bound", "--state", "family:horodecki,a=0.5", "--mode", "obs1"], scan):
+            code = main([*argv, "--optimizer", blob])
+            err = capsys.readouterr().err
+            assert code == 2
+            assert "error:" in err and "Traceback" not in err
+        assert not (tmp_path / "scan.csv").exists()
 
 
 class TestScanCommand:

@@ -131,6 +131,10 @@ class TestConfig:
     def test_integral_steps_are_accepted(self):
         assert OptimizerConfig(step_initial=1, step_final=1).step_initial == 1
 
+    def test_from_json_maps_a_nest_deeper_than_python_recurses(self):
+        with pytest.raises(ParameterRangeError, match="nested too deeply"):
+            OptimizerConfig.from_json("[" * 5000 + "]" * 5000)
+
     def test_json_roundtrip(self):
         cfg = OptimizerConfig(restarts=5, iterations=10, seed=99, subset_strategy="top_singletons")
         assert OptimizerConfig.from_json(cfg.to_json()) == cfg

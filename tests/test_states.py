@@ -18,7 +18,7 @@ from concbound.errors import (
     ParameterRangeError,
     SubsystemIndexError,
 )
-from concbound import cli
+from concbound import cli, numerics
 from concbound.bounds_bipartite import concurrence_pure, lambda_spectrum, observation1_bound, ppt_min_eigenvalue, wootters_concurrence
 from concbound.bounds_multipartite import ctau_pure
 from concbound.optimizer import OptimizerConfig, optimize_bound_bipartite, optimize_bound_multipartite, threshold_scan
@@ -662,6 +662,23 @@ class TestBoundary:
             assert cli.main(argv) == 0
         capsys.readouterr()
         assert inits == []
+
+    def test_only_the_constructor_symmetrizes(self, monkeypatch, tmp_path):
+        """No builder runs ``as_hermitian``'s checks: density() and random_density take the unchecked Hermitian mean."""
+        calls, symmetrized = [], numerics._symmetrized
+        monkeypatch.setattr(numerics, "_symmetrized", lambda a, *rest: calls.append(np.shape(a)) or symmetrized(a, *rest))
+        for build, _ in DERIVED_BUILDS.values():
+            build()
+        white_noise_mix(ghz_state(), 0.9)
+        white_noise_mix(random_density((2, 3), 3, seed=5), 0.4)
+        partial_trace(w_state(), [0, 2])
+        maximally_mixed((3, 2))
+        assert calls == []
+        DensityMatrix(np.eye(4) / 4, (2, 2))
+        assert calls == [(4, 4)]
+        path = tmp_path / "rho.json"
+        save_state(horodecki_state(0.5), path)
+        assert isinstance(load_state(path), DensityMatrix) and calls == [(4, 4), (9, 9)]
 
     def test_loading_a_state_is_the_one_check(self, inits, tmp_path, capsys):
         path = tmp_path / "rho.json"
