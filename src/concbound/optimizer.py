@@ -96,6 +96,8 @@ class OptimizerConfig:
             raise ParameterRangeError(f"step_initial, step_final must be finite numbers, got {steps}")
         if self.restarts < 1 or self.iterations < 1:
             raise ParameterRangeError("restarts and iterations must be at least 1")
+        if self.restarts >= 2**63:
+            raise ParameterRangeError("restarts must be below 2**63")
         if not 0 <= self.seed < 2**64:
             raise ParameterRangeError("seed must fit in 64 bits")
         if not 0.0 < self.step_final <= self.step_initial:
@@ -228,7 +230,8 @@ def _search(stack: np.ndarray, subsets, salts, cfg: OptimizerConfig):
         coeffs = np.ones((n_sub, 1), dtype=complex)
         deltas = _gaps(stack, idx, coeffs)
         return coeffs, deltas, np.repeat(deltas[:, None], cfg.restarts, axis=1)
-    x = np.tile(np.repeat([1.0, 0.0], m), (n_sub, cfg.restarts, 1))
+    x = np.empty((n_sub, cfg.restarts, 2 * m))
+    x[:, 0] = np.repeat([1.0, 0.0], m)
     starts = [_start(cfg.seed, (j,) + tuple(salt), m) for salt in salts for j in range(1, cfg.restarts)]
     x[:, 1:] = np.reshape(starts, (n_sub, -1, 2 * m))
     val = _ascend(stack, np.repeat(idx, cfg.restarts, axis=0), x.reshape(-1, 2 * m), cfg, cfg.restarts).reshape(n_sub, -1)

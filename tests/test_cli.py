@@ -317,6 +317,46 @@ class TestBoundCommand:
         assert captured.out == ""
         assert "error:" in captured.err and "Traceback" not in captured.err
 
+    @pytest.mark.parametrize("restarts", [2**62, 2**63 - 1, 10**20])
+    @pytest.mark.parametrize("k", ["1", "2"])
+    def test_restarts_numpy_cannot_shape_exit_two(self, k, restarts, tmp_path, capsys):
+        # 2^62 restarts crashed the process: numpy's tile wrapped 12 pairs x 2^62 x 4 to 0 elements. 10^20 escaped as
+        # an OverflowError. numpy rejects each of these shapes before it allocates anything.
+        out_csv = tmp_path / "scan.csv"
+        scan = ["scan", "--family", "horodecki:a=0.2", "--mode", "obs1", "--p-range", "0.5:1", "--out", str(out_csv)]
+        for argv in (["bound", "--state", "family:horodecki,a=0.2", "--mode", "obs1"], scan):
+            assert main([*argv, "--k", k, "--optimizer", json.dumps({"restarts": restarts})]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == "" and captured.err.startswith("error:") and captured.err.count("\n") == 1
+        assert not out_csv.exists()
+
+    @pytest.mark.parametrize("row", [mode for mode in cli._MODES if "-" in mode])
+    def test_a_row_that_is_not_a_mode_exits_two(self, row, capsys):
+        # --gen-source picks an obs2-<family> row; --mode does not name one.
+        with pytest.raises(SystemExit) as exit_info:
+            main(["bound", "--state", "family:ghz-noise,p=1", "--mode", row])
+        assert exit_info.value.code == 2
+        assert f"invalid choice: '{row}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "state, argv",
+        [
+            ("horodecki,a=0.2", ["--mode", "obs1", "--k", "2", "--optimizer", '{"restarts": 2, "iterations": 10, "subset_strategy": "top_singletons", "top_count": 3}']),
+            # The exhaustive k=2 search at the search-bipartite workload's config.
+            ("horodecki,a=0.2", ["--mode", "obs1", "--k", "2", "--optimizer", '{"restarts": 2, "iterations": 20}']),
+            # 1,088 ascent rows at k=3, so blocks of 512, 512 and 64 each run to their end; at 30 iterations the
+            # restarts of each subset race from step 10 on, across the same blocks of whole subsets.
+            ("horodecki,a=0.2", ["--mode", "obs1", "--k", "3", "--optimizer", '{"restarts": 16, "iterations": 10}']),
+            ("horodecki,a=0.2", ["--mode", "obs1", "--k", "3", "--optimizer", '{"restarts": 16, "iterations": 30}']),
+            # The canonical obs2 search at the search-tripartite workload's config: subsets 0 and 1 must survive pruning.
+            ("w-noise,p=0.9", ["--mode", "obs2", "--gen-source", "canonical", "--k", "1", "--optimizer", '{"restarts": 2, "iterations": 25}']),
+        ],
+        ids=["horodecki-k2-top", "horodecki-k2", "horodecki-k3-16-10", "horodecki-k3-16-30", "w-obs2-canonical"],
+    )
+    def test_searches_detect(self, state, argv, capsys):
+        assert main(["bound", "--state", f"family:{state}", *argv]) == 0
+        assert "verdict: ENTANGLED" in capsys.readouterr().out.splitlines()
+
     @pytest.mark.parametrize("blob", ['{"dims": [2, 2]}', "[1, 2]", '"x"', '{"dims": 2, "re": [1, 0], "im": [0, 0]}'])
     def test_malformed_state_file_exits_two(self, blob, tmp_path, capsys):
         path = tmp_path / "state.json"
@@ -340,7 +380,7 @@ class TestBoundCommand:
         assert "error:" in captured.err and "shape" in captured.err and "Traceback" not in captured.err
 
     # A negative tolerance would certify separable states: -0.05 read ENTANGLED on the Werner state p = 0.2.
-    @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "-0.05"])
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "-0.05", "-1"])
     @pytest.mark.parametrize("mode", ["wootters", "ppt"])
     def test_non_finite_tol_detect_exits_two_before_output(self, mode, tol, capsys):
         code = main(["bound", "--state", "family:bell-noise,p=1", "--mode", mode, f"--tol-detect={tol}"])
@@ -694,12 +734,17 @@ class TestScanCommand:
         # the 5 grid rows, 4 of which (p_lo, p_hi, 0.505 and 0.2575) the bisection visited.
         assert calls == [[(0,), (1,), (2,)]] * (16 + 5 - 4)
 
-    def test_ppt_bound_reads_one_summary(self, capsys, monkeypatch):
+    @pytest.mark.parametrize("state, splits", [("bell-noise,p=0.5", ["1|2"]), ("w-noise,p=0.5", ["1|23", "2|13", "3|12"])])
+    def test_ppt_bound_reads_one_summary(self, state, splits, capsys, monkeypatch):
+        # One split per party, on two parties only 1|2, all read off one stacked spectrum; the worst is their minimum.
         calls = []
         spectra = states._pt_spectra
         monkeypatch.setattr(states, "_pt_spectra", lambda rho, splits: calls.append(1) or spectra(rho, splits))
-        assert main(["bound", "--state", "family:w-noise,p=0.5", "--mode", "ppt"]) == 0
-        assert "verdict: ENTANGLED" in capsys.readouterr().out and calls == [1]
+        assert main(["bound", "--state", f"family:{state}", "--mode", "ppt", "--format", "json"]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert "verdict: ENTANGLED" in out and calls == [1]
+        ppt = json.loads(out[-1])["report"]["ppt"]
+        assert list(ppt["per_split"]) == splits and ppt["worst"] == min(ppt["per_split"].values())
 
     def test_searched_bound_and_its_summary_share_one_transpose_spectrum(self, capsys, monkeypatch):
         # The projection lemma of the k=2 search and the printed PPT summary read the same cached row.

@@ -91,6 +91,8 @@ class TestConfig:
             {"top_count": 0},
             {"seed": -1},
             {"seed": 2**64},
+            {"restarts": 2**63},
+            {"restarts": 10**20},
             {"restarts": 1.5},
             {"restarts": True},
             {"iterations": True},

@@ -559,6 +559,7 @@ DERIVED_BUILDS = {
     **{f"horodecki-{a}": (lambda a=a: horodecki_state(a), None) for a in (0.0, 0.1, 0.2, 0.5, 0.8, 1.0)},
     **{f"mixed-{d}": (lambda d=d: maximally_mixed(d), lambda d=d: np.eye(int(np.prod(d))) / np.prod(d)) for d in [(1,), (2, 3), (2, 2, 2)]},
     **{f"random-density-{i}": (lambda i=i: random_density((3, 3), i + 1, seed=i), lambda i=i: _ginibre((3, 3), i + 1, i)) for i in range(3)},
+    "random-density-2x2": (lambda: random_density((2, 2), 3, seed=1), lambda: _ginibre((2, 2), 3, 1)),
     "trace-ghz-01": (lambda: partial_trace(ghz_state(), [0, 1]), None),
     "trace-w-2": (lambda: partial_trace(w_state(), [2]), None),
     "trace-horodecki-1": (lambda: partial_trace(horodecki_state(0.3), [1]), None),
